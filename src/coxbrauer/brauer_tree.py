@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import gcd
 
@@ -107,6 +108,66 @@ class Edge:
     ends: tuple[object, object]   # vertex index or EXC
 
 
+class _TreeIndex:
+    """Dict indices of a tree, built once on first use.
+
+    `order_at` holds the stored cyclic order of every listed node (the
+    first listing wins) and the one-edge order of every unlisted leaf;
+    `position` maps (node, edge) to the place of the edge in that order;
+    `edge_height` is the distance from the exceptional node read off one
+    breadth-first search.
+    """
+
+    def __init__(self, tree: "PlanarBrauerTree"):
+        self.edge: dict[int, Edge] = {}
+        self.edges_at: dict[object, list[int]] = {}
+        for e in tree.edges:
+            self.edge.setdefault(e.index, e)
+            for node in dict.fromkeys(e.ends):
+                self.edges_at.setdefault(node, []).append(e.index)
+        self.vertex: dict[int, ChiVertex] = {}
+        for v in tree.vertices:
+            self.vertex.setdefault(v.index, v)
+        self.order_at: dict[object, tuple[int, ...]] = {}
+        for node, order in tree.cyclic_order:
+            self.order_at.setdefault(node, order)
+        for node, edges in self.edges_at.items():
+            if node not in self.order_at and len(edges) == 1:
+                self.order_at[node] = tuple(edges)
+        self.position: dict[tuple[object, int], int] = {}
+        for node, order in self.order_at.items():
+            for i, j in enumerate(order):
+                self.position.setdefault((node, j), i)
+        self.edge_height = self._edge_heights(tree)
+
+    def _edge_heights(self, tree) -> dict[int, int]:
+        dist, frontier = {EXC: 0}, [EXC]
+        while frontier:
+            nxt = []
+            for node in frontier:
+                for j in self.edges_at.get(node, ()):
+                    for end in self.edge[j].ends:
+                        if end not in dist:
+                            dist[end] = dist[node] + 1
+                            nxt.append(end)
+            frontier = nxt
+        heights = {}
+        for j, e in self.edge.items():
+            reached = [dist[n] for n in e.ends if n in dist]
+            if reached:
+                heights[j] = min(reached)
+        return heights
+
+    def locate(self, node, j: int) -> tuple[tuple[int, ...], int]:
+        """The cyclic order at node and the place of edge j in it; KeyError
+        for an unknown node, ValueError for an edge not at the node."""
+        order = self.order_at[node]
+        i = self.position.get((node, j))
+        if i is None:
+            raise ValueError(f"edge {j} is not in the cyclic order at {node}")
+        return order, i
+
+
 @dataclass(frozen=True)
 class PlanarBrauerTree:
     h0: int
@@ -120,29 +181,21 @@ class PlanarBrauerTree:
     cyclic_order: tuple[tuple[object, tuple[int, ...]], ...]
     star_meta: tuple[tuple[str, int], ...] | None = None
 
+    @cached_property
+    def _index(self) -> _TreeIndex:
+        return _TreeIndex(self)
+
     def cyclic_order_at(self, node) -> tuple[int, ...]:
-        for n, order in self.cyclic_order:
-            if n == node:
-                return order
-        edges = self.edges_at(node)
-        if len(edges) != 1:
-            raise KeyError(node)
-        return tuple(edges)
+        return self._index.order_at[node]
 
     def edges_at(self, node) -> list[int]:
-        return [e.index for e in self.edges if node in e.ends]
+        return list(self._index.edges_at.get(node, ()))
 
     def edge(self, j: int) -> Edge:
-        for e in self.edges:
-            if e.index == j:
-                return e
-        raise KeyError(j)
+        return self._index.edge[j]
 
     def vertex(self, j: int) -> ChiVertex:
-        for v in self.vertices:
-            if v.index == j:
-                return v
-        raise KeyError(j)
+        return self._index.vertex[j]
 
     def edge_indices(self) -> list[int]:
         return [e.index for e in self.edges]
@@ -151,14 +204,13 @@ class PlanarBrauerTree:
         return self.multiplicity if node == EXC else 1
 
     def successor_at(self, node, j: int) -> int:
-        order = self.cyclic_order_at(node)
-        i = order.index(j)
+        order, i = self._index.locate(node, j)
         return order[(i + 1) % len(order)]
 
-    def predecessor_at(self, node, j: int) -> int:
-        order = self.cyclic_order_at(node)
-        i = order.index(j)
-        return order[(i - 1) % len(order)]
+    def predecessor_at(self, node, j: int, steps: int = 1) -> int:
+        """The edge `steps` places clockwise of edge j at node."""
+        order, i = self._index.locate(node, j)
+        return order[(i - steps) % len(order)]
 
     def is_star(self) -> bool:
         return all(b.m == b.M for b in self.series.branches)
@@ -315,20 +367,7 @@ def cartan_matrix(d: DecompositionMatrix) -> np.ndarray:
 
 def height(tree: PlanarBrauerTree, j: int) -> int:
     """Minimal number of edges between the exceptional node and edge S_j."""
-    target = tree.edge(j)
-    frontier, dist, seen = {EXC}, 0, {EXC}
-    while frontier:
-        if any(n in frontier for n in target.ends):
-            return dist
-        nxt = set()
-        for e in tree.edges:
-            if any(n in frontier for n in e.ends):
-                for n in e.ends:
-                    if n not in seen:
-                        seen.add(n)
-                        nxt.add(n)
-        frontier, dist = nxt, dist + 1
-    raise KeyError(j)
+    return tree._index.edge_height[j]
 
 
 def perversity(tree: PlanarBrauerTree, i: int) -> int:

@@ -209,8 +209,8 @@ def _load_tree(args) -> bt.PlanarBrauerTree:
         ctx = validate_regime(coxeter_datum(parse_type("2G2")), qsq, ell,
                               precision=_default_precision(getattr(args, "precision", None)))
         return bt.principal_block_tree(ctx, series, labels=labels)
-    mu = args.mu if getattr(args, "mu", None) else 1
-    r = args.r if getattr(args, "r", None) else 1
+    mu = args.mu if args.mu is not None else 1
+    r = args.r if args.r is not None else 1
     return bt.assemble_tree(series, mu, r, labels=labels)
 
 

@@ -28,6 +28,12 @@ class CohomologyOutsideRange(ValueError):
     """trim target range does not contain all the cohomology."""
 
 
+class InvalidComplex(ValueError):
+    """A complex or Hom complex breaks an invariant: ill-shaped boundary
+    matrices, d^2 != 0, or an image that does not sit inside the kernel.
+    Raised explicitly, so the checks also run under python -O."""
+
+
 class TiltingFailure(AssertionError):
     """The candidate complex is not a tilting complex; carries a report."""
 
@@ -98,7 +104,9 @@ class ProjComplex:
                 self.diffs.pop()
         if not self.diffs:
             self.diffs = [self._zero_diff(i) for i in range(len(self.terms))]
-        assert len(self.diffs) == len(self.terms)
+        if len(self.diffs) != len(self.terms):
+            raise InvalidComplex(f"{len(self.diffs)} boundary matrices for "
+                                 f"{len(self.terms)} terms")
         self.check_shapes()
         self.check_d_squared()
 
@@ -126,16 +134,27 @@ class ProjComplex:
 
     def check_shapes(self):
         for i, mat in enumerate(self.diffs):
+            d = self.lo + i
             n_tgt = len(self.terms[i + 1]) if i + 1 < len(self.terms) else 0
-            assert len(mat) == n_tgt
+            if len(mat) != n_tgt:
+                raise InvalidComplex(f"boundary at degree {d} has {len(mat)} "
+                                     f"rows for {n_tgt} target summands")
             for row_idx, row in enumerate(mat):
-                assert len(row) == len(self.terms[i])
+                if len(row) != len(self.terms[i]):
+                    raise InvalidComplex(
+                        f"boundary at degree {d}, row {row_idx} has {len(row)} "
+                        f"entries for {len(self.terms[i])} source summands")
                 for col_idx, entry in enumerate(row):
                     # entry maps P_col -> P_row by left multiplication,
                     # so its paths run from the row vertex to the column vertex
                     for p in entry:
-                        assert self.alg.source(p) == self.terms[i + 1][row_idx]
-                        assert self.alg.target(p) == self.terms[i][col_idx]
+                        if (self.alg.source(p) != self.terms[i + 1][row_idx]
+                                or self.alg.target(p) != self.terms[i][col_idx]):
+                            raise InvalidComplex(
+                                f"boundary at degree {d}, entry ({row_idx}, "
+                                f"{col_idx}) holds a path {p} that does not run "
+                                f"from P_{self.terms[i + 1][row_idx]} to "
+                                f"P_{self.terms[i][col_idx]}")
 
     def check_d_squared(self):
         alg = self.alg
@@ -146,7 +165,8 @@ class ProjComplex:
                     acc: dict = {}
                     for k in range(len(a)):
                         acc = alg.elt_add(acc, alg.elt_mul(b[r][k], a[k][c]))
-                    assert not acc, f"d^2 != 0 at degree {self.lo + i}"
+                    if acc:
+                        raise InvalidComplex(f"d^2 != 0 at degree {self.lo + i}")
 
     def shift(self, k: int) -> "ProjComplex":
         """C[k], with C[k]^i = C^(i+k) and boundary scaled by (-1)^k."""
@@ -211,12 +231,8 @@ def rickard_complex(alg: TreeAlgebra, tree: PlanarBrauerTree, j: int) -> ProjCom
 
 def _grade_basis(alg: TreeAlgebra, summands: list[int], grade: int):
     """Basis [(summand index, path)] of the grade component of a term."""
-    out = []
-    for idx, v in enumerate(summands):
-        for p in alg.paths:
-            if p.src == v and alg.target(p) == grade:
-                out.append((idx, p))
-    return out
+    return [(idx, p) for idx, v in enumerate(summands)
+            for p in alg.paths_between.get((v, grade), ())]
 
 
 def _grade_matrix(alg: TreeAlgebra, diff, src, tgt, grade) -> np.ndarray:
@@ -255,7 +271,9 @@ def cohomology(cx: ProjComplex) -> dict[int, Counter]:
             rank_out = linalg.rank_mod_prime(cur, ell) if cur.size else 0
             rank_in = linalg.rank_mod_prime(prev, ell) if prev.size else 0
             h = dim_here - rank_out - rank_in
-            assert h >= 0, "image does not sit inside the kernel"
+            if h < 0:
+                raise InvalidComplex(f"image does not sit inside the kernel "
+                                     f"at degree {d}, grade {v}")
             if h:
                 counts[v] = h
         if counts:
@@ -381,11 +399,11 @@ class HomComplex:
             for i in cx1.degrees():
                 for t_idx, tv in enumerate(cx2.term(i + n)):
                     for s_idx, sv in enumerate(cx1.term(i)):
-                        for p in alg.paths:
-                            if p.src == tv and alg.target(p) == sv:
-                                items.append((i, t_idx, s_idx, p))
+                        for p in alg.paths_between.get((tv, sv), ()):
+                            items.append((i, t_idx, s_idx, p))
             self.basis[n] = items
         self._matrices: dict[int, np.ndarray] = {}
+        self._ranks: dict[int, int] = {}
 
     def dim(self, n: int) -> int:
         return len(self.basis.get(n, []))
@@ -426,16 +444,22 @@ class HomComplex:
         self._matrices[n] = mat
         return mat
 
+    def rank(self, n: int) -> int:
+        """Rank of D: Hom^n -> Hom^(n+1), computed once per degree."""
+        if n not in self._ranks:
+            mat = self.matrix(n)
+            self._ranks[n] = (linalg.rank_mod_prime(mat, self.alg.ell)
+                              if mat.size else 0)
+        return self._ranks[n]
+
     def cohomology_dim(self, n: int) -> int:
         if not (self.lo <= n <= self.hi):
             return 0
-        ell = self.alg.ell
-        out_m = self.matrix(n)
-        in_m = self.matrix(n - 1) if n - 1 >= self.lo else linalg.zeros(self.dim(n), 0)
-        rank_out = linalg.rank_mod_prime(out_m, ell) if out_m.size else 0
-        rank_in = linalg.rank_mod_prime(in_m, ell) if in_m.size else 0
-        h = self.dim(n) - rank_out - rank_in
-        assert h >= 0
+        rank_in = self.rank(n - 1) if n - 1 >= self.lo else 0
+        h = self.dim(n) - self.rank(n) - rank_in
+        if h < 0:
+            raise InvalidComplex(f"Hom complex image does not sit inside the "
+                                 f"kernel in degree {n}")
         return h
 
     def all_cohomology(self) -> dict[int, int]:
@@ -588,8 +612,7 @@ def mix_basis(cx: ProjComplex, rng) -> ProjComplex:
         for i in range(n):
             for j in range(i):
                 # a random Hom(P_{vs[j]}, P_{vs[i]}) element: paths vs[i]->vs[j]
-                opts = [p for p in alg.paths
-                        if p.src == vs[i] and alg.target(p) == vs[j]]
+                opts = alg.paths_between.get((vs[i], vs[j]), [])
                 if opts and rng.random() < 0.7:
                     p = opts[rng.randrange(len(opts))]
                     c = rng.randrange(1, alg.ell)

@@ -1,8 +1,11 @@
 """Exact dense linear algebra over Z/m (m a prime or a prime power).
 
-Matrices are numpy arrays with dtype=object holding Python ints, so the
-arithmetic never overflows and never touches floating point.  Sizes here
-are desk scale (dozens of rows), so schoolbook algorithms are fine.
+Matrix containers are numpy arrays with dtype=object holding Python ints,
+so products and powers never overflow and never touch floating point.
+Row reduction over GF(p), which every rank computation runs on, is one
+row-vectorised int64 kernel: entries stay in [0, p) and are reduced mod p
+after every step, so a product of two entries stays below 2^62 and the
+kernel is exact for every prime 1 < p < 2^31.  Larger p are rejected.
 """
 
 from __future__ import annotations
@@ -10,6 +13,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 import numpy as np
+
+# Exclusive upper bound on the modulus of the int64 elimination kernel.
+MAX_PRIME = 2 ** 31
 
 
 def obj_matrix(rows) -> np.ndarray:
@@ -52,29 +58,38 @@ def mat_mul(a: np.ndarray, b: np.ndarray, mod: int) -> np.ndarray:
 
 
 def rref_mod_prime(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form over GF(p); returns (rref, pivot columns)."""
-    m = mat_mod(a, p)
+    """Reduced row echelon form over GF(p); returns (rref, pivot columns).
+
+    The rref is an int64 array with entries in [0, p).  Raises ValueError
+    unless 1 < p < 2^31, the range in which the int64 kernel is exact.
+    """
+    if not 1 < p < MAX_PRIME:
+        raise ValueError(f"modulus {p} outside 1 < p < 2^31 of the int64 kernel")
+    a = np.asarray(a)
+    if a.dtype == object:
+        a = a % p
+    m = a.astype(np.int64) % p
     rows, cols = m.shape
     pivots: list[int] = []
     r = 0
     for c in range(cols):
-        pivot = next((i for i in range(r, rows) if m[i, c] % p), None)
-        if pivot is None:
-            continue
-        if pivot != r:
-            m[[r, pivot]] = m[[pivot, r]]
-        inv = pow(int(m[r, c]), -1, p)
-        for j in range(cols):
-            m[r, j] = int(m[r, j]) * inv % p
-        for i in range(rows):
-            if i != r and m[i, c]:
-                f = int(m[i, c])
-                for j in range(cols):
-                    m[i, j] = (int(m[i, j]) - f * int(m[r, j])) % p
-        pivots.append(c)
-        r += 1
         if r == rows:
             break
+        nonzero = np.flatnonzero(m[r:, c])
+        if not nonzero.size:
+            continue
+        pivot = r + int(nonzero[0])
+        if pivot != r:
+            m[[r, pivot]] = m[[pivot, r]]
+        # columns left of c are zero in row r and below, so work from c on
+        m[r, c:] = m[r, c:] * pow(int(m[r, c]), -1, p) % p
+        col = m[:, c].copy()
+        col[r] = 0
+        hit = np.flatnonzero(col)
+        if hit.size:
+            m[hit, c:] = (m[hit, c:] - np.outer(col[hit], m[r, c:])) % p
+        pivots.append(c)
+        r += 1
     return m, pivots
 
 

@@ -67,6 +67,9 @@ class TreeAlgebra:
     """
 
     def __init__(self, tree: PlanarBrauerTree, ell: int, debug: bool = False):
+        if ell >= linalg.MAX_PRIME:
+            raise ValueError(f"field order {ell} is not below 2^31, the limit "
+                             f"of the exact int64 elimination kernel")
         if not is_prime(ell):
             raise ValueError(f"field order {ell} is not prime")
         self.tree = tree
@@ -85,6 +88,16 @@ class TreeAlgebra:
         self.paths = self._enumerate_paths()
         self.dim = len(self.paths)
         self.arrows = self._enumerate_arrows()
+        # lookup tables: the target of every basis path (a cyclic path ends
+        # `steps` clockwise steps around its node), the basis paths from src
+        # to tgt in the order of self.paths, and the arrow counts
+        self._targets = {p: (tree.predecessor_at(p.node, p.src, p.steps)
+                             if p.kind == _CYC else p.src)
+                         for p in self.paths}
+        self.paths_between: dict[tuple[int, int], list[Path]] = {}
+        for p in self.paths:
+            self.paths_between.setdefault((p.src, self._targets[p]), []).append(p)
+        self.arrow_counts = Counter((a.src, a.tgt) for a in self.arrows)
         if debug:
             self._check_associativity()
 
@@ -131,12 +144,7 @@ class TreeAlgebra:
     # -- path structure ----------------------------------------------------
 
     def target(self, p: Path) -> int:
-        if p.kind == _CYC:
-            e = p.src
-            for _ in range(p.steps):
-                e = self._pred(p.node, e)
-            return e
-        return p.src
+        return self._targets[p]
 
     def source(self, p: Path) -> int:
         return p.src
@@ -202,8 +210,9 @@ class TreeAlgebra:
     def elt_mul(self, x: dict, y: dict) -> dict:
         out: dict = {}
         for p, a in x.items():
+            tp = self.target(p)
             for q, b in y.items():
-                if self.target(p) != q.src:
+                if tp != q.src:
                     continue
                 r = self.compose(p, q)
                 if r is None:
@@ -272,13 +281,12 @@ def dimension_formula(tree: PlanarBrauerTree) -> int:
 
 def ext1(alg: TreeAlgebra, i: int, j: int) -> int:
     """dim Ext^1(S_i, S_j) = number of quiver arrows from i to j."""
-    return sum(1 for a in alg.arrows if a.src == i and a.tgt == j)
+    return alg.arrow_counts[(i, j)]
 
 
 def hom_space(alg: TreeAlgebra, i: int, j: int) -> list[dict]:
     """Basis of Hom(P_i, P_j): left multiplications by paths from j to i."""
-    return [alg.elt(p) for p in alg.paths
-            if p.src == j and alg.target(p) == i]
+    return [alg.elt(p) for p in alg.paths_between.get((j, i), ())]
 
 
 @dataclass
@@ -339,13 +347,8 @@ def _column_basis(mat: np.ndarray, p: int) -> np.ndarray:
     """Basis of the column span, read off the rref of the transpose."""
     if mat.shape[1] == 0:
         return mat
-    r, _ = linalg.rref_mod_prime(mat.T, p)
-    keep = [i for i in range(r.shape[0]) if any(int(x) % p for x in r[i])]
-    out = linalg.zeros(mat.shape[0], len(keep))
-    for k, i in enumerate(keep):
-        for c in range(mat.shape[0]):
-            out[c, k] = r[i, c]
-    return out
+    r, pivots = linalg.rref_mod_prime(mat.T, p)
+    return r[:len(pivots)].T.astype(object)
 
 
 def _graded_quotient_dims(alg, basis, span, subspan, ell) -> Counter:

@@ -191,3 +191,24 @@ def test_console_script_entry():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["h"] == 8
+
+
+def test_r_zero_is_kept(capsys):
+    code, obj = run_json(capsys, "tree", "--fixture", "line3", "--r", "0")
+    assert code == 0 and obj["r"] == 0
+    code, obj = run_json(capsys, "rickard", "--fixture", "line3", "--r", "0",
+                         "--vertex", "2")
+    assert code == 0 and obj["degrees"] == [0, 1, 2]
+
+
+def test_mu_zero_is_rejected(capsys):
+    code, out, err = run(capsys, "tree", "--fixture", "line3", "--mu", "0")
+    assert code == 1 and out == ""
+    assert "multiplicity must be >= 1" in err
+
+
+def test_field_beyond_the_kernel_limit(capsys):
+    code, out, err = run(capsys, "algebra", "--fixture", "line3",
+                         "--field", "2147483659")
+    assert code == 1 and out == ""
+    assert "2^31" in err

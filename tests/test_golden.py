@@ -1,0 +1,62 @@
+"""Byte-identity of CLI reports against captured golden output.
+
+Every capture under tests/golden/ is the stdout of one CLI invocation.
+Refactors and speed-ups must leave all of them byte for byte as they are.
+Regenerate only when a report is meant to change:
+
+    PYTHONPATH=src python tests/test_golden.py --write
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+from coxbrauer import cli
+
+GOLDEN = Path(__file__).parent / "golden"
+TWO_BRANCH = str(GOLDEN / "two_branch20.tree.json")
+
+CAPTURES = {
+    "2g2_decmatrix.json": ["decmatrix", "--fixture", "2g2"],
+    "2g2_algebra.json": ["algebra", "--fixture", "2g2"],
+    "2g2_rickard_tilting.json": ["rickard", "--fixture", "2g2", "--vertex", "1",
+                                 "--check-tilting"],
+    "line12_rickard_tilting.json": ["rickard", "--fixture", "line12", "--mu", "2",
+                                    "--r", "1", "--field", "31", "--vertex", "7",
+                                    "--check-tilting"],
+    "two_branch20_decmatrix.json": ["decmatrix", "--tree", TWO_BRANCH],
+    "two_branch20_algebra.json": ["algebra", "--tree", TWO_BRANCH,
+                                  "--field", "31"],
+    "two_branch20_rickard_tilting.json": ["rickard", "--tree", TWO_BRANCH,
+                                          "--field", "31", "--vertex", "17",
+                                          "--check-tilting"],
+    "line40.dot": ["tree", "--fixture", "line40", "--format", "dot"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CAPTURES))
+def test_report_is_byte_identical(name, capsys):
+    code = cli.main(CAPTURES[name])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+def _write_captures():
+    import contextlib
+    import io
+    for name, argv in sorted(CAPTURES.items()):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = cli.main(argv)
+        if code != 0:
+            raise SystemExit(f"{name}: exit code {code}")
+        (GOLDEN / name).write_text(buf.getvalue(), encoding="utf-8")
+        print(f"wrote {name}")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        raise SystemExit("usage: test_golden.py --write")
+    _write_captures()

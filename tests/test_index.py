@@ -1,0 +1,112 @@
+"""Property tests of the tree and path indices against linear scans."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from coxbrauer import brauer_tree as bt
+from coxbrauer import tree_algebra as ta
+from coxbrauer.brauer_tree import EXC
+
+
+@st.composite
+def trees(draw):
+    h0 = draw(st.integers(1, 24))
+    cuts = sorted(draw(st.sets(st.integers(1, h0 - 1), max_size=6))) if h0 > 1 else []
+    bounds = [0, *cuts, h0]
+    branches = tuple(bt.Branch(draw(st.integers(0, 11)), m, M - 1)
+                     for m, M in zip(bounds, bounds[1:]))
+    mu = draw(st.integers(1, 4))
+    r = draw(st.integers(0, 3))
+    return bt.assemble_tree(bt.SeriesDatum(h0, branches), mu, r)
+
+
+def reference_height(tree, j):
+    """Breadth-first search over all edges from the exceptional node."""
+    target = next(e for e in tree.edges if e.index == j)
+    frontier, dist, seen = {EXC}, 0, {EXC}
+    while frontier:
+        if any(n in frontier for n in target.ends):
+            return dist
+        nxt = set()
+        for e in tree.edges:
+            if any(n in frontier for n in e.ends):
+                for n in e.ends:
+                    if n not in seen:
+                        seen.add(n)
+                        nxt.add(n)
+        frontier, dist = nxt, dist + 1
+    raise KeyError(j)
+
+
+def reference_target(alg, p):
+    """Walk `steps` predecessors around the node of a cyclic path."""
+    e = p.src
+    if p.kind == "cyc":
+        for _ in range(p.steps):
+            e = alg.tree.predecessor_at(p.node, e)
+    return e
+
+
+def nodes(tree):
+    return {EXC} | {end for e in tree.edges for end in e.ends}
+
+
+@settings(max_examples=60, deadline=None)
+@given(trees())
+def test_heights_match_the_all_edges_search(tree):
+    for j in tree.edge_indices():
+        assert bt.height(tree, j) == reference_height(tree, j)
+
+
+@settings(max_examples=60, deadline=None)
+@given(trees())
+def test_lookups_match_linear_scans(tree):
+    for e in tree.edges:
+        assert tree.edge(e.index) is e
+    for v in tree.vertices:
+        assert tree.vertex(v.index) is v
+    for node in nodes(tree):
+        assert tree.edges_at(node) == [e.index for e in tree.edges if node in e.ends]
+        order = tree.cyclic_order_at(node)
+        assert sorted(order) == sorted(tree.edges_at(node))
+        for j in order:
+            assert tree.predecessor_at(node, tree.successor_at(node, j)) == j
+            assert tree.successor_at(node, tree.predecessor_at(node, j)) == j
+            i = order.index(j)
+            assert tree.successor_at(node, j) == order[(i + 1) % len(order)]
+            assert tree.predecessor_at(node, j, 3) == order[(i - 3) % len(order)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(trees())
+def test_paths_between_partitions_the_path_basis(tree):
+    alg = ta.from_tree(tree, 7)
+    flat = [p for group in alg.paths_between.values() for p in group]
+    assert sorted(map(alg.paths.index, flat)) == list(range(alg.dim))
+    for (src, tgt), group in alg.paths_between.items():
+        assert group == [p for p in alg.paths
+                         if p.src == src and reference_target(alg, p) == tgt]
+    for p in alg.paths:
+        assert alg.target(p) == reference_target(alg, p)
+    for i in alg.vertices:
+        for j in alg.vertices:
+            assert ta.ext1(alg, i, j) == sum(1 for a in alg.arrows
+                                             if a.src == i and a.tgt == j)
+
+
+def test_unknown_keys():
+    tree = bt.assemble_tree(bt.line_series(3), 2, 1)
+    for lookup, key in ((tree.edge, 3), (tree.edge, -1), (tree.vertex, 7),
+                        (tree.cyclic_order_at, 99), (tree.cyclic_order_at, "x")):
+        with pytest.raises(KeyError):
+            lookup(key)
+    for walk in (tree.successor_at, tree.predecessor_at):
+        with pytest.raises(KeyError):
+            walk(99, 0)
+        with pytest.raises(ValueError):
+            walk(EXC, 2)            # S_2 does not meet the exceptional node
+    with pytest.raises(KeyError):
+        bt.height(tree, 3)
+    assert tree.edges_at(99) == []
+    assert tree.edges_at("x") == []

@@ -1,0 +1,61 @@
+"""Complex invariants are explicit checks, so they hold under python -O."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from coxbrauer import brauer_tree as bt
+from coxbrauer import homotopy as ho
+from coxbrauer import tree_algebra as ta
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# An ill-shaped boundary (two rows for one target summand), a boundary
+# list of the wrong length, and d^2 = id on P_0 -> P_0 -> P_0.
+SCRIPT = """
+from coxbrauer import brauer_tree as bt, homotopy as ho, tree_algebra as ta
+assert False, "asserts must be stripped under -O"
+tree = bt.assemble_tree(bt.line_series(3), 1, 1)
+alg = ta.from_tree(tree, 5)
+one = alg.unit(0)
+bad = {
+    "rows": lambda: ho.ProjComplex(alg, 0, [[0], [1]], [[[{}], [{}]], []]),
+    "length": lambda: ho.ProjComplex(alg, 0, [[0], [0]], [[[one]]]),
+    "d2": lambda: ho.ProjComplex(alg, 0, [[0], [0], [0]],
+                                 [[[one]], [[one]], []]),
+}
+for name, build in bad.items():
+    try:
+        build()
+    except ho.InvalidComplex as exc:
+        print(name, "rejected:", exc)
+    else:
+        print(name, "ACCEPTED")
+"""
+
+
+def test_invalid_complexes_rejected_under_optimize():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC), *filter(None, [env.get("PYTHONPATH")])])
+    proc = subprocess.run([sys.executable, "-O", "-c", SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [line.split()[:2] for line in lines] == [
+        ["rows", "rejected:"], ["length", "rejected:"], ["d2", "rejected:"]]
+    assert "d^2 != 0" in lines[2]
+
+
+def test_invalid_complex_is_a_value_error():
+    tree = bt.assemble_tree(bt.line_series(2), 1, 1)
+    alg = ta.from_tree(tree, 5)
+    assert issubclass(ho.InvalidComplex, ValueError)
+    with pytest.raises(ho.InvalidComplex, match="does not run from"):
+        # the arrow path 1 -> 0 placed as a map P_1 -> P_0
+        arrow = next(a for a in alg.arrows if a.src == 1 and a.tgt == 0)
+        ho.ProjComplex(alg, 0, [[1], [0]],
+                       [[[alg.elt(alg.arrow_path(arrow))]], []])

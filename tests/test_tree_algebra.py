@@ -172,3 +172,10 @@ def test_local_inverse():
     assert alg.elt_mul(inv, x) == alg.unit(0)
     with pytest.raises(ZeroDivisionError):
         alg.local_inverse(alg.elt(soc), 0)
+
+
+def test_field_below_the_kernel_limit():
+    tree = bt.assemble_tree(bt.line_series(2), 1, 1)
+    with pytest.raises(ValueError, match="2\\^31"):
+        ta.from_tree(tree, 2147483659)           # prime, but too large
+    assert ta.from_tree(tree, 2 ** 31 - 1).dim == 6
