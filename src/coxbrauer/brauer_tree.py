@@ -457,10 +457,6 @@ def tree_to_obj(tree: PlanarBrauerTree) -> dict:
     return obj
 
 
-def to_json(tree: PlanarBrauerTree) -> str:
-    return json.dumps(tree_to_obj(tree), sort_keys=True)
-
-
 def _expect(obj, key, types, loc):
     if key not in obj:
         raise ParseError(f"{loc}.{key}", "missing field")

@@ -404,8 +404,7 @@ def _cmd_star(args) -> int:
 def _cmd_selftest(args) -> int:
     results = st.run_all(args.filter)
     for r in results:
-        status = "PASS" if r.ok else "FAIL"
-        sys.stderr.write(f"{status} {r.name:32s} {r.elapsed:6.2f}s  {r.detail}\n")
+        sys.stderr.write(r.line() + "\n")
     _emit({"ok": all(r.ok for r in results),
            "results": [{"name": r.name, "ok": r.ok, "detail": r.detail,
                         "seconds": round(r.elapsed, 3)} for r in results]},

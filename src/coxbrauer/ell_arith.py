@@ -3,10 +3,8 @@
 Validates triples (type, q, ell): ell must divide the Coxeter torus order
 but not the order of the twist-fixed Weyl group, and q must land on a
 primitive h-th root of unity mod ell.  On top of the validated context the
-module provides the eigenvalue congruence table j -> q^(j*delta) mod ell,
-Hensel lifting of prime-to-ell roots, and generalized eigenspace
-decompositions of matrices over Z/ell^N that group eigenvalues by their
-residue mod ell.
+module provides the eigenvalue congruence table j -> q^(j*delta) mod ell
+and Hensel lifting of prime-to-ell roots.
 
 Quadratic extensions F_ell[t]/(t^2 - s), needed when q^2 is a non-residue
 for a Suzuki or Ree group, are realized with s the smallest non-residue.
@@ -17,9 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-import numpy as np
-
-from . import linalg
 from .numtheory import (factorize, has_order, is_prime, prime_power_split,
                         smallest_nonresidue, sqrt_mod_prime, valuation)
 from .root_data import CoxeterDatum, torus_order_poly, weyl_fixed_order
@@ -35,11 +30,6 @@ class BadRegime(ValueError):
 
 class NoRoot(ArithmeticError):
     """Hensel seed does not solve the equation mod ell."""
-
-
-class NotSplit(ArithmeticError):
-    """Characteristic polynomial mod ell has an irreducible factor of
-    degree > 1; extend the field or raise precision."""
 
 
 # ---------------------------------------------------------------------------
@@ -236,234 +226,3 @@ def hensel_root(a: TruncatedPadic, e: int, seed: int) -> TruncatedPadic:
         dfx = e * pow(x, e - 1, mod) % mod
         x = (x - fx * pow(dfx, -1, mod)) % mod
     return TruncatedPadic(x, ell, n)
-
-
-# ---------------------------------------------------------------------------
-# generalized eigenspaces over Z/ell^N, grouping eigenvalues mod ell
-
-def _poly_roots_with_multiplicity(poly: list[int], ell: int) -> dict[int, int]:
-    """Roots in F_ell with multiplicities; NotSplit if a factor survives."""
-    cur = [c % ell for c in poly]
-    roots: dict[int, int] = {}
-    for lam in range(ell):
-        while len(cur) > 1 and _poly_eval(cur, lam, ell) == 0:
-            cur = _poly_deflate(cur, lam, ell)
-            roots[lam] = roots.get(lam, 0) + 1
-        if len(cur) == 1:
-            break
-    if len(cur) > 1:
-        raise NotSplit(f"irreducible factor of degree {len(cur) - 1} mod {ell}")
-    return roots
-
-
-def _poly_eval(poly: list[int], x: int, mod: int) -> int:
-    out = 0
-    for c in reversed(poly):
-        out = (out * x + c) % mod
-    return out
-
-
-def _poly_deflate(poly: list[int], root: int, mod: int) -> list[int]:
-    """Divide by (T - root) over Z/mod (synthetic division)."""
-    out = [0] * (len(poly) - 1)
-    carry = 0
-    for k in range(len(poly) - 1, 0, -1):
-        carry = (poly[k] + carry * root) % mod
-        out[k - 1] = carry
-    assert (poly[0] + carry * root) % mod == 0
-    return out
-
-
-def _poly_mul(a: list[int], b: list[int], mod: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % mod
-    return out
-
-
-def _poly_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
-    a = [c % p for c in a]
-    b = [c % p for c in b]
-    while len(b) > 1 and b[-1] == 0:
-        b.pop()
-    inv = pow(b[-1], -1, p)
-    q = [0] * max(len(a) - len(b) + 1, 1)
-    r = list(a)
-    for k in range(len(a) - len(b), -1, -1):
-        c = r[k + len(b) - 1] * inv % p
-        q[k] = c
-        if c:
-            for i, bc in enumerate(b):
-                r[k + i] = (r[k + i] - c * bc) % p
-    while len(r) > 1 and r[-1] == 0:
-        r.pop()
-    return q, r
-
-
-def _poly_egcd(a: list[int], b: list[int], p: int):
-    """Extended gcd over F_p[T]: returns (g, u, v) with u*a + v*b = g."""
-    r0, r1 = [c % p for c in a], [c % p for c in b]
-    u0, u1 = [1], [0]
-    v0, v1 = [0], [1]
-    while any(r1):
-        q, r = _poly_divmod(r0, r1, p)
-        r0, r1 = r1, r
-        u0, u1 = u1, _poly_sub(u0, _poly_mul(q, u1, p), p)
-        v0, v1 = v1, _poly_sub(v0, _poly_mul(q, v1, p), p)
-    lead = next(c for c in reversed(r0) if c)
-    inv = pow(lead, -1, p)
-    scale = lambda poly: [c * inv % p for c in poly]
-    return scale(r0), scale(u0), scale(v0)
-
-
-def _poly_sub(a: list[int], b: list[int], p: int) -> list[int]:
-    n = max(len(a), len(b))
-    a = a + [0] * (n - len(a))
-    b = b + [0] * (n - len(b))
-    out = [(x - y) % p for x, y in zip(a, b)]
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _class_idempotent(m: np.ndarray, roots: dict[int, int], lam: int,
-                      ell: int, n: int) -> np.ndarray:
-    """Idempotent projecting onto the eigenvalue class of lam, mod ell^n.
-
-    Built from the mod-ell factorization and lifted with the Newton
-    iteration e -> 3e^2 - 2e^3, which stays inside the commutative
-    subalgebra generated by the matrix.
-    """
-    a_part = [1]
-    for _ in range(roots[lam]):
-        a_part = _poly_mul(a_part, [(-lam) % ell, 1], ell)
-    b_part = [1]
-    for mu, mult in roots.items():
-        if mu != lam:
-            for _ in range(mult):
-                b_part = _poly_mul(b_part, [(-mu) % ell, 1], ell)
-    g, u, v = _poly_egcd(a_part, b_part, ell)
-    assert len(g) == 1 and g[0] == 1, "eigenvalue classes not coprime"
-    # e = (v * b_part)(M) is idempotent mod ell; lift to mod ell^n
-    vb = _poly_mul(v, b_part, ell)
-    mod = ell ** n
-    e = linalg.poly_eval_matrix(vb, m, mod)
-    while True:
-        e2 = linalg.mat_mul(e, e, mod)
-        if np.array_equal(e2, e):
-            return e
-        e3 = linalg.mat_mul(e2, e, mod)
-        e = linalg.mat_mod(3 * e2 - 2 * e3, mod)
-
-
-def _summand_basis(e: np.ndarray, ell: int, n: int) -> np.ndarray:
-    """Free basis (columns) of the image of an idempotent over Z/ell^n."""
-    mod = ell ** n
-    work = linalg.mat_mod(e.copy(), mod)
-    rows, cols = work.shape
-    basis: list[list[int]] = []
-    used_rows: set[int] = set()
-    while True:
-        pivot = None
-        for j in range(cols):
-            for i in range(rows):
-                if i not in used_rows and int(work[i, j]) % ell:
-                    pivot = (i, j)
-                    break
-            if pivot:
-                break
-        if pivot is None:
-            break
-        i, j = pivot
-        inv = pow(int(work[i, j]), -1, mod)
-        col = [int(work[r, j]) * inv % mod for r in range(rows)]
-        basis.append(col)
-        used_rows.add(i)
-        for k in range(cols):
-            f = int(work[i, k])
-            if f:
-                for r in range(rows):
-                    work[r, k] = (int(work[r, k]) - f * col[r]) % mod
-    assert not any(int(x) % mod for x in work.flat), \
-        "idempotent image is not a clean direct summand"
-    out = linalg.zeros(rows, len(basis))
-    for k, col in enumerate(basis):
-        for r in range(rows):
-            out[r, k] = col[r]
-    return out
-
-
-def _as_matrix(m) -> np.ndarray:
-    a = np.array(m, dtype=object)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("expected a square matrix")
-    return a
-
-
-def eigenspace_decomposition(m, ell: int, n: int) -> list[tuple[int, np.ndarray]]:
-    """Split Z/ell^n column space by eigenvalue residues mod ell.
-
-    Returns (lambda, basis) pairs sorted by lambda; the concatenated bases
-    are invertible mod ell^n, which is asserted.
-    """
-    a = linalg.mat_mod(_as_matrix(m), ell ** n)
-    dim = a.shape[0]
-    poly = linalg.charpoly(a, ell)
-    roots = _poly_roots_with_multiplicity(poly, ell)
-    out = []
-    for lam in sorted(roots):
-        e = _class_idempotent(a, roots, lam, ell, n)
-        basis = _summand_basis(e, ell, n)
-        out.append((lam, basis))
-    total = sum(b.shape[1] for _, b in out)
-    assert total == dim, "eigenspace ranks do not sum to the dimension"
-    glued = linalg.zeros(dim, dim)
-    col = 0
-    for _, b in out:
-        for j in range(b.shape[1]):
-            for i in range(dim):
-                glued[i, col] = b[i, j]
-            col += 1
-    assert linalg.rank_mod_prime(glued, ell) == dim, \
-        "eigenspace bases do not glue to a direct sum"
-    return out
-
-
-def generalized_eigenspace(m, lam: int, ell: int, n: int) -> np.ndarray:
-    """Basis (columns) of the generalized eigenspace of the class of lam.
-
-    Eigenvalues are grouped by residue mod ell; a lam outside the spectrum
-    yields a zero-width basis.
-    """
-    a = linalg.mat_mod(_as_matrix(m), ell ** n)
-    for mu, basis in eigenspace_decomposition(a, ell, n):
-        if mu == lam % ell:
-            return basis
-    return linalg.zeros(a.shape[0], 0)
-
-
-def restricted_matrix(m, basis: np.ndarray, ell: int, n: int) -> np.ndarray:
-    """Matrix of the action of m on the span of a unit-pivot basis."""
-    mod = ell ** n
-    a = linalg.mat_mod(_as_matrix(m), mod)
-    mb = linalg.mat_mul(a, basis, mod)
-    rows, r = basis.shape
-    # find pivot rows: for each basis column a row where it has a unit and
-    # the other columns vanish (the reduction in _summand_basis guarantees this)
-    piv = []
-    for j in range(r):
-        for i in range(rows):
-            if int(basis[i, j]) % ell and all(
-                    int(basis[i, k]) % mod == 0 for k in range(r) if k != j):
-                piv.append(i)
-                break
-        else:
-            raise ValueError("basis is not in reduced unit-pivot form")
-    out = linalg.zeros(r, r)
-    for jj in range(r):
-        for ii in range(r):
-            scale = pow(int(basis[piv[ii], ii]), -1, mod)
-            out[ii, jj] = int(mb[piv[ii], jj]) * scale % mod
-    return out

@@ -257,20 +257,23 @@ def cohomology(cx: ProjComplex) -> dict[int, Counter]:
 
     Boundary maps preserve the vertex grading (they are module maps), so
     kernels and images split by grade and each simple's multiplicity is a
-    rank computation over F_ell.
+    rank computation over F_ell.  Each (degree, grade) boundary is ranked
+    once and serves as the outgoing map of its degree and the incoming
+    map of the next.
     """
     alg = cx.alg
     ell = alg.ell
+    rank: dict[tuple[int, int], int] = {}
+    for d in range(cx.lo - 1, cx.hi + 1):
+        for v in alg.vertices:
+            mat = _grade_matrix(alg, cx.diff(d), cx.term(d), cx.term(d + 1), v)
+            rank[d, v] = linalg.rank_mod_prime(mat, ell) if mat.size else 0
     out: dict[int, Counter] = {}
     for d in cx.degrees():
         counts: Counter = Counter()
         for v in alg.vertices:
-            cur = _grade_matrix(alg, cx.diff(d), cx.term(d), cx.term(d + 1), v)
-            prev = _grade_matrix(alg, cx.diff(d - 1), cx.term(d - 1), cx.term(d), v)
             dim_here = len(_grade_basis(alg, cx.term(d), v))
-            rank_out = linalg.rank_mod_prime(cur, ell) if cur.size else 0
-            rank_in = linalg.rank_mod_prime(prev, ell) if prev.size else 0
-            h = dim_here - rank_out - rank_in
+            h = dim_here - rank[d, v] - rank[d - 1, v]
             if h < 0:
                 raise InvalidComplex(f"image does not sit inside the kernel "
                                      f"at degree {d}, grade {v}")
@@ -464,10 +467,6 @@ class HomComplex:
 
     def all_cohomology(self) -> dict[int, int]:
         return {n: self.cohomology_dim(n) for n in range(self.lo, self.hi + 1)}
-
-
-def hom_complex(cx1: ProjComplex, cx2: ProjComplex) -> HomComplex:
-    return HomComplex(cx1, cx2)
 
 
 def homotopy_hom(cx1: ProjComplex, cx2: ProjComplex, i: int) -> int:

@@ -2,27 +2,19 @@
 
 Matrix containers are numpy arrays with dtype=object holding Python ints,
 so products and powers never overflow and never touch floating point.
-Row reduction over GF(p), which every rank computation runs on, is one
-row-vectorised int64 kernel: entries stay in [0, p) and are reduced mod p
-after every step, so a product of two entries stays below 2^62 and the
-kernel is exact for every prime 1 < p < 2^31.  Larger p are rejected.
+Every elimination runs on one row-vectorised int64 kernel: the rank
+computations over GF(p) and the oracle's solve over Z/p^N.  Entries stay
+in [0, modulus) and are reduced after every step, so a product of two
+entries stays below 2^62 and the kernel is exact for every modulus below
+2^31.  Larger moduli are rejected.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 import numpy as np
 
 # Exclusive upper bound on the modulus of the int64 elimination kernel.
-MAX_PRIME = 2 ** 31
-
-
-def obj_matrix(rows) -> np.ndarray:
-    a = np.array(rows, dtype=object)
-    if a.ndim == 1:
-        a = a.reshape((len(rows), -1)) if len(rows) else a.reshape((0, 0))
-    return a
+MAX_MODULUS = 2 ** 31
 
 
 def zeros(n: int, m: int) -> np.ndarray:
@@ -34,13 +26,6 @@ def identity(n: int) -> np.ndarray:
     for i in range(n):
         a[i, i] = 1
     return a
-
-
-def mat_mod(a: np.ndarray, mod: int) -> np.ndarray:
-    out = a.copy()
-    for idx in np.ndindex(out.shape):
-        out[idx] = int(out[idx]) % mod
-    return out
 
 
 def mat_mul(a: np.ndarray, b: np.ndarray, mod: int) -> np.ndarray:
@@ -57,37 +42,53 @@ def mat_mul(a: np.ndarray, b: np.ndarray, mod: int) -> np.ndarray:
     return out
 
 
-def rref_mod_prime(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form over GF(p); returns (rref, pivot columns).
+def rref_mod_prime(a: np.ndarray, p: int,
+                   modulus: int | None = None) -> tuple[np.ndarray, list[int]]:
+    """Unit-pivot Gauss-Jordan elimination over Z/modulus, modulus = p^N.
 
-    The rref is an int64 array with entries in [0, p).  Raises ValueError
-    unless 1 < p < 2^31, the range in which the int64 kernel is exact.
+    Returns (reduced matrix, pivot columns).  The pivot of a column is its
+    first entry at or below the current row that is not divisible by p; a
+    column without one is skipped.  With the default modulus p this is the
+    reduced row echelon form over GF(p).  The result is an int64 array with
+    entries in [0, modulus).  Raises ValueError unless 1 < p <= modulus <
+    2^31, the range in which the int64 kernel is exact, with the modulus a
+    power of p.
     """
-    if not 1 < p < MAX_PRIME:
-        raise ValueError(f"modulus {p} outside 1 < p < 2^31 of the int64 kernel")
+    if modulus is None:
+        modulus = p
+    if not 1 < p <= modulus < MAX_MODULUS:
+        raise ValueError(f"modulus {modulus} of p = {p} outside "
+                         f"1 < p <= modulus < 2^31 of the int64 kernel")
+    power = modulus
+    while power % p == 0:
+        power //= p
+    if power != 1:
+        raise ValueError(f"modulus {modulus} is not a power of {p}")
     a = np.asarray(a)
     if a.dtype == object:
-        a = a % p
-    m = a.astype(np.int64) % p
+        a = a % modulus
+    m = a.astype(np.int64) % modulus
     rows, cols = m.shape
     pivots: list[int] = []
     r = 0
     for c in range(cols):
         if r == rows:
             break
-        nonzero = np.flatnonzero(m[r:, c])
-        if not nonzero.size:
+        units = np.flatnonzero(m[r:, c] if modulus == p else m[r:, c] % p)
+        if not units.size:
             continue
-        pivot = r + int(nonzero[0])
+        pivot = r + int(units[0])
         if pivot != r:
             m[[r, pivot]] = m[[pivot, r]]
-        # columns left of c are zero in row r and below, so work from c on
-        m[r, c:] = m[r, c:] * pow(int(m[r, c]), -1, p) % p
+        # over a field the columns left of c are zero in row r and below, so
+        # work from c on; over Z/p^N a skipped column may hold non-units there
+        lo = c if modulus == p else 0
+        m[r, lo:] = m[r, lo:] * pow(int(m[r, c]), -1, modulus) % modulus
         col = m[:, c].copy()
         col[r] = 0
         hit = np.flatnonzero(col)
         if hit.size:
-            m[hit, c:] = (m[hit, c:] - np.outer(col[hit], m[r, c:])) % p
+            m[hit, lo:] = (m[hit, lo:] - np.outer(col[hit], m[r, lo:])) % modulus
         pivots.append(c)
         r += 1
     return m, pivots
@@ -95,42 +96,3 @@ def rref_mod_prime(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
 
 def rank_mod_prime(a: np.ndarray, p: int) -> int:
     return len(rref_mod_prime(a, p)[1])
-
-
-def charpoly(a: np.ndarray, mod: int | None = None) -> list[int]:
-    """Characteristic polynomial det(T*I - a), ascending coefficients, monic.
-
-    Faddeev-LeVerrier over exact rationals; the divisions cancel so the
-    result is integral.  Reduced mod `mod` when given.
-    """
-    n = a.shape[0]
-    if n == 0:
-        return [1]
-    af = np.array([[Fraction(int(x)) for x in row] for row in a], dtype=object)
-    coeffs = [Fraction(1)] + [Fraction(0)] * n  # c[n], c[n-1], ..., c[0] filled below
-    m = np.array([[Fraction(0)] * n for _ in range(n)], dtype=object)
-    c = Fraction(1)
-    for k in range(1, n + 1):
-        for i in range(n):
-            m[i, i] += c
-        m = af.dot(m)
-        c = -sum(m[i, i] for i in range(n)) / k
-        coeffs[k] = c
-    asc = [coeffs[n - i] for i in range(n + 1)]
-    out = []
-    for x in asc:
-        assert x.denominator == 1
-        v = int(x)
-        out.append(v % mod if mod is not None else v)
-    return out
-
-
-def poly_eval_matrix(poly: list[int], a: np.ndarray, mod: int) -> np.ndarray:
-    """Evaluate a polynomial (ascending coefficients) at a square matrix."""
-    n = a.shape[0]
-    out = zeros(n, n)
-    for c in reversed(poly):
-        out = mat_mul(out, a, mod)
-        for i in range(n):
-            out[i, i] = (int(out[i, i]) + c) % mod
-    return out

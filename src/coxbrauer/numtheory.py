@@ -6,8 +6,6 @@ nothing uses floating point.
 
 from __future__ import annotations
 
-from math import gcd, isqrt
-
 
 def is_prime(n: int) -> bool:
     if n < 2:
@@ -72,26 +70,6 @@ def euler_phi(n: int) -> int:
     return out
 
 
-def moebius(n: int) -> int:
-    f = factorize(n) if n > 1 else {}
-    if any(e > 1 for e in f.values()):
-        return 0
-    return -1 if len(f) % 2 else 1
-
-
-def multiplicative_order(x: int, mod: int) -> int:
-    """Order of x in (Z/mod)^*; raises if gcd(x, mod) != 1."""
-    x %= mod
-    if gcd(x, mod) != 1:
-        raise ValueError(f"{x} is not a unit mod {mod}")
-    order = 1
-    acc = x
-    while acc != 1:
-        acc = acc * x % mod
-        order += 1
-    return order
-
-
 def has_order(x: int, order: int, mod: int) -> bool:
     """True iff x has exact multiplicative order `order` mod `mod`."""
     x %= mod
@@ -135,11 +113,3 @@ def smallest_nonresidue(p: int) -> int:
         if pow(z, (p - 1) // 2, p) == p - 1:
             return z
     raise ValueError(f"{p} has no non-residue; not an odd prime?")
-
-
-def perfect_square_root(n: int) -> int | None:
-    """Integer square root if n is a perfect square, else None."""
-    if n < 0:
-        return None
-    r = isqrt(n)
-    return r if r * r == n else None

@@ -20,6 +20,7 @@ from math import gcd
 
 import numpy as np
 
+from . import linalg
 from .brauer_tree import PlanarBrauerTree, decomposition_matrix
 from .cyclotomic import CycloInt
 from .ell_arith import TruncatedPadic, hensel_root
@@ -31,7 +32,8 @@ class SingularSystem(ArithmeticError):
 
 
 class Mismatch(AssertionError):
-    """Star tree and oracle disagree; carries the differing cell."""
+    """Star tree and oracle disagree, or the oracle fails one of its own
+    checks; carries the differing cell when there is one."""
 
     def __init__(self, reason: str, cell: tuple[int, int] | None = None):
         self.reason = reason
@@ -97,8 +99,17 @@ class CharacterTable:
     def degree(self, row: int) -> int:
         one = next(i for i, c in enumerate(self.classes) if c.kind == "one")
         v = self.values[row][one].as_integer()
-        assert v is not None
+        if v is None:
+            raise Mismatch(f"degree of {self.names[row]} is not an integer")
         return v
+
+    def verify(self):
+        """Raise Mismatch unless the squared degrees sum to the group order
+        and both orthogonality relations hold."""
+        if sum(self.degree(i) ** 2 for i in range(len(self.values))) != self.group.order:
+            raise Mismatch("squared degrees do not sum to the group order")
+        if not self.check_orthogonality():
+            raise Mismatch("orthogonality failed (table bug)")
 
     def check_orthogonality(self) -> bool:
         """Exact first and second orthogonality relations.
@@ -208,8 +219,7 @@ def character_table(g: MetacyclicGroup) -> CharacterTable:
         values.append(row)
         induced_reps.append(t)
     table = CharacterTable(g, classes, names, values, induced_reps)
-    assert sum(table.degree(i) ** 2 for i in range(len(values))) == g.order
-    assert table.check_orthogonality(), "orthogonality failed (table bug)"
+    table.verify()
     return table
 
 
@@ -217,8 +227,10 @@ def brute_decomposition_matrix(g: MetacyclicGroup) -> np.ndarray:
     """Decomposition matrix by restriction to the ell-regular classes.
 
     The Brauer characters are the m linear characters of E lifted through
-    the fixed root of unity zeta = lift of n; each ordinary row is solved
-    uniquely against that basis over Z/ell^(alpha+1).
+    the fixed root of unity zeta = lift of n.  Every ordinary row is solved
+    against that basis over Z/ell^(alpha+1) by one elimination of [V | T]:
+    V holds the Brauer characters and column m + i of T ordinary character
+    i, both on the regular classes.
     """
     table = character_table(g)
     m = g.e_order
@@ -227,19 +239,23 @@ def brute_decomposition_matrix(g: MetacyclicGroup) -> np.ndarray:
     # regular classes: identity and the x^b cosets, in that order
     reg = [i for i, c in enumerate(table.classes) if c.kind != "d"]
     exps = [0] + [c.rep for c in table.classes if c.kind == "e"]
-    assert len(reg) == m
-    # Brauer character matrix: phi_j(x^b) = zeta^(j b)
-    v = np.zeros((m, m), dtype=object)
-    for row, b in enumerate(exps):
-        for j in range(m):
-            v[row, j] = pow(zeta.value, j * b, mod)
-    rows = []
-    for i in range(len(table.values)):
-        target = [_reduce_value(table.values[i][cls_idx], g, zeta)
-                  for cls_idx in reg]
-        rows.append(_solve_unit_system(v, target, g.ell, mod))
-    out = np.array(rows, dtype=int)
-    assert ((out == 0) | (out == 1)).all(), "unexpected decomposition numbers"
+    if len(reg) != m:
+        raise SingularSystem(f"{len(reg)} regular classes for {m} Brauer characters")
+    # V[b, j] = phi_j(x^b) = zeta^(j b)
+    aug = [[pow(zeta.value, j * b, mod) for j in range(m)]
+           + [_reduce_value(row[cls_idx], g, zeta) for row in table.values]
+           for cls_idx, b in zip(reg, exps)]
+    reduced, pivots = linalg.rref_mod_prime(np.array(aug, dtype=object), g.ell, mod)
+    if pivots[:m] != list(range(m)):
+        raise SingularSystem("Brauer character matrix not invertible")
+    sol = reduced[:, m:].T
+    # decomposition numbers are small nonnegative integers
+    out = np.where(sol <= mod // 2, sol, sol - mod).astype(int)
+    bad = np.argwhere((out != 0) & (out != 1))
+    if bad.size:
+        i, j = (int(x) for x in bad[0])
+        raise Mismatch(f"unexpected decomposition number {int(out[i, j])}",
+                       cell=(i, j))
     return out
 
 
@@ -263,37 +279,6 @@ def _reduce_value(val: CycloInt, g: MetacyclicGroup,
         if val.coords == CycloInt.zeta_power(L, zeta_e_step * k).coords:
             return pow(zeta.value, k, mod)
     raise SingularSystem("unrecognized regular-class character value")
-
-
-def _solve_unit_system(v: np.ndarray, target: list[int], ell: int,
-                       mod: int) -> list[int]:
-    """Solve v * d = target over Z/mod; v must be invertible mod ell."""
-    m = v.shape[0]
-    aug = np.zeros((m, m + 1), dtype=object)
-    for i in range(m):
-        for j in range(m):
-            aug[i, j] = int(v[i, j]) % mod
-        aug[i, m] = target[i] % mod
-    for col in range(m):
-        piv = next((r for r in range(col, m) if int(aug[r, col]) % ell), None)
-        if piv is None:
-            raise SingularSystem("Brauer character matrix not invertible")
-        if piv != col:
-            aug[[col, piv]] = aug[[piv, col]]
-        inv = pow(int(aug[col, col]), -1, mod)
-        for j in range(m + 1):
-            aug[col, j] = int(aug[col, j]) * inv % mod
-        for r in range(m):
-            if r != col and int(aug[r, col]):
-                f = int(aug[r, col])
-                for j in range(m + 1):
-                    aug[r, j] = (int(aug[r, j]) - f * int(aug[col, j])) % mod
-    out = []
-    for i in range(m):
-        x = int(aug[i, m]) % mod
-        # decomposition numbers are small nonnegative integers
-        out.append(x if x <= mod // 2 else x - mod)
-    return out
 
 
 def verify_star(tree: PlanarBrauerTree, g: MetacyclicGroup) -> bool:

@@ -73,9 +73,6 @@ class TwistedType:
     def name(self) -> str:
         return f"{self.family}{self.rank}" if self.family in ("A", "B", "C", "D", "2A", "2D") else self.family
 
-    def is_suzuki_ree(self) -> bool:
-        return self.family in _SUZUKI_REE_PRIME
-
     @property
     def sqrt_prime(self) -> int | None:
         return _SUZUKI_REE_PRIME.get(self.family)

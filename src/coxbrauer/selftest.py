@@ -51,6 +51,10 @@ class CheckResult:
     detail: str
     elapsed: float
 
+    def line(self) -> str:
+        status = "PASS" if self.ok else "FAIL"
+        return f"{status} {self.name:32s} {self.elapsed:6.2f}s  {self.detail}"
+
 
 def _ree_tree() -> bt.PlanarBrauerTree:
     ctx = validate_regime(coxeter_datum(parse_type("2G2")),
@@ -339,18 +343,20 @@ CRITERIA = [
 ]
 
 
+def run_one(name: str) -> CheckResult:
+    """Run one criterion; a crash or an overrun time budget is a failure."""
+    fn, budget = {n: (f, b) for n, f, b in CRITERIA}[name]
+    start = time.perf_counter()
+    try:
+        ok, detail = fn()
+    except Exception as exc:  # a criterion crashing is a failure
+        ok, detail = False, f"{type(exc).__name__}: {exc}"
+    elapsed = time.perf_counter() - start
+    if ok and budget is not None and elapsed > budget:
+        ok, detail = False, f"over time budget {budget}s: {detail}"
+    return CheckResult(name, ok, detail, elapsed)
+
+
 def run_all(name_filter: str | None = None) -> list[CheckResult]:
-    results = []
-    for name, fn, budget in CRITERIA:
-        if name_filter and name_filter not in name:
-            continue
-        start = time.perf_counter()
-        try:
-            ok, detail = fn()
-        except Exception as exc:  # a criterion crashing is a failure
-            ok, detail = False, f"{type(exc).__name__}: {exc}"
-        elapsed = time.perf_counter() - start
-        if ok and budget is not None and elapsed > budget:
-            ok, detail = False, f"over time budget {budget}s: {detail}"
-        results.append(CheckResult(name, ok, detail, elapsed))
-    return results
+    return [run_one(name) for name, _, _ in CRITERIA
+            if not name_filter or name_filter in name]

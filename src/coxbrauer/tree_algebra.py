@@ -67,7 +67,7 @@ class TreeAlgebra:
     """
 
     def __init__(self, tree: PlanarBrauerTree, ell: int, debug: bool = False):
-        if ell >= linalg.MAX_PRIME:
+        if ell >= linalg.MAX_MODULUS:
             raise ValueError(f"field order {ell} is not below 2^31, the limit "
                              f"of the exact int64 elimination kernel")
         if not is_prime(ell):
@@ -224,10 +224,6 @@ class TreeAlgebra:
                     out.pop(r, None)
         return out
 
-    def elt_source(self, x: dict) -> int | None:
-        srcs = {p.src for p in x}
-        return srcs.pop() if len(srcs) == 1 else None
-
     def local_inverse(self, x: dict, edge: int) -> dict:
         """Inverse of a unit of the local ring e_edge A e_edge.
 
@@ -310,9 +306,6 @@ class AlgModule:
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    def composition_multiset(self) -> Counter:
-        return self.dims
 
 
 def _radical_filtration(alg: TreeAlgebra, basis, action) -> list[Counter]:

@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
-The checks live in coxbrauer.selftest so the CLI selftest runs exactly the
-same code; the stated runtime budgets are enforced there as part of the
-criterion.
+The checks and their runner live in coxbrauer.selftest, so the CLI
+selftest runs exactly the same code; `run_one` enforces the stated runtime
+budgets as part of the criterion and reports an overrun as a failure.
 """
 
 import pathlib
@@ -12,16 +12,9 @@ from coxbrauer import selftest as st
 
 
 def _run(name):
-    fn, budget = next((fn, budget) for n, fn, budget in st.CRITERIA if n == name)
-    import time
-    start = time.perf_counter()
-    ok, detail = fn()
-    elapsed = time.perf_counter() - start
-    status = "PASS" if ok and (budget is None or elapsed <= budget) else "FAIL"
-    print(f"{status} {name:32s} {elapsed:6.2f}s  {detail}")
-    assert ok, detail
-    if budget is not None:
-        assert elapsed <= budget, f"{name} exceeded {budget}s ({elapsed:.2f}s)"
+    result = st.run_one(name)
+    print(result.line())
+    assert result.ok, result.detail
 
 
 def test_criterion_01_coxeter_tables():

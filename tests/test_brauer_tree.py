@@ -199,7 +199,7 @@ def test_eigenvalue_exponent_fraction():
 def test_json_round_trip():
     for tree in [ree_tree(), bt.star_tree(7, 3, 2),
                  bt.assemble_tree(bt.line_series(4), 2, 2)]:
-        assert bt.from_json(bt.to_json(tree)) == tree
+        assert bt.from_json(json.dumps(bt.tree_to_obj(tree))) == tree
 
 
 def test_json_parse_errors():

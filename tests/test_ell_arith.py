@@ -1,14 +1,10 @@
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
-from coxbrauer import linalg
-from coxbrauer.ell_arith import (BadRegime, NoRoot, NotSplit, TruncatedPadic,
-                                 eigenspace_decomposition, eigenvalue_table,
-                                 fq2_has_order, generalized_eigenspace,
-                                 hensel_root, restricted_matrix,
+from coxbrauer.ell_arith import (BadRegime, NoRoot, TruncatedPadic,
+                                 eigenvalue_table, fq2_has_order, hensel_root,
                                  validate_regime)
 from coxbrauer.root_data import coxeter_datum, parse_type
 
@@ -155,107 +151,3 @@ def test_hensel_precision_tower():
             lo = hensel_root(TruncatedPadic(a, ell, n_lo), e, x0)
             assert hi.reduce(n_lo) == lo
 
-
-# ---------------------------------------------------------------------------
-# generalized eigenspaces
-
-def brute_class_rank(m, lam, ell, n):
-    """Independent oracle: rank of the kernel of (prod of lifted factors).
-
-    Over the residue field the class space is Ker((M - lam)^dim mod ell);
-    its F_ell dimension equals the Z/ell^n rank of the direct summand.
-    """
-    a = linalg.mat_mod(np.array(m, dtype=object), ell)
-    dim = a.shape[0]
-    b = linalg.identity(dim)
-    shift = linalg.identity(dim)
-    for i in range(dim):
-        shift[i, i] = (-lam) % ell
-    factor = linalg.mat_mod(a + shift, ell)
-    for _ in range(dim):
-        b = linalg.mat_mul(factor, b, ell)
-    return dim - linalg.rank_mod_prime(b, ell)
-
-
-def test_eigenspace_examples():
-    assert generalized_eigenspace([[1, 0], [0, 8]], 1, 7, 2).shape[1] == 2
-    assert generalized_eigenspace([[1, 0], [0, 2]], 1, 7, 2).shape[1] == 1
-    dec = eigenspace_decomposition([[0, -8], [1, 9]], 19, 2)
-    assert [(lam, b.shape[1]) for lam, b in dec] == [(1, 1), (8, 1)]
-
-
-def test_eigenspace_nilpotent():
-    m = [[0, 1, 0], [0, 0, 1], [0, 0, 0]]
-    dec = eigenspace_decomposition(m, 7, 3)
-    assert [(lam, b.shape[1]) for lam, b in dec] == [(0, 3)]
-
-
-def test_eigenspace_upper_triangular_oracle():
-    rng = random.Random(11)
-    for _ in range(20):
-        ell = rng.choice([5, 7, 11])
-        n = rng.randint(1, 3)
-        dim = rng.randint(2, 5)
-        m = [[0] * dim for _ in range(dim)]
-        for i in range(dim):
-            m[i][i] = rng.randrange(ell ** n)
-            for j in range(i + 1, dim):
-                m[i][j] = rng.randrange(ell ** n)
-        dec = eigenspace_decomposition(m, ell, n)
-        assert sum(b.shape[1] for _, b in dec) == dim
-        for lam, basis in dec:
-            assert basis.shape[1] == brute_class_rank(m, lam, ell, n)
-
-
-def test_eigenspace_invariance_and_charpoly():
-    m = [[1, 3, 0, 5], [0, 8, 1, 0], [0, 0, 1, 2], [0, 0, 0, 2]]
-    ell, n = 7, 2
-    mod = ell ** n
-    a = np.array(m, dtype=object)
-    full = linalg.charpoly(a, mod)
-    prod = [1]
-    for lam, basis in eigenspace_decomposition(m, ell, n):
-        s = restricted_matrix(m, basis, ell, n)
-        cp = linalg.charpoly(s, mod)
-        # the restricted characteristic polynomial kills the summand
-        killed = linalg.poly_eval_matrix(cp, a, mod)
-        img = linalg.mat_mul(killed, basis, mod)
-        assert not any(int(x) for x in img.flat)
-        new = [0] * (len(prod) + len(cp) - 1)
-        for i, x in enumerate(prod):
-            for jj, y in enumerate(cp):
-                new[i + jj] = (new[i + jj] + x * y) % mod
-        prod = new
-    assert prod == full
-
-
-def test_eigenspace_not_split():
-    # T^2 + 1 irreducible mod 7
-    with pytest.raises(NotSplit):
-        eigenspace_decomposition([[0, -1], [1, 0]], 7, 2)
-
-
-def test_nilpotent_commuting_perturbation():
-    """Commuting perturbations that vanish mod ell leave class ranks alone."""
-    rng = random.Random(23)
-    for _ in range(15):
-        ell, n = 7, 3
-        dim = rng.randint(2, 4)
-        m = [[rng.randrange(ell) if i <= j else 0 for j in range(dim)]
-             for i in range(dim)]
-        a = np.array(m, dtype=object)
-        dec_a = eigenspace_decomposition(a, ell, n)
-        # Q(a) = prod over distinct residues of (a - lam) is nilpotent mod ell
-        qa = linalg.identity(dim)
-        for lam, _ in dec_a:
-            shift = linalg.identity(dim)
-            for i in range(dim):
-                shift[i, i] = (-lam) % ell ** n
-            qa = linalg.mat_mul(qa, linalg.mat_mod(a + shift, ell ** n), ell ** n)
-        coeff = rng.randrange(1, ell)
-        g = linalg.mat_mod(a + coeff * qa + ell * linalg.mat_mul(a, a, ell ** n),
-                           ell ** n)
-        dec_g = eigenspace_decomposition(g, ell, n)
-        ranks_a = sorted((lam, b.shape[1]) for lam, b in dec_a)
-        ranks_g = sorted((lam, b.shape[1]) for lam, b in dec_g)
-        assert ranks_a == ranks_g

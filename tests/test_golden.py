@@ -32,6 +32,13 @@ CAPTURES = {
                                           "--field", "31", "--vertex", "17",
                                           "--check-tilting"],
     "line40.dot": ["tree", "--fixture", "line40", "--format", "dot"],
+    "star_d7_e3_n2_verify.json": ["star", "--d", "7", "--e", "3", "--n", "2",
+                                  "--verify"],
+    "star_d27_e2_n26_verify.json": ["star", "--d", "27", "--e", "2", "--n", "26",
+                                    "--verify"],
+    "2g2_validate_q27_ell19.json": ["validate", "--type", "2G2", "--qsq", "27",
+                                    "--ell", "19"],
+    "2g2_info.json": ["info", "--type", "2G2"],
 }
 
 

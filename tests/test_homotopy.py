@@ -75,7 +75,7 @@ def test_cohomology_single_term():
     alg = ta.from_tree(star, 7)
     cx = ho.rickard_complex(alg, star, 0)
     coh = ho.cohomology(cx)
-    assert coh == {0: ta.projective(alg, 0).composition_multiset()}
+    assert coh == {0: ta.projective(alg, 0).dims}
 
 
 def test_identity_complex_acyclic():
@@ -137,10 +137,10 @@ def test_hom_complex_dims():
     tree, alg = line(2, 1)
     cartan = bt.cartan_matrix(bt.decomposition_matrix(tree))
     c0 = ho.rickard_complex(alg, tree, 0)
-    hc = ho.hom_complex(c0, c0)
+    hc = ho.HomComplex(c0, c0)
     assert hc.dim(0) == cartan[0, 0]
     c1 = ho.rickard_complex(alg, tree, 1)
-    hc01 = ho.hom_complex(c0, c1)
+    hc01 = ho.HomComplex(c0, c1)
     # Hom^0 = Hom(P0, P0), Hom^1 = Hom(P0, P1)
     assert hc01.dim(0) == cartan[0, 0]
     assert hc01.dim(1) == cartan[0, 1]
@@ -149,8 +149,8 @@ def test_hom_complex_dims():
 def test_hom_complex_shift():
     tree, alg = line(3, 1)
     cx = ho.rickard_complex(alg, tree, 1)
-    plain = ho.hom_complex(cx, cx)
-    shifted = ho.hom_complex(cx, cx.shift(1))
+    plain = ho.HomComplex(cx, cx)
+    shifted = ho.HomComplex(cx, cx.shift(1))
     # Hom(C, C[1])^n = Hom(C, C)^(n+1)
     for n in range(shifted.lo, shifted.hi + 1):
         assert shifted.dim(n) == plain.dim(n + 1)
@@ -201,7 +201,7 @@ def test_exhaustive_hom_vanishing_desk_scale():
         complexes = {j: ho.rickard_complex(alg, tree, j) for j in alg.vertices}
         for j, ca in complexes.items():
             for jp, cb in complexes.items():
-                hc = ho.hom_complex(ca, cb)
+                hc = ho.HomComplex(ca, cb)
                 for n, h in hc.all_cohomology().items():
                     if n != 0:
                         assert h == 0, (j, jp, n)
@@ -232,7 +232,7 @@ def test_hom_complex_differential_squares_to_zero():
     tree, alg = line(3, 2)
     c1 = ho.rickard_complex(alg, tree, 2)
     c2 = ho.rickard_complex(alg, tree, 1)
-    hc = ho.hom_complex(c1, c2)
+    hc = ho.HomComplex(c1, c2)
     for n in range(hc.lo, hc.hi):
         a = hc.matrix(n)
         b = hc.matrix(n + 1)

@@ -1,4 +1,5 @@
-"""Complex invariants are explicit checks, so they hold under python -O."""
+"""Complex invariants and the oracle's table checks are explicit checks,
+so they hold under python -O."""
 
 import os
 import subprocess
@@ -37,17 +38,49 @@ for name, build in bad.items():
 """
 
 
-def test_invalid_complexes_rejected_under_optimize():
+def _run_optimized(script):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC), *filter(None, [env.get("PYTHONPATH")])])
-    proc = subprocess.run([sys.executable, "-O", "-c", SCRIPT], env=env,
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
+    return proc.stdout.splitlines()
+
+
+def test_invalid_complexes_rejected_under_optimize():
+    lines = _run_optimized(SCRIPT)
     assert [line.split()[:2] for line in lines] == [
         ["rows", "rejected:"], ["length", "rejected:"], ["d2", "rejected:"]]
     assert "d^2 != 0" in lines[2]
+
+
+# The oracle's own table checks: one changed value off the identity class
+# must fail orthogonality, one on it the degree sum.
+ORACLE_SCRIPT = """
+from coxbrauer import oracle as orc
+from coxbrauer.cyclotomic import CycloInt
+assert False, "asserts must be stripped under -O"
+g = orc.MetacyclicGroup(7, 3, 2)
+for name, cls in (("orthogonality", 1), ("degrees", 0)):
+    table = orc.character_table(g)
+    val = table.values[3][cls]
+    table.values[3][cls] = val + CycloInt.integer(val.L, 1)
+    try:
+        table.verify()
+    except orc.Mismatch as exc:
+        print(name, "rejected:", exc)
+    else:
+        print(name, "ACCEPTED")
+"""
+
+
+def test_oracle_table_checks_hold_under_optimize():
+    lines = _run_optimized(ORACLE_SCRIPT)
+    assert [line.split()[:2] for line in lines] == [
+        ["orthogonality", "rejected:"], ["degrees", "rejected:"]]
+    assert "orthogonality failed" in lines[0]
+    assert "squared degrees" in lines[1]
 
 
 def test_invalid_complex_is_a_value_error():

@@ -1,4 +1,5 @@
-"""The int64 elimination kernel against a pure-Python reference."""
+"""The int64 elimination kernel against a pure-Python reference, over
+GF(p) and over Z/p^N."""
 
 import random
 
@@ -8,27 +9,30 @@ import pytest
 from coxbrauer import linalg
 
 PRIMES = (2, 3, 31, 65521, 2 ** 31 - 1)
+# (31, 31) passes the default modulus explicitly
+PRIME_POWERS = ((31, 31), (7, 7 ** 2), (5, 5 ** 4), (7, 7 ** 4))
 
 
-def reference_rref(rows, p):
-    """Schoolbook Gauss-Jordan on lists of Python ints."""
-    m = [[x % p for x in row] for row in rows]
+def reference_rref(rows, p, modulus=None):
+    """Schoolbook unit-pivot Gauss-Jordan over Z/modulus on lists of ints."""
+    modulus = modulus or p
+    m = [[x % modulus for x in row] for row in rows]
     n_rows = len(m)
     n_cols = len(m[0]) if m else 0
     pivots, r = [], 0
     for c in range(n_cols):
         if r == n_rows:
             break
-        pivot = next((i for i in range(r, n_rows) if m[i][c]), None)
+        pivot = next((i for i in range(r, n_rows) if m[i][c] % p), None)
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        inv = pow(m[r][c], -1, p)
-        m[r] = [x * inv % p for x in m[r]]
+        inv = pow(m[r][c], -1, modulus)
+        m[r] = [x * inv % modulus for x in m[r]]
         for i in range(n_rows):
             if i != r and m[i][c]:
                 f = m[i][c]
-                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[r])]
+                m[i] = [(x - f * y) % modulus for x, y in zip(m[i], m[r])]
         pivots.append(c)
         r += 1
     return m, pivots
@@ -69,6 +73,26 @@ def test_rref_matches_reference(p):
             assert linalg.rank_mod_prime(mat, p) == len(want_pivots)
 
 
+@pytest.mark.parametrize("p, modulus", PRIME_POWERS)
+def test_rref_over_prime_powers_matches_reference(p, modulus):
+    rng = random.Random(modulus)
+    mats = list(cases(p))
+    for _ in range(12):
+        rows, cols = rng.randint(1, 9), rng.randint(1, 9)
+        mats.append(random_matrix(rng, modulus, rows, cols))
+    # a leading column of non-units, nonzero mod the modulus, is skipped
+    # but must still be reduced by the later pivots
+    mats += [[[p * x for x in row[:1]] + row[1:] for row in rows] for rows in mats]
+    for rows in mats:
+        want, want_pivots = reference_rref(rows, p, modulus)
+        got, pivots = linalg.rref_mod_prime(np.array(rows, dtype=object), p, modulus)
+        assert got.dtype == np.int64
+        assert pivots == want_pivots
+        assert got.tolist() == want
+    got, pivots = linalg.rref_mod_prime(np.array([[7, 1], [14, 3]]), 7, 49)
+    assert pivots == [1] and got.tolist() == [[7, 1], [42, 0]]
+
+
 @pytest.mark.parametrize("p", PRIMES)
 @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
 def test_rref_of_empty_matrices(p, shape):
@@ -80,3 +104,15 @@ def test_rref_of_empty_matrices(p, shape):
 def test_rref_rejects_moduli_outside_the_kernel(p):
     with pytest.raises(ValueError, match="2\\^31"):
         linalg.rref_mod_prime(np.array([[1, 2], [3, 4]], dtype=object), p)
+
+
+@pytest.mark.parametrize("p, modulus", [(7, 98), (7, 14), (5, 7), (4, 8), (7, 5)])
+def test_rref_rejects_moduli_that_are_not_powers_of_p(p, modulus):
+    with pytest.raises(ValueError, match="power of|p <= modulus"):
+        linalg.rref_mod_prime(np.array([[1, 2], [3, 4]], dtype=object), p, modulus)
+
+
+@pytest.mark.parametrize("p, modulus", [(2, 2 ** 31), (3, 3 ** 20), (46349, 46349 ** 2)])
+def test_rref_rejects_prime_powers_from_2_31(p, modulus):
+    with pytest.raises(ValueError, match="2\\^31"):
+        linalg.rref_mod_prime(np.array([[1, 2], [3, 4]], dtype=object), p, modulus)

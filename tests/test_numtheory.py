@@ -1,5 +1,4 @@
 from coxbrauer.numtheory import (euler_phi, factorize, has_order, is_prime,
-                                 moebius, multiplicative_order,
                                  prime_power_split, smallest_nonresidue,
                                  sqrt_mod_prime, valuation)
 
@@ -27,11 +26,9 @@ def test_valuation():
 
 def test_phi_moebius():
     assert [euler_phi(n) for n in (1, 8, 12, 30)] == [1, 4, 4, 8]
-    assert [moebius(n) for n in (1, 2, 4, 6, 30)] == [1, -1, 0, 1, -1]
 
 
 def test_orders():
-    assert multiplicative_order(2, 7) == 3
     assert has_order(2, 3, 7)
     assert not has_order(2, 6, 7)
     assert has_order(8, 6, 19)

@@ -5,6 +5,7 @@ from coxbrauer import brauer_tree as bt
 from coxbrauer import oracle as orc
 from coxbrauer import tree_algebra as ta
 from coxbrauer.cyclotomic import CycloInt
+from coxbrauer.ell_arith import TruncatedPadic
 
 
 def test_group_validation():
@@ -62,6 +63,15 @@ def test_brute_decomposition_49():
     assert d.shape == (19, 3)
     assert np.array_equal(d[:3], np.eye(3, dtype=int))
     assert (d[3:] == 1).all()
+
+
+def test_singular_brauer_matrix_raises(monkeypatch):
+    # with the trivial lift every Brauer character takes the value 1 on
+    # every regular class, so V is all ones and singular mod ell
+    monkeypatch.setattr(orc.MetacyclicGroup, "zeta_lift",
+                        lambda self: TruncatedPadic(1, self.ell, self.alpha + 1))
+    with pytest.raises(orc.SingularSystem, match="not invertible"):
+        orc.brute_decomposition_matrix(orc.MetacyclicGroup(7, 3, 2))
 
 
 def test_dec_transpose_equals_cartan():

@@ -73,7 +73,7 @@ def test_projective_star_uniserial():
     p0 = ta.projective(alg, 0)
     assert all(sum(layer.values()) == 1 for layer in p0.radical_layers)
     assert len(p0.radical_layers) == 7
-    assert p0.composition_multiset() == Counter({0: 3, 1: 2, 2: 2})
+    assert p0.dims == Counter({0: 3, 1: 2, 2: 2})
 
 
 def test_projective_head_socle():
@@ -139,7 +139,7 @@ def test_uniserial_branch_module():
     alg = star732()
     u = ta.uniserial_module(alg, 0, 2)
     assert [dict(layer) for layer in u.radical_layers] == [{2: 1}, {1: 1}, {0: 1}]
-    assert u.composition_multiset() == Counter({0: 1, 1: 1, 2: 1})
+    assert u.dims == Counter({0: 1, 1: 1, 2: 1})
     single = ta.uniserial_module(alg, 1, 1)
     assert single.dim == 1 and single.radical_layers == [Counter({1: 1})]
 
