@@ -43,6 +43,10 @@ class BadAction(ValueError):
     """The action exponent does not have the required order mod ell."""
 
 
+class InvalidDecomposition(ValueError):
+    """A projective's column does not have exactly two ordinary constituents."""
+
+
 class MissingAnnotations(LookupError):
     """Vertex lacks the a/A degree annotations needed for this query."""
 
@@ -354,9 +358,10 @@ def decomposition_matrix(tree: PlanarBrauerTree) -> DecompositionMatrix:
                         for _, j in chi_rows)
     d = DecompositionMatrix(tuple(chi_rows + exc_rows), cols, mat,
                             tree.multiplicity, heights, annotations)
-    collapsed = d.collapsed()
-    assert all(collapsed[:, c].sum() == 2 for c in range(len(cols))), \
-        "every projective must have exactly two ordinary constituents"
+    for j, total in zip(cols, d.collapsed().sum(axis=0)):
+        if total != 2:
+            raise InvalidDecomposition(f"projective P_{j} has {total} ordinary "
+                                       f"constituents, not two")
     return d
 
 

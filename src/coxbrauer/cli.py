@@ -390,9 +390,10 @@ def _cmd_star(args) -> int:
     code = EXIT_OK
     if args.verify:
         group = orc.MetacyclicGroup(args.d, args.e, args.n)
-        report["oracle"] = orc.brute_decomposition_matrix(group).tolist()
+        oracle_d = orc.brute_decomposition_matrix(group)
+        report["oracle"] = oracle_d.tolist()
         try:
-            report["match"] = orc.verify_star(tree, group)
+            report["match"] = orc.verify_star(tree, group, oracle_d)
         except orc.Mismatch as exc:
             report["match"] = False
             report["mismatch"] = str(exc)
@@ -439,7 +440,7 @@ def main(argv=None) -> int:
             KeyError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
-    except (orc.Mismatch, ho.TiltingFailure) as exc:
+    except (orc.Mismatch, orc.SingularSystem, ho.TiltingFailure) as exc:
         sys.stderr.write(f"verification failed: {exc}\n")
         return EXIT_VERIFICATION
 

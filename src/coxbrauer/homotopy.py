@@ -3,13 +3,14 @@
 A complex stores, per degree, a formal direct sum of indecomposable
 projectives (a list of quiver vertices) and boundary matrices whose
 entries are algebra elements acting by left multiplication.  Everything
-needed for the derived-equivalence checks is built from this: cohomology
-(exact linear algebra over F_ell), Gaussian-elimination trimming of
-contractible summands, total Hom complexes and their cohomology, the
-branch-walking complex attached to each tree edge, and the tilting
-verification for their direct sum (Hom vanishing off degree zero,
-generation, and the endomorphism ring having the dimension of the star
-algebra with the same parameters).
+needed for the derived-equivalence checks is built from this: total Hom
+complexes, the only place where complexes become int64 matrices over
+F_ell, and their cohomology; the cohomology of a complex, read off the Hom
+complexes out of the stalk projectives; Gaussian-elimination trimming of
+contractible summands; the branch-walking complex attached to each tree
+edge; and the tilting verification for their direct sum (Hom vanishing
+off degree zero, generation, and the endomorphism ring having the
+dimension of the star algebra with the same parameters).
 """
 
 from __future__ import annotations
@@ -227,58 +228,20 @@ def rickard_complex(alg: TreeAlgebra, tree: PlanarBrauerTree, j: int) -> ProjCom
 
 
 # ---------------------------------------------------------------------------
-# scalar expansion and cohomology
-
-def _grade_basis(alg: TreeAlgebra, summands: list[int], grade: int):
-    """Basis [(summand index, path)] of the grade component of a term."""
-    return [(idx, p) for idx, v in enumerate(summands)
-            for p in alg.paths_between.get((v, grade), ())]
-
-
-def _grade_matrix(alg: TreeAlgebra, diff, src, tgt, grade) -> np.ndarray:
-    """Scalar matrix of a boundary on the grade component."""
-    src_basis = _grade_basis(alg, src, grade)
-    tgt_basis = _grade_basis(alg, tgt, grade)
-    tgt_index = {key: i for i, key in enumerate(tgt_basis)}
-    mat = linalg.zeros(len(tgt_basis), len(src_basis))
-    for col, (s_idx, p) in enumerate(src_basis):
-        for r_idx in range(len(tgt)):
-            entry = diff[r_idx][s_idx] if diff else {}
-            if not entry:
-                continue
-            image = alg.elt_mul(entry, {p: 1})
-            for q, c in image.items():
-                mat[tgt_index[(r_idx, q)], col] = c
-    return mat
-
+# cohomology
 
 def cohomology(cx: ProjComplex) -> dict[int, Counter]:
     """Per-degree composition multisets of the cohomology modules.
 
-    Boundary maps preserve the vertex grading (they are module maps), so
-    kernels and images split by grade and each simple's multiplicity is a
-    rank computation over F_ell.  Each (degree, grade) boundary is ranked
-    once and serves as the outgoing map of its degree and the incoming
-    map of the next.
+    The multiplicity of S_v in H^d(C) is dim Hom_K(P_v, C[d]), the degree-d
+    cohomology of the Hom complex out of the stalk complex P_v; its grade-v
+    basis and boundary matrices are those of C, each ranked once over F_ell.
     """
     alg = cx.alg
-    ell = alg.ell
-    rank: dict[tuple[int, int], int] = {}
-    for d in range(cx.lo - 1, cx.hi + 1):
-        for v in alg.vertices:
-            mat = _grade_matrix(alg, cx.diff(d), cx.term(d), cx.term(d + 1), v)
-            rank[d, v] = linalg.rank_mod_prime(mat, ell) if mat.size else 0
+    homs = [(v, HomComplex(ProjComplex(alg, 0, [[v]]), cx)) for v in alg.vertices]
     out: dict[int, Counter] = {}
     for d in cx.degrees():
-        counts: Counter = Counter()
-        for v in alg.vertices:
-            dim_here = len(_grade_basis(alg, cx.term(d), v))
-            h = dim_here - rank[d, v] - rank[d - 1, v]
-            if h < 0:
-                raise InvalidComplex(f"image does not sit inside the kernel "
-                                     f"at degree {d}, grade {v}")
-            if h:
-                counts[v] = h
+        counts = Counter({v: h for v, hc in homs if (h := hc.cohomology_dim(d))})
         if counts:
             out[d] = counts
     return out
@@ -396,32 +359,31 @@ class HomComplex:
         self.cx1, self.cx2 = cx1, cx2
         self.lo = cx2.lo - cx1.hi
         self.hi = cx2.hi - cx1.lo
-        self.basis: dict[int, list] = {}
-        for n in range(self.lo, self.hi + 1):
-            items = []
-            for i in cx1.degrees():
-                for t_idx, tv in enumerate(cx2.term(i + n)):
-                    for s_idx, sv in enumerate(cx1.term(i)):
+        # Hom(C1^i, C2^j) lands in degree j - i; walking i in order keeps
+        # each basis[n] sorted by source degree
+        self.basis: dict[int, list] = {n: [] for n in range(self.lo, self.hi + 1)}
+        for i in cx1.degrees():
+            src = cx1.term(i)
+            for j in cx2.degrees():
+                items = self.basis[j - i]
+                for t_idx, tv in enumerate(cx2.term(j)):
+                    for s_idx, sv in enumerate(src):
                         for p in alg.paths_between.get((tv, sv), ()):
                             items.append((i, t_idx, s_idx, p))
-            self.basis[n] = items
-        self._matrices: dict[int, np.ndarray] = {}
         self._ranks: dict[int, int] = {}
 
     def dim(self, n: int) -> int:
         return len(self.basis.get(n, []))
 
     def matrix(self, n: int) -> np.ndarray:
-        """Scalar matrix of D: Hom^n -> Hom^(n+1)."""
-        if n in self._matrices:
-            return self._matrices[n]
+        """Scalar matrix of D: Hom^n -> Hom^(n+1), entries in [0, ell)."""
         alg = self.alg
         src = self.basis.get(n, [])
         tgt = self.basis.get(n + 1, [])
         tgt_index: dict = {}
         for pos, (i, t, s, p) in enumerate(tgt):
             tgt_index.setdefault((i, t, s), {})[p] = pos
-        mat = linalg.zeros(len(tgt), len(src))
+        cells: dict[tuple[int, int], int] = {}
         sign = -1 if n % 2 else 1
         for col, (i, t_idx, s_idx, p) in enumerate(src):
             f = {p: 1}
@@ -433,7 +395,7 @@ class HomComplex:
                     for q, coeff in img.items():
                         pos = tgt_index.get((i, r_idx, s_idx), {}).get(q)
                         if pos is not None:
-                            mat[pos, col] = (int(mat[pos, col]) + coeff) % alg.ell
+                            cells[pos, col] = cells.get((pos, col), 0) + coeff
             # -(-1)^n f o d1: component at source degree i-1
             d1 = self.cx1.diff(i - 1)
             if d1:
@@ -442,17 +404,19 @@ class HomComplex:
                     for q, coeff in img.items():
                         pos = tgt_index.get((i - 1, t_idx, c_idx), {}).get(q)
                         if pos is not None:
-                            mat[pos, col] = (int(mat[pos, col])
-                                             - sign * coeff) % alg.ell
-        self._matrices[n] = mat
+                            cells[pos, col] = cells.get((pos, col), 0) - sign * coeff
+        mat = np.zeros((len(tgt), len(src)), dtype=np.int64)
+        if cells:
+            rows, cols = zip(*cells)
+            mat[rows, cols] = np.fromiter(cells.values(), np.int64, len(cells)) % alg.ell
         return mat
 
     def rank(self, n: int) -> int:
-        """Rank of D: Hom^n -> Hom^(n+1), computed once per degree."""
+        """Rank of D: Hom^n -> Hom^(n+1), computed once per degree; an
+        empty end gives 0 without building the matrix."""
         if n not in self._ranks:
-            mat = self.matrix(n)
-            self._ranks[n] = (linalg.rank_mod_prime(mat, self.alg.ell)
-                              if mat.size else 0)
+            self._ranks[n] = (linalg.rank_mod_prime(self.matrix(n), self.alg.ell)
+                              if self.dim(n) and self.dim(n + 1) else 0)
         return self._ranks[n]
 
     def cohomology_dim(self, n: int) -> int:
@@ -630,7 +594,7 @@ def mix_basis(cx: ProjComplex, rng) -> ProjComplex:
                 for j in range(n):
                     inv[i][j] = alg.elt_add(inv[i][j],
                                             alg.elt_scale(power[i][j], sign))
-            power = _mat_mul_elts(alg, power, low)
+            power = _multiply_elt_matrices(alg, power, low)
             sign = -sign
         autos.append((phi, inv))
     terms = [list(t) for t in cx.terms]
@@ -641,12 +605,12 @@ def mix_basis(cx: ProjComplex, rng) -> ProjComplex:
             continue
         phi_next = autos[idx + 1][0]
         inv_here = autos[idx][1]
-        mid = _mat_mul_elts(alg, cx.diffs[idx], inv_here)
-        diffs.append(_mat_mul_elts(alg, phi_next, mid))
+        mid = _multiply_elt_matrices(alg, cx.diffs[idx], inv_here)
+        diffs.append(_multiply_elt_matrices(alg, phi_next, mid))
     return ProjComplex(alg, cx.lo, terms, diffs)
 
 
-def _mat_mul_elts(alg: TreeAlgebra, a, b):
+def _multiply_elt_matrices(alg: TreeAlgebra, a, b):
     rows = len(a)
     inner = len(b)
     cols = len(b[0]) if b else 0

@@ -1,13 +1,12 @@
 """Exact dense linear algebra over Z/m (m a prime or a prime power).
 
-Matrix containers are numpy arrays with dtype=object holding Python ints,
-so products and powers never overflow and never touch floating point.
 Every elimination runs on one row-vectorised int64 kernel: the rank
-computations over GF(p) and the oracle's solve over Z/p^N.  Entries stay
-in [0, modulus) and are reduced after every step, so a product of two
-entries stays below 2^62 and the kernel is exact for every modulus below
-2^31.  Larger moduli are rejected.
-"""
+computations over GF(p) and the oracle's solve over Z/p^N.  Callers build
+int64 matrices with entries in [0, modulus); arrays of Python ints (object
+dtype) of any size are reduced first.  Entries stay in [0, modulus) and are
+reduced after every step, so a product of two entries stays below 2^62 and
+the kernel is exact for every modulus below 2^31.  Larger moduli are
+rejected."""
 
 from __future__ import annotations
 
@@ -15,31 +14,6 @@ import numpy as np
 
 # Exclusive upper bound on the modulus of the int64 elimination kernel.
 MAX_MODULUS = 2 ** 31
-
-
-def zeros(n: int, m: int) -> np.ndarray:
-    return np.zeros((n, m), dtype=object)
-
-
-def identity(n: int) -> np.ndarray:
-    a = zeros(n, n)
-    for i in range(n):
-        a[i, i] = 1
-    return a
-
-
-def mat_mul(a: np.ndarray, b: np.ndarray, mod: int) -> np.ndarray:
-    n, k = a.shape
-    k2, m = b.shape
-    assert k == k2
-    out = zeros(n, m)
-    for i in range(n):
-        for j in range(m):
-            s = 0
-            for t in range(k):
-                s += int(a[i, t]) * int(b[t, j])
-            out[i, j] = s % mod
-    return out
 
 
 def rref_mod_prime(a: np.ndarray, p: int,

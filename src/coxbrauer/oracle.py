@@ -245,7 +245,7 @@ def brute_decomposition_matrix(g: MetacyclicGroup) -> np.ndarray:
     aug = [[pow(zeta.value, j * b, mod) for j in range(m)]
            + [_reduce_value(row[cls_idx], g, zeta) for row in table.values]
            for cls_idx, b in zip(reg, exps)]
-    reduced, pivots = linalg.rref_mod_prime(np.array(aug, dtype=object), g.ell, mod)
+    reduced, pivots = linalg.rref_mod_prime(np.array(aug, dtype=np.int64), g.ell, mod)
     if pivots[:m] != list(range(m)):
         raise SingularSystem("Brauer character matrix not invertible")
     sol = reduced[:, m:].T
@@ -281,9 +281,11 @@ def _reduce_value(val: CycloInt, g: MetacyclicGroup,
     raise SingularSystem("unrecognized regular-class character value")
 
 
-def verify_star(tree: PlanarBrauerTree, g: MetacyclicGroup) -> bool:
+def verify_star(tree: PlanarBrauerTree, g: MetacyclicGroup,
+                oracle_d: np.ndarray) -> bool:
     """Cell-exact comparison of the star tree against the oracle.
 
+    oracle_d is brute_decomposition_matrix(g), computed once by the caller.
     The tree must have been built by star_tree with the same parameters;
     the eta numbering on both sides is pinned by the same Hensel lift, so
     rows and columns must agree literally, not up to permutation.
@@ -301,7 +303,6 @@ def verify_star(tree: PlanarBrauerTree, g: MetacyclicGroup) -> bool:
         raise Mismatch(f"zeta lift differs: tree {meta.get('zeta')}, "
                        f"oracle {zeta.value}")
     tree_d = decomposition_matrix(tree).matrix
-    oracle_d = brute_decomposition_matrix(g)
     if tree_d.shape != oracle_d.shape:
         raise Mismatch(f"decomposition shapes differ: tree {tree_d.shape}, "
                        f"oracle {oracle_d.shape}")

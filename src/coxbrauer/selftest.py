@@ -168,11 +168,13 @@ def check_ree_tree() -> tuple[bool, str]:
 # criterion 6: star oracle agreement
 
 def check_star_oracle() -> tuple[bool, str]:
+    oracle = {}
     for d, e, n in [(7, 3, 2), (7, 3, 4), (49, 3, 18)]:
-        orc.verify_star(bt.star_tree(d, e, n), orc.MetacyclicGroup(d, e, n))
-    dmat = orc.brute_decomposition_matrix(orc.MetacyclicGroup(7, 3, 2))
+        g = orc.MetacyclicGroup(d, e, n)
+        oracle[d, e, n] = orc.brute_decomposition_matrix(g)
+        orc.verify_star(bt.star_tree(d, e, n), g, oracle[d, e, n])
     want = np.vstack([np.eye(3, dtype=int), np.ones((2, 3), dtype=int)])
-    ok = np.array_equal(dmat, want)
+    ok = np.array_equal(oracle[7, 3, 2], want)
     return ok, "verify_star cell-exact on (7,3,2), (7,3,4), (49,3,18)"
 
 

@@ -11,16 +11,14 @@ and anything longer than a full cycle vanishes.
 
 The nonzero path classes form an explicit basis: for each edge the trivial
 path, the proper partial cycles around each of its nodes, and one socle
-element.  Everything downstream (projectives, Hom spaces, complexes) is
-written on this basis.
+element.  Everything downstream (Hom spaces between projectives, complexes
+and their Hom complexes) is written on this basis.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import linalg
 from .brauer_tree import EXC, PlanarBrauerTree
@@ -36,8 +34,13 @@ class FieldTooSmall(ValueError):
     """The prime field lacks roots of unity some optional labeling needs."""
 
 
-class NotStar(ValueError):
-    """Operation requires the algebra of a star tree."""
+class NotComposable(ValueError):
+    """Two paths were concatenated although the first does not end where
+    the second starts."""
+
+
+class NotAssociative(ValueError):
+    """The path composition breaks associativity (the debug check)."""
 
 
 @dataclass(frozen=True)
@@ -149,20 +152,12 @@ class TreeAlgebra:
     def source(self, p: Path) -> int:
         return p.src
 
-    def path_length(self, p: Path) -> int:
-        if p.kind == _ID:
-            return 0
-        if p.kind == _CYC:
-            return p.steps
-        if self.degenerate:
-            return 1
-        node = next(n for n in self._node_ends(p.src) if self.nodes[n][2] > 1)
-        return self.nodes[node][2]
-
     def compose(self, p: Path, q: Path) -> Path | None:
         """Concatenation p then q (target of p must be the source of q);
         None encodes the zero product."""
-        assert self.target(p) == q.src, "paths are not composable"
+        if self.target(p) != q.src:
+            raise NotComposable(f"{p} ends at {self.target(p)}, {q} starts "
+                                f"at {q.src}")
         if p.kind == _ID:
             return q
         if q.kind == _ID:
@@ -257,7 +252,9 @@ class TreeAlgebra:
                     qs = self.compose(q, s)
                     left = self.compose(pq, s) if pq is not None else None
                     right = self.compose(p, qs) if qs is not None else None
-                    assert left == right, (p, q, s)
+                    if left != right:
+                        raise NotAssociative(f"({p} {q}) {s} = {left} but "
+                                             f"{p} ({q} {s}) = {right}")
 
 
 def from_tree(tree: PlanarBrauerTree, ell: int, debug: bool = False) -> TreeAlgebra:
@@ -283,178 +280,3 @@ def ext1(alg: TreeAlgebra, i: int, j: int) -> int:
 def hom_space(alg: TreeAlgebra, i: int, j: int) -> list[dict]:
     """Basis of Hom(P_i, P_j): left multiplications by paths from j to i."""
     return [alg.elt(p) for p in alg.paths_between.get((j, i), ())]
-
-
-@dataclass
-class AlgModule:
-    """A finite dimensional right module on an explicit vertex-graded basis.
-
-    `basis` lists (grade vertex, tag); `action` maps each arrow (by its
-    index in alg.arrows) to a matrix sending the source-grade component to
-    the target-grade component, written on the full basis.
-    """
-
-    alg: TreeAlgebra
-    basis: list[tuple[int, object]]
-    action: dict[int, np.ndarray]
-    radical_layers: list[Counter]
-
-    @property
-    def dims(self) -> Counter:
-        return Counter(v for v, _ in self.basis)
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-
-def _radical_filtration(alg: TreeAlgebra, basis, action) -> list[Counter]:
-    """Layers of the radical series, each as a Counter of simples."""
-    n = len(basis)
-    ell = alg.ell
-    current = linalg.identity(n)
-    layers: list[Counter] = []
-    while current.shape[1]:
-        # radical of the span: images of all arrows applied to it
-        cols = []
-        for a_idx in range(len(alg.arrows)):
-            img = linalg.mat_mul(action[a_idx], current, ell)
-            for k in range(img.shape[1]):
-                if any(int(x) % ell for x in img[:, k]):
-                    cols.append([int(img[r, k]) for r in range(n)])
-        nxt = linalg.zeros(n, len(cols))
-        for k, col in enumerate(cols):
-            for r in range(n):
-                nxt[r, k] = col[r]
-        # column-reduce to a basis of the radical
-        nxt = _column_basis(nxt, ell)
-        layer = _graded_quotient_dims(alg, basis, current, nxt, ell)
-        layers.append(layer)
-        if nxt.shape[1] == current.shape[1]:
-            raise AssertionError("radical series does not terminate")
-        current = nxt
-    return layers
-
-
-def _column_basis(mat: np.ndarray, p: int) -> np.ndarray:
-    """Basis of the column span, read off the rref of the transpose."""
-    if mat.shape[1] == 0:
-        return mat
-    r, pivots = linalg.rref_mod_prime(mat.T, p)
-    return r[:len(pivots)].T.astype(object)
-
-
-def _graded_quotient_dims(alg, basis, span, subspan, ell) -> Counter:
-    layer: Counter = Counter()
-    for v in sorted({g for g, _ in basis}):
-        rows = [i for i, (g, _) in enumerate(basis) if g == v]
-        a = span[rows, :] if span.shape[1] else linalg.zeros(len(rows), 0)
-        b = subspan[rows, :] if subspan.shape[1] else linalg.zeros(len(rows), 0)
-        d = linalg.rank_mod_prime(a, ell) - linalg.rank_mod_prime(b, ell)
-        if d:
-            layer[v] = d
-    return layer
-
-
-def projective(alg: TreeAlgebra, j: int) -> AlgModule:
-    """P_j = e_j A on its path basis, graded by path targets."""
-    if j not in alg.vertices:
-        raise KeyError(j)
-    basis_paths = [p for p in alg.paths if p.src == j]
-    basis = [(alg.target(p), p) for p in basis_paths]
-    index = {p: i for i, (_, p) in enumerate(basis)}
-    n = len(basis)
-    action: dict[int, np.ndarray] = {}
-    for a_idx, arrow in enumerate(alg.arrows):
-        mat = linalg.zeros(n, n)
-        ap = alg.arrow_path(arrow)
-        for i, (grade, p) in enumerate(basis):
-            if grade != arrow.src:
-                continue
-            r = alg.compose(p, ap)
-            if r is not None:
-                mat[index[r], i] = 1
-        action[a_idx] = mat
-    layers = _radical_filtration(alg, basis, action)
-    return AlgModule(alg, basis, action, layers)
-
-
-def check_relations(module: AlgModule) -> bool:
-    """Verify the defining relations on the action matrices."""
-    alg = module.alg
-    ell = alg.ell
-    n = module.dim
-
-    def act(path_seq):
-        out = linalg.identity(n)
-        for a_idx in path_seq:
-            out = linalg.mat_mul(module.action[a_idx], out, ell)
-        return out
-
-    arrow_at = {(a.node, a.src): i for i, a in enumerate(alg.arrows)}
-    # mixed two-node compositions vanish
-    for i, a in enumerate(alg.arrows):
-        for jdx, b in enumerate(alg.arrows):
-            if b.src == a.tgt and b.node != a.node:
-                prod = linalg.mat_mul(module.action[jdx], module.action[i], ell)
-                if any(int(x) % ell for x in prod.flat):
-                    return False
-    # full cycles at the two nodes of an edge agree; overlong paths vanish
-    for e in alg.vertices:
-        cycles = []
-        for node in alg._node_ends(e):
-            _, _, cyclen = alg.nodes[node]
-            if cyclen <= 1:
-                continue
-            seq = []
-            cur = e
-            for _ in range(cyclen):
-                seq.append(arrow_at[(node, cur)])
-                cur = alg._pred(node, cur)
-            cycles.append((node, seq))
-        mats = [act(seq) for _, seq in cycles]
-        if len(mats) == 2 and not np.array_equal(mats[0], mats[1]):
-            return False
-        for (node, seq), mat in zip(cycles, mats):
-            extra = linalg.mat_mul(module.action[arrow_at[(node, e)]], mat, ell)
-            if any(int(x) % ell for x in extra.flat):
-                return False
-    return True
-
-
-def uniserial_module(alg: TreeAlgebra, m: int, M: int) -> AlgModule:
-    """The uniserial star-algebra module with top S_M and socle S_m.
-
-    Layers descend one index per step: S_M, S_(M-1), ..., S_m.  Only
-    defined over the algebra of a star tree.
-    """
-    if not alg.tree.is_star():
-        raise NotStar("uniserial branch modules live over the star algebra")
-    h0 = alg.tree.h0
-    if not (0 <= m < h0 and 0 <= M < h0 and m <= M):
-        raise ValueError("need 0 <= m <= M < h0")
-    length = M - m
-    cyclen = alg.nodes[EXC][2]
-    if length >= cyclen:
-        raise ValueError("branch longer than the exceptional cycle")
-    # quotient of P_M by paths of length > M - m
-    proj = projective(alg, M)
-    keep = [i for i, (_, p) in enumerate(proj.basis)
-            if alg.path_length(p) <= length]
-    basis = [proj.basis[i] for i in keep]
-    reindex = {old: new for new, old in enumerate(keep)}
-    n = len(basis)
-    action = {}
-    for a_idx in range(len(alg.arrows)):
-        mat = linalg.zeros(n, n)
-        src_mat = proj.action[a_idx]
-        for old_col in keep:
-            for old_row in keep:
-                if int(src_mat[old_row, old_col]):
-                    mat[reindex[old_row], reindex[old_col]] = int(src_mat[old_row, old_col])
-        action[a_idx] = mat
-    layers = _radical_filtration(alg, basis, action)
-    mod = AlgModule(alg, basis, action, layers)
-    assert all(sum(layer.values()) == 1 for layer in layers), "module is not uniserial"
-    assert layers[0] == Counter({M: 1}) and layers[-1] == Counter({m: 1})
-    return mod

@@ -90,6 +90,18 @@ def test_decmatrix_star(capsys):
     assert obj["oracle"] == obj["decomposition"]
 
 
+def test_star_singular_system_exits_with_verification_failure(capsys, monkeypatch):
+    # with the trivial lift the Brauer character matrix is singular mod ell
+    from coxbrauer import oracle as orc
+    from coxbrauer.ell_arith import TruncatedPadic
+    monkeypatch.setattr(orc.MetacyclicGroup, "zeta_lift",
+                        lambda self: TruncatedPadic(1, self.ell, self.alpha + 1))
+    code, out, err = run(capsys, "star", "--d", "7", "--e", "3", "--n", "2",
+                         "--verify")
+    assert code == 2 and out == ""
+    assert err.startswith("verification failed: ") and "not invertible" in err
+
+
 def test_star_without_verify(capsys):
     code, obj = run_json(capsys, "star", "--d", "5", "--e", "1", "--n", "1")
     assert code == 0

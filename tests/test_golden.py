@@ -32,6 +32,8 @@ CAPTURES = {
                                           "--field", "31", "--vertex", "17",
                                           "--check-tilting"],
     "line40.dot": ["tree", "--fixture", "line40", "--format", "dot"],
+    "2g2_tree.json": ["tree", "--fixture", "2g2"],
+    "two_branch20_tree.json": ["tree", "--tree", TWO_BRANCH],
     "star_d7_e3_n2_verify.json": ["star", "--d", "7", "--e", "3", "--n", "2",
                                   "--verify"],
     "star_d27_e2_n26_verify.json": ["star", "--d", "27", "--e", "2", "--n", "26",

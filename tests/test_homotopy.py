@@ -75,7 +75,8 @@ def test_cohomology_single_term():
     alg = ta.from_tree(star, 7)
     cx = ho.rickard_complex(alg, star, 0)
     coh = ho.cohomology(cx)
-    assert coh == {0: ta.projective(alg, 0).dims}
+    # H^0 = P_0, whose composition factors are the targets of the paths out of 0
+    assert coh == {0: Counter(alg.target(p) for p in alg.paths if p.src == 0)}
 
 
 def test_identity_complex_acyclic():
@@ -228,17 +229,16 @@ def test_perversity_report_ree():
 
 
 def test_hom_complex_differential_squares_to_zero():
-    from coxbrauer import linalg
     tree, alg = line(3, 2)
     c1 = ho.rickard_complex(alg, tree, 2)
     c2 = ho.rickard_complex(alg, tree, 1)
     hc = ho.HomComplex(c1, c2)
     for n in range(hc.lo, hc.hi):
-        a = hc.matrix(n)
-        b = hc.matrix(n + 1)
-        if a.size and b.size:
-            prod = linalg.mat_mul(b, a, alg.ell)
-            assert not any(int(x) % alg.ell for x in prod.flat)
+        a = hc.matrix(n).tolist()
+        b = hc.matrix(n + 1).tolist()
+        for row in b:
+            for col in range(hc.dim(n)):
+                assert sum(x * a[k][col] for k, x in enumerate(row)) % alg.ell == 0
 
 
 def test_trim_preserves_cohomology_and_cross_homs():

@@ -92,3 +92,36 @@ def test_invalid_complex_is_a_value_error():
         arrow = next(a for a in alg.arrows if a.src == 1 and a.tgt == 0)
         ho.ProjComplex(alg, 0, [[1], [0]],
                        [[[alg.elt(alg.arrow_path(arrow))]], []])
+
+
+# Non-composable paths, and a tree whose exceptional node carries no
+# exceptional characters (multiplicity 0), so the projective of an edge
+# there has one ordinary constituent instead of two.
+ALGEBRA_SCRIPT = """
+import dataclasses
+from coxbrauer import brauer_tree as bt, tree_algebra as ta
+assert False, "asserts must be stripped under -O"
+tree = bt.assemble_tree(bt.line_series(3), 1, 1)
+alg = ta.from_tree(tree, 5)
+arrow = next(a for a in alg.arrows if a.src == 1 and a.tgt == 0)
+bad = {
+    "compose": lambda: alg.compose(alg.arrow_path(arrow), ta.Path(2, "id")),
+    "decomposition": lambda: bt.decomposition_matrix(
+        dataclasses.replace(tree, multiplicity=0)),
+}
+for name, run in bad.items():
+    try:
+        run()
+    except ValueError as exc:
+        print(name, "rejected:", type(exc).__name__, exc)
+    else:
+        print(name, "ACCEPTED")
+"""
+
+
+def test_algebra_and_tree_checks_hold_under_optimize():
+    lines = _run_optimized(ALGEBRA_SCRIPT)
+    assert [line.split()[:3] for line in lines] == [
+        ["compose", "rejected:", "NotComposable"],
+        ["decomposition", "rejected:", "InvalidDecomposition"]]
+    assert "1 ordinary constituents" in lines[1]

@@ -2,6 +2,7 @@
 GF(p) and over Z/p^N."""
 
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -96,7 +97,7 @@ def test_rref_over_prime_powers_matches_reference(p, modulus):
 @pytest.mark.parametrize("p", PRIMES)
 @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
 def test_rref_of_empty_matrices(p, shape):
-    got, pivots = linalg.rref_mod_prime(linalg.zeros(*shape), p)
+    got, pivots = linalg.rref_mod_prime(np.zeros(shape, dtype=np.int64), p)
     assert got.shape == shape and pivots == []
 
 
@@ -116,3 +117,12 @@ def test_rref_rejects_moduli_that_are_not_powers_of_p(p, modulus):
 def test_rref_rejects_prime_powers_from_2_31(p, modulus):
     with pytest.raises(ValueError, match="2\\^31"):
         linalg.rref_mod_prime(np.array([[1, 2], [3, 4]], dtype=object), p, modulus)
+
+
+def test_no_object_dtype_matrices_in_the_package():
+    # every matrix the package builds is int64; object arrays of Python ints
+    # are accepted by the kernel but made nowhere in the package
+    src = Path(linalg.__file__).parent
+    offenders = [f.name for f in sorted(src.glob("**/*.py"))
+                 if "dtype=object" in f.read_text(encoding="utf-8")]
+    assert offenders == []

@@ -94,8 +94,9 @@ def test_exceptional_count_matches_multiplicity():
 
 def test_verify_star_fixtures():
     for d, e, n in [(7, 3, 2), (7, 3, 4), (49, 3, 18)]:
-        assert orc.verify_star(bt.star_tree(d, e, n),
-                               orc.MetacyclicGroup(d, e, n))
+        g = orc.MetacyclicGroup(d, e, n)
+        assert orc.verify_star(bt.star_tree(d, e, n), g,
+                               orc.brute_decomposition_matrix(g))
 
 
 def test_verify_star_rotated_numbering():
@@ -104,15 +105,25 @@ def test_verify_star_rotated_numbering():
     t2 = bt.star_tree(7, 3, 2)
     t4 = bt.star_tree(7, 3, 4)
     assert dict(t2.star_meta)["zeta"] != dict(t4.star_meta)["zeta"]
-    assert orc.verify_star(t4, orc.MetacyclicGroup(7, 3, 4))
+    g4 = orc.MetacyclicGroup(7, 3, 4)
+    assert orc.verify_star(t4, g4, orc.brute_decomposition_matrix(g4))
+
+
+def test_verify_star_reports_the_differing_cell():
+    g = orc.MetacyclicGroup(7, 3, 2)
+    d = orc.brute_decomposition_matrix(g)
+    d[4, 1] = 0
+    with pytest.raises(orc.Mismatch) as err:
+        orc.verify_star(bt.star_tree(7, 3, 2), g, d)
+    assert err.value.cell == (4, 1)
 
 
 def test_verify_star_mismatch():
     tree = bt.star_tree(7, 3, 2)
-    with pytest.raises(orc.Mismatch):
-        orc.verify_star(tree, orc.MetacyclicGroup(7, 3, 4))
-    with pytest.raises(orc.Mismatch):
-        orc.verify_star(tree, orc.MetacyclicGroup(49, 3, 18))
+    for g in (orc.MetacyclicGroup(7, 3, 4), orc.MetacyclicGroup(49, 3, 18)):
+        with pytest.raises(orc.Mismatch):
+            orc.verify_star(tree, g, orc.brute_decomposition_matrix(g))
     line = bt.assemble_tree(bt.line_series(3), 2, 1)
+    g = orc.MetacyclicGroup(7, 3, 2)
     with pytest.raises(orc.Mismatch):
-        orc.verify_star(line, orc.MetacyclicGroup(7, 3, 2))
+        orc.verify_star(line, g, orc.brute_decomposition_matrix(g))
