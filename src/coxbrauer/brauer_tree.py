@@ -20,7 +20,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from fractions import Fraction
 from math import gcd
 
 import numpy as np
@@ -45,10 +44,6 @@ class BadAction(ValueError):
 
 class InvalidDecomposition(ValueError):
     """A projective's column does not have exactly two ordinary constituents."""
-
-
-class MissingAnnotations(LookupError):
-    """Vertex lacks the a/A degree annotations needed for this query."""
 
 
 class ParseError(ValueError):
@@ -216,9 +211,6 @@ class PlanarBrauerTree:
         order, i = self._index.locate(node, j)
         return order[(i - steps) % len(order)]
 
-    def is_star(self) -> bool:
-        return all(b.m == b.M for b in self.series.branches)
-
 
 def exceptional_multiplicity(ctx: EllContext) -> int:
     """(ell-part of |T_c| minus 1) / h0; raises NonIntegral when it is not
@@ -329,7 +321,6 @@ class DecompositionMatrix:
     matrix: np.ndarray
     multiplicity: int
     heights: tuple[int, ...]              # height of each column edge
-    annotations: tuple[tuple[int | None, int | None], ...]  # per chi row
 
     def collapsed(self) -> np.ndarray:
         """Matrix with the identical exceptional rows collapsed to one."""
@@ -354,10 +345,8 @@ def decomposition_matrix(tree: PlanarBrauerTree) -> DecompositionMatrix:
             else:
                 mat[end, col_of[e.index]] = 1
     heights = tuple(height(tree, j) for j in cols)
-    annotations = tuple((tree.vertex(j).a_chi, tree.vertex(j).A_chi)
-                        for _, j in chi_rows)
     d = DecompositionMatrix(tuple(chi_rows + exc_rows), cols, mat,
-                            tree.multiplicity, heights, annotations)
+                            tree.multiplicity, heights)
     for j, total in zip(cols, d.collapsed().sum(axis=0)):
         if total != 2:
             raise InvalidDecomposition(f"projective P_{j} has {total} ordinary "
@@ -379,50 +368,16 @@ def perversity(tree: PlanarBrauerTree, i: int) -> int:
     return i - 2 * tree.r
 
 
-def eigenvalue_exponent(tree: PlanarBrauerTree, vertex: int, h: int,
-                        check_monotone: bool = False) -> Fraction:
-    """n_chi = 2r - (a_chi + A_chi)/h for an annotated vertex.
+def check_unitriangular(d: DecompositionMatrix):
+    """Test lower unitriangularity under the height order.
 
-    With check_monotone the value is required to increase with j along the
-    branch of the vertex (all of whose vertices must then be annotated).
-    """
-    v = tree.vertex(vertex)
-    if v.a_chi is None or v.A_chi is None:
-        raise MissingAnnotations(f"vertex {vertex} lacks a/A annotations")
-    value = 2 * tree.r - Fraction(v.a_chi + v.A_chi, h)
-    if check_monotone:
-        b = tree.series.branch_of(vertex)
-        prev = None
-        for j in range(b.m, b.M + 1):
-            cur = eigenvalue_exponent(tree, j, h)
-            if prev is not None and cur <= prev:
-                raise AssertionError(f"n_chi not increasing along branch at {j}")
-            prev = cur
-    return value
-
-
-def check_unitriangular(d: DecompositionMatrix, ordering="height"):
-    """Test lower unitriangularity under a character ordering.
-
-    `ordering` is "height" (sort character/edge pairs by decreasing edge
-    height), "a_chi" (sort by increasing a annotation; requires all
-    annotations), or an explicit list of chi indices.  Returns
+    The character/edge pairs are sorted by decreasing edge height.  Returns
     (is_unitriangular, row_order); the matrix is reordered with the
     exceptional rows kept at the bottom and column S_j tracking row chi_j.
     """
     chi = [j for kind, j in d.row_labels if kind == "chi"]
     hgt = dict(zip(d.col_edges, d.heights))
-    if ordering == "height":
-        order = sorted(chi, key=lambda j: (-hgt[j], j))
-    elif ordering == "a_chi":
-        ann = dict(zip(chi, d.annotations))
-        if any(a is None for a, _ in ann.values()):
-            raise MissingAnnotations("a_chi ordering needs annotations on every vertex")
-        order = sorted(chi, key=lambda j: (ann[j][0], j))
-    else:
-        order = list(ordering)
-        if sorted(order) != sorted(chi):
-            raise ValueError("explicit ordering must permute the chi indices")
+    order = sorted(chi, key=lambda j: (-hgt[j], j))
     row_of = {j: i for i, (kind, j) in enumerate(d.row_labels) if kind == "chi"}
     col_of = {j: i for i, j in enumerate(d.col_edges)}
     n = len(order)

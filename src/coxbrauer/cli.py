@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import brauer_tree as bt
@@ -185,13 +184,6 @@ def _poly_obj(poly):
             "sqrt_prime": poly.p, "pretty": poly.pretty()}
 
 
-def _default_precision(args_precision):
-    if args_precision is not None:
-        return args_precision
-    env = os.environ.get("COXBRAUER_PRECISION")
-    return int(env) if env else None
-
-
 def _load_tree(args) -> bt.PlanarBrauerTree:
     """Resolve the mutually exclusive --tree / --fixture input sources."""
     if getattr(args, "tree", None):
@@ -206,8 +198,7 @@ def _load_tree(args) -> bt.PlanarBrauerTree:
     if name.lower() == "2g2":
         qsq = args.qsq if args.qsq is not None else st.REE_FIXTURE["qsq"]
         ell = args.ell if args.ell is not None else st.REE_FIXTURE["ell"]
-        ctx = validate_regime(coxeter_datum(parse_type("2G2")), qsq, ell,
-                              precision=_default_precision(getattr(args, "precision", None)))
+        ctx = validate_regime(coxeter_datum(parse_type("2G2")), qsq, ell)
         return bt.principal_block_tree(ctx, series, labels=labels)
     mu = args.mu if args.mu is not None else 1
     r = args.r if args.r is not None else 1
@@ -253,13 +244,11 @@ def build_parser() -> _Parser:
     p.add_argument("--rank", type=int)
     p.add_argument("--qsq", type=int, required=True)
     p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--precision", type=int)
     p.add_argument("--out", default="-")
 
     p = subs.add_parser("tree", help="build a planar Brauer tree")
     _tree_args(p)
     p.add_argument("--format", choices=["json", "dot"], default="json")
-    p.add_argument("--precision", type=int)
 
     p = subs.add_parser("decmatrix", help="decomposition and Cartan matrices")
     _tree_args(p)
@@ -300,8 +289,7 @@ def _cmd_info(args) -> int:
 def _cmd_validate(args) -> int:
     datum = coxeter_datum(parse_type(args.type, args.rank))
     try:
-        ctx = validate_regime(datum, args.qsq, args.ell,
-                              precision=_default_precision(args.precision))
+        ctx = validate_regime(datum, args.qsq, args.ell)
     except BadRegime as exc:
         _emit({"valid": False, "reason": str(exc), "eigenvalue_table": None},
               args.out)
@@ -324,7 +312,7 @@ def _cmd_tree(args) -> int:
 def _cmd_decmatrix(args) -> int:
     tree = _load_tree(args)
     d = bt.decomposition_matrix(tree)
-    ok, order = bt.check_unitriangular(d, "height")
+    ok, order = bt.check_unitriangular(d)
     _emit({
         "rows": [f"{kind}{idx}" for kind, idx in d.row_labels],
         "columns": list(d.col_edges),

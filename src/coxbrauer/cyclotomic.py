@@ -1,9 +1,12 @@
 """Exact arithmetic in rings of cyclotomic integers Z[zeta_L].
 
-Elements are integer coordinate vectors on the power basis
-1, zeta, ..., zeta^(phi(L)-1), with reduction modulo the L-th cyclotomic
-polynomial.  No floating point is used anywhere; equality of elements is
-literal equality of coordinates.
+A cyclotomic integer is written down as a sparse exponent vector {k: c},
+standing for the sum of c*zeta_L^k; that is how the oracle's character
+tables carry their values.  `power_basis` gives its canonical coordinates
+on the power basis 1, zeta, ..., zeta^(phi(L)-1): the remainder of the
+polynomial modulo the L-th cyclotomic polynomial.  `CycloInt` holds such
+coordinates and multiplies through the same reduction.  No floating point
+is used anywhere; equality of elements is literal equality of coordinates.
 
 The module also knows how to express sqrt(2) and sqrt(3) inside a large
 enough cyclotomic ring (8 | L, resp. 12 | L), which is what the twisted
@@ -50,22 +53,30 @@ def _poly_divexact(num: list[int], den: list[int]) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def _reduction_table(L: int) -> tuple[tuple[int, ...], ...]:
-    """Power-basis coordinates of zeta_L^k for k = 0 .. L-1."""
-    d = euler_phi(L)
+def _phi_tail(L: int) -> tuple[tuple[int, int], ...]:
+    """The nonzero coefficients (i, c) of Phi_L below its leading term."""
     phi = cyclotomic_polynomial(L)
-    rows: list[tuple[int, ...]] = []
-    cur = [0] * d
-    cur[0] = 1
-    for _ in range(L):
-        rows.append(tuple(cur))
-        # multiply by zeta: shift, then reduce the overflow with zeta^d = -(phi - x^d)
-        top = cur[d - 1]
-        cur = [0] + cur[: d - 1]
-        if top:
-            for i in range(d):
-                cur[i] -= top * phi[i]
-    return tuple(rows)
+    return tuple((i, c) for i, c in enumerate(phi[:-1]) if c)
+
+
+def power_basis(L: int, terms: dict[int, int]) -> tuple[int, ...]:
+    """Power-basis coordinates of the sum of c*zeta_L^k over terms {k: c}.
+
+    The exponents are read mod L; the polynomial is then reduced modulo
+    Phi_L in one pass over the exponents L-1 down to phi(L), each folded
+    with zeta^d = -(Phi_L - x^d)(zeta) through the nonzero terms of Phi_L.
+    """
+    d = euler_phi(L)
+    acc = [0] * L
+    for k, c in terms.items():
+        acc[k % L] += c
+    tail = _phi_tail(L)
+    for k in range(L - 1, d - 1, -1):
+        c = acc[k]
+        if c:
+            for i, b in tail:
+                acc[k - d + i] -= c * b
+    return tuple(acc[:d])
 
 
 @dataclass(frozen=True)
@@ -91,7 +102,7 @@ class CycloInt:
 
     @staticmethod
     def zeta_power(L: int, k: int) -> "CycloInt":
-        return CycloInt(L, _reduction_table(L)[k % L])
+        return CycloInt(L, power_basis(L, {k: 1}))
 
     def __add__(self, other: "CycloInt") -> "CycloInt":
         return CycloInt(self.L, tuple(a + b for a, b in zip(self.coords, other.coords)))
@@ -99,54 +110,25 @@ class CycloInt:
     def __sub__(self, other: "CycloInt") -> "CycloInt":
         return CycloInt(self.L, tuple(a - b for a, b in zip(self.coords, other.coords)))
 
-    def __neg__(self) -> "CycloInt":
-        return CycloInt(self.L, tuple(-a for a in self.coords))
-
     def __mul__(self, other):
         if isinstance(other, int):
             return CycloInt(self.L, tuple(a * other for a in self.coords))
-        table = _reduction_table(self.L)
-        d = len(self.coords)
-        # schoolbook product, then fold exponents >= d back with the table
-        conv = [0] * (2 * d - 1)
+        # schoolbook product, then one reduction modulo Phi_L
+        conv: dict[int, int] = {}
         for i, a in enumerate(self.coords):
             if a:
                 for j, b in enumerate(other.coords):
                     if b:
-                        conv[i + j] += a * b
-        out = list(conv[:d])
-        for k in range(d, 2 * d - 1):
-            c = conv[k]
-            if c:
-                row = table[k % self.L]
-                for i in range(d):
-                    out[i] += c * row[i]
-        return CycloInt(self.L, tuple(out))
+                        conv[i + j] = conv.get(i + j, 0) + a * b
+        return CycloInt(self.L, power_basis(self.L, conv))
 
     __rmul__ = __mul__
-
-    def is_zero(self) -> bool:
-        return not any(self.coords)
 
     def as_integer(self) -> int | None:
         """The element as a rational integer, or None if it is not one."""
         if any(self.coords[1:]):
             return None
         return self.coords[0]
-
-    def galois(self, k: int) -> "CycloInt":
-        """Image under zeta -> zeta^k (k must be prime to L)."""
-        table = _reduction_table(self.L)
-        acc = [0] * len(self.coords)
-        for i, a in enumerate(self.coords):
-            if a:
-                row = table[i * k % self.L]
-                for t in range(len(acc)):
-                    acc[t] += a * row[t]
-        return CycloInt(self.L, tuple(acc))
-
-    def conjugate(self) -> "CycloInt":
-        return self.galois(-1 % self.L)
 
 
 def sqrt_element(L: int, p: int) -> CycloInt:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .numtheory import (factorize, has_order, is_prime, prime_power_split,
-                        smallest_nonresidue, sqrt_mod_prime, valuation)
+                        smallest_nonresidue, sqrt_mod_prime)
 from .root_data import CoxeterDatum, torus_order_poly, weyl_fixed_order
 
 
@@ -74,7 +74,6 @@ class EllContext:
     nonresidue: int | None
     qdelta_mod: int
     sqrt_qdelta: int | tuple[int, int]
-    precision: int
     torus_value: int
     weyl_order: int
 
@@ -83,8 +82,7 @@ class EllContext:
         return self.datum.h0
 
 
-def validate_regime(datum: CoxeterDatum, qsq: int, ell: int,
-                    precision: int | None = None) -> EllContext:
+def validate_regime(datum: CoxeterDatum, qsq: int, ell: int) -> EllContext:
     """Check the Coxeter-case conditions and assemble the context.
 
     `qsq` is q itself for ordinary types and q^2 (an odd power of 2 or 3)
@@ -130,7 +128,9 @@ def validate_regime(datum: CoxeterDatum, qsq: int, ell: int,
         else:
             nonresidue = smallest_nonresidue(ell)
             c = sqrt_mod_prime(s * pow(nonresidue, -1, ell) % ell, ell)
-            assert c is not None
+            if c is None:
+                raise ValueError(f"q^2 = {s} is neither a square nor a "
+                                 f"non-residue times a square mod {ell}")
             q_mod = (0, min(c, ell - c))
             if not fq2_has_order(q_mod, h, ell, nonresidue):
                 raise BadRegime("WrongOrder",
@@ -142,14 +142,11 @@ def validate_regime(datum: CoxeterDatum, qsq: int, ell: int,
         raise BadRegime("WrongOrder",
                         f"q^delta has order != h0 = {datum.h0} mod {ell}")
 
-    if precision is None:
-        precision = 2 * valuation(torus_value, ell) + 1
-
     sqrt_qdelta, nonresidue = _choose_sqrt_qdelta(q_mod, qdelta_mod, h, delta,
                                                   ell, nonresidue)
     return EllContext(datum=datum, ell=ell, qsq=qsq, q_mod=q_mod,
                       nonresidue=nonresidue, qdelta_mod=qdelta_mod,
-                      sqrt_qdelta=sqrt_qdelta, precision=precision,
+                      sqrt_qdelta=sqrt_qdelta,
                       torus_value=torus_value, weyl_order=weyl_order)
 
 
@@ -167,7 +164,9 @@ def _choose_sqrt_qdelta(q_mod, qdelta_mod, h, delta, ell, nonresidue):
         return min(root, ell - root), nonresidue
     s = nonresidue if nonresidue is not None else smallest_nonresidue(ell)
     c = sqrt_mod_prime(qdelta_mod * pow(s, -1, ell) % ell, ell)
-    assert c is not None
+    if c is None:
+        raise ValueError(f"q^delta = {qdelta_mod} is neither a square nor a "
+                         f"non-residue times a square mod {ell}")
     return (0, min(c, ell - c)), s
 
 
@@ -175,12 +174,16 @@ def eigenvalue_table(ctx: EllContext) -> dict[int, int]:
     """j -> (q^delta)^j mod ell for j = 0..h0-1.
 
     The values are pairwise distinct and exhaust the h0-th roots of unity
-    in F_ell, which is asserted.
+    in F_ell; ValueError otherwise.
     """
     table = {j: pow(ctx.qdelta_mod, j, ctx.ell) for j in range(ctx.h0)}
     values = set(table.values())
-    assert len(values) == ctx.h0, "eigenvalue table collision"
-    assert all(pow(v, ctx.h0, ctx.ell) == 1 for v in values)
+    if len(values) != ctx.h0:
+        raise ValueError(f"eigenvalue table collision: q^delta = "
+                         f"{ctx.qdelta_mod} has order below h0 = {ctx.h0}")
+    if any(pow(v, ctx.h0, ctx.ell) != 1 for v in values):
+        raise ValueError(f"q^delta = {ctx.qdelta_mod} is not an h0-th root "
+                         f"of unity mod {ctx.ell}")
     return table
 
 

@@ -179,7 +179,8 @@ class ProjComplex:
 
 
 def direct_sum(complexes: list[ProjComplex]) -> ProjComplex:
-    assert complexes
+    if not complexes:
+        raise ValueError("direct sum of no complexes")
     alg = complexes[0].alg
     lo = min(c.lo for c in complexes)
     hi = max(c.hi for c in complexes)
@@ -221,7 +222,8 @@ def rickard_complex(alg: TreeAlgebra, tree: PlanarBrauerTree, j: int) -> ProjCom
         # which is exactly a left-multiplication map P_i -> P_(i+1)
         arrow = next(a for a in alg.arrows if a.node == i and a.src == i + 1)
         entry = alg.elt(alg.arrow_path(arrow))
-        assert entry, "boundary map vanished over the field"
+        if not entry:
+            raise InvalidComplex("boundary map vanished over the field")
         diffs.append([[entry]])
     diffs.append([])
     return ProjComplex(alg, tree.r, terms, diffs)
@@ -354,7 +356,8 @@ class HomComplex:
     """
 
     def __init__(self, cx1: ProjComplex, cx2: ProjComplex):
-        assert cx1.alg is cx2.alg
+        if cx1.alg is not cx2.alg:
+            raise ValueError("Hom complex of complexes over different algebras")
         self.alg = alg = cx1.alg
         self.cx1, self.cx2 = cx1, cx2
         self.lo = cx2.lo - cx1.hi

@@ -6,8 +6,11 @@ generator x of E acts on y in D by y -> x^-1 y x = y^n.  (That right-hand
 convention is what makes Ext^1(k_i, k_j) nonzero exactly for i = j + 1
 with the character numbering below.)
 
-Ordinary character values are exact cyclotomic integers in Q(zeta_{m ell^alpha});
-orthogonality is checked literally.  The Brauer characters of the m simple
+Ordinary character values are exact cyclotomic integers in Z[zeta_L] with
+L = |G|, kept as the sparse exponent vectors {k: c} (the sum of c*zeta_L^k)
+that the construction produces; orthogonality is checked literally, each
+inner product reduced modulo Phi_L once by `cyclotomic.power_basis`.  The
+Brauer characters of the m simple
 modules are pinned by the Hensel lift zeta of n (eta_j sends x to zeta^j),
 which fixes the row and column numbering of the decomposition matrix so
 the comparison against the star tree is cell-exact, not up to permutation.
@@ -22,9 +25,9 @@ import numpy as np
 
 from . import linalg
 from .brauer_tree import PlanarBrauerTree, decomposition_matrix
-from .cyclotomic import CycloInt
+from .cyclotomic import power_basis
 from .ell_arith import TruncatedPadic, hensel_root
-from .numtheory import has_order, prime_power_split
+from .numtheory import euler_phi, has_order, prime_power_split
 
 
 class SingularSystem(ArithmeticError):
@@ -93,15 +96,15 @@ class CharacterTable:
     # rows: m linear characters eta_0..eta_(m-1), then the induced
     # characters Theta_t over orbit representatives t
     names: list[str]
-    values: list[list[CycloInt]]
+    values: list[list[dict[int, int]]]    # {k: c} is sum c*zeta_|G|^k
     induced_reps: list[int]
 
     def degree(self, row: int) -> int:
         one = next(i for i, c in enumerate(self.classes) if c.kind == "one")
-        v = self.values[row][one].as_integer()
-        if v is None:
+        coords = power_basis(self.group.order, self.values[row][one])
+        if any(coords[1:]):
             raise Mismatch(f"degree of {self.names[row]} is not an integer")
-        return v
+        return coords[0]
 
     def verify(self):
         """Raise Mismatch unless the squared degrees sum to the group order
@@ -116,46 +119,34 @@ class CharacterTable:
 
         Worked in Z[x]/(x^L - 1), where conjugation is the exponent flip
         and products are sparse convolutions; each inner product is
-        reduced to the power basis once at the end.
+        reduced modulo Phi_L once and compared with the coordinates
+        (n, 0, ..., 0) of the expected integer n.
         """
-        order = self.group.order
+        L = order = self.group.order
         nrows = len(self.values)
-        L = self.values[0][0].L
-        raw = [[_raw_exponents(v, L) for v in row] for row in self.values]
-        conj = [[{(L - k) % L: c for k, c in val.items()} for val in row]
-                for row in raw]
+        zeros = (0,) * (euler_phi(L) - 1)
+        conj = [[{-k % L: c for k, c in val.items()} for val in row]
+                for row in self.values]
 
-        def inner(pairs) -> CycloInt:
+        def inner_is(want: int, pairs) -> bool:
             acc = [0] * L
             for weight, x, y in pairs:
                 for kx, cx in x.items():
                     for ky, cy in y.items():
                         acc[(kx + ky) % L] += weight * cx * cy
-            out = CycloInt.zero(L)
-            for k, c in enumerate(acc):
-                if c:
-                    out = out + c * CycloInt.zeta_power(L, k)
-            return out
+            return power_basis(L, dict(enumerate(acc))) == (want,) + zeros
 
         for i in range(nrows):
             for j in range(i, nrows):
-                acc = inner((cls.size, vi, vjc) for cls, vi, vjc
-                            in zip(self.classes, raw[i], conj[j]))
-                if acc.as_integer() != (order if i == j else 0):
+                pairs = zip((c.size for c in self.classes), self.values[i], conj[j])
+                if not inner_is(order if i == j else 0, pairs):
                     return False
         for a, ca in enumerate(self.classes):
             for b in range(a, len(self.classes)):
-                acc = inner((1, row[a], crow[b])
-                            for row, crow in zip(raw, conj))
-                want = order // ca.size if a == b else 0
-                if acc.as_integer() != want:
+                pairs = ((1, row[a], crow[b]) for row, crow in zip(self.values, conj))
+                if not inner_is(order // ca.size if a == b else 0, pairs):
                     return False
         return True
-
-
-def _raw_exponents(val: CycloInt, L: int) -> dict[int, int]:
-    """Power-basis coordinates reread as a sparse zeta-exponent vector."""
-    return {k: c for k, c in enumerate(val.coords) if c}
 
 
 def _orbit_reps(g: MetacyclicGroup) -> list[int]:
@@ -196,25 +187,26 @@ def character_table(g: MetacyclicGroup) -> CharacterTable:
         row = []
         for cls in classes:
             if cls.kind == "e":
-                row.append(CycloInt.zeta_power(L, zeta_e * j * cls.rep))
+                row.append({zeta_e * j * cls.rep % L: 1})
             else:
-                row.append(CycloInt.integer(L, 1))
+                row.append({0: 1})
         names.append(f"eta{j}")
         values.append(row)
     for t in _orbit_reps(g):
         row = []
         for cls in classes:
             if cls.kind == "one":
-                row.append(CycloInt.integer(L, g.e_order))
+                row.append({0: g.e_order})
             elif cls.kind == "d":
-                acc = CycloInt.zero(L)
+                acc: dict[int, int] = {}
                 cur = cls.rep
                 for _ in range(g.e_order):
-                    acc = acc + CycloInt.zeta_power(L, zeta_d * (t * cur % g.d_order))
+                    k = zeta_d * (t * cur % g.d_order)
+                    acc[k] = acc.get(k, 0) + 1
                     cur = cur * g.n % g.d_order
                 row.append(acc)
             else:
-                row.append(CycloInt.zero(L))
+                row.append({})
         names.append(f"ind{t}")
         values.append(row)
         induced_reps.append(t)
@@ -259,7 +251,7 @@ def brute_decomposition_matrix(g: MetacyclicGroup) -> np.ndarray:
     return out
 
 
-def _reduce_value(val: CycloInt, g: MetacyclicGroup,
+def _reduce_value(val: dict[int, int], g: MetacyclicGroup,
                   zeta: TruncatedPadic) -> int:
     """Reduce a character value on a regular class into Z/ell^N.
 
@@ -268,15 +260,15 @@ def _reduce_value(val: CycloInt, g: MetacyclicGroup,
     n, which is exactly the numbering convention of the simple modules.
     """
     mod = zeta.modulus
-    L = val.L
+    L = g.order
     zeta_e_step = L // g.e_order
     # values on regular classes are integers (degrees, zeros) or single
     # |E|-th roots of unity (linear character values)
-    a = val.as_integer()
-    if a is not None:
-        return a % mod
+    coords = power_basis(L, val)
+    if not any(coords[1:]):
+        return coords[0] % mod
     for k in range(g.e_order):
-        if val.coords == CycloInt.zeta_power(L, zeta_e_step * k).coords:
+        if coords == power_basis(L, {zeta_e_step * k: 1}):
             return pow(zeta.value, k, mod)
     raise SingularSystem("unrecognized regular-class character value")
 

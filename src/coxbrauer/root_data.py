@@ -208,13 +208,13 @@ def twisted_coxeter_eigenvalues(datum: CoxeterDatum) -> list[Fraction]:
 
     The eigenvalues are eps_j^-1 * exp(2*pi*i*(d_j - 1)/h); angles are
     reduced mod 1.  Angles of exact order h must occur with multiplicity
-    one, which is asserted.
+    one; ValueError otherwise.
     """
     angles = [(-e + Fraction(d - 1, datum.h)) % 1
               for d, e in zip(datum.degrees, datum.epsilons)]
     of_order_h = [a for a in angles if a.denominator == datum.h]
-    assert len(of_order_h) == len(set(of_order_h)), \
-        "eigenvalue of order h with multiplicity > 1"
+    if len(of_order_h) != len(set(of_order_h)):
+        raise ValueError("eigenvalue of order h with multiplicity > 1")
     return angles
 
 

@@ -317,7 +317,7 @@ def check_perversity_unitriangular() -> tuple[bool, str]:
     trees = random_trees() + line_trees() + [_ree_tree()]
     for tree in trees:
         d = bt.decomposition_matrix(tree)
-        ok, _ = bt.check_unitriangular(d, "height")
+        ok, _ = bt.check_unitriangular(d)
         if not ok:
             return False, f"height ordering not unitriangular on {tree.series}"
         report = ho.perversity_report(tree)

@@ -39,10 +39,6 @@ class NotComposable(ValueError):
     the second starts."""
 
 
-class NotAssociative(ValueError):
-    """The path composition breaks associativity (the debug check)."""
-
-
 @dataclass(frozen=True)
 class Path:
     """A nonzero path class: source edge, kind, node walked around, length."""
@@ -69,7 +65,7 @@ class TreeAlgebra:
     paths from j to i.
     """
 
-    def __init__(self, tree: PlanarBrauerTree, ell: int, debug: bool = False):
+    def __init__(self, tree: PlanarBrauerTree, ell: int):
         if ell >= linalg.MAX_MODULUS:
             raise ValueError(f"field order {ell} is not below 2^31, the limit "
                              f"of the exact int64 elimination kernel")
@@ -101,8 +97,6 @@ class TreeAlgebra:
         for p in self.paths:
             self.paths_between.setdefault((p.src, self._targets[p]), []).append(p)
         self.arrow_counts = Counter((a.src, a.tgt) for a in self.arrows)
-        if debug:
-            self._check_associativity()
 
     # -- construction -----------------------------------------------------
 
@@ -238,27 +232,9 @@ class TreeAlgebra:
                 return self.elt_scale(out, cinv)
             out = self.elt_add(out, term)
 
-    # -- sanity -------------------------------------------------------------
 
-    def _check_associativity(self):
-        for p in self.paths:
-            for q in self.paths:
-                if self.target(p) != q.src:
-                    continue
-                pq = self.compose(p, q)
-                for s in self.paths:
-                    if self.target(q) != s.src:
-                        continue
-                    qs = self.compose(q, s)
-                    left = self.compose(pq, s) if pq is not None else None
-                    right = self.compose(p, qs) if qs is not None else None
-                    if left != right:
-                        raise NotAssociative(f"({p} {q}) {s} = {left} but "
-                                             f"{p} ({q} {s}) = {right}")
-
-
-def from_tree(tree: PlanarBrauerTree, ell: int, debug: bool = False) -> TreeAlgebra:
-    return TreeAlgebra(tree, ell, debug=debug)
+def from_tree(tree: PlanarBrauerTree, ell: int) -> TreeAlgebra:
+    return TreeAlgebra(tree, ell)
 
 
 def dimension_formula(tree: PlanarBrauerTree) -> int:

@@ -1,12 +1,11 @@
+import dataclasses
 import json
-from fractions import Fraction
 
 import pytest
 
 from coxbrauer import brauer_tree as bt
 from coxbrauer.brauer_tree import (EXC, BadAction, Branch, InvalidSeries,
-                                   MissingAnnotations, NonIntegral, ParseError,
-                                   SeriesDatum)
+                                   NonIntegral, ParseError, SeriesDatum)
 from coxbrauer.ell_arith import validate_regime
 from coxbrauer.root_data import coxeter_datum, parse_type
 from coxbrauer.selftest import random_trees
@@ -150,50 +149,32 @@ def test_heights_and_perversity():
 def test_unitriangular_orders():
     tree = ree_tree()
     d = bt.decomposition_matrix(tree)
-    ok, order = bt.check_unitriangular(d, "height")
+    ok, order = bt.check_unitriangular(d)
     assert ok and order[0] == 1          # the deepest edge comes first
-    ok_asc, _ = bt.check_unitriangular(d, [0, 1, 2, 3, 4, 5])
-    assert not ok_asc                    # reversing the branch breaks it
+    # move the 1 of chi_0 in column S_1 (below the diagonal in this order)
+    # to chi_1 in column S_0, above it
+    first, second = order[:2]
+    moved = d.matrix.copy()
+    assert moved[second, first] == 1 and moved[first, second] == 0
+    moved[second, first], moved[first, second] = 0, 1
+    ok_moved, _ = bt.check_unitriangular(dataclasses.replace(d, matrix=moved))
+    assert not ok_moved
     star = bt.decomposition_matrix(bt.star_tree(7, 3, 2))
-    assert bt.check_unitriangular(star, "height")[0]
+    assert bt.check_unitriangular(star)[0]
 
 
 def test_unitriangular_a_annotations():
-    # Ree block: trivial character has (a, A) = (0, 0), Steinberg (N, N) = (6, 6)
+    # Ree block: trivial character has (a, A) = (0, 0), Steinberg (N, N) = (6, 6);
+    # the annotations ride along in the tree JSON but the check reads heights
     series, labels = bt.fixture_series("2g2")
     ann = {0: (6, 6), 1: (0, 0), 2: (2, 10), 3: (2, 10), 4: (2, 10), 5: (2, 10)}
     tree = bt.assemble_tree(series, 3, 1, labels=labels, annotations=ann)
-    d = bt.decomposition_matrix(tree)
-    ok, order = bt.check_unitriangular(d, "a_chi")
-    assert ok and order[0] == 1
+    assert bt.tree_to_obj(tree)["annotations"]["0"] == [6, 6]
+    assert bt.from_json(json.dumps(bt.tree_to_obj(tree))) == tree
     bare = bt.assemble_tree(series, 3, 1)
-    with pytest.raises(MissingAnnotations):
-        bt.check_unitriangular(bt.decomposition_matrix(bare), "a_chi")
-
-
-def test_eigenvalue_exponent():
-    series, labels = bt.fixture_series("2g2")
-    ann = {0: (6, 6), 1: (0, 0)}
-    tree = bt.assemble_tree(series, 3, 1, labels=labels, annotations=ann)
-    # Steinberg: 2r - (6+6)/12 = 1; trivial: 2r - 0 = 2
-    assert bt.eigenvalue_exponent(tree, 0, 12) == 1
-    assert bt.eigenvalue_exponent(tree, 1, 12) == 2
-    assert bt.eigenvalue_exponent(tree, 0, 12, check_monotone=True) == 1
-    # n_St < n_1 iff a_St + A_St > a_1 + A_1
-    assert (bt.eigenvalue_exponent(tree, 0, 12) < bt.eigenvalue_exponent(tree, 1, 12)) \
-        == ((6 + 6) > (0 + 0))
-    with pytest.raises(MissingAnnotations):
-        bt.eigenvalue_exponent(tree, 2, 12)
-
-
-def test_eigenvalue_exponent_fraction():
-    tree = bt.assemble_tree(bt.line_series(2), 1, 1,
-                            annotations={0: (1, 2), 1: (0, 0)})
-    assert bt.eigenvalue_exponent(tree, 0, 4) == Fraction(5, 4)
-    # r=1, a+A = h gives n = 1
-    tree2 = bt.assemble_tree(bt.line_series(2), 1, 1,
-                             annotations={0: (2, 2), 1: (0, 0)})
-    assert bt.eigenvalue_exponent(tree2, 0, 4) == 1
+    assert (bt.check_unitriangular(bt.decomposition_matrix(tree))
+            == bt.check_unitriangular(bt.decomposition_matrix(bare)))
+    assert bt.check_unitriangular(bt.decomposition_matrix(tree))[0]
 
 
 def test_json_round_trip():
@@ -235,5 +216,5 @@ def test_dot_matches_golden(tmp_path):
 def test_height_ordering_certifies_random_trees():
     for tree in random_trees(60, seed=13):
         d = bt.decomposition_matrix(tree)
-        ok, _ = bt.check_unitriangular(d, "height")
+        ok, _ = bt.check_unitriangular(d)
         assert ok

@@ -185,16 +185,6 @@ def test_selftest_failure_exit_code(capsys, monkeypatch):
     assert json.loads(out)["ok"] is False
 
 
-def test_precision_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("COXBRAUER_PRECISION", "5")
-    from coxbrauer.ell_arith import validate_regime
-    from coxbrauer.root_data import coxeter_datum, parse_type
-    import coxbrauer.cli as cli_mod
-    datum = coxeter_datum(parse_type("A2"))
-    assert validate_regime(datum, 2, 7,
-                           precision=cli_mod._default_precision(None)).precision == 5
-
-
 def test_console_script_entry():
     import subprocess
     import sys

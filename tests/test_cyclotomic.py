@@ -1,7 +1,11 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from coxbrauer.cyclotomic import (CycloInt, as_quadratic_pair,
-                                  cyclotomic_polynomial, sqrt_element)
+from coxbrauer.cyclotomic import (CycloInt, _poly_divexact, as_quadratic_pair,
+                                  cyclotomic_polynomial, power_basis,
+                                  sqrt_element)
+from coxbrauer.numtheory import euler_phi
 
 
 def test_cyclotomic_polynomials():
@@ -29,7 +33,7 @@ def test_zeta_arithmetic():
     z = CycloInt.zeta_power
     # zeta_3^2 + zeta_3 + 1 = 0
     acc = z(3, 2) + z(3, 1) + CycloInt.integer(3, 1)
-    assert acc.is_zero()
+    assert acc.coords == CycloInt.zero(3).coords
     # zeta_8^2 = zeta_4 embedded at level 8
     assert (z(8, 1) * z(8, 1)).coords == z(8, 2).coords
     # full cycle: zeta_12^12 = 1
@@ -41,11 +45,39 @@ def test_zeta_arithmetic():
 
 def test_conjugate_norm():
     z = CycloInt.zeta_power(5, 1)
-    n = (z - CycloInt.integer(5, 1)) * (z.conjugate() - CycloInt.integer(5, 1))
-    # |zeta_5 - 1|^2 = 2 - 2cos(72) = (zeta + zeta^-1) missing; exact check:
+    zbar = CycloInt.zeta_power(5, 4)         # complex conjugate of zeta_5
+    n = (z - CycloInt.integer(5, 1)) * (zbar - CycloInt.integer(5, 1))
     # (zeta-1)(zeta^-1-1) = 2 - zeta - zeta^-1
-    want = CycloInt.integer(5, 2) - z - z.conjugate()
+    want = CycloInt.integer(5, 2) - z - zbar
     assert n.coords == want.coords
+
+
+def test_power_basis_small_levels():
+    # zeta_6^3 = -1 and zeta_6^2 = zeta_6 - 1 on the basis 1, zeta_6
+    assert power_basis(6, {3: 1}) == (-1, 0)
+    assert power_basis(6, {2: 1}) == (-1, 1)
+    # the full sum of the 9th roots of unity vanishes
+    assert power_basis(9, dict.fromkeys(range(9), 1)) == (0,) * 6
+    assert power_basis(1, {0: 2, 5: 3}) == (5,)
+    assert power_basis(7, {}) == (0,) * 6
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 130).flatmap(lambda L: st.tuples(
+    st.just(L),
+    st.dictionaries(st.integers(0, L - 1), st.integers(-50, 50), max_size=8))))
+def test_power_basis_is_the_remainder_mod_phi(case):
+    L, terms = case
+    d = euler_phi(L)
+    coords = power_basis(L, terms)
+    assert len(coords) == d
+    diff = [0] * (L + 1)
+    for k, c in terms.items():
+        diff[k] += c
+    for i, c in enumerate(coords):
+        diff[i] -= c
+    # raises ArithmeticError unless Phi_L divides the difference exactly
+    _poly_divexact(diff, list(cyclotomic_polynomial(L)))
 
 
 def test_sqrt_elements():

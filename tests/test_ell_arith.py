@@ -9,15 +9,14 @@ from coxbrauer.ell_arith import (BadRegime, NoRoot, TruncatedPadic,
 from coxbrauer.root_data import coxeter_datum, parse_type
 
 
-def ctx_for(name, qsq, ell, **kw):
-    return validate_regime(coxeter_datum(parse_type(name)), qsq, ell, **kw)
+def ctx_for(name, qsq, ell):
+    return validate_regime(coxeter_datum(parse_type(name)), qsq, ell)
 
 
 def test_validate_a2():
     ctx = ctx_for("A2", 2, 7)
     assert ctx.torus_value == 7
     assert ctx.q_mod == 2 and ctx.qdelta_mod == 2
-    assert ctx.precision == 3
 
 
 def test_validate_ree():

@@ -41,6 +41,14 @@ CAPTURES = {
     "2g2_validate_q27_ell19.json": ["validate", "--type", "2G2", "--qsq", "27",
                                     "--ell", "19"],
     "2g2_info.json": ["info", "--type", "2G2"],
+    "2f4_info.json": ["info", "--type", "2F4"],
+    "3d4_info.json": ["info", "--type", "3D4"],
+    "2e6_info.json": ["info", "--type", "2E6"],
+    "e8_info.json": ["info", "--type", "E8"],
+    "star_d121_e5_n3_verify.json": ["star", "--d", "121", "--e", "5", "--n", "3",
+                                    "--verify"],
+    "star_d125_e4_n57_verify.json": ["star", "--d", "125", "--e", "4", "--n", "57",
+                                     "--verify"],
 }
 
 

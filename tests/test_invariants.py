@@ -1,5 +1,6 @@
-"""Complex invariants and the oracle's table checks are explicit checks,
-so they hold under python -O."""
+"""Complex invariants, the oracle's table checks and the regime, datum and
+complex-construction guards are explicit checks, so they hold under
+python -O."""
 
 import os
 import subprocess
@@ -59,13 +60,12 @@ def test_invalid_complexes_rejected_under_optimize():
 # must fail orthogonality, one on it the degree sum.
 ORACLE_SCRIPT = """
 from coxbrauer import oracle as orc
-from coxbrauer.cyclotomic import CycloInt
 assert False, "asserts must be stripped under -O"
 g = orc.MetacyclicGroup(7, 3, 2)
 for name, cls in (("orthogonality", 1), ("degrees", 0)):
     table = orc.character_table(g)
     val = table.values[3][cls]
-    table.values[3][cls] = val + CycloInt.integer(val.L, 1)
+    table.values[3][cls] = {**val, 0: val.get(0, 0) + 1}
     try:
         table.verify()
     except orc.Mismatch as exc:
@@ -125,3 +125,49 @@ def test_algebra_and_tree_checks_hold_under_optimize():
         ["compose", "rejected:", "NotComposable"],
         ["decomposition", "rejected:", "InvalidDecomposition"]]
     assert "1 ordinary constituents" in lines[1]
+
+
+# q^delta = 1 (every eigenvalue collides), q^delta = 3 mod 7 (distinct
+# powers but of order 6, not h0 = 3), A2 with both degrees 3 (the angle
+# 2/3 of order h twice), a direct sum of nothing, and a Hom complex
+# between complexes over two algebras of the same tree.
+GUARD_SCRIPT = """
+import dataclasses
+from coxbrauer import brauer_tree as bt, homotopy as ho, tree_algebra as ta
+from coxbrauer.ell_arith import eigenvalue_table, validate_regime
+from coxbrauer.root_data import (coxeter_datum, parse_type,
+                                 twisted_coxeter_eigenvalues)
+assert False, "asserts must be stripped under -O"
+datum = coxeter_datum(parse_type("A2"))
+ctx = validate_regime(datum, 2, 7)
+tree = bt.assemble_tree(bt.line_series(2), 1, 1)
+alg, other = ta.from_tree(tree, 5), ta.from_tree(tree, 5)
+bad = {
+    "collision": lambda: eigenvalue_table(dataclasses.replace(ctx, qdelta_mod=1)),
+    "root": lambda: eigenvalue_table(dataclasses.replace(ctx, qdelta_mod=3)),
+    "angles": lambda: twisted_coxeter_eigenvalues(
+        dataclasses.replace(datum, degrees=(3, 3))),
+    "sum": lambda: ho.direct_sum([]),
+    "hom": lambda: ho.HomComplex(ho.ProjComplex(alg, 0, [[0]], [[]]),
+                                 ho.ProjComplex(other, 0, [[0]], [[]])),
+}
+for name, run in bad.items():
+    try:
+        run()
+    except ValueError as exc:
+        print(name, "rejected:", exc)
+    else:
+        print(name, "ACCEPTED")
+"""
+
+
+def test_regime_datum_and_complex_guards_hold_under_optimize():
+    lines = _run_optimized(GUARD_SCRIPT)
+    assert [line.split()[:2] for line in lines] == [
+        [name, "rejected:"] for name in
+        ("collision", "root", "angles", "sum", "hom")]
+    assert "collision" in lines[0]
+    assert "h0-th root" in lines[1]
+    assert "multiplicity > 1" in lines[2]
+    assert "no complexes" in lines[3]
+    assert "different algebras" in lines[4]

@@ -8,8 +8,26 @@ from coxbrauer.root_data import coxeter_datum, parse_type
 from coxbrauer.selftest import random_trees
 
 
-def star732(debug=False):
-    return ta.from_tree(bt.star_tree(7, 3, 2), 7, debug=debug)
+def star732():
+    return ta.from_tree(bt.star_tree(7, 3, 2), 7)
+
+
+def check_associativity(alg):
+    """(p q) s == p (q s) for every composable triple of basis paths, so
+    every product of basis paths is the product of its arrows."""
+    for p in alg.paths:
+        for q in alg.paths:
+            if alg.target(p) != q.src:
+                continue
+            pq = alg.compose(p, q)
+            for s in alg.paths:
+                if alg.target(q) != s.src:
+                    continue
+                qs = alg.compose(q, s)
+                left = alg.compose(pq, s) if pq is not None else None
+                right = alg.compose(p, qs) if qs is not None else None
+                assert left == right, (f"({p} {q}) {s} = {left} but "
+                                       f"{p} ({q} {s}) = {right}")
 
 
 def line(h0, mu, ell=5, r=1):
@@ -25,7 +43,8 @@ def ree_algebra():
 
 
 def test_star_dimension_is_group_order():
-    alg = star732(debug=True)
+    alg = star732()
+    check_associativity(alg)
     assert alg.dim == 21 == 7 * 3
     assert ta.dimension_formula(alg.tree) == 21
 
@@ -33,7 +52,9 @@ def test_star_dimension_is_group_order():
 def test_small_dimensions():
     # single edge with multiplicity 2: uniserial of length 3
     tree = bt.assemble_tree(bt.line_series(1), 2, 1)
-    assert ta.from_tree(tree, 7, debug=True).dim == 3 == ta.dimension_formula(tree)
+    alg = ta.from_tree(tree, 7)
+    check_associativity(alg)
+    assert alg.dim == 3 == ta.dimension_formula(tree)
     # two-edge line, multiplicity 1: 3 + 3
     tree2, alg2 = line(2, 1)
     assert alg2.dim == 6 == ta.dimension_formula(tree2)
@@ -47,7 +68,8 @@ def test_dimension_formula_random():
 
 def test_single_edge_multiplicity_one_is_dual_numbers():
     tree = bt.assemble_tree(bt.line_series(1), 1, 1)
-    alg = ta.from_tree(tree, 7, debug=True)
+    alg = ta.from_tree(tree, 7)
+    check_associativity(alg)
     assert alg.dim == 2 == ta.dimension_formula(tree)
     assert ta.ext1(alg, 0, 0) == 1
     x = alg.elt(alg.arrow_path(alg.arrows[0]))
@@ -55,11 +77,12 @@ def test_single_edge_multiplicity_one_is_dual_numbers():
 
 
 def test_relations_hold_on_projectives():
-    # the defining relations, checked by multiplying arrow paths; debug=True
-    # checks that the path products are associative, so every product of
-    # basis paths is the product of its arrows
+    # the defining relations, checked by multiplying arrow paths;
+    # check_associativity makes every product of basis paths the product
+    # of its arrows
     for tree in random_trees(10, seed=15):
-        alg = ta.from_tree(tree, 7, debug=True)
+        alg = ta.from_tree(tree, 7)
+        check_associativity(alg)
         arrow = {(a.node, a.src): alg.elt(alg.arrow_path(a)) for a in alg.arrows}
         # a step around one node followed by a step around the other vanishes
         for a in alg.arrows:
