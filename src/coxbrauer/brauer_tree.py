@@ -22,8 +22,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
 
-import numpy as np
-
 from .ell_arith import EllContext, TruncatedPadic, hensel_root
 from .numtheory import prime_power_split, valuation
 
@@ -318,45 +316,46 @@ class DecompositionMatrix:
 
     row_labels: tuple[tuple[str, int], ...]
     col_edges: tuple[int, ...]
-    matrix: np.ndarray
+    matrix: tuple[tuple[int, ...], ...]
     multiplicity: int
     heights: tuple[int, ...]              # height of each column edge
 
-    def collapsed(self) -> np.ndarray:
+    def collapsed(self) -> tuple[tuple[int, ...], ...]:
         """Matrix with the identical exceptional rows collapsed to one."""
         n_chi = sum(1 for kind, _ in self.row_labels if kind == "chi")
-        top = self.matrix[:n_chi]
-        if self.multiplicity == 0 or len(self.matrix) == n_chi:
-            return top.copy()
-        return np.vstack([top, self.matrix[n_chi:n_chi + 1]])
+        return self.matrix[:n_chi + 1]
 
 
 def decomposition_matrix(tree: PlanarBrauerTree) -> DecompositionMatrix:
     cols = tuple(sorted(tree.edge_indices()))
     chi_rows = [("chi", v.index) for v in sorted(tree.vertices, key=lambda v: v.index)]
     exc_rows = [("exc", t) for t in range(tree.multiplicity)]
-    mat = np.zeros((len(chi_rows) + len(exc_rows), len(cols)), dtype=int)
     col_of = {j: i for i, j in enumerate(cols)}
+    mat = [[0] * len(cols) for _ in chi_rows]
+    exc_row = [0] * len(cols)
     for e in tree.edges:
         for end in e.ends:
-            if end == EXC:
-                for t in range(tree.multiplicity):
-                    mat[len(chi_rows) + t, col_of[e.index]] = 1
-            else:
-                mat[end, col_of[e.index]] = 1
+            (exc_row if end == EXC else mat[end])[col_of[e.index]] = 1
+    rows = tuple(map(tuple, mat)) + (tuple(exc_row),) * tree.multiplicity
     heights = tuple(height(tree, j) for j in cols)
-    d = DecompositionMatrix(tuple(chi_rows + exc_rows), cols, mat,
+    d = DecompositionMatrix(tuple(chi_rows + exc_rows), cols, rows,
                             tree.multiplicity, heights)
-    for j, total in zip(cols, d.collapsed().sum(axis=0)):
+    for j, total in zip(cols, map(sum, zip(*d.collapsed()))):
         if total != 2:
             raise InvalidDecomposition(f"projective P_{j} has {total} ordinary "
                                        f"constituents, not two")
     return d
 
 
-def cartan_matrix(d: DecompositionMatrix) -> np.ndarray:
+def cartan_matrix(d: DecompositionMatrix) -> tuple[tuple[int, ...], ...]:
     """D^T D with the mu exceptional rows each counted."""
-    return d.matrix.T @ d.matrix
+    out = [[0] * len(d.col_edges) for _ in d.col_edges]
+    for row in d.matrix:
+        nonzero = [(c, x) for c, x in enumerate(row) if x]
+        for a, x in nonzero:
+            for b, y in nonzero:
+                out[a][b] += x * y
+    return tuple(map(tuple, out))
 
 
 def height(tree: PlanarBrauerTree, j: int) -> int:
@@ -426,6 +425,47 @@ def _expect(obj, key, types, loc):
     return val
 
 
+def _vertex_items(obj, key, h0, loc):
+    """The entries of the optional {vertex: value} object obj[key]; every
+    key must be the decimal index of a vertex 0..h0-1."""
+    val = obj.get(key)
+    if val is None:
+        return []
+    if not isinstance(val, dict):
+        raise ParseError(f"{loc}.{key}", "expected an object")
+    names = {str(v) for v in range(h0)}
+    for k in val:
+        if k not in names:
+            raise ParseError(f"{loc}.{key}.{k}",
+                             f"names no vertex of a tree with h0 = {h0}")
+    return val.items()
+
+
+_STAR_KEYS = ("d_order", "e_order", "n", "zeta", "zeta_precision")
+
+
+def _check_star(star, series: SeriesDatum, mu: int, r: int, loc: str):
+    """Accept star metadata only as star_tree(d_order, e_order, n, r)
+    records it, on a tree of that star's shape."""
+    if not isinstance(star, dict):
+        raise ParseError(loc, "expected an object")
+    if (sorted(star) != sorted(_STAR_KEYS)
+            or not all(type(star[k]) is int for k in _STAR_KEYS)):
+        raise ParseError(loc, f"expected integer fields {', '.join(_STAR_KEYS)}")
+    if star["e_order"] != series.h0:
+        raise ParseError(loc, f"e_order {star['e_order']} but the tree has "
+                              f"h0 = {series.h0} edges")
+    try:
+        want = star_tree(star["d_order"], star["e_order"], star["n"], r)
+    except (ValueError, ArithmeticError) as exc:
+        raise ParseError(loc, f"not the data of a star tree: {exc}") from exc
+    if dict(want.star_meta) != star:
+        raise ParseError(loc, f"differs from the star tree of these parameters: "
+                              f"{dict(want.star_meta)}")
+    if (want.series, want.multiplicity) != (series, mu):
+        raise ParseError(loc, "the tree does not have the shape of this star")
+
+
 def obj_to_tree(obj: dict, loc: str = "$") -> PlanarBrauerTree:
     if not isinstance(obj, dict):
         raise ParseError(loc, "expected an object")
@@ -448,21 +488,21 @@ def obj_to_tree(obj: dict, loc: str = "$") -> PlanarBrauerTree:
     except InvalidSeries as exc:
         raise ParseError(f"{loc}.branches", str(exc)) from exc
     labels = {}
-    for k, v in (obj.get("labels") or {}).items():
+    for k, v in _vertex_items(obj, "labels", h0, loc):
         if not isinstance(v, str):
             raise ParseError(f"{loc}.labels.{k}", "expected a string")
         labels[int(k)] = v
     annotations = {}
-    for k, v in (obj.get("annotations") or {}).items():
+    for k, v in _vertex_items(obj, "annotations", h0, loc):
         if (not isinstance(v, list) or len(v) != 2
                 or not all(isinstance(x, int) for x in v)):
             raise ParseError(f"{loc}.annotations.{k}", "expected [a, A]")
         annotations[int(k)] = (v[0], v[1])
-    star = obj.get("star")
-    if star is not None and not isinstance(star, dict):
-        raise ParseError(f"{loc}.star", "expected an object")
     if mu < 1:
         raise ParseError(f"{loc}.multiplicity", "must be >= 1")
+    star = obj.get("star")
+    if star is not None:
+        _check_star(star, series, mu, r, f"{loc}.star")
     tree = assemble_tree(series, mu, r, labels=labels, annotations=annotations,
                          star_meta=star)
     stated = obj.get("cyclic_order")

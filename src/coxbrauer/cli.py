@@ -19,6 +19,7 @@ from . import oracle as orc
 from . import selftest as st
 from . import tree_algebra as ta
 from .ell_arith import BadRegime, eigenvalue_table, validate_regime
+from .numtheory import prime_power_split
 from .root_data import (UnsupportedType, coxeter_datum, group_order_poly,
                         parse_type, torus_order_poly)
 
@@ -197,8 +198,7 @@ def _load_tree(args) -> bt.PlanarBrauerTree:
     series, labels = bt.fixture_series(name)
     if name.lower() == "2g2":
         qsq = args.qsq if args.qsq is not None else st.REE_FIXTURE["qsq"]
-        ell = args.ell if args.ell is not None else st.REE_FIXTURE["ell"]
-        ctx = validate_regime(coxeter_datum(parse_type("2G2")), qsq, ell)
+        ctx = validate_regime(coxeter_datum(parse_type("2G2")), qsq, _ree_ell(args))
         return bt.principal_block_tree(ctx, series, labels=labels)
     mu = args.mu if args.mu is not None else 1
     r = args.r if args.r is not None else 1
@@ -218,15 +218,20 @@ def _tree_args(sub, with_field=False):
     sub.add_argument("--out", default="-", help="output path, - for stdout")
 
 
+def _ree_ell(args) -> int:
+    return args.ell if args.ell is not None else st.REE_FIXTURE["ell"]
+
+
 def _field_for(tree, args) -> int:
-    if getattr(args, "field", None):
+    """--field if given; else the ell the tree comes from: the star's
+    (its metadata is checked on load) or the Ree fixture's regime; else 5."""
+    if args.field is not None:
         return args.field
     meta = dict(tree.star_meta or ())
     if meta:
-        from .numtheory import prime_power_split
         return prime_power_split(meta["d_order"])[0]
-    if tree.h0 == 6 and tree.multiplicity == 3:
-        return 19
+    if not args.tree and args.fixture.lower() == "2g2":
+        return _ree_ell(args)
     return 5
 
 
@@ -316,8 +321,8 @@ def _cmd_decmatrix(args) -> int:
     _emit({
         "rows": [f"{kind}{idx}" for kind, idx in d.row_labels],
         "columns": list(d.col_edges),
-        "matrix": d.matrix.tolist(),
-        "cartan": bt.cartan_matrix(d).tolist(),
+        "matrix": [list(r) for r in d.matrix],
+        "cartan": [list(r) for r in bt.cartan_matrix(d)],
         "unitriangular": ok,
         "order": order,
     }, args.out)
@@ -373,13 +378,13 @@ def _cmd_star(args) -> int:
     tree = bt.star_tree(args.d, args.e, args.n)
     d = bt.decomposition_matrix(tree)
     report = {"tree": bt.tree_to_obj(tree),
-              "decomposition": d.matrix.tolist(),
+              "decomposition": [list(r) for r in d.matrix],
               "oracle": None, "match": None}
     code = EXIT_OK
     if args.verify:
         group = orc.MetacyclicGroup(args.d, args.e, args.n)
         oracle_d = orc.brute_decomposition_matrix(group)
-        report["oracle"] = oracle_d.tolist()
+        report["oracle"] = [list(r) for r in oracle_d]
         try:
             report["match"] = orc.verify_star(tree, group, oracle_d)
         except orc.Mismatch as exc:

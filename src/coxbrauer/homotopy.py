@@ -4,9 +4,9 @@ A complex stores, per degree, a formal direct sum of indecomposable
 projectives (a list of quiver vertices) and boundary matrices whose
 entries are algebra elements acting by left multiplication.  Everything
 needed for the derived-equivalence checks is built from this: total Hom
-complexes, the only place where complexes become int64 matrices over
-F_ell, and their cohomology; the cohomology of a complex, read off the Hom
-complexes out of the stalk projectives; Gaussian-elimination trimming of
+complexes, the only place where complexes become sparse scalar matrices
+over F_ell, and their cohomology; the cohomology of a complex, read off the
+Hom complexes out of the stalk projectives; Gaussian-elimination trimming of
 contractible summands; the branch-walking complex attached to each tree
 edge; and the tilting verification for their direct sum (Hom vanishing
 off degree zero, generation, and the endomorphism ring having the
@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from . import linalg
 from .brauer_tree import EXC, PlanarBrauerTree, height, perversity
@@ -378,7 +376,7 @@ class HomComplex:
     def dim(self, n: int) -> int:
         return len(self.basis.get(n, []))
 
-    def matrix(self, n: int) -> np.ndarray:
+    def matrix(self, n: int) -> linalg.SparseMatrix:
         """Scalar matrix of D: Hom^n -> Hom^(n+1), entries in [0, ell)."""
         alg = self.alg
         src = self.basis.get(n, [])
@@ -386,7 +384,7 @@ class HomComplex:
         tgt_index: dict = {}
         for pos, (i, t, s, p) in enumerate(tgt):
             tgt_index.setdefault((i, t, s), {})[p] = pos
-        cells: dict[tuple[int, int], int] = {}
+        rows: list[dict[int, int]] = [{} for _ in tgt]
         sign = -1 if n % 2 else 1
         for col, (i, t_idx, s_idx, p) in enumerate(src):
             f = {p: 1}
@@ -398,7 +396,7 @@ class HomComplex:
                     for q, coeff in img.items():
                         pos = tgt_index.get((i, r_idx, s_idx), {}).get(q)
                         if pos is not None:
-                            cells[pos, col] = cells.get((pos, col), 0) + coeff
+                            rows[pos][col] = rows[pos].get(col, 0) + coeff
             # -(-1)^n f o d1: component at source degree i-1
             d1 = self.cx1.diff(i - 1)
             if d1:
@@ -407,12 +405,9 @@ class HomComplex:
                     for q, coeff in img.items():
                         pos = tgt_index.get((i - 1, t_idx, c_idx), {}).get(q)
                         if pos is not None:
-                            cells[pos, col] = cells.get((pos, col), 0) - sign * coeff
-        mat = np.zeros((len(tgt), len(src)), dtype=np.int64)
-        if cells:
-            rows, cols = zip(*cells)
-            mat[rows, cols] = np.fromiter(cells.values(), np.int64, len(cells)) % alg.ell
-        return mat
+                            rows[pos][col] = rows[pos].get(col, 0) - sign * coeff
+        return linalg.SparseMatrix((len(tgt), len(src)), [
+            {c: v for c, x in row.items() if (v := x % alg.ell)} for row in rows])
 
     def rank(self, n: int) -> int:
         """Rank of D: Hom^n -> Hom^(n+1), computed once per degree; an
@@ -513,11 +508,11 @@ def check_tilting(alg: TreeAlgebra, tree: PlanarBrauerTree,
 def perversity_report(tree: PlanarBrauerTree) -> dict:
     """Heights, concentration degrees and the height filtration.
 
-    For edge S_j of height hg the branch complex sits in degree
-    r + hg = 2r - i = -p(i) where i = r - hg and p(i) = i - 2r.  The
-    filtration sets F_i = {S : hg(S) <= r - i} for i = 0..r are nested by
-    construction; they exhaust the simples exactly when every height is at
-    most r.
+    For edge S_j of height hg the branch complex has its top cohomology in
+    degree r + hg (selftest criterion 12 computes it); with i = r - hg that
+    is -p(i) for the perversity p(i) = i - 2r.  The filtration sets
+    F_i = {S : hg(S) <= r - i} for i = 0..r are nested by construction;
+    they exhaust the simples exactly when every height is at most r.
     """
     r = tree.r
     rows = []
@@ -530,7 +525,6 @@ def perversity_report(tree: PlanarBrauerTree) -> dict:
             "degree": r + hg,
             "filtration_index": i,
             "perversity": perversity(tree, i),
-            "degree_matches": r + hg == 2 * r - i == -perversity(tree, i),
         })
     filtration = []
     for i in range(r + 1):

@@ -7,18 +7,38 @@ nothing uses floating point.
 from __future__ import annotations
 
 
+# The first 13 primes.  Miller-Rabin with these bases is exact for every
+# n below MILLER_RABIN_BOUND (Sorenson and Webster, Math. Comp. 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MILLER_RABIN_BOUND = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; raises ValueError from
+    MILLER_RABIN_BOUND (about 3.3e24) on, where the bases stop being
+    exact."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    if n >= MILLER_RABIN_BOUND:
+        raise ValueError(f"{n} is too large for the primality test "
+                         f"(exact below {MILLER_RABIN_BOUND})")
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -38,13 +58,32 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
+def integer_root(n: int, k: int) -> int:
+    """floor(n ** (1/k)) for n >= 0 and k >= 1, by Newton's method from above."""
+    if n < 2 or k == 1:
+        return n
+    x = 1 << -(-n.bit_length() // k)        # 2^ceil(bits/k) > the root
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
 def prime_power_split(n: int) -> tuple[int, int] | None:
-    """Return (p, k) with n = p**k and p prime, or None."""
-    f = factorize(n)
-    if len(f) != 1:
+    """Return (p, k) with n = p**k and p prime, or None.
+
+    If n = p**k, the largest k for which n is a perfect k-th power is that
+    k, so the exponents are tried from the top down and the first perfect
+    power decides.
+    """
+    if n < 2:
         return None
-    p, k = next(iter(f.items()))
-    return p, k
+    for k in range(n.bit_length(), 0, -1):
+        root = integer_root(n, k)
+        if root ** k == n:
+            return (root, k) if is_prime(root) else None
+    return None
 
 
 def valuation(n: int, p: int) -> int:

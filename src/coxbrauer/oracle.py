@@ -21,8 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-import numpy as np
-
 from . import linalg
 from .brauer_tree import PlanarBrauerTree, decomposition_matrix
 from .cyclotomic import power_basis
@@ -215,7 +213,7 @@ def character_table(g: MetacyclicGroup) -> CharacterTable:
     return table
 
 
-def brute_decomposition_matrix(g: MetacyclicGroup) -> np.ndarray:
+def brute_decomposition_matrix(g: MetacyclicGroup) -> tuple[tuple[int, ...], ...]:
     """Decomposition matrix by restriction to the ell-regular classes.
 
     The Brauer characters are the m linear characters of E lifted through
@@ -237,18 +235,18 @@ def brute_decomposition_matrix(g: MetacyclicGroup) -> np.ndarray:
     aug = [[pow(zeta.value, j * b, mod) for j in range(m)]
            + [_reduce_value(row[cls_idx], g, zeta) for row in table.values]
            for cls_idx, b in zip(reg, exps)]
-    reduced, pivots = linalg.rref_mod_prime(np.array(aug, dtype=np.int64), g.ell, mod)
+    reduced, pivots = linalg.rref_mod_prime(linalg.SparseMatrix.from_dense(aug),
+                                            g.ell, mod)
     if pivots[:m] != list(range(m)):
         raise SingularSystem("Brauer character matrix not invertible")
-    sol = reduced[:, m:].T
     # decomposition numbers are small nonnegative integers
-    out = np.where(sol <= mod // 2, sol, sol - mod).astype(int)
-    bad = np.argwhere((out != 0) & (out != 1))
-    if bad.size:
-        i, j = (int(x) for x in bad[0])
-        raise Mismatch(f"unexpected decomposition number {int(out[i, j])}",
-                       cell=(i, j))
-    return out
+    sol = [[x if x <= mod // 2 else x - mod for x in col]
+           for col in zip(*(row[m:] for row in reduced.tolist()))]
+    for i, row in enumerate(sol):
+        for j, x in enumerate(row):
+            if x not in (0, 1):
+                raise Mismatch(f"unexpected decomposition number {x}", cell=(i, j))
+    return tuple(map(tuple, sol))
 
 
 def _reduce_value(val: dict[int, int], g: MetacyclicGroup,
@@ -274,7 +272,7 @@ def _reduce_value(val: dict[int, int], g: MetacyclicGroup,
 
 
 def verify_star(tree: PlanarBrauerTree, g: MetacyclicGroup,
-                oracle_d: np.ndarray) -> bool:
+                oracle_d: tuple[tuple[int, ...], ...]) -> bool:
     """Cell-exact comparison of the star tree against the oracle.
 
     oracle_d is brute_decomposition_matrix(g), computed once by the caller.
@@ -295,13 +293,14 @@ def verify_star(tree: PlanarBrauerTree, g: MetacyclicGroup,
         raise Mismatch(f"zeta lift differs: tree {meta.get('zeta')}, "
                        f"oracle {zeta.value}")
     tree_d = decomposition_matrix(tree).matrix
-    if tree_d.shape != oracle_d.shape:
-        raise Mismatch(f"decomposition shapes differ: tree {tree_d.shape}, "
-                       f"oracle {oracle_d.shape}")
-    for i in range(tree_d.shape[0]):
-        for j in range(tree_d.shape[1]):
-            if int(tree_d[i, j]) != int(oracle_d[i, j]):
-                raise Mismatch(
-                    f"decomposition entries differ: tree {int(tree_d[i, j])}, "
-                    f"oracle {int(oracle_d[i, j])}", cell=(i, j))
+    tree_shape = (len(tree_d), len(tree_d[0]) if tree_d else 0)
+    oracle_shape = (len(oracle_d), len(oracle_d[0]) if oracle_d else 0)
+    if tree_shape != oracle_shape:
+        raise Mismatch(f"decomposition shapes differ: tree {tree_shape}, "
+                       f"oracle {oracle_shape}")
+    for i, (tree_row, oracle_row) in enumerate(zip(tree_d, oracle_d)):
+        for j, (x, y) in enumerate(zip(tree_row, oracle_row)):
+            if x != y:
+                raise Mismatch(f"decomposition entries differ: tree {x}, "
+                               f"oracle {y}", cell=(i, j))
     return True

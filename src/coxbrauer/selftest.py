@@ -13,8 +13,6 @@ import random
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import brauer_tree as bt
 from . import homotopy as ho
 from . import oracle as orc
@@ -173,8 +171,8 @@ def check_star_oracle() -> tuple[bool, str]:
         g = orc.MetacyclicGroup(d, e, n)
         oracle[d, e, n] = orc.brute_decomposition_matrix(g)
         orc.verify_star(bt.star_tree(d, e, n), g, oracle[d, e, n])
-    want = np.vstack([np.eye(3, dtype=int), np.ones((2, 3), dtype=int)])
-    ok = np.array_equal(oracle[7, 3, 2], want)
+    want = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 1, 1))
+    ok = oracle[7, 3, 2] == want
     return ok, "verify_star cell-exact on (7,3,2), (7,3,4), (49,3,18)"
 
 
@@ -184,11 +182,10 @@ def check_algebra_dims() -> tuple[bool, str]:
     tree = bt.star_tree(7, 3, 2)
     alg = ta.from_tree(tree, 7)
     cartan = bt.cartan_matrix(bt.decomposition_matrix(tree))
-    want = np.array([[3, 2, 2], [2, 3, 2], [2, 2, 3]])
-    hom_grid = np.array([[len(ta.hom_space(alg, i, j)) for j in range(3)]
-                         for i in range(3)])
-    ok = (alg.dim == 21 and np.array_equal(cartan, want)
-          and np.array_equal(hom_grid, want))
+    want = ((3, 2, 2), (2, 3, 2), (2, 2, 3))
+    hom_grid = tuple(tuple(len(ta.hom_space(alg, i, j)) for j in range(3))
+                     for i in range(3))
+    ok = alg.dim == 21 and cartan == want and hom_grid == want
     return ok, f"dim {alg.dim} = |D x| E|; Cartan == D^T D == Hom grid"
 
 
@@ -313,20 +310,37 @@ def check_trimming() -> tuple[bool, str]:
     return True, "200 padded complexes trim back with identical Hom dimensions"
 
 
+def top_cohomology_degree(cx: ho.ProjComplex) -> int | None:
+    """The highest degree with nonzero cohomology, None for an acyclic complex."""
+    return max(ho.cohomology(cx), default=None)
+
+
 def check_perversity_unitriangular() -> tuple[bool, str]:
     trees = random_trees() + line_trees() + [_ree_tree()]
+    complexes = 0
     for tree in trees:
         d = bt.decomposition_matrix(tree)
         ok, _ = bt.check_unitriangular(d)
         if not ok:
             return False, f"height ordering not unitriangular on {tree.series}"
-        report = ho.perversity_report(tree)
-        for row in report["rows"]:
-            if row["degree"] != tree.r + bt.height(tree, row["edge"]):
-                return False, f"degree mismatch at edge {row['edge']}"
-            if not row["degree_matches"]:
-                return False, f"perversity identity fails at edge {row['edge']}"
-    return True, f"{len(trees)} trees: unitriangular and degree = r + height"
+        alg = ta.from_tree(tree, 31)
+        for row in ho.perversity_report(tree)["rows"]:
+            top = top_cohomology_degree(ho.rickard_complex(alg, tree, row["edge"]))
+            if top != row["degree"]:
+                return False, (f"top cohomology of the branch complex of edge "
+                               f"{row['edge']} in degree {top}, not r + height "
+                               f"= {row['degree']} on {tree.series}")
+            complexes += 1
+    # negative control: one more term above the top moves the top degree
+    tree = _ree_tree()
+    alg = ta.from_tree(tree, 31)
+    cx = ho.rickard_complex(alg, tree, 1)
+    top = top_cohomology_degree(cx)
+    extra = ho.direct_sum([cx, ho.ProjComplex(alg, top + 1, [[0]])])
+    if top_cohomology_degree(extra) == tree.r + bt.height(tree, 1):
+        return False, "an extra term above the top degree was not detected"
+    return True, (f"{len(trees)} trees unitriangular; top cohomology of all "
+                  f"{complexes} branch complexes in degree r + height")
 
 
 CRITERIA = [

@@ -67,8 +67,8 @@ class TreeAlgebra:
 
     def __init__(self, tree: PlanarBrauerTree, ell: int):
         if ell >= linalg.MAX_MODULUS:
-            raise ValueError(f"field order {ell} is not below 2^31, the limit "
-                             f"of the exact int64 elimination kernel")
+            raise ValueError(f"field order {ell} is not below 2^31, the "
+                             f"supported limit of the elimination kernel")
         if not is_prime(ell):
             raise ValueError(f"field order {ell} is not prime")
         self.tree = tree

@@ -214,3 +214,111 @@ def test_field_beyond_the_kernel_limit(capsys):
                          "--field", "2147483659")
     assert code == 1 and out == ""
     assert "2^31" in err
+
+
+def line3_obj(capsys, **extra):
+    code, obj = run_json(capsys, "tree", "--fixture", "line3")
+    assert code == 0
+    return {**obj, **extra}
+
+
+def run_tree_obj(capsys, tmp_path, command, obj, *argv):
+    path = tmp_path / "tree.json"
+    path.write_text(json.dumps(obj))
+    return run(capsys, command, "--tree", str(path), *argv)
+
+
+def test_label_on_a_missing_vertex_is_rejected(tmp_path, capsys):
+    obj = line3_obj(capsys, labels={"7": "ghost"})
+    code, out, err = run_tree_obj(capsys, tmp_path, "tree", obj)
+    assert code == 1 and out == ""
+    assert "$.labels.7: names no vertex of a tree with h0 = 3" in err
+
+
+def test_label_key_that_is_not_an_index_is_rejected(tmp_path, capsys):
+    obj = line3_obj(capsys, labels={"x": "ghost"})
+    code, out, err = run_tree_obj(capsys, tmp_path, "tree", obj)
+    assert code == 1 and out == ""
+    assert "$.labels.x: names no vertex" in err
+
+
+def test_annotation_on_a_missing_vertex_is_rejected(tmp_path, capsys):
+    obj = line3_obj(capsys, annotations={"3": [0, 0]})
+    code, out, err = run_tree_obj(capsys, tmp_path, "decmatrix", obj)
+    assert code == 1 and out == ""
+    assert "$.annotations.3: names no vertex" in err
+
+
+def test_star_metadata_on_a_line_tree_is_rejected(tmp_path, capsys):
+    # used to make `algebra` report field 7
+    obj = line3_obj(capsys, star={"d_order": 7})
+    code, out, err = run_tree_obj(capsys, tmp_path, "algebra", obj)
+    assert code == 1 and out == ""
+    assert "$.star: " in err
+
+
+def test_star_metadata_of_no_star_is_rejected(tmp_path, capsys):
+    # used to crash `algebra` with a TypeError traceback
+    obj = line3_obj(capsys, star={"d_order": 12})
+    code, out, err = run_tree_obj(capsys, tmp_path, "algebra", obj)
+    assert code == 1 and out == ""
+    assert "$.star: " in err
+    # complete, but |D| = 12 is no prime power
+    obj = line3_obj(capsys, star={"d_order": 12, "e_order": 3, "n": 2,
+                                  "zeta": 2, "zeta_precision": 2})
+    code, out, err = run_tree_obj(capsys, tmp_path, "algebra", obj)
+    assert code == 1 and "$.star: not the data of a star tree" in err
+
+
+def test_star_metadata_must_match_the_tree(tmp_path, capsys):
+    code, obj = run_json(capsys, "star", "--d", "7", "--e", "3", "--n", "2")
+    tree = obj["tree"]
+    # another action exponent: the zeta lift in the metadata no longer fits
+    code, out, err = run_tree_obj(capsys, tmp_path, "algebra",
+                                  {**tree, "star": {**tree["star"], "n": 4}})
+    assert code == 1 and "$.star: differs from the star tree" in err
+    # the star of the metadata has mu = 2, this tree mu = 1
+    code, out, err = run_tree_obj(capsys, tmp_path, "algebra",
+                                  {**tree, "multiplicity": 1})
+    assert code == 1 and "$.star: the tree does not have the shape" in err
+
+
+def test_star_tree_takes_its_field_from_d(tmp_path, capsys):
+    code, obj = run_json(capsys, "star", "--d", "49", "--e", "3", "--n", "18")
+    code, out, err = run_tree_obj(capsys, tmp_path, "algebra", obj["tree"])
+    assert code == 0 and json.loads(out)["field"] == 7
+
+
+def test_field_is_not_guessed_from_the_shape(tmp_path, capsys):
+    # the Ree fixture works over F_19, the ell of its regime, or over --ell
+    code, obj = run_json(capsys, "algebra", "--fixture", "2g2")
+    assert code == 0 and obj["field"] == 19
+    code, obj = run_json(capsys, "algebra", "--fixture", "2g2", "--field", "31")
+    assert code == 0 and obj["field"] == 31
+    # the same tree read from JSON carries no regime: F_5 unless --field
+    code, tree = run_json(capsys, "tree", "--fixture", "2g2")
+    code, out, _ = run_tree_obj(capsys, tmp_path, "algebra", tree)
+    assert code == 0 and json.loads(out)["field"] == 5
+    code, out, _ = run_tree_obj(capsys, tmp_path, "algebra", tree, "--field", "19")
+    assert code == 0 and json.loads(out)["field"] == 19
+
+
+def test_field_zero_is_refused(capsys):
+    code, out, err = run(capsys, "algebra", "--fixture", "line3", "--field", "0")
+    assert code == 1 and out == "" and "not prime" in err
+
+
+def test_validate_with_a_61_bit_ell_is_quick(capsys):
+    import time
+    start = time.perf_counter()
+    code, obj = run_json(capsys, "validate", "--type", "A", "--rank", "1",
+                         "--qsq", "2", "--ell", "2305843009213693951")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and obj["valid"] is False
+    assert obj["reason"].startswith("NotDividing")
+
+
+def test_validate_beyond_the_primality_bound_is_an_error(capsys):
+    code, out, err = run(capsys, "validate", "--type", "A", "--rank", "1",
+                         "--qsq", "2", "--ell", str(10 ** 30 + 57))
+    assert code == 1 and out == "" and "too large" in err

@@ -139,12 +139,12 @@ def test_hom_complex_dims():
     cartan = bt.cartan_matrix(bt.decomposition_matrix(tree))
     c0 = ho.rickard_complex(alg, tree, 0)
     hc = ho.HomComplex(c0, c0)
-    assert hc.dim(0) == cartan[0, 0]
+    assert hc.dim(0) == cartan[0][0]
     c1 = ho.rickard_complex(alg, tree, 1)
     hc01 = ho.HomComplex(c0, c1)
     # Hom^0 = Hom(P0, P0), Hom^1 = Hom(P0, P1)
-    assert hc01.dim(0) == cartan[0, 0]
-    assert hc01.dim(1) == cartan[0, 1]
+    assert hc01.dim(0) == cartan[0][0]
+    assert hc01.dim(1) == cartan[0][1]
 
 
 def test_hom_complex_shift():
@@ -225,7 +225,32 @@ def test_perversity_report_ree():
     rep = ho.perversity_report(tree)
     assert sorted(row["degree"] for row in rep["rows"]) == [1, 1, 1, 1, 1, 2]
     assert rep["exhaustive"] and rep["monotone"]
-    assert all(row["degree_matches"] for row in rep["rows"])
+
+
+def test_top_cohomology_sits_in_degree_r_plus_height():
+    from coxbrauer.selftest import top_cohomology_degree
+    for tree, alg in (ree(), line(4, 2, r=2, ell=31)):
+        for j in alg.vertices:
+            cx = ho.rickard_complex(alg, tree, j)
+            top = top_cohomology_degree(cx)
+            assert top == tree.r + bt.height(tree, j)
+            # negative control: one more term above the top moves it up
+            extra = ho.direct_sum([cx, ho.ProjComplex(alg, top + 1, [[j]])])
+            assert top_cohomology_degree(extra) == top + 1
+
+
+def test_criterion_12_fails_when_the_degree_is_not_the_computed_one(monkeypatch):
+    from coxbrauer import selftest as st
+    real = ho.perversity_report
+
+    def shifted(tree):
+        rep = real(tree)
+        rep["rows"][-1]["degree"] += 1
+        return rep
+
+    monkeypatch.setattr(ho, "perversity_report", shifted)
+    ok, detail = st.check_perversity_unitriangular()
+    assert not ok and "top cohomology" in detail
 
 
 def test_hom_complex_differential_squares_to_zero():

@@ -1,10 +1,11 @@
-"""The int64 elimination kernel against a pure-Python reference, over
-GF(p) and over Z/p^N."""
+"""The sparse elimination kernel against a pure-Python dense reference,
+over GF(p) and over Z/p^N."""
 
 import random
+import subprocess
+import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from coxbrauer import linalg
@@ -51,27 +52,54 @@ def random_matrix(rng, p, rows, cols, rank=None):
              for j in range(cols)] for i in range(rows)]
 
 
+def sparse_fill_in_matrix(rng, modulus, rows, cols):
+    """2 or 3 nonzeros per column, with some columns repeated verbatim or
+    as multiples, so eliminating one column fills in others."""
+    out = [[0] * cols for _ in range(rows)]
+    for c in range(cols):
+        if c and rng.random() < 0.3:
+            src, k = rng.randrange(c), rng.randrange(1, modulus)
+            for row in out:
+                row[c] = row[src] * k % modulus
+            continue
+        for r in rng.sample(range(rows), min(rows, rng.randint(2, 3))):
+            out[r][c] = rng.randrange(1, modulus)
+    return out
+
+
 def cases(p):
     rng = random.Random(p)
     for _ in range(12):
         rows, cols = rng.randint(1, 9), rng.randint(1, 9)
         yield random_matrix(rng, p, rows, cols)
         yield random_matrix(rng, p, rows, cols, rank=rng.randint(0, min(rows, cols) - 1))
+    for _ in range(12):
+        rows, cols = rng.randint(3, 24), rng.randint(3, 24)
+        yield sparse_fill_in_matrix(rng, p, rows, cols)
     yield [[0] * 4 for _ in range(3)]
+
+
+def check_against_reference(rows, p, modulus=None):
+    want, want_pivots = reference_rref(rows, p, modulus)
+    a = linalg.SparseMatrix.from_dense(rows)
+    before = [dict(row) for row in a.rows]
+    got, pivots = linalg.rref_mod_prime(a, p, modulus)
+    assert a.rows == before                     # the input is not modified
+    assert pivots == want_pivots
+    assert got.shape == a.shape
+    assert got.tolist() == want
+    # only nonzero entries are stored, all in [0, modulus)
+    assert all(0 < x < (modulus or p) for row in got.rows for x in row.values())
 
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_rref_matches_reference(p):
     for rows in cases(p):
-        want, want_pivots = reference_rref(rows, p)
-        reduced = [[x % p for x in row] for row in rows]
-        # object arrays of unreduced Python ints, and int64 arrays
-        for mat in (np.array(rows, dtype=object), np.array(reduced, dtype=np.int64)):
-            got, pivots = linalg.rref_mod_prime(mat, p)
-            assert got.dtype == np.int64
-            assert pivots == want_pivots
-            assert got.tolist() == want
-            assert linalg.rank_mod_prime(mat, p) == len(want_pivots)
+        # unreduced Python ints, and their residues
+        for mat in (rows, [[x % p for x in row] for row in rows]):
+            check_against_reference(mat, p)
+            assert (linalg.rank_mod_prime(linalg.SparseMatrix.from_dense(mat), p)
+                    == len(reference_rref(mat, p)[1]))
 
 
 @pytest.mark.parametrize("p, modulus", PRIME_POWERS)
@@ -81,48 +109,79 @@ def test_rref_over_prime_powers_matches_reference(p, modulus):
     for _ in range(12):
         rows, cols = rng.randint(1, 9), rng.randint(1, 9)
         mats.append(random_matrix(rng, modulus, rows, cols))
+        rows, cols = rng.randint(3, 24), rng.randint(3, 24)
+        mats.append(sparse_fill_in_matrix(rng, modulus, rows, cols))
     # a leading column of non-units, nonzero mod the modulus, is skipped
     # but must still be reduced by the later pivots
     mats += [[[p * x for x in row[:1]] + row[1:] for row in rows] for rows in mats]
     for rows in mats:
-        want, want_pivots = reference_rref(rows, p, modulus)
-        got, pivots = linalg.rref_mod_prime(np.array(rows, dtype=object), p, modulus)
-        assert got.dtype == np.int64
-        assert pivots == want_pivots
-        assert got.tolist() == want
-    got, pivots = linalg.rref_mod_prime(np.array([[7, 1], [14, 3]]), 7, 49)
+        check_against_reference(rows, p, modulus)
+    got, pivots = linalg.rref_mod_prime(
+        linalg.SparseMatrix.from_dense([[7, 1], [14, 3]]), 7, 49)
     assert pivots == [1] and got.tolist() == [[7, 1], [42, 0]]
+
+
+def test_row_operations_that_cancel_non_units_drop_the_entry():
+    # over Z/49, 7 * 7 = 0: eliminating column 1 meets a cell whose update
+    # is zero although the cell was empty, and a cell that cancels exactly
+    got, pivots = linalg.rref_mod_prime(
+        linalg.SparseMatrix.from_dense([[7, 1, 0], [0, 7, 1], [7, 0, 7]]), 7, 49)
+    want, want_pivots = reference_rref([[7, 1, 0], [0, 7, 1], [7, 0, 7]], 7, 49)
+    assert pivots == want_pivots and got.tolist() == want
+    assert all(x for row in got.rows for x in row.values())
+
+
+def test_dense_round_trip():
+    rows = [[0, 3, 0], [0, 0, 0], [5, 0, 1]]
+    a = linalg.SparseMatrix.from_dense(rows)
+    assert a.shape == (3, 3)
+    assert a.rows == [{1: 3}, {}, {0: 5, 2: 1}]
+    assert a.tolist() == rows
 
 
 @pytest.mark.parametrize("p", PRIMES)
 @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
 def test_rref_of_empty_matrices(p, shape):
-    got, pivots = linalg.rref_mod_prime(np.zeros(shape, dtype=np.int64), p)
+    a = linalg.SparseMatrix(shape, [{} for _ in range(shape[0])])
+    got, pivots = linalg.rref_mod_prime(a, p)
     assert got.shape == shape and pivots == []
+    assert got.tolist() == [[]] * shape[0]
+
+
+SQUARE = linalg.SparseMatrix.from_dense([[1, 2], [3, 4]])
 
 
 @pytest.mark.parametrize("p", [2 ** 31, 2 ** 31 + 11, 2 ** 61 - 1, 1, 0, -7])
 def test_rref_rejects_moduli_outside_the_kernel(p):
     with pytest.raises(ValueError, match="2\\^31"):
-        linalg.rref_mod_prime(np.array([[1, 2], [3, 4]], dtype=object), p)
+        linalg.rref_mod_prime(SQUARE, p)
 
 
 @pytest.mark.parametrize("p, modulus", [(7, 98), (7, 14), (5, 7), (4, 8), (7, 5)])
 def test_rref_rejects_moduli_that_are_not_powers_of_p(p, modulus):
     with pytest.raises(ValueError, match="power of|p <= modulus"):
-        linalg.rref_mod_prime(np.array([[1, 2], [3, 4]], dtype=object), p, modulus)
+        linalg.rref_mod_prime(SQUARE, p, modulus)
 
 
 @pytest.mark.parametrize("p, modulus", [(2, 2 ** 31), (3, 3 ** 20), (46349, 46349 ** 2)])
 def test_rref_rejects_prime_powers_from_2_31(p, modulus):
     with pytest.raises(ValueError, match="2\\^31"):
-        linalg.rref_mod_prime(np.array([[1, 2], [3, 4]], dtype=object), p, modulus)
+        linalg.rref_mod_prime(SQUARE, p, modulus)
 
 
-def test_no_object_dtype_matrices_in_the_package():
-    # every matrix the package builds is int64; object arrays of Python ints
-    # are accepted by the kernel but made nowhere in the package
+def test_no_numpy_import_in_the_package():
     src = Path(linalg.__file__).parent
     offenders = [f.name for f in sorted(src.glob("**/*.py"))
-                 if "dtype=object" in f.read_text(encoding="utf-8")]
+                 if any(line.lstrip().startswith(("import numpy", "from numpy"))
+                        for line in f.read_text(encoding="utf-8").splitlines())]
     assert offenders == []
+
+
+def test_importing_the_cli_does_not_load_numpy():
+    src = str(Path(linalg.__file__).parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; sys.path.insert(0, sys.argv[1]); import coxbrauer.cli; "
+         "print('numpy' in sys.modules)", src],
+        capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"

@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from coxbrauer import brauer_tree as bt
@@ -47,21 +46,17 @@ def test_orthogonality_detects_corruption():
 
 def test_brute_decomposition_7_3_2():
     d = orc.brute_decomposition_matrix(orc.MetacyclicGroup(7, 3, 2))
-    want = np.vstack([np.eye(3, dtype=int), np.ones((2, 3), dtype=int)])
-    assert np.array_equal(d, want)
+    assert d == ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 1, 1))
 
 
 def test_brute_decomposition_trivial_e():
     d = orc.brute_decomposition_matrix(orc.MetacyclicGroup(7, 1, 1))
-    assert d.shape == (7, 1)
-    assert (d == 1).all()
+    assert d == ((1,),) * 7
 
 
 def test_brute_decomposition_49():
     d = orc.brute_decomposition_matrix(orc.MetacyclicGroup(49, 3, 18))
-    assert d.shape == (19, 3)
-    assert np.array_equal(d[:3], np.eye(3, dtype=int))
-    assert (d[3:] == 1).all()
+    assert d == ((1, 0, 0), (0, 1, 0), (0, 0, 1)) + ((1, 1, 1),) * 16
 
 
 def test_singular_brauer_matrix_raises(monkeypatch):
@@ -73,15 +68,32 @@ def test_singular_brauer_matrix_raises(monkeypatch):
         orc.brute_decomposition_matrix(orc.MetacyclicGroup(7, 3, 2))
 
 
+def test_decomposition_number_outside_0_1_is_a_mismatch(monkeypatch):
+    # doubling the ordinary character ind1 (row 3) doubles its solution row,
+    # (1, 1, 1) -> (2, 2, 2); the rows above stay 0/1, so the first bad
+    # cell is (3, 0)
+    real = orc.character_table
+
+    def doubled(g):
+        table = real(g)
+        table.values[3] = [{k: 2 * c for k, c in v.items()} for v in table.values[3]]
+        return table
+
+    monkeypatch.setattr(orc, "character_table", doubled)
+    with pytest.raises(orc.Mismatch, match="unexpected decomposition number 2") as err:
+        orc.brute_decomposition_matrix(orc.MetacyclicGroup(7, 3, 2))
+    assert err.value.cell == (3, 0)
+
+
 def test_dec_transpose_equals_cartan():
     for d_order, e_order, n in [(7, 3, 2), (49, 3, 18), (11, 5, 3)]:
         g = orc.MetacyclicGroup(d_order, e_order, n)
         d = orc.brute_decomposition_matrix(g)
         alg = ta.from_tree(bt.star_tree(d_order, e_order, n), g.ell)
         cols = sorted(alg.vertices)
-        cartan = np.array([[len(ta.hom_space(alg, i, j)) for j in cols]
-                           for i in cols])
-        assert np.array_equal(d.T @ d, cartan)
+        cartan = [[len(ta.hom_space(alg, i, j)) for j in cols] for i in cols]
+        dtd = [[sum(row[a] * row[b] for row in d) for b in cols] for a in cols]
+        assert dtd == cartan
 
 
 def test_exceptional_count_matches_multiplicity():
@@ -110,11 +122,14 @@ def test_verify_star_rotated_numbering():
 
 def test_verify_star_reports_the_differing_cell():
     g = orc.MetacyclicGroup(7, 3, 2)
-    d = orc.brute_decomposition_matrix(g)
-    d[4, 1] = 0
+    d = [list(row) for row in orc.brute_decomposition_matrix(g)]
+    d[4][1] = 0
     with pytest.raises(orc.Mismatch) as err:
-        orc.verify_star(bt.star_tree(7, 3, 2), g, d)
+        orc.verify_star(bt.star_tree(7, 3, 2), g, tuple(map(tuple, d)))
     assert err.value.cell == (4, 1)
+    with pytest.raises(orc.Mismatch, match=r"shapes differ: tree \(5, 3\), "
+                       r"oracle \(4, 3\)"):
+        orc.verify_star(bt.star_tree(7, 3, 2), g, tuple(map(tuple, d[:4])))
 
 
 def test_verify_star_mismatch():

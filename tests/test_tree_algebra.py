@@ -139,7 +139,7 @@ def test_hom_dimensions_match_cartan():
         cols = sorted(alg.vertices)
         for a, i in enumerate(cols):
             for b, j in enumerate(cols):
-                assert len(ta.hom_space(alg, i, j)) == cartan[a, b]
+                assert len(ta.hom_space(alg, i, j)) == cartan[a][b]
 
 
 def test_hom_identity_present():
