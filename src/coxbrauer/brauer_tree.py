@@ -489,13 +489,13 @@ def obj_to_tree(obj: dict, loc: str = "$") -> PlanarBrauerTree:
         raise ParseError(f"{loc}.branches", str(exc)) from exc
     labels = {}
     for k, v in _vertex_items(obj, "labels", h0, loc):
-        if not isinstance(v, str):
-            raise ParseError(f"{loc}.labels.{k}", "expected a string")
+        if not isinstance(v, str) or not v:
+            raise ParseError(f"{loc}.labels.{k}", "expected a nonempty string")
         labels[int(k)] = v
     annotations = {}
     for k, v in _vertex_items(obj, "annotations", h0, loc):
         if (not isinstance(v, list) or len(v) != 2
-                or not all(isinstance(x, int) for x in v)):
+                or not all(type(x) is int for x in v)):
             raise ParseError(f"{loc}.annotations.{k}", "expected [a, A]")
         annotations[int(k)] = (v[0], v[1])
     if mu < 1:
@@ -506,10 +506,11 @@ def obj_to_tree(obj: dict, loc: str = "$") -> PlanarBrauerTree:
     tree = assemble_tree(series, mu, r, labels=labels, annotations=annotations,
                          star_meta=star)
     stated = obj.get("cyclic_order")
-    if stated is not None and tuple(stated) != tree.cyclic_order_at(EXC):
+    order = list(tree.cyclic_order_at(EXC))
+    if stated is not None and not (isinstance(stated, list) and stated == order
+                                   and all(type(x) is int for x in stated)):
         raise ParseError(f"{loc}.cyclic_order",
-                         f"inconsistent with the successor rule, expected "
-                         f"{list(tree.cyclic_order_at(EXC))}")
+                         f"expected the list {order} given by the successor rule")
     return tree
 
 

@@ -368,7 +368,12 @@ def _cmd_rickard(args) -> int:
             report["tilting"] = {"ok": True, "end_dimension": rep.end_dim,
                                  "expected_end_dimension": rep.expected_end_dim}
         except ho.TiltingFailure as exc:
-            report["tilting"] = {"ok": False, "detail": exc.report.summary()}
+            rep = exc.report
+            report["tilting"] = {
+                "ok": False, "detail": rep.summary(),
+                "end_grid": {"labels": rep.labels, "dims": rep.end_grid,
+                             "expected": rep.expected_end_grid},
+                "hom_dims": [list(x) for x in rep.hom_dims]}
             code = EXIT_VERIFICATION
     _emit(report, args.out)
     return code

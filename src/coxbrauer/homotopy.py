@@ -9,8 +9,8 @@ over F_ell, and their cohomology; the cohomology of a complex, read off the
 Hom complexes out of the stalk projectives; Gaussian-elimination trimming of
 contractible summands; the branch-walking complex attached to each tree
 edge; and the tilting verification for their direct sum (Hom vanishing
-off degree zero, generation, and the endomorphism ring having the
-dimension of the star algebra with the same parameters).
+off degree zero, generation, and the degree-zero Hom grid being the
+Cartan matrix of the star algebra with the same parameters).
 """
 
 from __future__ import annotations
@@ -132,6 +132,12 @@ class ProjComplex:
         return range(self.lo, self.lo + len(self.terms))
 
     def check_shapes(self):
+        """Check every boundary entry against the terms, and list the
+        nonzero entries: maps_out[i][c] holds (row, entry) for the maps out
+        of summand c of terms[i], maps_in[i][r] holds (col, entry) for the
+        maps into summand r of terms[i]."""
+        self.maps_out = [[[] for _ in t] for t in self.terms]
+        self.maps_in = [[[] for _ in t] for t in self.terms]
         for i, mat in enumerate(self.diffs):
             d = self.lo + i
             n_tgt = len(self.terms[i + 1]) if i + 1 < len(self.terms) else 0
@@ -154,6 +160,9 @@ class ProjComplex:
                                 f"{col_idx}) holds a path {p} that does not run "
                                 f"from P_{self.terms[i + 1][row_idx]} to "
                                 f"P_{self.terms[i][col_idx]}")
+                    if entry:
+                        self.maps_out[i][col_idx].append((row_idx, entry))
+                        self.maps_in[i + 1][row_idx].append((col_idx, entry))
 
     def check_d_squared(self):
         alg = self.alg
@@ -241,7 +250,8 @@ def cohomology(cx: ProjComplex) -> dict[int, Counter]:
     homs = [(v, HomComplex(ProjComplex(alg, 0, [[v]]), cx)) for v in alg.vertices]
     out: dict[int, Counter] = {}
     for d in cx.degrees():
-        counts = Counter({v: h for v, hc in homs if (h := hc.cohomology_dim(d))})
+        counts = Counter({v: h for v, hc in homs
+                          if hc.dim(d) and (h := hc.cohomology_dim(d))})
         if counts:
             out[d] = counts
     return out
@@ -360,52 +370,54 @@ class HomComplex:
         self.cx1, self.cx2 = cx1, cx2
         self.lo = cx2.lo - cx1.hi
         self.hi = cx2.hi - cx1.lo
-        # Hom(C1^i, C2^j) lands in degree j - i; walking i in order keeps
-        # each basis[n] sorted by source degree
+        # where each vertex sits in C1: vertex -> [(degree, summand)]
+        at: dict[int, list[tuple[int, int]]] = {}
+        for i, term in enumerate(cx1.terms, cx1.lo):
+            for s, v in enumerate(term):
+                at.setdefault(v, []).append((i, s))
+        # Hom(P_v, P_tv) for v in C1^i and tv in C2^j is spanned by the
+        # paths from tv to v and lands in degree j - i
         self.basis: dict[int, list] = {n: [] for n in range(self.lo, self.hi + 1)}
-        for i in cx1.degrees():
-            src = cx1.term(i)
-            for j in cx2.degrees():
-                items = self.basis[j - i]
-                for t_idx, tv in enumerate(cx2.term(j)):
-                    for s_idx, sv in enumerate(src):
-                        for p in alg.paths_between.get((tv, sv), ()):
-                            items.append((i, t_idx, s_idx, p))
+        for j, term in enumerate(cx2.terms, cx2.lo):
+            for t, tv in enumerate(term):
+                for v, paths in alg.paths_out[tv]:
+                    for i, s in at.get(v, ()):
+                        items = self.basis[j - i]
+                        for p in paths:
+                            items.append((i, t, s, p))
         self._ranks: dict[int, int] = {}
 
     def dim(self, n: int) -> int:
         return len(self.basis.get(n, []))
 
     def matrix(self, n: int) -> linalg.SparseMatrix:
-        """Scalar matrix of D: Hom^n -> Hom^(n+1), entries in [0, ell)."""
+        """Scalar matrix of D: Hom^n -> Hom^(n+1), entries in [0, ell).
+
+        A basis map f = (left multiplication by p) is pushed through the
+        nonzero boundary entries only, one path composition per term."""
         alg = self.alg
+        compose = alg.compose
+        cx1, cx2 = self.cx1, self.cx2
         src = self.basis.get(n, [])
         tgt = self.basis.get(n + 1, [])
-        tgt_index: dict = {}
-        for pos, (i, t, s, p) in enumerate(tgt):
-            tgt_index.setdefault((i, t, s), {})[p] = pos
+        pos = {b: k for k, b in enumerate(tgt)}
         rows: list[dict[int, int]] = [{} for _ in tgt]
         sign = -1 if n % 2 else 1
-        for col, (i, t_idx, s_idx, p) in enumerate(src):
-            f = {p: 1}
-            # d2 o f: component at source degree i
-            d2 = self.cx2.diff(i + n)
-            if d2:
-                for r_idx in range(len(self.cx2.term(i + n + 1))):
-                    img = alg.elt_mul(d2[r_idx][t_idx], f)
-                    for q, coeff in img.items():
-                        pos = tgt_index.get((i, r_idx, s_idx), {}).get(q)
-                        if pos is not None:
-                            rows[pos][col] = rows[pos].get(col, 0) + coeff
-            # -(-1)^n f o d1: component at source degree i-1
-            d1 = self.cx1.diff(i - 1)
-            if d1:
-                for c_idx in range(len(self.cx1.term(i - 1))):
-                    img = alg.elt_mul(f, d1[s_idx][c_idx])
-                    for q, coeff in img.items():
-                        pos = tgt_index.get((i - 1, t_idx, c_idx), {}).get(q)
-                        if pos is not None:
-                            rows[pos][col] = rows[pos].get(col, 0) - sign * coeff
+        for col, (i, t, s, p) in enumerate(src):
+            # d2 o f: down column t of C2's boundary out of degree i + n
+            for r, entry in cx2.maps_out[i + n - cx2.lo][t]:
+                for q, c in entry.items():
+                    qp = compose(q, p)
+                    if qp is not None:
+                        row = rows[pos[i, r, s, qp]]
+                        row[col] = row.get(col, 0) + c
+            # -(-1)^n f o d1: along row s of C1's boundary into degree i
+            for c_idx, entry in cx1.maps_in[i - cx1.lo][s]:
+                for q, c in entry.items():
+                    pq = compose(p, q)
+                    if pq is not None:
+                        row = rows[pos[i - 1, t, c_idx, pq]]
+                        row[col] = row.get(col, 0) - sign * c
         return linalg.SparseMatrix((len(tgt), len(src)), [
             {c: v for c, x in row.items() if (v := x % alg.ell)} for row in rows])
 
@@ -428,7 +440,8 @@ class HomComplex:
         return h
 
     def all_cohomology(self) -> dict[int, int]:
-        return {n: self.cohomology_dim(n) for n in range(self.lo, self.hi + 1)}
+        """H^n for every degree where Hom^n is not empty (elsewhere it is 0)."""
+        return {n: self.cohomology_dim(n) for n, b in self.basis.items() if b}
 
 
 def homotopy_hom(cx1: ProjComplex, cx2: ProjComplex, i: int) -> int:
@@ -446,6 +459,11 @@ class TiltingReport:
     expected_end_dim: int
     hom_failures: list[tuple[int, int, int, int]]   # (j, j', i, dim)
     generation_ok: bool
+    labels: list[int]                               # the complexes, in order
+    end_grid: list[list[int]]           # dim Hom_K(C_a, C_b) in degree 0
+    expected_end_grid: list[list[int]]  # mu + delta_ab: the star Cartan matrix
+    hom_dims: list[tuple[int, int, int, int]]       # (j, j', n, dim) wherever
+                                                    # Hom^n is not empty
 
     def summary(self) -> str:
         if self.ok:
@@ -457,6 +475,12 @@ class TiltingReport:
             parts.append(f"Hom(C_{j}, C_{jp}[{i}]) has dimension {d} != 0")
         if not self.generation_ok:
             parts.append("some projective is missing from the terms")
+        bad = end_grid_mismatches(self.labels, self.end_grid,
+                                  self.expected_end_grid)
+        if bad:
+            j, jp, d, want = bad[0]
+            parts.append(f"Hom(C_{j}, C_{jp}) has dimension {d} != {want} of "
+                         f"the star algebra")
         if self.end_dim != self.expected_end_dim:
             parts.append(f"End dimension {self.end_dim} != star dimension "
                          f"{self.expected_end_dim}")
@@ -468,35 +492,57 @@ def star_algebra_dimension(h0: int, mu: int) -> int:
     return h0 * (h0 * mu + 1)
 
 
+def star_cartan(size: int, mu: int) -> list[list[int]]:
+    """mu + delta_ab: dim Hom(P_a, P_b) in the star algebra with exceptional
+    multiplicity mu."""
+    return [[mu + (a == b) for b in range(size)] for a in range(size)]
+
+
+def end_grid_mismatches(labels: list[int], grid: list[list[int]],
+                        expected: list[list[int]]) -> list[tuple[int, int, int, int]]:
+    """(j, j', dim, expected) for each cell where the grids differ."""
+    return [(labels[a], labels[b], d, expected[a][b])
+            for a, row in enumerate(grid) for b, d in enumerate(row)
+            if d != expected[a][b]]
+
+
 def check_tilting(alg: TreeAlgebra, tree: PlanarBrauerTree,
                   complexes: list[ProjComplex] | None = None) -> TiltingReport:
     """Verify that the direct sum of the branch-walking complexes tilts.
 
     Checks Hom vanishing in all nonzero shifts for every pair, that every
-    indecomposable projective shows up among the terms, and that the total
-    endomorphism dimension equals the dimension of the star algebra with
-    the same h0 and multiplicity.  Raises TiltingFailure on any failure;
-    when complexes are supplied they are verified instead of the canonical
-    family (the negative-control hook).
+    indecomposable projective shows up among the terms, and that the
+    degree-zero Hom grid dim Hom_K(C_a, C_b) is the Cartan matrix
+    mu + delta_ab of the star algebra with the same h0 and multiplicity,
+    so that the endomorphism ring has the star algebra's dimension pair by
+    pair.  Raises TiltingFailure on any failure; when complexes are
+    supplied they are verified instead of the canonical family (the
+    negative-control hook).
     """
     if complexes is None:
         complexes = [rickard_complex(alg, tree, j) for j in sorted(alg.vertices)]
     labels = sorted(alg.vertices)[: len(complexes)]
     failures: list[tuple[int, int, int, int]] = []
-    end_dim = 0
+    hom_dims: list[tuple[int, int, int, int]] = []
+    grid: list[list[int]] = []
     for a_pos, ca in enumerate(complexes):
+        grid.append([])
         for b_pos, cb in enumerate(complexes):
-            hc = HomComplex(ca, cb)
-            for n, h in sorted(hc.all_cohomology().items()):
-                if n == 0:
-                    end_dim += h
-                elif h:
+            coh = HomComplex(ca, cb).all_cohomology()
+            grid[-1].append(coh.get(0, 0))
+            for n, h in sorted(coh.items()):
+                hom_dims.append((labels[a_pos], labels[b_pos], n, h))
+                if n and h:
                     failures.append((labels[a_pos], labels[b_pos], n, h))
     covered = {v for c in complexes for d in c.degrees() for v in c.term(d)}
     generation_ok = covered == set(alg.vertices)
+    expected_grid = star_cartan(len(complexes), tree.multiplicity)
+    end_dim = sum(map(sum, grid))
     expected = star_algebra_dimension(tree.h0, tree.multiplicity)
-    ok = not failures and generation_ok and end_dim == expected
-    report = TiltingReport(ok, end_dim, expected, failures, generation_ok)
+    ok = (not failures and generation_ok and end_dim == expected
+          and not end_grid_mismatches(labels, grid, expected_grid))
+    report = TiltingReport(ok, end_dim, expected, failures, generation_ok,
+                           labels, grid, expected_grid, hom_dims)
     if not ok:
         raise TiltingFailure(report)
     return report

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import linalg
 from .brauer_tree import EXC, PlanarBrauerTree
@@ -39,9 +40,11 @@ class NotComposable(ValueError):
     the second starts."""
 
 
-@dataclass(frozen=True)
-class Path:
-    """A nonzero path class: source edge, kind, node walked around, length."""
+class Path(NamedTuple):
+    """A nonzero path class: source edge, kind, node walked around, length.
+
+    A named tuple, so that the dict lookups of every Hom-complex matrix
+    hash and compare paths in C."""
 
     src: int
     kind: str
@@ -89,13 +92,18 @@ class TreeAlgebra:
         self.arrows = self._enumerate_arrows()
         # lookup tables: the target of every basis path (a cyclic path ends
         # `steps` clockwise steps around its node), the basis paths from src
-        # to tgt in the order of self.paths, and the arrow counts
+        # to tgt in the order of self.paths, the same lists grouped by
+        # source as (tgt, paths) pairs, and the arrow counts
         self._targets = {p: (tree.predecessor_at(p.node, p.src, p.steps)
                              if p.kind == _CYC else p.src)
                          for p in self.paths}
         self.paths_between: dict[tuple[int, int], list[Path]] = {}
         for p in self.paths:
             self.paths_between.setdefault((p.src, self._targets[p]), []).append(p)
+        self.paths_out: dict[int, list[tuple[int, list[Path]]]] = {
+            v: [] for v in self.vertices}
+        for (v, w), ps in self.paths_between.items():
+            self.paths_out[v].append((w, ps))
         self.arrow_counts = Counter((a.src, a.tgt) for a in self.arrows)
 
     # -- construction -----------------------------------------------------
@@ -149,8 +157,8 @@ class TreeAlgebra:
     def compose(self, p: Path, q: Path) -> Path | None:
         """Concatenation p then q (target of p must be the source of q);
         None encodes the zero product."""
-        if self.target(p) != q.src:
-            raise NotComposable(f"{p} ends at {self.target(p)}, {q} starts "
+        if self._targets[p] != q.src:
+            raise NotComposable(f"{p} ends at {self._targets[p]}, {q} starts "
                                 f"at {q.src}")
         if p.kind == _ID:
             return q

@@ -2,11 +2,17 @@
 
 Every capture under tests/golden/ is the stdout of one CLI invocation.
 Refactors and speed-ups must leave all of them byte for byte as they are.
-Regenerate only when a report is meant to change:
+`coxbrauer selftest` reports timings, so only its shape is captured: the
+report with the seconds of each criterion taken out, which keeps the
+criteria names, PASS/FAIL and details.  Regenerate only when a report is
+meant to change:
 
     PYTHONPATH=src python tests/test_golden.py --write
 """
 
+import contextlib
+import io
+import json
 import sys
 from pathlib import Path
 
@@ -51,6 +57,19 @@ CAPTURES = {
                                      "--verify"],
 }
 
+SELFTEST_SHAPE = "selftest_shape.json"
+
+
+def _selftest_shape() -> tuple[int, str]:
+    """Exit code and report of `coxbrauer selftest` without the timings."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(["selftest"])
+    report = json.loads(buf.getvalue())
+    for result in report["results"]:
+        del result["seconds"]
+    return code, json.dumps(report, sort_keys=True, indent=2) + "\n"
+
 
 @pytest.mark.parametrize("name", sorted(CAPTURES))
 def test_report_is_byte_identical(name, capsys):
@@ -60,9 +79,13 @@ def test_report_is_byte_identical(name, capsys):
     assert out == (GOLDEN / name).read_text(encoding="utf-8")
 
 
+def test_selftest_shape_is_byte_identical():
+    code, shape = _selftest_shape()
+    assert code == 0
+    assert shape == (GOLDEN / SELFTEST_SHAPE).read_text(encoding="utf-8")
+
+
 def _write_captures():
-    import contextlib
-    import io
     for name, argv in sorted(CAPTURES.items()):
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
@@ -71,6 +94,11 @@ def _write_captures():
             raise SystemExit(f"{name}: exit code {code}")
         (GOLDEN / name).write_text(buf.getvalue(), encoding="utf-8")
         print(f"wrote {name}")
+    code, shape = _selftest_shape()
+    if code != 0:
+        raise SystemExit(f"{SELFTEST_SHAPE}: exit code {code}")
+    (GOLDEN / SELFTEST_SHAPE).write_text(shape, encoding="utf-8")
+    print(f"wrote {SELFTEST_SHAPE}")
 
 
 if __name__ == "__main__":

@@ -1,10 +1,15 @@
+import contextlib
+import io
+import json
 import random
 from collections import Counter
 
 import pytest
 
 from coxbrauer import brauer_tree as bt
+from coxbrauer import cli
 from coxbrauer import homotopy as ho
+from coxbrauer import linalg
 from coxbrauer import tree_algebra as ta
 from coxbrauer.ell_arith import validate_regime
 from coxbrauer.root_data import coxeter_datum, parse_type
@@ -294,3 +299,225 @@ def test_direct_sum_shapes():
     assert total.term(2) == [1, 1]
     assert total.term(3) == [2]
     assert ho.cohomology(total)[1] == Counter({0: 2})
+
+
+# ---------------------------------------------------------------------------
+# the per-pair End grid
+
+def test_end_grid_is_the_star_cartan_matrix():
+    trees = [line(h0, mu)[0] for h0, mu in ((5, 1), (6, 2), (8, 1))]
+    trees += random_trees(5, seed=404)
+    for tree in trees:
+        alg = ta.from_tree(tree, 31)
+        rep = ho.check_tilting(alg, tree)
+        mu = tree.multiplicity
+        assert rep.end_grid == rep.expected_end_grid == [
+            [mu + (a == b) for b in range(tree.h0)] for a in range(tree.h0)]
+        assert rep.labels == sorted(alg.vertices)
+        # every (j, j', n) with a nonempty Hom^n, zero off degree 0
+        assert {(j, jp) for j, jp, _, _ in rep.hom_dims} == \
+            {(j, jp) for j in rep.labels for jp in rep.labels}
+        assert all(h == 0 for _, _, n, h in rep.hom_dims if n)
+    tree, alg = ree()
+    rep = ho.check_tilting(alg, tree)
+    assert rep.end_grid == ho.star_cartan(6, 3)
+
+
+def test_end_grid_negative_control_keeps_the_total():
+    # one unit moved from a diagonal cell to an off-diagonal one: the total
+    # End dimension is still the star algebra's, one pair is not
+    labels, mu = [0, 1, 2], 1
+    want = ho.star_cartan(3, mu)
+    grid = [row[:] for row in want]
+    grid[1][1] -= 1
+    grid[1][2] += 1
+    assert sum(map(sum, grid)) == ho.star_algebra_dimension(3, mu)
+    assert ho.end_grid_mismatches(labels, grid, want) == [(1, 1, 1, 2),
+                                                          (1, 2, 2, 1)]
+    rep = ho.TiltingReport(False, sum(map(sum, grid)),
+                           ho.star_algebra_dimension(3, mu), [], True,
+                           labels, grid, want, [])
+    assert rep.summary() == ("Hom(C_1, C_1) has dimension 1 != 2 of the star "
+                             "algebra")
+
+
+def test_end_grid_sabotage_is_caught_by_check_tilting(monkeypatch):
+    # the same swap, injected into the degree-0 cohomology of two pairs
+    tree, alg = line(3, 1)
+    fam = [ho.rickard_complex(alg, tree, j) for j in range(3)]
+    real = ho.HomComplex.all_cohomology
+
+    def swapped(self):
+        out = real(self)
+        pair = (fam.index(self.cx1), fam.index(self.cx2))
+        out[0] += {(1, 1): -1, (1, 2): 1}.get(pair, 0)
+        return out
+
+    monkeypatch.setattr(ho.HomComplex, "all_cohomology", swapped)
+    with pytest.raises(ho.TiltingFailure) as err:
+        ho.check_tilting(alg, tree, fam)
+    rep = err.value.report
+    assert rep.end_dim == rep.expected_end_dim
+    assert ho.end_grid_mismatches(rep.labels, rep.end_grid,
+                                  rep.expected_end_grid) == [(1, 1, 1, 2),
+                                                             (1, 2, 2, 1)]
+    assert "Hom(C_1, C_1) has dimension 1 != 2" in rep.summary()
+
+
+def test_failed_tilting_json_carries_both_grids(monkeypatch, capsys):
+    real = ho.check_tilting
+
+    def sabotaged(alg, tree):
+        fam = [ho.rickard_complex(alg, tree, j) for j in sorted(alg.vertices)]
+        fam[1] = ho.ProjComplex(alg, fam[1].lo, [list(t) for t in fam[1].terms],
+                                [[[{}]], []])
+        return real(alg, tree, fam)
+
+    monkeypatch.setattr(ho, "check_tilting", sabotaged)
+    code = cli.main(["rickard", "--fixture", "line3", "--mu", "2",
+                     "--vertex", "2", "--check-tilting"])
+    obj = json.loads(capsys.readouterr().out)["tilting"]
+    assert code == cli.EXIT_VERIFICATION and obj["ok"] is False
+    assert obj["end_grid"]["labels"] == [0, 1, 2]
+    assert obj["end_grid"]["expected"] == ho.star_cartan(3, 2)
+    assert obj["end_grid"]["dims"] != obj["end_grid"]["expected"]
+    assert any(n != 0 and h for _, _, n, h in obj["hom_dims"])
+    assert obj["detail"].startswith("Hom(C_")
+
+
+# ---------------------------------------------------------------------------
+# reference construction of the Hom complex
+
+def _reference_hom(cx1, cx2):
+    """Hom^n and D built the way HomComplex once did: every pair of
+    degrees, and every basis map pushed through elt_mul against every
+    boundary entry in its row or column, zero entries included.  Returns
+    ({n: dim}, {n: rank of D out of degree n})."""
+    alg = cx1.alg
+    lo, hi = cx2.lo - cx1.hi, cx2.hi - cx1.lo
+    basis = {n: [] for n in range(lo, hi + 1)}
+    for i in cx1.degrees():
+        for j in cx2.degrees():
+            for t, tv in enumerate(cx2.term(j)):
+                for s, sv in enumerate(cx1.term(i)):
+                    for p in alg.paths_between.get((tv, sv), ()):
+                        basis[j - i].append((i, t, s, p))
+
+    def rank(n):
+        src, tgt = basis[n], basis.get(n + 1, [])
+        index = {b: k for k, b in enumerate(tgt)}
+        rows = [{} for _ in tgt]
+        sign = -1 if n % 2 else 1
+        for col, (i, t, s, p) in enumerate(src):
+            f = {p: 1}
+            d2 = cx2.diff(i + n)
+            for r in range(len(cx2.term(i + n + 1))):
+                for q, c in alg.elt_mul(d2[r][t], f).items():
+                    k = index[i, r, s, q]
+                    rows[k][col] = rows[k].get(col, 0) + c
+            d1 = cx1.diff(i - 1)
+            for c_idx in range(len(cx1.term(i - 1))):
+                for q, c in alg.elt_mul(f, d1[s][c_idx]).items():
+                    k = index[i - 1, t, c_idx, q]
+                    rows[k][col] = rows[k].get(col, 0) - sign * c
+        return linalg.rank_mod_prime(
+            linalg.SparseMatrix((len(tgt), len(src)), rows), alg.ell)
+
+    return {n: len(b) for n, b in basis.items()}, {n: rank(n) for n in basis}
+
+
+def _padded_mixed(cx, rng, pads):
+    for _ in range(pads):
+        cx = ho.pad_with_contractible(cx, rng.randint(cx.lo - 1, cx.hi),
+                                      rng.choice(cx.alg.vertices))
+    return ho.mix_basis(cx, rng)
+
+
+def _assert_matches_reference(c1, c2):
+    hc = ho.HomComplex(c1, c2)
+    dims, ranks = _reference_hom(c1, c2)
+    assert {n: hc.dim(n) for n in dims} == dims
+    assert {n: hc.rank(n) for n in ranks} == ranks
+
+
+def test_hom_complex_matches_the_reference_construction():
+    rng = random.Random(8191)
+    multi_summand = multi_path = 0
+    for tree in random_trees(6, seed=1618):
+        alg = ta.from_tree(tree, 31)
+        branch = [ho.rickard_complex(alg, tree, j) for j in alg.vertices]
+        for _ in range(2):
+            c1 = _padded_mixed(rng.choice(branch), rng, rng.randint(2, 4))
+            c2 = _padded_mixed(rng.choice(branch), rng, rng.randint(2, 4))
+            for cx in (c1, c2):
+                multi_summand += any(len(t) > 1 for t in cx.terms)
+                multi_path += any(len(e) > 1 for mat in cx.diffs
+                                  for row in mat for e in row)
+            _assert_matches_reference(c1, c2)
+            _assert_matches_reference(c2, c1)
+            _assert_matches_reference(c1, rng.choice(branch))
+    # the inputs do exercise several summands per degree and entries that
+    # are sums of several paths
+    assert multi_summand == 24 and multi_path >= 6
+
+
+def test_hom_complex_matches_the_reference_on_the_ree_tree():
+    rng = random.Random(19)
+    tree, alg = ree()
+    branch = [ho.rickard_complex(alg, tree, j) for j in sorted(alg.vertices)]
+    for c1 in branch:
+        for c2 in branch:
+            _assert_matches_reference(c1, c2)
+    _assert_matches_reference(_padded_mixed(branch[1], rng, 2), branch[0])
+
+
+# ---------------------------------------------------------------------------
+# work counters of one tilting check
+
+def test_tilting_work_counters_line16(monkeypatch):
+    counts = Counter()
+    inside = [0]
+    real_rref = linalg.rref_mod_prime
+
+    def rref(a, *args, **kwargs):
+        counts["rref"] += 1
+        counts["cells"] += a.shape[0] * a.shape[1]
+        return real_rref(a, *args, **kwargs)
+
+    def guarded(method, after=None):
+        def run(self, *args):
+            inside[0] += 1
+            try:
+                out = method(self, *args)
+            finally:
+                inside[0] -= 1
+            if after:
+                after(self)
+            return out
+        return run
+
+    def count_basis(hc):
+        counts["basis"] += sum(len(b) for b in hc.basis.values())
+
+    real_mul = ta.TreeAlgebra.elt_mul
+
+    def elt_mul(self, x, y):
+        counts["elt_mul"] += 1
+        counts["elt_mul_in_hom"] += inside[0] > 0
+        return real_mul(self, x, y)
+
+    monkeypatch.setattr(linalg, "rref_mod_prime", rref)
+    monkeypatch.setattr(ho.HomComplex, "__init__",
+                        guarded(ho.HomComplex.__init__, count_basis))
+    monkeypatch.setattr(ho.HomComplex, "rank", guarded(ho.HomComplex.rank))
+    monkeypatch.setattr(ho.HomComplex, "matrix", guarded(ho.HomComplex.matrix))
+    monkeypatch.setattr(ta.TreeAlgebra, "elt_mul", elt_mul)
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["rickard", "--fixture", "line16", "--mu", "1",
+                         "--field", "31", "--vertex", "3", "--check-tilting"])
+    assert code == 0
+    assert counts["rref"] == 486
+    assert counts["cells"] == 46_252
+    assert counts["basis"] == 5_727
+    # elt_mul serves only the d^2 = 0 checks of the complexes themselves
+    assert counts["elt_mul_in_hom"] == 0 and counts["elt_mul"] > 0
