@@ -105,108 +105,90 @@ class Edge:
     ends: tuple[object, object]   # vertex index or EXC
 
 
-class _TreeIndex:
-    """Dict indices of a tree, built once on first use.
-
-    `order_at` holds the stored cyclic order of every listed node (the
-    first listing wins) and the one-edge order of every unlisted leaf;
-    `position` maps (node, edge) to the place of the edge in that order;
-    `edge_height` is the distance from the exceptional node read off one
-    breadth-first search.
-    """
-
-    def __init__(self, tree: "PlanarBrauerTree"):
-        self.edge: dict[int, Edge] = {}
-        self.edges_at: dict[object, list[int]] = {}
-        for e in tree.edges:
-            self.edge.setdefault(e.index, e)
-            for node in dict.fromkeys(e.ends):
-                self.edges_at.setdefault(node, []).append(e.index)
-        self.vertex: dict[int, ChiVertex] = {}
-        for v in tree.vertices:
-            self.vertex.setdefault(v.index, v)
-        self.order_at: dict[object, tuple[int, ...]] = {}
-        for node, order in tree.cyclic_order:
-            self.order_at.setdefault(node, order)
-        for node, edges in self.edges_at.items():
-            if node not in self.order_at and len(edges) == 1:
-                self.order_at[node] = tuple(edges)
-        self.position: dict[tuple[object, int], int] = {}
-        for node, order in self.order_at.items():
-            for i, j in enumerate(order):
-                self.position.setdefault((node, j), i)
-        self.edge_height = self._edge_heights(tree)
-
-    def _edge_heights(self, tree) -> dict[int, int]:
-        dist, frontier = {EXC: 0}, [EXC]
-        while frontier:
-            nxt = []
-            for node in frontier:
-                for j in self.edges_at.get(node, ()):
-                    for end in self.edge[j].ends:
-                        if end not in dist:
-                            dist[end] = dist[node] + 1
-                            nxt.append(end)
-            frontier = nxt
-        heights = {}
-        for j, e in self.edge.items():
-            reached = [dist[n] for n in e.ends if n in dist]
-            if reached:
-                heights[j] = min(reached)
-        return heights
-
-    def locate(self, node, j: int) -> tuple[tuple[int, ...], int]:
-        """The cyclic order at node and the place of edge j in it; KeyError
-        for an unknown node, ValueError for an edge not at the node."""
-        order = self.order_at[node]
-        i = self.position.get((node, j))
-        if i is None:
-            raise ValueError(f"edge {j} is not in the cyclic order at {node}")
-        return order, i
-
-
 @dataclass(frozen=True)
 class PlanarBrauerTree:
+    """The branches of `series` glued at the exceptional node.
+
+    The series is the only stored shape: every edge, cyclic order and
+    height is read off the branch of an edge index in O(1).
+    """
+
     h0: int
     r: int
     multiplicity: int
     series: SeriesDatum
     vertices: tuple[ChiVertex, ...]
-    edges: tuple[Edge, ...]
-    # node -> anticlockwise tuple of incident edge indices; present for the
-    # exceptional node always and for every vertex of degree >= 2
-    cyclic_order: tuple[tuple[object, tuple[int, ...]], ...]
     star_meta: tuple[tuple[str, int], ...] | None = None
 
     @cached_property
-    def _index(self) -> _TreeIndex:
-        return _TreeIndex(self)
+    def _place(self) -> dict[int, int]:
+        """Edge (or vertex) index j -> place in `series.branches` of the
+        branch [m, M] holding j, which is also the place of S_m in the
+        cyclic order at the exceptional node."""
+        return {j: k for k, b in enumerate(self.series.branches)
+                for j in range(b.m, b.M + 1)}
+
+    @cached_property
+    def _exc_order(self) -> tuple[int, ...]:
+        # the branch starts in increasing order: the successor rule
+        # M + 1 mod h0 visits them so, as the branches partition 0..h0-1
+        return tuple(b.m for b in self.series.branches)
+
+    @cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        return tuple(Edge(j, (EXC, j) if j == b.m else (j - 1, j))
+                     for b in self.series.branches for j in range(b.m, b.M + 1))
+
+    def _order(self, node) -> tuple[int, ...]:
+        """The anticlockwise order at node: the branch starts at the
+        exceptional node, (S_v, S_v+1) at an inner vertex and S_M alone at
+        the last vertex of a branch; KeyError for an unknown node."""
+        if node == EXC:
+            return self._exc_order
+        last = self.series.branches[self._place[node]].M
+        return (node, node + 1) if node < last else (node,)
+
+    def _locate(self, node, j: int) -> tuple[tuple[int, ...], int]:
+        """The order at node and the place of edge j in it; ValueError for
+        an edge not at the node."""
+        order = self._order(node)
+        i = self._place.get(j, -1) if node == EXC else j - node
+        if not (0 <= i < len(order) and order[i] == j):
+            raise ValueError(f"edge {j} is not in the cyclic order at {node}")
+        return order, i
 
     def cyclic_order_at(self, node) -> tuple[int, ...]:
-        return self._index.order_at[node]
+        return self._order(node)
 
     def edges_at(self, node) -> list[int]:
-        return list(self._index.edges_at.get(node, ()))
+        try:
+            return list(self._order(node))
+        except KeyError:
+            return []
 
     def edge(self, j: int) -> Edge:
-        return self._index.edge[j]
+        if j not in self._place:
+            raise KeyError(j)
+        return self.edges[j]
 
     def vertex(self, j: int) -> ChiVertex:
-        return self._index.vertex[j]
+        if j not in self._place:
+            raise KeyError(j)
+        return self.vertices[j]
 
     def edge_indices(self) -> list[int]:
-        return [e.index for e in self.edges]
+        return list(range(self.h0))
 
     def node_multiplicity(self, node) -> int:
         return self.multiplicity if node == EXC else 1
 
     def successor_at(self, node, j: int) -> int:
-        order, i = self._index.locate(node, j)
+        order, i = self._locate(node, j)
         return order[(i + 1) % len(order)]
 
     def predecessor_at(self, node, j: int, steps: int = 1) -> int:
         """The edge `steps` places clockwise of edge j at node."""
-        order, i = self._index.locate(node, j)
+        order, i = self._locate(node, j)
         return order[(i - steps) % len(order)]
 
 
@@ -238,32 +220,9 @@ def assemble_tree(series: SeriesDatum, mu: int, r: int,
         ChiVertex(j, labels.get(j),
                   *(annotations.get(j) or (None, None)))
         for j in range(series.h0))
-    edges = []
-    for b in series.branches:
-        edges.append(Edge(b.m, (EXC, b.m)))
-        for j in range(b.m + 1, b.M + 1):
-            edges.append(Edge(j, (j - 1, j)))
-    edges.sort(key=lambda e: e.index)
-
-    # exceptional cycle by the successor rule, starting at the smallest m
-    by_m = {b.m: b for b in series.branches}
-    start = min(by_m)
-    cycle, b = [], by_m[start]
-    for _ in range(len(series.branches)):
-        cycle.append(b.m)
-        b = by_m[(b.M + 1) % series.h0]
-    if b.m != start or len(set(cycle)) != len(series.branches):
-        raise InvalidSeries("successor rule does not cycle through the branches")
-
-    cyclic: list[tuple[object, tuple[int, ...]]] = [(EXC, tuple(cycle))]
-    for b in series.branches:
-        for j in range(b.m, b.M):
-            # interior vertex chi_j carries edges S_j and S_(j+1)
-            cyclic.append((j, (j, j + 1)))
     meta = tuple(sorted(star_meta.items())) if star_meta else None
     return PlanarBrauerTree(h0=series.h0, r=r, multiplicity=mu, series=series,
-                            vertices=vertices, edges=tuple(edges),
-                            cyclic_order=tuple(cyclic), star_meta=meta)
+                            vertices=vertices, star_meta=meta)
 
 
 def principal_block_tree(ctx: EllContext, series: SeriesDatum,
@@ -359,8 +318,9 @@ def cartan_matrix(d: DecompositionMatrix) -> tuple[tuple[int, ...], ...]:
 
 
 def height(tree: PlanarBrauerTree, j: int) -> int:
-    """Minimal number of edges between the exceptional node and edge S_j."""
-    return tree._index.edge_height[j]
+    """Minimal number of edges between the exceptional node and edge S_j:
+    j - m on the branch [m, M] of j."""
+    return j - tree.series.branches[tree._place[j]].m
 
 
 def perversity(tree: PlanarBrauerTree, i: int) -> int:

@@ -62,9 +62,8 @@ class EllContext:
     """A validated modular regime for one Coxeter datum.
 
     q_mod is an element of F_ell (an int) or of F_ell[t]/(t^2 - nonresidue)
-    (a pair); qdelta_mod = q^delta always lies in the prime field.
-    sqrt_qdelta is the fixed square root of q^delta: a power of q_mod when
-    one exists, otherwise the smaller lift of a Tonelli-Shanks root.
+    (a pair); nonresidue is set exactly when q_mod needs that extension.
+    qdelta_mod = q^delta always lies in the prime field.
     """
 
     datum: CoxeterDatum
@@ -73,7 +72,6 @@ class EllContext:
     q_mod: int | tuple[int, int]
     nonresidue: int | None
     qdelta_mod: int
-    sqrt_qdelta: int | tuple[int, int]
     torus_value: int
     weyl_order: int
 
@@ -142,32 +140,9 @@ def validate_regime(datum: CoxeterDatum, qsq: int, ell: int) -> EllContext:
         raise BadRegime("WrongOrder",
                         f"q^delta has order != h0 = {datum.h0} mod {ell}")
 
-    sqrt_qdelta, nonresidue = _choose_sqrt_qdelta(q_mod, qdelta_mod, h, delta,
-                                                  ell, nonresidue)
     return EllContext(datum=datum, ell=ell, qsq=qsq, q_mod=q_mod,
                       nonresidue=nonresidue, qdelta_mod=qdelta_mod,
-                      sqrt_qdelta=sqrt_qdelta,
                       torus_value=torus_value, weyl_order=weyl_order)
-
-
-def _choose_sqrt_qdelta(q_mod, qdelta_mod, h, delta, ell, nonresidue):
-    """Returns (root, nonresidue); the latter is set iff any of q_mod or
-    the chosen root needs the quadratic extension."""
-    # prefer a root that is itself a power of q: q^k with 2k = delta mod h
-    for k in range(h):
-        if (2 * k - delta) % h == 0:
-            if isinstance(q_mod, int):
-                return pow(q_mod, k, ell), nonresidue
-            return fq2_pow(q_mod, k, ell, nonresidue), nonresidue
-    root = sqrt_mod_prime(qdelta_mod, ell)
-    if root is not None:
-        return min(root, ell - root), nonresidue
-    s = nonresidue if nonresidue is not None else smallest_nonresidue(ell)
-    c = sqrt_mod_prime(qdelta_mod * pow(s, -1, ell) % ell, ell)
-    if c is None:
-        raise ValueError(f"q^delta = {qdelta_mod} is neither a square nor a "
-                         f"non-residue times a square mod {ell}")
-    return (0, min(c, ell - c)), s
 
 
 def eigenvalue_table(ctx: EllContext) -> dict[int, int]:

@@ -55,9 +55,6 @@ class CharacterVector:
     def __neg__(self):
         return CharacterVector(tuple(-a for a in self.chi), -self.exc)
 
-    def __sub__(self, other):
-        return self + (-other)
-
     @staticmethod
     def zero(h0: int) -> "CharacterVector":
         return CharacterVector((0,) * h0, 0)
@@ -176,14 +173,6 @@ class ProjComplex:
                     if acc:
                         raise InvalidComplex(f"d^2 != 0 at degree {self.lo + i}")
 
-    def shift(self, k: int) -> "ProjComplex":
-        """C[k], with C[k]^i = C^(i+k) and boundary scaled by (-1)^k."""
-        sign = -1 if k % 2 else 1
-        terms = [list(t) for t in self.terms]
-        diffs = [[[self.alg.elt_scale(e, sign) for e in row] for row in mat]
-                 for mat in self.diffs]
-        return ProjComplex(self.alg, self.lo - k, terms, diffs)
-
 
 def direct_sum(complexes: list[ProjComplex]) -> ProjComplex:
     if not complexes:
@@ -227,8 +216,7 @@ def rickard_complex(alg: TreeAlgebra, tree: PlanarBrauerTree, j: int) -> ProjCom
     for i in range(b.m, j):
         # the arrow at chi_i runs S_(i+1) -> S_i, a path from i+1 to i,
         # which is exactly a left-multiplication map P_i -> P_(i+1)
-        arrow = next(a for a in alg.arrows if a.node == i and a.src == i + 1)
-        entry = alg.elt(alg.arrow_path(arrow))
+        entry = alg.elt(next(a for a in alg.arrows if a.node == i and a.src == i + 1))
         if not entry:
             raise InvalidComplex("boundary map vanished over the field")
         diffs.append([[entry]])
@@ -326,10 +314,13 @@ def trim(cx: ProjComplex, m: int, M: int) -> ProjComplex:
 
     Splits off contractible 0 -> P == P -> 0 summands by Gaussian
     elimination on boundary entries that are invertible in the algebra,
-    until none remain.  Over a field the resulting minimal complex is
-    supported exactly on the degrees carrying cohomology, so no term
-    below m survives; CohomologyOutsideRange is raised when the stated
-    range does not contain all the cohomology.
+    until none remain.  A Brauer tree algebra is self-injective, so a
+    boundary that is injective out of the lowest term, or onto the highest,
+    would split, and a split map between projectives has an invertible
+    entry.  The terms of the minimal complex therefore lie between its
+    lowest and highest cohomology degrees, though a degree between them may
+    carry a term and no cohomology.  CohomologyOutsideRange is raised when
+    the stated range does not contain all the cohomology.
     """
     coh = cohomology(cx)
     if any(d < m or d > M for d in coh):
@@ -391,12 +382,12 @@ class HomComplex:
         return len(self.basis.get(n, []))
 
     def matrix(self, n: int) -> linalg.SparseMatrix:
-        """Scalar matrix of D: Hom^n -> Hom^(n+1), entries in [0, ell).
+        """Scalar matrix of D: Hom^n -> Hom^(n+1) over the integers; the
+        elimination kernel reduces its own copy mod ell.
 
         A basis map f = (left multiplication by p) is pushed through the
         nonzero boundary entries only, one path composition per term."""
-        alg = self.alg
-        compose = alg.compose
+        compose = self.alg.compose
         cx1, cx2 = self.cx1, self.cx2
         src = self.basis.get(n, [])
         tgt = self.basis.get(n + 1, [])
@@ -418,8 +409,7 @@ class HomComplex:
                     if pq is not None:
                         row = rows[pos[i - 1, t, c_idx, pq]]
                         row[col] = row.get(col, 0) - sign * c
-        return linalg.SparseMatrix((len(tgt), len(src)), [
-            {c: v for c, x in row.items() if (v := x % alg.ell)} for row in rows])
+        return linalg.SparseMatrix((len(tgt), len(src)), rows)
 
     def rank(self, n: int) -> int:
         """Rank of D: Hom^n -> Hom^(n+1), computed once per degree; an

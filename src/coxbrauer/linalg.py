@@ -16,7 +16,9 @@ MAX_MODULUS = 2 ** 31
 
 @dataclass
 class SparseMatrix:
-    """A rows x cols matrix; rows[i] maps column -> nonzero entry."""
+    """A rows x cols matrix; rows[i] maps column -> entry, and a column
+    missing from it holds zero.  Entries need not be reduced or nonzero:
+    `rref_mod_prime` reduces its own copy."""
 
     shape: tuple[int, int]
     rows: list[dict[int, int]]

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cyclotomic import CycloInt, as_quadratic_pair, common_level
-from .numtheory import euler_phi, valuation
+from .numtheory import valuation
 
 
 class UnsupportedType(ValueError):
@@ -359,12 +359,6 @@ def weyl_fixed_order(datum: CoxeterDatum) -> int:
         if e % 1 == 0:
             out *= d
     return out
-
-
-def phi_degree_sum(datum: CoxeterDatum) -> int:
-    """sum_d a(d) * phi(d); equals sum of the degrees (order formula check)."""
-    return sum(cyclotomic_multiplicity(datum, d) * euler_phi(d)
-               for d in range(1, datum.h + 1))
 
 
 def parse_type(name: str, rank: int | None = None) -> TwistedType:

@@ -18,7 +18,6 @@ and their Hom complexes) is written on this basis.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import linalg
@@ -52,13 +51,6 @@ class Path(NamedTuple):
     steps: int = 0
 
 
-@dataclass(frozen=True)
-class Arrow:
-    node: object
-    src: int
-    tgt: int
-
-
 class TreeAlgebra:
     """Basic algebra of a planar Brauer tree over F_ell.
 
@@ -89,11 +81,14 @@ class TreeAlgebra:
         self._check_star_label_field()
         self.paths = self._enumerate_paths()
         self.dim = len(self.paths)
-        self.arrows = self._enumerate_arrows()
+        # the arrows are the basis paths of length one: a step around a
+        # node, or the socle loop of a lone edge of multiplicity one
+        self.arrows = [p for p in self.paths if p.steps == 1
+                       or (self.degenerate and p.kind == _SOC)]
         # lookup tables: the target of every basis path (a cyclic path ends
         # `steps` clockwise steps around its node), the basis paths from src
         # to tgt in the order of self.paths, the same lists grouped by
-        # source as (tgt, paths) pairs, and the arrow counts
+        # source as (tgt, paths) pairs, and the arrows between two vertices
         self._targets = {p: (tree.predecessor_at(p.node, p.src, p.steps)
                              if p.kind == _CYC else p.src)
                          for p in self.paths}
@@ -104,7 +99,7 @@ class TreeAlgebra:
             v: [] for v in self.vertices}
         for (v, w), ps in self.paths_between.items():
             self.paths_out[v].append((w, ps))
-        self.arrow_counts = Counter((a.src, a.tgt) for a in self.arrows)
+        self.arrow_counts = Counter((a.src, self._targets[a]) for a in self.arrows)
 
     # -- construction -----------------------------------------------------
 
@@ -117,9 +112,6 @@ class TreeAlgebra:
 
     def _node_ends(self, edge: int):
         return self.tree.edge(edge).ends
-
-    def _pred(self, node, edge: int) -> int:
-        return self.tree.predecessor_at(node, edge)
 
     def _enumerate_paths(self) -> list[Path]:
         paths: list[Path] = []
@@ -134,17 +126,6 @@ class TreeAlgebra:
             if self.degenerate or any(self.nodes[n][2] > 1 for n in self._node_ends(e)):
                 paths.append(Path(e, _SOC))
         return paths
-
-    def _enumerate_arrows(self) -> list[Arrow]:
-        arrows = []
-        for node, (cycle, _, cyclen) in sorted(self.nodes.items(), key=str):
-            if cyclen > 1:
-                for e in cycle:
-                    arrows.append(Arrow(node, e, self._pred(node, e)))
-        if self.degenerate:
-            e = self.vertices[0]
-            arrows.append(Arrow(self._node_ends(e)[0], e, e))
-        return arrows
 
     # -- path structure ----------------------------------------------------
 
@@ -175,11 +156,6 @@ class TreeAlgebra:
         if total == cyclen:
             return Path(p.src, _SOC)
         return None
-
-    def arrow_path(self, a: Arrow) -> Path:
-        if self.degenerate:
-            return Path(a.src, _SOC)
-        return Path(a.src, _CYC, a.node, 1)
 
     # -- element arithmetic (elements are {Path: coeff} dicts) -------------
 
@@ -243,17 +219,6 @@ class TreeAlgebra:
 
 def from_tree(tree: PlanarBrauerTree, ell: int) -> TreeAlgebra:
     return TreeAlgebra(tree, ell)
-
-
-def dimension_formula(tree: PlanarBrauerTree) -> int:
-    """Sum over edges of 2 + sum over nodes of (degree * mult - 1)."""
-    total = 0
-    for e in tree.edges:
-        total += 2
-        for node in e.ends:
-            s = len(tree.edges_at(node))
-            total += s * tree.node_multiplicity(node) - 1
-    return total
 
 
 def ext1(alg: TreeAlgebra, i: int, j: int) -> int:

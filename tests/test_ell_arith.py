@@ -76,19 +76,6 @@ def test_eigenvalue_table_is_full_root_group():
         assert set(table.values()) == roots
 
 
-def test_sqrt_qdelta_consistency():
-    for name, qsq, ell in [("A2", 2, 7), ("2G2", 27, 19), ("B2", 2, 5)]:
-        ctx = ctx_for(name, qsq, ell)
-        s = ctx.sqrt_qdelta
-        if isinstance(s, tuple):
-            a, b = s
-            nr = ctx.nonresidue
-            val = (a * a + b * b * nr) % ell
-        else:
-            val = s * s % ell
-        assert val == ctx.qdelta_mod
-
-
 # ---------------------------------------------------------------------------
 # Hensel lifting
 

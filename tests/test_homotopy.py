@@ -156,11 +156,25 @@ def test_hom_complex_shift():
     tree, alg = line(3, 1)
     cx = ho.rickard_complex(alg, tree, 1)
     plain = ho.HomComplex(cx, cx)
-    shifted = ho.HomComplex(cx, cx.shift(1))
+    # C[1]: the same terms one degree down, with negated boundary entries
+    cx1 = ho.ProjComplex(alg, cx.lo - 1, [list(t) for t in cx.terms],
+                         [[[alg.elt_scale(e, -1) for e in row] for row in mat]
+                          for mat in cx.diffs])
+    shifted = ho.HomComplex(cx, cx1)
     # Hom(C, C[1])^n = Hom(C, C)^(n+1)
     for n in range(shifted.lo, shifted.hi + 1):
         assert shifted.dim(n) == plain.dim(n + 1)
         assert shifted.cohomology_dim(n) == plain.cohomology_dim(n + 1)
+
+
+def test_minimal_complex_may_have_terms_without_cohomology():
+    # the branch complex of S_3 on line4 is minimal: its terms fill degrees
+    # 1-4, between its cohomology degrees 1 and 4, which are the only ones
+    tree, alg = line(4, 1)
+    cx = ho.rickard_complex(alg, tree, 3)
+    trimmed = ho.trim(cx, 1, 4)
+    assert (trimmed.lo, trimmed.terms) == (1, [[0], [1], [2], [3]])
+    assert sorted(ho.cohomology(trimmed)) == [1, 4]
 
 
 def test_homotopy_hom_identity_lower_bound():

@@ -14,11 +14,24 @@ def trees(draw):
     h0 = draw(st.integers(1, 24))
     cuts = sorted(draw(st.sets(st.integers(1, h0 - 1), max_size=6))) if h0 > 1 else []
     bounds = [0, *cuts, h0]
-    branches = tuple(bt.Branch(draw(st.integers(0, 11)), m, M - 1)
-                     for m, M in zip(bounds, bounds[1:]))
+    branches = draw(st.permutations([bt.Branch(draw(st.integers(0, 11)), m, M - 1)
+                                     for m, M in zip(bounds, bounds[1:])]))
     mu = draw(st.integers(1, 4))
     r = draw(st.integers(0, 3))
-    return bt.assemble_tree(bt.SeriesDatum(h0, branches), mu, r)
+    return bt.assemble_tree(bt.SeriesDatum(h0, tuple(branches)), mu, r)
+
+
+def successor_walk(series):
+    """The exceptional cyclic order by the successor rule: start at the
+    smallest m, then go to the branch that starts at (M + 1) mod h0."""
+    by_m = {b.m: b for b in series.branches}
+    start = min(by_m)
+    cycle, b = [], by_m[start]
+    for _ in series.branches:
+        cycle.append(b.m)
+        b = by_m[(b.M + 1) % series.h0]
+    assert b.m == start, "the successor rule does not close its cycle"
+    return tuple(cycle)
 
 
 def reference_height(tree, j):
@@ -50,6 +63,29 @@ def reference_target(alg, p):
 
 def nodes(tree):
     return {EXC} | {end for e in tree.edges for end in e.ends}
+
+
+@settings(max_examples=60, deadline=None)
+@given(trees())
+def test_exceptional_order_is_the_successor_walk(tree):
+    assert tree.cyclic_order_at(EXC) == successor_walk(tree.series)
+
+
+@settings(max_examples=60, deadline=None)
+@given(trees())
+def test_the_edges_form_a_tree(tree):
+    assert sorted(e.index for e in tree.edges) == list(range(tree.h0))
+    assert len(nodes(tree)) == tree.h0 + 1
+    seen, frontier = {EXC}, [EXC]
+    while frontier:
+        node = frontier.pop()
+        for e in tree.edges:
+            if node in e.ends:
+                for end in e.ends:
+                    if end not in seen:
+                        seen.add(end)
+                        frontier.append(end)
+    assert seen == nodes(tree)
 
 
 @settings(max_examples=60, deadline=None)
@@ -91,8 +127,12 @@ def test_paths_between_partitions_the_path_basis(tree):
         assert alg.target(p) == reference_target(alg, p)
     for i in alg.vertices:
         for j in alg.vertices:
-            assert ta.ext1(alg, i, j) == sum(1 for a in alg.arrows
-                                             if a.src == i and a.tgt == j)
+            assert ta.ext1(alg, i, j) == sum(
+                1 for a in alg.arrows
+                if a.src == i and reference_target(alg, a) == j)
+    for a in alg.arrows:
+        assert a in alg.paths and alg.target(a) == reference_target(alg, a)
+        assert (a.kind, a.steps) == ("cyc", 1) or (alg.degenerate and a.kind == "soc")
 
 
 def test_unknown_keys():

@@ -57,15 +57,19 @@ def test_invalid_complexes_rejected_under_optimize():
 
 
 # The oracle's own table checks: one changed value off the identity class
-# must fail orthogonality, one on it the degree sum.
+# must fail orthogonality, one on it the degree sum, and a table with one
+# character removed (its rows stay orthonormal) the squareness check.
 ORACLE_SCRIPT = """
 from coxbrauer import oracle as orc
 assert False, "asserts must be stripped under -O"
 g = orc.MetacyclicGroup(7, 3, 2)
-for name, cls in (("orthogonality", 1), ("degrees", 0)):
+for name, cls in (("orthogonality", 1), ("degrees", 0), ("shape", None)):
     table = orc.character_table(g)
-    val = table.values[3][cls]
-    table.values[3][cls] = {**val, 0: val.get(0, 0) + 1}
+    if cls is None:
+        del table.values[3]
+    else:
+        val = table.values[3][cls]
+        table.values[3][cls] = {**val, 0: val.get(0, 0) + 1}
     try:
         table.verify()
     except orc.Mismatch as exc:
@@ -78,9 +82,11 @@ for name, cls in (("orthogonality", 1), ("degrees", 0)):
 def test_oracle_table_checks_hold_under_optimize():
     lines = _run_optimized(ORACLE_SCRIPT)
     assert [line.split()[:2] for line in lines] == [
-        ["orthogonality", "rejected:"], ["degrees", "rejected:"]]
+        ["orthogonality", "rejected:"], ["degrees", "rejected:"],
+        ["shape", "rejected:"]]
     assert "orthogonality failed" in lines[0]
     assert "squared degrees" in lines[1]
+    assert "not square: 4 characters on 5 classes" in lines[2]
 
 
 def test_invalid_complex_is_a_value_error():
@@ -89,9 +95,8 @@ def test_invalid_complex_is_a_value_error():
     assert issubclass(ho.InvalidComplex, ValueError)
     with pytest.raises(ho.InvalidComplex, match="does not run from"):
         # the arrow path 1 -> 0 placed as a map P_1 -> P_0
-        arrow = next(a for a in alg.arrows if a.src == 1 and a.tgt == 0)
-        ho.ProjComplex(alg, 0, [[1], [0]],
-                       [[[alg.elt(alg.arrow_path(arrow))]], []])
+        arrow = next(a for a in alg.arrows if a.src == 1 and alg.target(a) == 0)
+        ho.ProjComplex(alg, 0, [[1], [0]], [[[alg.elt(arrow)]], []])
 
 
 # Non-composable paths, and a tree whose exceptional node carries no
@@ -103,9 +108,9 @@ from coxbrauer import brauer_tree as bt, tree_algebra as ta
 assert False, "asserts must be stripped under -O"
 tree = bt.assemble_tree(bt.line_series(3), 1, 1)
 alg = ta.from_tree(tree, 5)
-arrow = next(a for a in alg.arrows if a.src == 1 and a.tgt == 0)
+arrow = next(a for a in alg.arrows if a.src == 1 and alg.target(a) == 0)
 bad = {
-    "compose": lambda: alg.compose(alg.arrow_path(arrow), ta.Path(2, "id")),
+    "compose": lambda: alg.compose(arrow, ta.Path(2, "id")),
     "decomposition": lambda: bt.decomposition_matrix(
         dataclasses.replace(tree, multiplicity=0)),
 }

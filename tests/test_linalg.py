@@ -1,9 +1,11 @@
 """The sparse elimination kernel against a pure-Python dense reference,
 over GF(p) and over Z/p^N."""
 
+import ast
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -131,6 +133,17 @@ def test_row_operations_that_cancel_non_units_drop_the_entry():
     assert all(x for row in got.rows for x in row.values())
 
 
+def test_rows_handed_over_unreduced():
+    # stored zeros, multiples of p and negative entries, as a Hom-complex
+    # matrix hands them over; the kernel reduces its own copy once
+    a = linalg.SparseMatrix((2, 3), [{0: 0, 1: 10, 2: -3}, {0: 5, 1: 7, 2: 12}])
+    got, pivots = linalg.rref_mod_prime(a, 5)
+    want, want_pivots = reference_rref([[0, 10, -3], [5, 7, 12]], 5)
+    assert pivots == want_pivots == [1, 2] and got.tolist() == want
+    assert all(0 < x < 5 for row in got.rows for x in row.values())
+    assert a.rows == [{0: 0, 1: 10, 2: -3}, {0: 5, 1: 7, 2: 12}]
+
+
 def test_dense_round_trip():
     rows = [[0, 3, 0], [0, 0, 0], [5, 0, 1]]
     a = linalg.SparseMatrix.from_dense(rows)
@@ -175,6 +188,41 @@ def test_no_numpy_import_in_the_package():
                  if any(line.lstrip().startswith(("import numpy", "from numpy"))
                         for line in f.read_text(encoding="utf-8").splitlines())]
     assert offenders == []
+
+
+def test_every_definition_in_the_package_is_referenced():
+    """Each function, method and class name under the package, dunders
+    aside, occurs as a name or attribute somewhere in the package outside
+    its own definition."""
+    src = Path(linalg.__file__).parent
+    allowed = {"cli._Parser.error"}             # called by argparse
+
+    def used(node):
+        return Counter(n.id if isinstance(n, ast.Name) else n.attr
+                       for n in ast.walk(node)
+                       if isinstance(n, (ast.Name, ast.Attribute)))
+
+    modules = {f.stem: ast.parse(f.read_text(encoding="utf-8"))
+               for f in sorted(src.glob("**/*.py"))}
+    everywhere = sum(map(used, modules.values()), Counter())
+    unreferenced = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                name, qualname = child.name, prefix + child.name
+                dunder = name.startswith("__") and name.endswith("__")
+                if (not dunder and qualname not in allowed
+                        and everywhere[name] == used(child)[name]):
+                    unreferenced.append(qualname)
+                visit(child, qualname + ".")
+            else:
+                visit(child, prefix)
+
+    for stem, tree in modules.items():
+        visit(tree, stem + ".")
+    assert unreferenced == []
 
 
 def test_importing_the_cli_does_not_load_numpy():

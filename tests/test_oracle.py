@@ -44,6 +44,34 @@ def test_orthogonality_detects_corruption():
     assert not table.check_orthogonality()
 
 
+def test_verify_refuses_a_table_that_is_not_square():
+    g = orc.MetacyclicGroup(7, 3, 2)
+    # one character removed: the rows stay orthonormal, but the column
+    # relation no longer follows from them
+    table = orc.character_table(g)
+    del table.values[3]
+    assert table.check_orthogonality()
+    with pytest.raises(orc.Mismatch, match="not square: 4 characters on 5 classes"):
+        table.verify()
+    # a row missing its value on one class
+    table = orc.character_table(g)
+    del table.values[0][-1]
+    with pytest.raises(orc.Mismatch, match="not square"):
+        table.verify()
+
+
+def test_regular_class_values_reduce_by_the_ring_map():
+    g = orc.MetacyclicGroup(7, 3, 2)
+    lift = g.zeta_lift()
+    mod = lift.modulus
+    # 1 + zeta_3, a sum of two roots of unity: zeta_3 = zeta_21^7 -> lift
+    assert orc._reduce_value({0: 1, 7: 1}, g, lift) == (1 + lift.value) % mod
+    assert orc._reduce_value({14: -2}, g, lift) == -2 * lift.value ** 2 % mod
+    assert orc._reduce_value({}, g, lift) == 0
+    with pytest.raises(orc.SingularSystem, match="not an \\|E\\|-th root"):
+        orc._reduce_value({0: 1, 3: 1}, g, lift)
+
+
 def test_brute_decomposition_7_3_2():
     d = orc.brute_decomposition_matrix(orc.MetacyclicGroup(7, 3, 2))
     assert d == ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 1, 1))

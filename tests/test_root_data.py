@@ -5,7 +5,7 @@ import pytest
 from coxbrauer.numtheory import euler_phi
 from coxbrauer.root_data import (CycloPoly, UnsupportedType,
                                  coxeter_datum, cyclotomic_multiplicity,
-                                 group_order_poly, parse_type, phi_degree_sum,
+                                 group_order_poly, parse_type,
                                  torus_order_poly, twisted_coxeter_eigenvalues,
                                  weyl_fixed_order)
 
@@ -17,6 +17,12 @@ ALL_TYPES = (["A1", "A2", "A4", "A7", "B2", "B5", "C3", "D4", "D6",
 
 def data(name):
     return coxeter_datum(parse_type(name))
+
+
+def phi_degree_sum(datum):
+    """sum_d a(d) * phi(d); equals sum of the degrees (order formula check)."""
+    return sum(cyclotomic_multiplicity(datum, d) * euler_phi(d)
+               for d in range(1, datum.h + 1))
 
 
 def test_parse_type():
