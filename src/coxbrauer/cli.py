@@ -351,12 +351,12 @@ def _cmd_rickard(args) -> int:
     alg = ta.from_tree(tree, _field_for(tree, args))
     cx = ho.rickard_complex(alg, tree, args.vertex)
     coh = ho.cohomology(cx)
-    euler = ho.euler_character(tree, cx)
+    chi, exc = ho.euler_character(tree, cx)
     report = {
         "vertex": args.vertex,
         "degrees": list(cx.degrees()),
         "terms": {str(d): sorted(cx.term(d)) for d in cx.degrees()},
-        "euler": {"chi": list(euler.chi), "exc": euler.exc},
+        "euler": {"chi": list(chi), "exc": exc},
         "cohomology": {str(d): {str(v): c for v, c in sorted(counts.items())}
                        for d, counts in sorted(coh.items())},
         "tilting": None,
@@ -402,13 +402,15 @@ def _cmd_star(args) -> int:
 
 def _cmd_selftest(args) -> int:
     results = st.run_all(args.filter)
+    if not results:
+        raise _UsageError(f"no selftest criterion matches {args.filter!r}")
     for r in results:
         sys.stderr.write(r.line() + "\n")
     _emit({"ok": all(r.ok for r in results),
            "results": [{"name": r.name, "ok": r.ok, "detail": r.detail,
                         "seconds": round(r.elapsed, 3)} for r in results]},
           args.out)
-    return EXIT_OK if results and all(r.ok for r in results) else EXIT_VERIFICATION
+    return EXIT_OK if all(r.ok for r in results) else EXIT_VERIFICATION
 
 
 _COMMANDS = {

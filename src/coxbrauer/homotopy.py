@@ -1,16 +1,19 @@
 """Bounded complexes of explicit projectives over a Brauer tree algebra.
 
 A complex stores, per degree, a formal direct sum of indecomposable
-projectives (a list of quiver vertices) and boundary matrices whose
-entries are algebra elements acting by left multiplication.  Everything
-needed for the derived-equivalence checks is built from this: total Hom
-complexes, the only place where complexes become sparse scalar matrices
+projectives (a list of quiver vertices) and one boundary matrix whose
+entries are algebra elements acting by left multiplication.  Every
+operation on complexes is arithmetic with such matrices, done by the tree
+algebra's one product and one unipotent inverse: the d^2 = 0 check, the
+Schur complement of Gaussian-elimination trimming of contractible summands,
+and the change of basis that hides padded summands.  Built on this: total
+Hom complexes, the only place where complexes become sparse scalar matrices
 over F_ell, and their cohomology; the cohomology of a complex, read off the
-Hom complexes out of the stalk projectives; Gaussian-elimination trimming of
-contractible summands; the branch-walking complex attached to each tree
-edge; and the tilting verification for their direct sum (Hom vanishing
-off degree zero, generation, and the degree-zero Hom grid being the
-Cartan matrix of the star algebra with the same parameters).
+Hom complexes out of the stalk projectives; its Euler character, the signed
+sum of decomposition-matrix columns; the branch-walking complex attached to
+each tree edge; and the tilting verification for their direct sum (Hom
+vanishing off degree zero, generation, and the degree-zero Hom grid being
+the Cartan matrix of the star algebra with the same parameters).
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from . import linalg
-from .brauer_tree import EXC, PlanarBrauerTree, height, perversity
+from .brauer_tree import PlanarBrauerTree, decomposition_matrix, height, perversity
 from .tree_algebra import Path, TreeAlgebra
 
 
@@ -41,44 +44,6 @@ class TiltingFailure(AssertionError):
         super().__init__(report.summary())
 
 
-@dataclass(frozen=True)
-class CharacterVector:
-    """Integer vector on the ordinary-character basis chi_0..chi_(h0-1), exc."""
-
-    chi: tuple[int, ...]
-    exc: int
-
-    def __add__(self, other):
-        return CharacterVector(tuple(a + b for a, b in zip(self.chi, other.chi)),
-                               self.exc + other.exc)
-
-    def __neg__(self):
-        return CharacterVector(tuple(-a for a in self.chi), -self.exc)
-
-    @staticmethod
-    def zero(h0: int) -> "CharacterVector":
-        return CharacterVector((0,) * h0, 0)
-
-    @staticmethod
-    def unit(h0: int, j: int) -> "CharacterVector":
-        return CharacterVector(tuple(1 if i == j else 0 for i in range(h0)), 0)
-
-    @staticmethod
-    def exceptional(h0: int) -> "CharacterVector":
-        return CharacterVector((0,) * h0, 1)
-
-
-def projective_character(tree: PlanarBrauerTree, j: int) -> CharacterVector:
-    """[P_j]: the sum of the two ordinary characters at the ends of S_j."""
-    out = CharacterVector.zero(tree.h0)
-    for end in tree.edge(j).ends:
-        if end == EXC:
-            out = out + CharacterVector.exceptional(tree.h0)
-        else:
-            out = out + CharacterVector.unit(tree.h0, end)
-    return out
-
-
 @dataclass
 class ProjComplex:
     """Bounded complex of projectives; diffs[d] maps terms[d] -> terms[d+1].
@@ -94,6 +59,8 @@ class ProjComplex:
     diffs: list[list[list[dict]]] = field(default_factory=list)
 
     def __post_init__(self):
+        # strip trailing empty terms from copies, not the caller's lists
+        self.terms, self.diffs = list(self.terms), list(self.diffs)
         while self.terms and not self.terms[-1]:
             self.terms.pop()
             if len(self.diffs) >= len(self.terms) + 1:
@@ -129,12 +96,8 @@ class ProjComplex:
         return range(self.lo, self.lo + len(self.terms))
 
     def check_shapes(self):
-        """Check every boundary entry against the terms, and list the
-        nonzero entries: maps_out[i][c] holds (row, entry) for the maps out
-        of summand c of terms[i], maps_in[i][r] holds (col, entry) for the
-        maps into summand r of terms[i]."""
-        self.maps_out = [[[] for _ in t] for t in self.terms]
-        self.maps_in = [[[] for _ in t] for t in self.terms]
+        """Check every boundary matrix against the terms it joins, and
+        every path in an entry against the summands the entry maps."""
         for i, mat in enumerate(self.diffs):
             d = self.lo + i
             n_tgt = len(self.terms[i + 1]) if i + 1 < len(self.terms) else 0
@@ -150,28 +113,19 @@ class ProjComplex:
                     # entry maps P_col -> P_row by left multiplication,
                     # so its paths run from the row vertex to the column vertex
                     for p in entry:
-                        if (self.alg.source(p) != self.terms[i + 1][row_idx]
+                        if (p.src != self.terms[i + 1][row_idx]
                                 or self.alg.target(p) != self.terms[i][col_idx]):
                             raise InvalidComplex(
                                 f"boundary at degree {d}, entry ({row_idx}, "
                                 f"{col_idx}) holds a path {p} that does not run "
                                 f"from P_{self.terms[i + 1][row_idx]} to "
                                 f"P_{self.terms[i][col_idx]}")
-                    if entry:
-                        self.maps_out[i][col_idx].append((row_idx, entry))
-                        self.maps_in[i + 1][row_idx].append((col_idx, entry))
 
     def check_d_squared(self):
-        alg = self.alg
         for i in range(len(self.terms) - 2):
-            a, b = self.diffs[i], self.diffs[i + 1]
-            for r in range(len(b)):
-                for c in range(len(a[0]) if a else 0):
-                    acc: dict = {}
-                    for k in range(len(a)):
-                        acc = alg.elt_add(acc, alg.elt_mul(b[r][k], a[k][c]))
-                    if acc:
-                        raise InvalidComplex(f"d^2 != 0 at degree {self.lo + i}")
+            square = self.alg.mat_mul(self.diffs[i + 1], self.diffs[i])
+            if any(e for row in square for e in row):
+                raise InvalidComplex(f"d^2 != 0 at degree {self.lo + i}")
 
 
 def direct_sum(complexes: list[ProjComplex]) -> ProjComplex:
@@ -192,7 +146,7 @@ def direct_sum(complexes: list[ProjComplex]) -> ProjComplex:
             block = c.diff(d)
             for r in range(tgt_sizes[idx]):
                 for cc in range(src_sizes[idx]):
-                    mat[r_off + r][c_off + cc] = dict(block[r][cc]) if block else {}
+                    mat[r_off + r][c_off + cc] = block[r][cc]
             r_off += tgt_sizes[idx]
             c_off += src_sizes[idx]
         diffs.append(mat)
@@ -245,28 +199,38 @@ def cohomology(cx: ProjComplex) -> dict[int, Counter]:
     return out
 
 
-def euler_character(tree: PlanarBrauerTree, cx: ProjComplex) -> CharacterVector:
-    """Alternating sum of term characters with signs relative to degree r."""
-    total = CharacterVector.zero(tree.h0)
+def euler_character(tree: PlanarBrauerTree,
+                    cx: ProjComplex) -> tuple[tuple[int, ...], int]:
+    """Alternating sum of the term characters, with signs relative to degree
+    r, as (chi_0 .. chi_(h0-1) coefficients, exceptional coefficient).
+
+    [P_v] is column v of the decomposition matrix with its identical
+    exceptional rows collapsed to one."""
+    dec = decomposition_matrix(tree)
+    rows = dec.collapsed()
+    col = {j: k for k, j in enumerate(dec.col_edges)}
+    total = [0] * len(rows)
     for d in cx.degrees():
         sign = -1 if (d - tree.r) % 2 else 1
         for v in cx.term(d):
-            pc = projective_character(tree, v)
-            total = total + (pc if sign == 1 else -pc)
-    return total
+            for k, row in enumerate(rows):
+                total[k] += sign * row[col[v]]
+    return tuple(total[:-1]), total[-1]
 
 
 # ---------------------------------------------------------------------------
 # trimming by Gaussian elimination on invertible boundary entries
 
-def _find_invertible_entry(alg: TreeAlgebra, diff, src, tgt):
-    for r in range(len(tgt)):
-        for c in range(len(src)):
-            if src[c] != tgt[r]:
-                continue
-            entry = diff[r][c] if diff else {}
-            if entry.get(Path(src[c], "id"), 0) % alg.ell:
-                return r, c
+def _unit_entry(cx: ProjComplex) -> tuple[int, int, int] | None:
+    """(degree, row, column) of the first boundary entry with an invertible
+    trivial-path coefficient; check_shapes lets an identity path sit only
+    where the row and column vertices agree."""
+    for i, mat in enumerate(cx.diffs):
+        ids = [Path(v, "id") for v in cx.terms[i]]
+        for r, row in enumerate(mat):
+            for c, entry in enumerate(row):
+                if entry.get(ids[c], 0) % cx.alg.ell:
+                    return cx.lo + i, r, c
     return None
 
 
@@ -275,22 +239,16 @@ def _eliminate(cx: ProjComplex, d: int, r: int, c: int) -> ProjComplex:
     (row r of terms[d+1], column c of terms[d])."""
     alg = cx.alg
     i = d - cx.lo
-    terms = [list(t) for t in cx.terms]
-    diffs = [[[dict(e) for e in row] for row in mat] for mat in cx.diffs]
-    u = diffs[i][r][c]
-    vertex = terms[i][c]
-    uinv = alg.local_inverse(u, vertex)
-    n_tgt = len(terms[i + 1])
-    n_src = len(terms[i])
-    # Schur complement on the remaining block of this boundary
-    new_block = [[diffs[i][rr][cc] for cc in range(n_src) if cc != c]
-                 for rr in range(n_tgt) if rr != r]
-    for rr_pos, rr in enumerate([x for x in range(n_tgt) if x != r]):
-        for cc_pos, cc in enumerate([x for x in range(n_src) if x != c]):
-            corr = alg.elt_mul(diffs[i][rr][c], alg.elt_mul(uinv, diffs[i][r][cc]))
-            new_block[rr_pos][cc_pos] = alg.elt_add(
-                diffs[i][rr][cc], alg.elt_scale(corr, -1))
-    diffs[i] = new_block
+    terms, diffs = list(cx.terms), list(cx.diffs)
+    mat = diffs[i]
+    rows = [k for k in range(len(terms[i + 1])) if k != r]
+    cols = [k for k in range(len(terms[i])) if k != c]
+    # Schur complement d - d[:, c] u^-1 d[r, :] on the remaining block
+    neg_uinv = alg.elt_scale(alg.local_inverse(mat[r][c], terms[i][c]), -1)
+    corr = alg.mat_mul([[mat[rr][c]] for rr in rows],
+                       alg.mat_mul([[neg_uinv]], [[mat[r][cc] for cc in cols]]))
+    diffs[i] = [[alg.elt_add(mat[rr][cc], x) for cc, x in zip(cols, corr_row)]
+                for rr, corr_row in zip(rows, corr)]
     # incoming boundary: drop the row of the removed source summand
     if i - 1 >= 0:
         diffs[i - 1] = [row for k, row in enumerate(diffs[i - 1]) if k != c]
@@ -327,16 +285,8 @@ def trim(cx: ProjComplex, m: int, M: int) -> ProjComplex:
         raise CohomologyOutsideRange(
             f"cohomology in degrees {sorted(coh)} not inside [{m}, {M}]")
     cur = cx
-    progress = True
-    while progress:
-        progress = False
-        for d in cur.degrees():
-            hit = _find_invertible_entry(cur.alg, cur.diff(d),
-                                         cur.term(d), cur.term(d + 1))
-            if hit is not None:
-                cur = _eliminate(cur, d, hit[0], hit[1])
-                progress = True
-                break
+    while (hit := _unit_entry(cur)) is not None:
+        cur = _eliminate(cur, *hit)
     if any((d < m or d > M) and cur.term(d) for d in cur.degrees()):
         raise CohomologyOutsideRange(
             "minimal complex still has terms outside the stated range")
@@ -386,9 +336,11 @@ class HomComplex:
         elimination kernel reduces its own copy mod ell.
 
         A basis map f = (left multiplication by p) is pushed through the
-        nonzero boundary entries only, one path composition per term."""
+        boundary entries in its column of d2 and its row of d1, one path
+        composition per term of each nonzero entry."""
         compose = self.alg.compose
-        cx1, cx2 = self.cx1, self.cx2
+        d1s, lo1 = self.cx1.diffs, self.cx1.lo
+        d2s, lo2 = self.cx2.diffs, self.cx2.lo
         src = self.basis.get(n, [])
         tgt = self.basis.get(n + 1, [])
         pos = {b: k for k, b in enumerate(tgt)}
@@ -396,14 +348,14 @@ class HomComplex:
         sign = -1 if n % 2 else 1
         for col, (i, t, s, p) in enumerate(src):
             # d2 o f: down column t of C2's boundary out of degree i + n
-            for r, entry in cx2.maps_out[i + n - cx2.lo][t]:
-                for q, c in entry.items():
+            for r, d2_row in enumerate(d2s[i + n - lo2]):
+                for q, c in d2_row[t].items():
                     qp = compose(q, p)
                     if qp is not None:
                         row = rows[pos[i, r, s, qp]]
                         row[col] = row.get(col, 0) + c
             # -(-1)^n f o d1: along row s of C1's boundary into degree i
-            for c_idx, entry in cx1.maps_in[i - cx1.lo][s]:
+            for c_idx, entry in enumerate(d1s[i - 1 - lo1][s] if i > lo1 else ()):
                 for q, c in entry.items():
                     pq = compose(p, q)
                     if pq is not None:
@@ -568,12 +520,9 @@ def perversity_report(tree: PlanarBrauerTree) -> dict:
             "i": i,
             "edges": [row["edge"] for row in rows if row["height"] <= r - i],
         })
-    monotone = all(set(filtration[i + 1]["edges"]) <= set(filtration[i]["edges"])
-                   for i in range(len(filtration) - 1))
     exhaustive = bool(filtration) and \
         set(filtration[0]["edges"]) == set(tree.edge_indices())
-    return {"rows": rows, "filtration": filtration,
-            "monotone": monotone, "exhaustive": exhaustive}
+    return {"rows": rows, "filtration": filtration, "exhaustive": exhaustive}
 
 
 # ---------------------------------------------------------------------------
@@ -597,62 +546,22 @@ def mix_basis(cx: ProjComplex, rng) -> ProjComplex:
     identity blocks while the homotopy type is unchanged.
     """
     alg = cx.alg
-    autos = []
-    for d in cx.degrees():
-        vs = cx.term(d)
+    phis, invs = [], []
+    for vs in cx.terms:
         n = len(vs)
-        phi = [[{} for _ in range(n)] for _ in range(n)]
         low = [[{} for _ in range(n)] for _ in range(n)]
-        for i in range(n):
-            phi[i][i] = alg.unit(vs[i])
         for i in range(n):
             for j in range(i):
                 # a random Hom(P_{vs[j]}, P_{vs[i]}) element: paths vs[i]->vs[j]
                 opts = alg.paths_between.get((vs[i], vs[j]), [])
                 if opts and rng.random() < 0.7:
                     p = opts[rng.randrange(len(opts))]
-                    c = rng.randrange(1, alg.ell)
-                    phi[i][j] = alg.elt(p, c)
-                    low[i][j] = alg.elt(p, c)
-        # phi = 1 + low with low strictly block-triangular, so the inverse
-        # is the finite Neumann series 1 - low + low^2 - ...
-        inv = [[alg.unit(vs[i]) if i == j else {} for j in range(n)]
-               for i in range(n)]
-        power = [[dict(e) for e in row] for row in low]
-        sign = -1
-        for _ in range(n):
-            if all(not e for row in power for e in row):
-                break
-            for i in range(n):
-                for j in range(n):
-                    inv[i][j] = alg.elt_add(inv[i][j],
-                                            alg.elt_scale(power[i][j], sign))
-            power = _multiply_elt_matrices(alg, power, low)
-            sign = -sign
-        autos.append((phi, inv))
-    terms = [list(t) for t in cx.terms]
-    diffs = []
-    for idx, d in enumerate(cx.degrees()):
-        if idx + 1 >= len(cx.terms):
-            diffs.append(cx._zero_diff(idx))
-            continue
-        phi_next = autos[idx + 1][0]
-        inv_here = autos[idx][1]
-        mid = _multiply_elt_matrices(alg, cx.diffs[idx], inv_here)
-        diffs.append(_multiply_elt_matrices(alg, phi_next, mid))
-    return ProjComplex(alg, cx.lo, terms, diffs)
-
-
-def _multiply_elt_matrices(alg: TreeAlgebra, a, b):
-    rows = len(a)
-    inner = len(b)
-    cols = len(b[0]) if b else 0
-    out = [[{} for _ in range(cols)] for _ in range(rows)]
-    for r in range(rows):
-        for c in range(cols):
-            acc: dict = {}
-            for k in range(inner):
-                if a[r][k] and b[k][c]:
-                    acc = alg.elt_add(acc, alg.elt_mul(a[r][k], b[k][c]))
-            out[r][c] = acc
-    return out
+                    low[i][j] = alg.elt(p, rng.randrange(1, alg.ell))
+        # phi = 1 + low with low strictly block-triangular
+        phis.append([[alg.unit(v) if i == j else e for j, e in enumerate(row)]
+                     for i, (v, row) in enumerate(zip(vs, low))])
+        invs.append(alg.unipotent_inverse(vs, low))
+    # the boundary out of the top term is the empty matrix
+    diffs = [alg.mat_mul(phis[i + 1], alg.mat_mul(mat, invs[i]))
+             for i, mat in enumerate(cx.diffs[:-1])] + cx.diffs[-1:]
+    return ProjComplex(alg, cx.lo, cx.terms, diffs)

@@ -255,12 +255,9 @@ def check_rickard_family() -> tuple[bool, str]:
                 return False, f"stray cohomology for j={j} on {tree.series}"
             if lo not in coh or hi not in coh:
                 return False, f"missing end cohomology for j={j}"
-            euler = ho.euler_character(tree, cx)
             sign = -1 if (j - m) % 2 else 1
-            want = ho.CharacterVector.exceptional(tree.h0) + \
-                ho.CharacterVector(tuple(sign if k == j else 0
-                                         for k in range(tree.h0)), 0)
-            if euler != want:
+            want = tuple(sign if k == j else 0 for k in range(tree.h0)), 1
+            if ho.euler_character(tree, cx) != want:
                 return False, f"euler mismatch for j={j}"
     return True, "lines h0 in 2..4, mu in 1..3: d^2 = 0, concentration, euler"
 

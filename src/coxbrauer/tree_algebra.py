@@ -132,9 +132,6 @@ class TreeAlgebra:
     def target(self, p: Path) -> int:
         return self._targets[p]
 
-    def source(self, p: Path) -> int:
-        return p.src
-
     def compose(self, p: Path, q: Path) -> Path | None:
         """Concatenation p then q (target of p must be the source of q);
         None encodes the zero product."""
@@ -197,24 +194,49 @@ class TreeAlgebra:
                     out.pop(r, None)
         return out
 
+    # -- matrices of elements (entry [r][c] maps P_c -> P_r) --------------
+
+    def mat_mul(self, a: list[list[dict]], b: list[list[dict]]) -> list[list[dict]]:
+        """Product of two element matrices: the composite map, first b,
+        then a.  Empty entries are skipped."""
+        cols = len(b[0]) if b else 0
+        out = []
+        for a_row in a:
+            row = [{} for _ in range(cols)]
+            for x, b_row in zip(a_row, b):
+                if x:
+                    for c, y in enumerate(b_row):
+                        if y:
+                            row[c] = self.elt_add(row[c], self.elt_mul(x, y))
+            out.append(row)
+        return out
+
+    def unipotent_inverse(self, units: list[int], nil: list[list[dict]]) -> list[list[dict]]:
+        """Inverse of 1 + nil, for a nilpotent matrix nil of maps between
+        the P_units[i]: the series 1 - nil + nil^2 - ..., which ends at the
+        first vanishing power."""
+        out = [[self.unit(v) if i == j else {} for j in range(len(units))]
+               for i, v in enumerate(units)]
+        power = neg = [[self.elt_scale(e, -1) for e in row] for row in nil]
+        while any(e for row in power for e in row):
+            out = [[self.elt_add(x, y) for x, y in zip(o_row, p_row)]
+                   for o_row, p_row in zip(out, power)]
+            power = self.mat_mul(power, neg)
+        return out
+
     def local_inverse(self, x: dict, edge: int) -> dict:
         """Inverse of a unit of the local ring e_edge A e_edge.
 
-        Units are exactly the elements whose trivial-path coefficient is
-        nonzero; the radical part is nilpotent so a Neumann series ends.
+        Units are exactly the elements whose trivial-path coefficient c is
+        nonzero; x = c (1 + rad) with rad in the radical, so the inverse is
+        c^-1 times the unipotent inverse of 1 + rad.
         """
         c = x.get(Path(edge, _ID), 0) % self.ell
         if not c:
             raise ZeroDivisionError("not a unit of the local endomorphism ring")
         cinv = pow(c, -1, self.ell)
         rad = self.elt_scale(self.elt_add(x, self.elt(Path(edge, _ID), -c)), cinv)
-        out = self.unit(edge)
-        term = self.unit(edge)
-        while True:
-            term = self.elt_scale(self.elt_mul(term, rad), -1)
-            if not term:
-                return self.elt_scale(out, cinv)
-            out = self.elt_add(out, term)
+        return self.elt_scale(self.unipotent_inverse([edge], [[rad]])[0][0], cinv)
 
 
 def from_tree(tree: PlanarBrauerTree, ell: int) -> TreeAlgebra:

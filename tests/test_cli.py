@@ -157,6 +157,13 @@ def test_selftest_filter(capsys):
     assert "PASS" in err
 
 
+def test_selftest_filter_that_matches_nothing_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "selftest", "--filter", "zzz")
+    assert code == 1
+    assert out == ""
+    assert err == "error: no selftest criterion matches 'zzz'\n"
+
+
 def test_byte_identical_reports(capsys):
     args = ("star", "--d", "7", "--e", "3", "--n", "2", "--verify")
     _, first, _ = run(capsys, *args)

@@ -13,6 +13,8 @@ meant to change:
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -60,15 +62,20 @@ CAPTURES = {
 SELFTEST_SHAPE = "selftest_shape.json"
 
 
+def _without_seconds(stdout: str) -> str:
+    """A selftest report with the timing of each criterion taken out."""
+    report = json.loads(stdout)
+    for result in report["results"]:
+        del result["seconds"]
+    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+
 def _selftest_shape() -> tuple[int, str]:
     """Exit code and report of `coxbrauer selftest` without the timings."""
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
         code = cli.main(["selftest"])
-    report = json.loads(buf.getvalue())
-    for result in report["results"]:
-        del result["seconds"]
-    return code, json.dumps(report, sort_keys=True, indent=2) + "\n"
+    return code, _without_seconds(buf.getvalue())
 
 
 @pytest.mark.parametrize("name", sorted(CAPTURES))
@@ -83,6 +90,18 @@ def test_selftest_shape_is_byte_identical():
     code, shape = _selftest_shape()
     assert code == 0
     assert shape == (GOLDEN / SELFTEST_SHAPE).read_text(encoding="utf-8")
+
+
+def test_selftest_holds_under_python_O():
+    """python -O strips bare asserts; the selftest must not rest on any."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-O", "-m", "coxbrauer.cli", "selftest"],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert (_without_seconds(proc.stdout)
+            == (GOLDEN / SELFTEST_SHAPE).read_text(encoding="utf-8"))
 
 
 def _write_captures():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from coxbrauer import brauer_tree as bt
@@ -185,6 +187,113 @@ def test_local_inverse():
     assert alg.elt_mul(inv, x) == alg.unit(0)
     with pytest.raises(ZeroDivisionError):
         alg.local_inverse(alg.elt(soc), 0)
+
+
+# ---------------------------------------------------------------------------
+# matrices of elements
+
+def two_branch_algebra():
+    series = bt.SeriesDatum(5, (bt.Branch(0, 0, 2), bt.Branch(1, 3, 4)))
+    return ta.from_tree(bt.assemble_tree(series, 2, 1), 31)
+
+
+def matrix_algebras():
+    return [line(4, 2, ell=31)[1], two_branch_algebra(), ree_algebra()[1]]
+
+
+def random_elt(alg, rng, src, tgt):
+    """A random combination of the basis paths from src to tgt."""
+    out = {}
+    for p in alg.paths_between.get((src, tgt), ()):
+        if rng.random() < 0.6:
+            out = alg.elt_add(out, alg.elt(p, rng.randrange(1, alg.ell)))
+    return out
+
+
+def random_matrix(alg, rng, rows, cols):
+    """Entry [r][c] is a random map P_cols[c] -> P_rows[r]."""
+    return [[random_elt(alg, rng, v, w) for w in cols] for v in rows]
+
+
+def identity(alg, vs):
+    return [[alg.unit(v) if i == j else {} for j in range(len(vs))]
+            for i, v in enumerate(vs)]
+
+
+def mat_add(alg, a, b):
+    return [[alg.elt_add(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def random_nil(alg, rng):
+    """Vertices from a few neighbours and a strictly lower-triangular
+    matrix of maps between their projectives, long powers included."""
+    pool = alg.vertices[:3]
+    vs = [rng.choice(pool) for _ in range(rng.randint(3, 6))]
+    nil = random_matrix(alg, rng, vs, vs)
+    for i, row in enumerate(nil):
+        row[i:] = [{}] * (len(vs) - i)
+    return vs, nil
+
+
+def test_unipotent_inverse_is_two_sided():
+    rng = random.Random(4099)
+    longest = 0
+    for alg in matrix_algebras():
+        for _ in range(6):
+            vs, nil = random_nil(alg, rng)
+            one = identity(alg, vs)
+            inv = alg.unipotent_inverse(vs, nil)
+            assert alg.mat_mul(mat_add(alg, one, nil), inv) == one
+            assert alg.mat_mul(inv, mat_add(alg, one, nil)) == one
+            power, k = nil, 0
+            while any(e for row in power for e in row):
+                power, k = alg.mat_mul(power, nil), k + 1
+            longest = max(longest, k)
+    # the series ran past its second term somewhere
+    assert longest >= 3
+
+
+def test_unipotent_inverse_cut_short_fails():
+    rng = random.Random(4099)
+    for alg in matrix_algebras():
+        vs, nil = random_nil(alg, rng)
+        neg = [[alg.elt_scale(e, -1) for e in row] for row in nil]
+        # the last nonzero power (-nil)^m of the series
+        last, power = None, neg
+        while any(e for row in power for e in row):
+            last, power = power, alg.mat_mul(power, neg)
+        assert last is not None
+        inv = alg.unipotent_inverse(vs, nil)
+        short = mat_add(alg, inv, [[alg.elt_scale(e, -1) for e in row]
+                                   for row in last])
+        one = identity(alg, vs)
+        assert alg.mat_mul(mat_add(alg, one, nil), short) != one
+
+
+def test_mat_mul_of_one_by_one_is_elt_mul():
+    rng = random.Random(31)
+    for alg in matrix_algebras():
+        for _ in range(40):
+            u, v, w = (rng.choice(alg.vertices) for _ in range(3))
+            # the pair is composable only when the middle vertices agree
+            x = random_elt(alg, rng, u, v)
+            y = random_elt(alg, rng, rng.choice([v, w]), w)
+            assert alg.mat_mul([[x]], [[y]]) == [[alg.elt_mul(x, y)]]
+
+
+def test_mat_mul_is_associative():
+    rng = random.Random(127)
+    nonzero = 0
+    for alg in matrix_algebras():
+        for _ in range(8):
+            shape = [[rng.choice(alg.vertices[:4]) for _ in range(rng.randint(1, 4))]
+                     for _ in range(4)]
+            a, b, c = (random_matrix(alg, rng, shape[k], shape[k + 1])
+                       for k in range(3))
+            left = alg.mat_mul(alg.mat_mul(a, b), c)
+            assert left == alg.mat_mul(a, alg.mat_mul(b, c))
+            nonzero += any(e for row in left for e in row)
+    assert nonzero >= 6
 
 
 def test_field_below_the_kernel_limit():
