@@ -22,8 +22,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
 
-from .ell_arith import EllContext, TruncatedPadic, hensel_root
+from .ell_arith import EllContext, TruncatedPadic, hensel_root, validate_regime
 from .numtheory import prime_power_split, valuation
+from .root_data import coxeter_datum, parse_type
 
 EXC = "exc"
 
@@ -531,6 +532,18 @@ _REE_SERIES = SeriesDatum(h0=6, branches=(
     Branch(11, 4, 4),   # cuspidal, zeta = xi^11 = conj(xi)
     Branch(9, 5, 5),    # cuspidal, zeta = xi^9 = -i
 ))
+
+
+# The 2g2 fixture is the principal ell-block of 2G2(q) at q^2 = 27, ell = 19.
+REE_QSQ, REE_ELL = 27, 19
+
+
+def ree_tree(qsq: int = REE_QSQ, ell: int = REE_ELL) -> PlanarBrauerTree:
+    """The tree of the principal ell-block of 2G2(q), q^2 = qsq; BadRegime
+    when (2G2, qsq, ell) is not a Coxeter-case regime."""
+    ctx = validate_regime(coxeter_datum(parse_type("2G2")), qsq, ell)
+    series, labels = fixture_series("2g2")
+    return principal_block_tree(ctx, series, labels=labels)
 
 
 def fixture_series(name: str) -> tuple[SeriesDatum, dict[int, str]]:

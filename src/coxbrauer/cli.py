@@ -185,9 +185,17 @@ def _poly_obj(poly):
             "sqrt_prime": poly.p, "pretty": poly.pretty()}
 
 
+def _refuse(args, options, source: str):
+    """Usage error naming each of `options` given, none applying to `source`."""
+    given = [f"--{o}" for o in options if getattr(args, o) is not None]
+    if given:
+        raise _UsageError(f"{', '.join(given)} cannot be used with {source}")
+
+
 def _load_tree(args) -> bt.PlanarBrauerTree:
     """Resolve the mutually exclusive --tree / --fixture input sources."""
-    if getattr(args, "tree", None):
+    if args.tree is not None:
+        _refuse(args, ("fixture", "qsq", "ell", "mu", "r"), "--tree")
         if args.tree == "-":
             return bt.from_json(sys.stdin.read())
         with open(args.tree, encoding="utf-8") as fh:
@@ -195,11 +203,12 @@ def _load_tree(args) -> bt.PlanarBrauerTree:
     name = args.fixture
     if name is None:
         raise _UsageError("one of --tree or --fixture is required")
-    series, labels = bt.fixture_series(name)
     if name.lower() == "2g2":
-        qsq = args.qsq if args.qsq is not None else st.REE_FIXTURE["qsq"]
-        ctx = validate_regime(coxeter_datum(parse_type("2G2")), qsq, _ree_ell(args))
-        return bt.principal_block_tree(ctx, series, labels=labels)
+        _refuse(args, ("mu", "r"), "the 2g2 fixture")
+        return bt.ree_tree(bt.REE_QSQ if args.qsq is None else args.qsq,
+                           bt.REE_ELL if args.ell is None else args.ell)
+    series, labels = bt.fixture_series(name)
+    _refuse(args, ("qsq", "ell"), f"the {name} fixture")
     mu = args.mu if args.mu is not None else 1
     r = args.r if args.r is not None else 1
     return bt.assemble_tree(series, mu, r, labels=labels)
@@ -208,18 +217,14 @@ def _load_tree(args) -> bt.PlanarBrauerTree:
 def _tree_args(sub, with_field=False):
     sub.add_argument("--tree", help="tree JSON file, or - for stdin")
     sub.add_argument("--fixture", help="builtin fixture: 2g2 or lineN")
-    sub.add_argument("--qsq", type=int, help="q (q^2 for Suzuki/Ree fixtures)")
-    sub.add_argument("--ell", type=int, help="the prime ell")
+    sub.add_argument("--qsq", type=int, help="q^2 for the 2g2 fixture (default 27)")
+    sub.add_argument("--ell", type=int, help="the prime ell for the 2g2 fixture (default 19)")
     sub.add_argument("--mu", type=int, help="multiplicity for line fixtures")
     sub.add_argument("--r", type=int, help="homological offset for line fixtures")
     if with_field:
         sub.add_argument("--field", type=int, default=None,
                          help="prime field order for the tree algebra")
     sub.add_argument("--out", default="-", help="output path, - for stdout")
-
-
-def _ree_ell(args) -> int:
-    return args.ell if args.ell is not None else st.REE_FIXTURE["ell"]
 
 
 def _field_for(tree, args) -> int:
@@ -230,8 +235,8 @@ def _field_for(tree, args) -> int:
     meta = dict(tree.star_meta or ())
     if meta:
         return prime_power_split(meta["d_order"])[0]
-    if not args.tree and args.fixture.lower() == "2g2":
-        return _ree_ell(args)
+    if args.tree is None and args.fixture.lower() == "2g2":
+        return bt.REE_ELL if args.ell is None else args.ell
     return 5
 
 

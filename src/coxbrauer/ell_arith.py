@@ -1,13 +1,11 @@
 """Modular and truncated ell-adic arithmetic for the Coxeter regime.
 
 Validates triples (type, q, ell): ell must divide the Coxeter torus order
-but not the order of the twist-fixed Weyl group, and q must land on a
-primitive h-th root of unity mod ell.  On top of the validated context the
-module provides the eigenvalue congruence table j -> q^(j*delta) mod ell
-and Hensel lifting of prime-to-ell roots.
-
-Quadratic extensions F_ell[t]/(t^2 - s), needed when q^2 is a non-residue
-for a Suzuki or Ree group, are realized with s the smallest non-residue.
+but not the order of the twist-fixed Weyl group, and q must have order h,
+which is decided in F_ell even for the Suzuki and Ree types, where q itself
+need not lie in F_ell.  On top of the validated context the module
+provides the eigenvalue congruence table j -> q^(j*delta) mod ell and
+Hensel lifting of prime-to-ell roots.
 """
 
 from __future__ import annotations
@@ -15,8 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .numtheory import (factorize, has_order, is_prime, prime_power_split,
-                        smallest_nonresidue, sqrt_mod_prime)
+from .numtheory import has_order, is_prime, prime_power_split
 from .root_data import CoxeterDatum, torus_order_poly, weyl_fixed_order
 
 
@@ -32,45 +29,14 @@ class NoRoot(ArithmeticError):
     """Hensel seed does not solve the equation mod ell."""
 
 
-# ---------------------------------------------------------------------------
-# quadratic extension helpers: elements of F_ell[t]/(t^2 - s) as (a, b) pairs
-
-def fq2_mul(x, y, ell, s):
-    a, b = x
-    c, d = y
-    return ((a * c + b * d * s) % ell, (a * d + b * c) % ell)
-
-
-def fq2_pow(x, k, ell, s):
-    out, base = (1, 0), x
-    while k:
-        if k & 1:
-            out = fq2_mul(out, base, ell, s)
-        base = fq2_mul(base, base, ell, s)
-        k >>= 1
-    return out
-
-
-def fq2_has_order(x, order, ell, s) -> bool:
-    if fq2_pow(x, order, ell, s) != (1, 0):
-        return False
-    return all(fq2_pow(x, order // p, ell, s) != (1, 0) for p in factorize(order))
-
-
 @dataclass(frozen=True)
 class EllContext:
-    """A validated modular regime for one Coxeter datum.
-
-    q_mod is an element of F_ell (an int) or of F_ell[t]/(t^2 - nonresidue)
-    (a pair); nonresidue is set exactly when q_mod needs that extension.
-    qdelta_mod = q^delta always lies in the prime field.
-    """
+    """A validated modular regime for one Coxeter datum; qdelta_mod is
+    q^delta mod ell, which lies in the prime field for every type."""
 
     datum: CoxeterDatum
     ell: int
     qsq: int
-    q_mod: int | tuple[int, int]
-    nonresidue: int | None
     qdelta_mod: int
     torus_value: int
     weyl_order: int
@@ -108,40 +74,24 @@ def validate_regime(datum: CoxeterDatum, qsq: int, ell: int) -> EllContext:
         raise BadRegime("NotDividing",
                         f"ell={ell} does not divide |T_c| = {torus_value}")
 
-    h, delta = datum.h, datum.delta
-    nonresidue: int | None = None
+    # For Suzuki/Ree types q = sqrt(q^2) need not lie in F_ell, but h0 = h/2
+    # is even (4, 6 or 12).  If q^2 has order h0, then q^h0 = (q^2)^(h0/2) =
+    # -1 and q^(2*h0/p) = (q^2)^(h0/p) != 1 for each odd prime p | h0, so
+    # every square root q has order 2*h0 = h; conversely ord(q) = h gives
+    # ord(q^2) = h0.  For the other types ord(q) = h gives ord(q^delta) = h0.
+    h = datum.h
     if p_root is None:
-        q_mod: int | tuple[int, int] = qsq % ell
-        if not has_order(qsq % ell, h, ell):
+        if not has_order(qsq, h, ell):
             raise BadRegime("WrongOrder", f"q has order != h = {h} mod {ell}")
+        qdelta_mod = pow(qsq, datum.delta, ell)
     else:
-        s = qsq % ell
-        root = sqrt_mod_prime(s, ell)
-        if root is not None:
-            q_mod = min(root, ell - root)
-            if not has_order(q_mod, h, ell):
-                q_mod = max(root, ell - root)
-            if not has_order(q_mod, h, ell):
-                raise BadRegime("WrongOrder", f"q has order != h = {h} mod {ell}")
-        else:
-            nonresidue = smallest_nonresidue(ell)
-            c = sqrt_mod_prime(s * pow(nonresidue, -1, ell) % ell, ell)
-            if c is None:
-                raise ValueError(f"q^2 = {s} is neither a square nor a "
-                                 f"non-residue times a square mod {ell}")
-            q_mod = (0, min(c, ell - c))
-            if not fq2_has_order(q_mod, h, ell, nonresidue):
-                raise BadRegime("WrongOrder",
-                                f"q has order != h = {h} in F_{ell}^2")
-
-    # q^delta for Suzuki/Ree is q^2 = qsq itself (their delta is 2)
-    qdelta_mod = qsq % ell if p_root is not None else pow(qsq % ell, delta, ell)
-    if not has_order(qdelta_mod, datum.h0, ell):
-        raise BadRegime("WrongOrder",
-                        f"q^delta has order != h0 = {datum.h0} mod {ell}")
-
-    return EllContext(datum=datum, ell=ell, qsq=qsq, q_mod=q_mod,
-                      nonresidue=nonresidue, qdelta_mod=qdelta_mod,
+        qdelta_mod = qsq % ell            # delta = 2, so q^delta = q^2
+        if not has_order(qdelta_mod, datum.h0, ell):
+            # Euler's criterion: q lies in F_ell iff q^2 is a square there
+            where = (f"mod {ell}" if pow(qdelta_mod, (ell - 1) // 2, ell) == 1
+                     else f"in F_{ell}^2")
+            raise BadRegime("WrongOrder", f"q has order != h = {h} {where}")
+    return EllContext(datum=datum, ell=ell, qsq=qsq, qdelta_mod=qdelta_mod,
                       torus_value=torus_value, weyl_order=weyl_order)
 
 

@@ -275,21 +275,19 @@ def trim(cx: ProjComplex, m: int, M: int) -> ProjComplex:
     until none remain.  A Brauer tree algebra is self-injective, so a
     boundary that is injective out of the lowest term, or onto the highest,
     would split, and a split map between projectives has an invertible
-    entry.  The terms of the minimal complex therefore lie between its
-    lowest and highest cohomology degrees, though a degree between them may
-    carry a term and no cohomology.  CohomologyOutsideRange is raised when
-    the stated range does not contain all the cohomology.
+    entry.  The terms of the minimal complex therefore run from its lowest
+    to its highest cohomology degree, though a degree between them may
+    carry a term and no cohomology.  So the cohomology lies inside [m, M]
+    exactly when those terms do; CohomologyOutsideRange is raised otherwise.
     """
-    coh = cohomology(cx)
-    if any(d < m or d > M for d in coh):
-        raise CohomologyOutsideRange(
-            f"cohomology in degrees {sorted(coh)} not inside [{m}, {M}]")
     cur = cx
     while (hit := _unit_entry(cur)) is not None:
         cur = _eliminate(cur, *hit)
-    if any((d < m or d > M) and cur.term(d) for d in cur.degrees()):
+    occupied = [d for d in cur.degrees() if cur.term(d)]
+    if any(d < m or d > M for d in occupied):
         raise CohomologyOutsideRange(
-            "minimal complex still has terms outside the stated range")
+            f"minimal complex has terms in degrees {occupied}, "
+            f"so cohomology outside [{m}, {M}]")
     return cur
 
 

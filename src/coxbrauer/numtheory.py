@@ -116,39 +116,3 @@ def has_order(x: int, order: int, mod: int) -> bool:
         return False
     return all(pow(x, order // p, mod) != 1 for p in factorize(order))
 
-
-def sqrt_mod_prime(a: int, p: int) -> int | None:
-    """A square root of a mod prime p (Tonelli-Shanks), or None."""
-    a %= p
-    if a == 0:
-        return 0
-    if p == 2:
-        return a
-    if pow(a, (p - 1) // 2, p) != 1:
-        return None
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    # write p-1 = q * 2^s with q odd
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = smallest_nonresidue(p)
-    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c = i, b * b % p
-        t, r = t * c % p, r * b % p
-    return r
-
-
-def smallest_nonresidue(p: int) -> int:
-    """Smallest quadratic non-residue mod odd prime p."""
-    for z in range(2, p):
-        if pow(z, (p - 1) // 2, p) == p - 1:
-            return z
-    raise ValueError(f"{p} has no non-residue; not an odd prime?")

@@ -20,8 +20,6 @@ from . import tree_algebra as ta
 from .ell_arith import TruncatedPadic, eigenvalue_table, hensel_root, validate_regime
 from .root_data import coxeter_datum, parse_type, torus_order_poly
 
-REE_FIXTURE = {"qsq": 27, "ell": 19}
-
 # frozen rendering of the Ree tree; also stored at tests/golden/2g2_tree.dot
 REE_DOT = """graph brauer_tree {
   graph [ordering=out];
@@ -52,13 +50,6 @@ class CheckResult:
     def line(self) -> str:
         status = "PASS" if self.ok else "FAIL"
         return f"{status} {self.name:32s} {self.elapsed:6.2f}s  {self.detail}"
-
-
-def _ree_tree() -> bt.PlanarBrauerTree:
-    ctx = validate_regime(coxeter_datum(parse_type("2G2")),
-                          REE_FIXTURE["qsq"], REE_FIXTURE["ell"])
-    series, labels = bt.fixture_series("2g2")
-    return bt.principal_block_tree(ctx, series, labels=labels)
 
 
 # --------------------------------------------------------------------------
@@ -152,7 +143,7 @@ def check_hensel() -> tuple[bool, str]:
 # criterion 5: the Ree tree reproduces the known planar embedding
 
 def check_ree_tree() -> tuple[bool, str]:
-    tree = _ree_tree()
+    tree = bt.ree_tree()
     lengths = sorted(b.M - b.m + 1 for b in tree.series.branches)
     ok = (len(tree.vertices) == 6
           and tree.multiplicity == 3
@@ -263,7 +254,7 @@ def check_rickard_family() -> tuple[bool, str]:
 
 
 def check_tilting_suite() -> tuple[bool, str]:
-    trees = line_trees() + [_ree_tree()]
+    trees = line_trees() + [bt.ree_tree()]
     for tree in trees:
         field = 19 if tree.h0 == 6 else 5
         alg = ta.from_tree(tree, field)
@@ -313,7 +304,7 @@ def top_cohomology_degree(cx: ho.ProjComplex) -> int | None:
 
 
 def check_perversity_unitriangular() -> tuple[bool, str]:
-    trees = random_trees() + line_trees() + [_ree_tree()]
+    trees = random_trees() + line_trees() + [bt.ree_tree()]
     complexes = 0
     for tree in trees:
         d = bt.decomposition_matrix(tree)
@@ -329,7 +320,7 @@ def check_perversity_unitriangular() -> tuple[bool, str]:
                                f"= {row['degree']} on {tree.series}")
             complexes += 1
     # negative control: one more term above the top moves the top degree
-    tree = _ree_tree()
+    tree = bt.ree_tree()
     alg = ta.from_tree(tree, 31)
     cx = ho.rickard_complex(alg, tree, 1)
     top = top_cohomology_degree(cx)

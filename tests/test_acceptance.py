@@ -39,8 +39,8 @@ def test_criterion_05_ree_tree():
 
 def test_criterion_05_ree_tree_golden_file():
     golden = pathlib.Path(__file__).parent / "golden" / "2g2_tree.dot"
-    from coxbrauer.brauer_tree import to_dot
-    assert to_dot(st._ree_tree()) == golden.read_text() == st.REE_DOT
+    from coxbrauer.brauer_tree import ree_tree, to_dot
+    assert to_dot(ree_tree()) == golden.read_text() == st.REE_DOT
     print("PASS 5-ree-tree-golden: DOT output byte-identical to the checked-in file")
 
 

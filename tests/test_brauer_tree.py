@@ -19,11 +19,6 @@ def ree_ctx():
     return validate_regime(coxeter_datum(parse_type("2G2")), 27, 19)
 
 
-def ree_tree():
-    series, labels = bt.fixture_series("2g2")
-    return bt.principal_block_tree(ree_ctx(), series, labels=labels)
-
-
 def test_series_validation():
     with pytest.raises(InvalidSeries):
         SeriesDatum(3, (Branch(0, 0, 0), Branch(1, 2, 2)))   # misses 1
@@ -105,7 +100,7 @@ def test_successor_rule_cycle():
 
 
 def test_ree_figure():
-    tree = ree_tree()
+    tree = bt.ree_tree()
     assert len(tree.vertices) == 6
     assert len(tree.edges) == 6
     assert tree.multiplicity == 3
@@ -116,7 +111,7 @@ def test_ree_figure():
 
 
 def test_decomposition_matrix_rows():
-    tree = ree_tree()
+    tree = bt.ree_tree()
     d = bt.decomposition_matrix(tree)
     # interior edge S1 joins chi_0 and chi_1 only
     col = [row[1] for row in d.matrix]
@@ -146,7 +141,7 @@ def test_cartan_examples():
 
 
 def test_heights_and_perversity():
-    tree = ree_tree()
+    tree = bt.ree_tree()
     assert [bt.height(tree, j) for j in range(6)] == [0, 1, 0, 0, 0, 0]
     assert bt.perversity(tree, 0) == -2
     assert bt.perversity(tree, 2) == 0
@@ -155,7 +150,7 @@ def test_heights_and_perversity():
 
 
 def test_unitriangular_orders():
-    tree = ree_tree()
+    tree = bt.ree_tree()
     d = bt.decomposition_matrix(tree)
     ok, order = bt.check_unitriangular(d)
     assert ok and order[0] == 1          # the deepest edge comes first
@@ -187,7 +182,7 @@ def test_unitriangular_a_annotations():
 
 
 def test_json_round_trip():
-    for tree in [ree_tree(), bt.star_tree(7, 3, 2),
+    for tree in [bt.ree_tree(), bt.star_tree(7, 3, 2),
                  bt.assemble_tree(bt.line_series(4), 2, 2)]:
         assert bt.from_json(json.dumps(bt.tree_to_obj(tree))) == tree
 
@@ -209,7 +204,7 @@ def test_json_parse_errors():
 
 
 def test_dot_output():
-    dot = bt.to_dot(ree_tree())
+    dot = bt.to_dot(bt.ree_tree())
     assert dot.count("--") == 6
     assert dot.count("[shape=circle") == 6
     assert "doublecircle" in dot
@@ -219,7 +214,7 @@ def test_dot_output():
 def test_dot_matches_golden(tmp_path):
     import pathlib
     golden = pathlib.Path(__file__).parent / "golden" / "2g2_tree.dot"
-    assert bt.to_dot(ree_tree()) == golden.read_text()
+    assert bt.to_dot(bt.ree_tree()) == golden.read_text()
 
 
 def test_height_ordering_certifies_random_trees():

@@ -1,6 +1,7 @@
 import json
 
 import jsonschema
+import pytest
 
 from coxbrauer import cli
 
@@ -141,6 +142,28 @@ def test_tree_requires_source(capsys):
 def test_unknown_fixture(capsys):
     code, _, err = run(capsys, "tree", "--fixture", "nosuch")
     assert code == 1
+
+
+@pytest.mark.parametrize("command, argv, offending", [
+    ("tree", ["--tree", "{tree}", "--fixture", "2g2"], ["--fixture"]),
+    ("tree", ["--fixture", "line3", "--qsq", "27"], ["--qsq"]),
+    ("decmatrix", ["--fixture", "line3", "--ell", "19"], ["--ell"]),
+    ("tree", ["--tree", "{tree}", "--qsq", "27", "--ell", "19"],
+     ["--qsq", "--ell"]),
+    ("tree", ["--fixture", "2g2", "--mu", "4"], ["--mu"]),
+    ("algebra", ["--fixture", "2g2", "--r", "0"], ["--r"]),
+    ("tree", ["--tree", "{tree}", "--mu", "4"], ["--mu"]),
+    ("rickard", ["--tree", "{tree}", "--r", "2", "--vertex", "1"], ["--r"]),
+])
+def test_options_that_do_not_apply_to_the_tree_source_are_refused(
+        tmp_path, capsys, command, argv, offending):
+    code, out, _ = run(capsys, "tree", "--fixture", "line3")
+    path = tmp_path / "line3.json"
+    path.write_text(out)
+    argv = [a.replace("{tree}", str(path)) for a in argv]
+    code, out, err = run(capsys, command, *argv)
+    assert code == 1 and out == ""
+    assert f"{', '.join(offending)} cannot be used with" in err
 
 
 def test_missing_file(capsys):

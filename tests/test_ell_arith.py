@@ -4,8 +4,7 @@ from fractions import Fraction
 import pytest
 
 from coxbrauer.ell_arith import (BadRegime, NoRoot, TruncatedPadic,
-                                 eigenvalue_table, fq2_has_order, hensel_root,
-                                 validate_regime)
+                                 eigenvalue_table, hensel_root, validate_regime)
 from coxbrauer.root_data import coxeter_datum, parse_type
 
 
@@ -16,17 +15,13 @@ def ctx_for(name, qsq, ell):
 def test_validate_a2():
     ctx = ctx_for("A2", 2, 7)
     assert ctx.torus_value == 7
-    assert ctx.q_mod == 2 and ctx.qdelta_mod == 2
+    assert ctx.qdelta_mod == 2
 
 
 def test_validate_ree():
     ctx = ctx_for("2G2", 27, 19)
     assert ctx.torus_value == 19
     assert ctx.qdelta_mod == 8
-    # q^2 = 8 is a non-residue mod 19, so q lives in F_19(t)
-    assert isinstance(ctx.q_mod, tuple)
-    assert ctx.nonresidue == 2
-    assert fq2_has_order(ctx.q_mod, 12, 19, 2)
 
 
 def test_validate_rejections():

@@ -11,8 +11,6 @@ from coxbrauer import cli
 from coxbrauer import homotopy as ho
 from coxbrauer import linalg
 from coxbrauer import tree_algebra as ta
-from coxbrauer.ell_arith import validate_regime
-from coxbrauer.root_data import coxeter_datum, parse_type
 from coxbrauer.selftest import line_trees, random_trees
 
 
@@ -22,9 +20,7 @@ def line(h0, mu, r=1, ell=5):
 
 
 def ree():
-    ctx = validate_regime(coxeter_datum(parse_type("2G2")), 27, 19)
-    series, labels = bt.fixture_series("2g2")
-    tree = bt.principal_block_tree(ctx, series, labels=labels)
+    tree = bt.ree_tree()
     return tree, ta.from_tree(tree, 19)
 
 

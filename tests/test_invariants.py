@@ -133,9 +133,11 @@ def test_algebra_and_tree_checks_hold_under_optimize():
 
 
 # q^delta = 1 (every eigenvalue collides), q^delta = 3 mod 7 (distinct
-# powers but of order 6, not h0 = 3), A2 with both degrees 3 (the angle
-# 2/3 of order h twice), a direct sum of nothing, and a Hom complex
-# between complexes over two algebras of the same tree.
+# powers but of order 6, not h0 = 3), 2A2 at q = 2, ell = 3 (q of order
+# 2, not h = 6), 2G2 at q^2 = 27, ell = 7 (7 does not divide |T_c| = 19),
+# A2 with both degrees 3 (the angle 2/3 of order h twice), a direct sum
+# of nothing, and a Hom complex between complexes over two algebras of
+# the same tree.
 GUARD_SCRIPT = """
 import dataclasses
 from coxbrauer import brauer_tree as bt, homotopy as ho, tree_algebra as ta
@@ -150,6 +152,8 @@ alg, other = ta.from_tree(tree, 5), ta.from_tree(tree, 5)
 bad = {
     "collision": lambda: eigenvalue_table(dataclasses.replace(ctx, qdelta_mod=1)),
     "root": lambda: eigenvalue_table(dataclasses.replace(ctx, qdelta_mod=3)),
+    "order": lambda: validate_regime(coxeter_datum(parse_type("2A2")), 2, 3),
+    "ree": lambda: validate_regime(coxeter_datum(parse_type("2G2")), 27, 7),
     "angles": lambda: twisted_coxeter_eigenvalues(
         dataclasses.replace(datum, degrees=(3, 3))),
     "sum": lambda: ho.direct_sum([]),
@@ -170,9 +174,11 @@ def test_regime_datum_and_complex_guards_hold_under_optimize():
     lines = _run_optimized(GUARD_SCRIPT)
     assert [line.split()[:2] for line in lines] == [
         [name, "rejected:"] for name in
-        ("collision", "root", "angles", "sum", "hom")]
+        ("collision", "root", "order", "ree", "angles", "sum", "hom")]
     assert "collision" in lines[0]
     assert "h0-th root" in lines[1]
-    assert "multiplicity > 1" in lines[2]
-    assert "no complexes" in lines[3]
-    assert "different algebras" in lines[4]
+    assert "WrongOrder: q has order != h = 6 mod 3" in lines[2]
+    assert "NotDividing: ell=7 does not divide |T_c| = 19" in lines[3]
+    assert "multiplicity > 1" in lines[4]
+    assert "no complexes" in lines[5]
+    assert "different algebras" in lines[6]

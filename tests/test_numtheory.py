@@ -2,8 +2,7 @@ import pytest
 
 from coxbrauer.numtheory import (MILLER_RABIN_BOUND, euler_phi, factorize,
                                  has_order, integer_root, is_prime,
-                                 prime_power_split, smallest_nonresidue,
-                                 sqrt_mod_prime, valuation)
+                                 prime_power_split, valuation)
 
 
 def test_is_prime_small():
@@ -86,18 +85,3 @@ def test_orders():
     assert not has_order(2, 6, 7)
     assert has_order(8, 6, 19)
 
-
-def test_sqrt_mod_prime():
-    for p in (3, 5, 7, 11, 13, 17, 19, 29):
-        squares = {pow(x, 2, p) for x in range(p)}
-        for a in range(p):
-            r = sqrt_mod_prime(a, p)
-            if a in squares:
-                assert r is not None and r * r % p == a
-            else:
-                assert r is None
-
-
-def test_smallest_nonresidue():
-    assert smallest_nonresidue(7) == 3
-    assert smallest_nonresidue(19) == 2

@@ -5,8 +5,6 @@ import pytest
 from coxbrauer import brauer_tree as bt
 from coxbrauer import tree_algebra as ta
 from coxbrauer.brauer_tree import EXC
-from coxbrauer.ell_arith import validate_regime
-from coxbrauer.root_data import coxeter_datum, parse_type
 from coxbrauer.selftest import random_trees
 
 
@@ -49,9 +47,7 @@ def line(h0, mu, ell=5, r=1):
 
 
 def ree_algebra():
-    ctx = validate_regime(coxeter_datum(parse_type("2G2")), 27, 19)
-    series, labels = bt.fixture_series("2g2")
-    tree = bt.principal_block_tree(ctx, series, labels=labels)
+    tree = bt.ree_tree()
     return tree, ta.from_tree(tree, 19)
 
 
