@@ -10,6 +10,7 @@ tilting failure, selftest failure), 1 for usage or IO errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -168,8 +169,30 @@ SCHEMAS = {
 
 
 def _emit(obj, out_path: str | None):
-    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
-    _write(text, out_path)
+    _write(_dumps(obj) + "\n", out_path)
+
+
+def _dumps(obj, indent: str = "\n") -> str:
+    """What json.dumps gives with sorted keys and a two-space indent, byte
+    for byte.
+
+    json uses its C encoder only for compact output, so the containers are
+    laid out here and every key and leaf goes through the C encoder; a
+    list of plain ints is joined in one step.  Keys must be str."""
+    if not obj or not isinstance(obj, (dict, list, tuple)):
+        return json.dumps(obj)
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        if not all(isinstance(k, str) for k in obj):
+            raise TypeError(f"report keys must be str: {list(obj)!r}")
+        body = (json.dumps(k) + ": " + _dumps(v, inner)
+                for k, v in sorted(obj.items()))
+        return "{" + inner + ("," + inner).join(body) + indent + "}"
+    if all(type(x) is int for x in obj):
+        body = map(str, obj)
+    else:
+        body = (_dumps(x, inner) for x in obj)
+    return "[" + inner + ("," + inner).join(body) + indent + "]"
 
 
 def _write(text: str, out_path: str | None):
@@ -240,6 +263,7 @@ def _field_for(tree, args) -> int:
     return 5
 
 
+@functools.cache
 def build_parser() -> _Parser:
     parser = _Parser(prog="coxbrauer", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
@@ -342,7 +366,7 @@ def _cmd_algebra(args) -> int:
         "dimension": alg.dim,
         "field": alg.ell,
         "vertices": vs,
-        "cartan": [[len(ta.hom_space(alg, i, j)) for j in vs] for i in vs],
+        "cartan": [[ta.hom_dim(alg, i, j) for j in vs] for i in vs],
         "ext1": [[ta.ext1(alg, i, j) for j in vs] for i in vs],
     }, args.out)
     return EXIT_OK

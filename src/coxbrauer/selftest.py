@@ -174,7 +174,7 @@ def check_algebra_dims() -> tuple[bool, str]:
     alg = ta.from_tree(tree, 7)
     cartan = bt.cartan_matrix(bt.decomposition_matrix(tree))
     want = ((3, 2, 2), (2, 3, 2), (2, 2, 3))
-    hom_grid = tuple(tuple(len(ta.hom_space(alg, i, j)) for j in range(3))
+    hom_grid = tuple(tuple(ta.hom_dim(alg, i, j) for j in range(3))
                      for i in range(3))
     ok = alg.dim == 21 and cartan == want and hom_grid == want
     return ok, f"dim {alg.dim} = |D x| E|; Cartan == D^T D == Hom grid"

@@ -245,9 +245,10 @@ def from_tree(tree: PlanarBrauerTree, ell: int) -> TreeAlgebra:
 
 def ext1(alg: TreeAlgebra, i: int, j: int) -> int:
     """dim Ext^1(S_i, S_j) = number of quiver arrows from i to j."""
-    return alg.arrow_counts[(i, j)]
+    return alg.arrow_counts.get((i, j), 0)
 
 
-def hom_space(alg: TreeAlgebra, i: int, j: int) -> list[dict]:
-    """Basis of Hom(P_i, P_j): left multiplications by paths from j to i."""
-    return [alg.elt(p) for p in alg.paths_between.get((j, i), ())]
+def hom_dim(alg: TreeAlgebra, i: int, j: int) -> int:
+    """dim Hom(P_i, P_j), the number of basis paths from j to i: each acts
+    by left multiplication."""
+    return len(alg.paths_between.get((j, i), ()))

@@ -119,7 +119,7 @@ def test_dec_transpose_equals_cartan():
         d = orc.brute_decomposition_matrix(g)
         alg = ta.from_tree(bt.star_tree(d_order, e_order, n), g.ell)
         cols = sorted(alg.vertices)
-        cartan = [[len(ta.hom_space(alg, i, j)) for j in cols] for i in cols]
+        cartan = [[ta.hom_dim(alg, i, j) for j in cols] for i in cols]
         dtd = [[sum(row[a] * row[b] for row in d) for b in cols] for a in cols]
         assert dtd == cartan
 
