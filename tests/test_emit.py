@@ -42,10 +42,6 @@ VALUES = st.recursive(
     max_leaves=30)
 
 
-def _reference(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2)
-
-
 @settings(max_examples=200, deadline=None)
 @given(VALUES)
 @example({})
@@ -57,7 +53,7 @@ def _reference(obj) -> str:
 @example({"ok": True, "results": [{"detail": "dim 21", "name": "7-algebra",
                                    "ok": True, "seconds": 0.012}]})
 def test_dumps_is_json_with_sorted_keys_and_two_space_indent(obj):
-    assert cli._dumps(obj) == _reference(obj)
+    assert cli._dumps(obj) == json.dumps(obj, sort_keys=True, indent=2)
 
 
 def test_non_string_keys_are_refused():
