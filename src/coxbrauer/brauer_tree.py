@@ -23,7 +23,7 @@ from functools import cached_property
 from math import gcd
 
 from .ell_arith import EllContext, TruncatedPadic, hensel_root, validate_regime
-from .numtheory import prime_power_split, valuation
+from .numtheory import has_order, prime_power_split, valuation
 from .root_data import coxeter_datum, parse_type
 
 EXC = "exc"
@@ -250,11 +250,11 @@ def star_tree(d_order: int, e_order: int, n: int, r: int = 0) -> PlanarBrauerTre
         raise BadAction("|E| must be prime to ell")
     if pow(n, e_order, d_order) != 1:
         raise BadAction(f"n={n} does not have order dividing {e_order} mod {d_order}")
-    from .numtheory import has_order
-    if e_order > 1 and not has_order(n % ell, e_order, ell):
-        raise BadAction(f"n={n} does not have order {e_order} mod {ell}")
+    # before has_order, which factorizes |E| by trial division
     if (d_order - 1) % e_order:
         raise BadAction(f"{e_order} does not divide |D| - 1 = {d_order - 1}")
+    if e_order > 1 and not has_order(n % ell, e_order, ell):
+        raise BadAction(f"n={n} does not have order {e_order} mod {ell}")
     zeta = hensel_root(TruncatedPadic(1, ell, alpha + 1), e_order, n % ell) \
         if e_order > 1 else TruncatedPadic(1, ell, alpha + 1)
     series = SeriesDatum(h0=e_order,
@@ -340,7 +340,6 @@ def check_unitriangular(d: DecompositionMatrix):
     order = sorted(chi, key=lambda j: (-hgt[j], j))
     row_of = {j: i for i, (kind, j) in enumerate(d.row_labels) if kind == "chi"}
     col_of = {j: i for i, j in enumerate(d.col_edges)}
-    n = len(order)
     ok = True
     for rpos, j in enumerate(order):
         row = d.matrix[row_of[j]]

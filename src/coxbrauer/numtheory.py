@@ -6,6 +6,8 @@ nothing uses floating point.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 
 # The first 13 primes.  Miller-Rabin with these bases is exact for every
 # n below MILLER_RABIN_BOUND (Sorenson and Webster, Math. Comp. 2017).
@@ -96,9 +98,6 @@ def valuation(n: int, p: int) -> int:
         n //= p
         v += 1
     return v
-
-
-from functools import lru_cache
 
 
 @lru_cache(maxsize=None)

@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from . import linalg
 from .brauer_tree import PlanarBrauerTree, decomposition_matrix
 from .cyclotomic import power_basis
 from .ell_arith import TruncatedPadic, hensel_root
@@ -58,6 +57,8 @@ class MetacyclicGroup:
             raise ValueError("|E| must be prime to ell")
         if pow(self.n, self.e_order, self.d_order) != 1:
             raise ValueError(f"n^{self.e_order} != 1 mod {self.d_order}")
+        if (ell - 1) % self.e_order:
+            raise ValueError(f"|E| = {self.e_order} does not divide ell - 1 = {ell - 1}")
         if self.e_order > 1 and not has_order(self.n % ell, self.e_order, ell):
             raise ValueError(f"n must have order {self.e_order} mod {ell}")
 
@@ -137,12 +138,13 @@ class CharacterTable:
                 for row in self.values]
 
         def inner_is(want: int, pairs) -> bool:
-            acc = [0] * L
+            acc: dict[int, int] = {}
             for weight, x, y in pairs:
                 for kx, cx in x.items():
                     for ky, cy in y.items():
-                        acc[(kx + ky) % L] += weight * cx * cy
-            return power_basis(L, dict(enumerate(acc))) == (want,) + zeros
+                        k = (kx + ky) % L
+                        acc[k] = acc.get(k, 0) + weight * cx * cy
+            return power_basis(L, acc) == (want,) + zeros
 
         for i in range(nrows):
             for j in range(i, nrows):
@@ -222,10 +224,10 @@ def brute_decomposition_matrix(g: MetacyclicGroup) -> tuple[tuple[int, ...], ...
     """Decomposition matrix by restriction to the ell-regular classes.
 
     The Brauer characters are the m linear characters of E lifted through
-    the fixed root of unity zeta = lift of n.  Every ordinary row is solved
-    against that basis over Z/ell^(alpha+1) by one elimination of [V | T]:
-    V holds the Brauer characters and column m + i of T ordinary character
-    i, both on the regular classes.
+    the fixed root of unity zeta = lift of n: phi_j(x^b) = zeta^(jb).  That
+    matrix V is the character table of the cyclic group E, so column
+    orthogonality inverts it, V^-1 = m^-1 conj(V)^T, and each decomposition
+    number is d_ij = m^-1 sum_b zeta^(-jb) chi_i(x^b) mod ell^(alpha+1).
     """
     table = character_table(g)
     m = g.e_order
@@ -236,20 +238,21 @@ def brute_decomposition_matrix(g: MetacyclicGroup) -> tuple[tuple[int, ...], ...
     exps = [0] + [c.rep for c in table.classes if c.kind == "e"]
     if len(reg) != m:
         raise SingularSystem(f"{len(reg)} regular classes for {m} Brauer characters")
-    # V[b, j] = phi_j(x^b) = zeta^(j b)
-    aug = [[pow(zeta.value, j * b, mod) for j in range(m)]
-           + [_reduce_value(row[cls_idx], g, zeta) for row in table.values]
-           for cls_idx, b in zip(reg, exps)]
-    reduced, pivots = linalg.rref_mod_prime(linalg.SparseMatrix.from_dense(aug),
-                                            g.ell, mod)
-    if pivots[:m] != list(range(m)):
-        raise SingularSystem("Brauer character matrix not invertible")
+    values = [[_reduce_value(row[c], g, zeta) for c in reg] for row in table.values]
+    # V^-1 = m^-1 conj(V)^T holds when zeta has order m mod ell^(alpha+1): m
+    # is prime to ell, so then zeta^k - 1 is a unit for 0 < k < m
+    if not has_order(zeta.value, m, mod):
+        raise SingularSystem(f"lift {zeta.value} does not have order {m} mod "
+                             f"{mod}: Brauer character matrix not invertible")
+    powers = [pow(zeta.value, k, mod) for k in range(m)]
+    m_inv = pow(m, -1, mod)
+    sol = [[m_inv * sum(powers[-j * b % m] * v for b, v in zip(exps, row)) % mod
+            for j in range(m)] for row in values]
     # decomposition numbers are small nonnegative integers
-    sol = [[x if x <= mod // 2 else x - mod for x in col]
-           for col in zip(*(row[m:] for row in reduced.tolist()))]
     for i, row in enumerate(sol):
         for j, x in enumerate(row):
             if x not in (0, 1):
+                x = x if x <= mod // 2 else x - mod
                 raise Mismatch(f"unexpected decomposition number {x}", cell=(i, j))
     return tuple(map(tuple, sol))
 

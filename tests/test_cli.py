@@ -348,6 +348,15 @@ def test_validate_with_a_61_bit_ell_is_quick(capsys):
     assert obj["reason"].startswith("NotDividing")
 
 
+def test_star_with_a_61_bit_e_is_refused_quickly(capsys):
+    import time
+    start = time.perf_counter()
+    code, out, err = run(capsys, "star", "--d", "7", "--e", "2305843009213693951",
+                         "--n", "1")
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == "" and "does not divide |D| - 1 = 6" in err
+
+
 def test_validate_beyond_the_primality_bound_is_an_error(capsys):
     code, out, err = run(capsys, "validate", "--type", "A", "--rank", "1",
                          "--qsq", "2", "--ell", str(10 ** 30 + 57))

@@ -278,9 +278,13 @@ def test_hom_complex_differential_squares_to_zero():
     c1 = ho.rickard_complex(alg, tree, 2)
     c2 = ho.rickard_complex(alg, tree, 1)
     hc = ho.HomComplex(c1, c2)
+
+    def dense(a):
+        return [[row.get(c, 0) for c in range(a.shape[1])] for row in a.rows]
+
     for n in range(hc.lo, hc.hi):
-        a = hc.matrix(n).tolist()
-        b = hc.matrix(n + 1).tolist()
+        a = dense(hc.matrix(n))
+        b = dense(hc.matrix(n + 1))
         for row in b:
             for col in range(hc.dim(n)):
                 assert sum(x * a[k][col] for k, x in enumerate(row)) % alg.ell == 0

@@ -1,6 +1,6 @@
-"""Complex invariants, the oracle's table checks and the regime, datum and
-complex-construction guards are explicit checks, so they hold under
-python -O."""
+"""Complex invariants, the oracle's table checks and solve refusals and the
+regime, datum and complex-construction guards are explicit checks, so they
+hold under python -O."""
 
 import os
 import subprocess
@@ -58,22 +58,53 @@ def test_invalid_complexes_rejected_under_optimize():
 
 # The oracle's own table checks: one changed value off the identity class
 # must fail orthogonality, one on it the degree sum, and a table with one
-# character removed (its rows stay orthonormal) the squareness check.
+# character removed (its rows stay orthonormal) the squareness check.  The
+# solve refuses the trivial lift of n (V is all ones) and a doubled
+# ordinary row (decomposition numbers 2 from cell (3, 0) on).
 ORACLE_SCRIPT = """
 from coxbrauer import oracle as orc
+from coxbrauer.ell_arith import TruncatedPadic
 assert False, "asserts must be stripped under -O"
 g = orc.MetacyclicGroup(7, 3, 2)
-for name, cls in (("orthogonality", 1), ("degrees", 0), ("shape", None)):
-    table = orc.character_table(g)
+real_table = orc.character_table
+
+def corrupted(cls):
+    table = real_table(g)
     if cls is None:
         del table.values[3]
     else:
         val = table.values[3][cls]
         table.values[3][cls] = {**val, 0: val.get(0, 0) + 1}
+    return table.verify
+
+def doubled(group):
+    table = real_table(group)
+    table.values[3] = [{k: 2 * c for k, c in v.items()} for v in table.values[3]]
+    return table
+
+def solve_with(owner, attr, value):
+    def run():
+        saved = getattr(owner, attr)
+        setattr(owner, attr, value)
+        try:
+            orc.brute_decomposition_matrix(g)
+        finally:
+            setattr(owner, attr, saved)
+    return run
+
+bad = {
+    "orthogonality": corrupted(1),
+    "degrees": corrupted(0),
+    "shape": corrupted(None),
+    "lift": solve_with(orc.MetacyclicGroup, "zeta_lift",
+                       lambda self: TruncatedPadic(1, self.ell, self.alpha + 1)),
+    "doubled": solve_with(orc, "character_table", doubled),
+}
+for name, run in bad.items():
     try:
-        table.verify()
-    except orc.Mismatch as exc:
-        print(name, "rejected:", exc)
+        run()
+    except (orc.Mismatch, orc.SingularSystem) as exc:
+        print(name, "rejected:", type(exc).__name__, exc)
     else:
         print(name, "ACCEPTED")
 """
@@ -82,11 +113,13 @@ for name, cls in (("orthogonality", 1), ("degrees", 0), ("shape", None)):
 def test_oracle_table_checks_hold_under_optimize():
     lines = _run_optimized(ORACLE_SCRIPT)
     assert [line.split()[:2] for line in lines] == [
-        ["orthogonality", "rejected:"], ["degrees", "rejected:"],
-        ["shape", "rejected:"]]
+        [name, "rejected:"] for name in
+        ("orthogonality", "degrees", "shape", "lift", "doubled")]
     assert "orthogonality failed" in lines[0]
     assert "squared degrees" in lines[1]
     assert "not square: 4 characters on 5 classes" in lines[2]
+    assert "SingularSystem" in lines[3] and "not invertible" in lines[3]
+    assert "Mismatch unexpected decomposition number 2 at cell (3, 0)" in lines[4]
 
 
 def test_invalid_complex_is_a_value_error():

@@ -1,9 +1,57 @@
+import time
+
 import pytest
 
 from coxbrauer import brauer_tree as bt
 from coxbrauer import oracle as orc
 from coxbrauer import tree_algebra as ta
 from coxbrauer.ell_arith import TruncatedPadic
+from coxbrauer.numtheory import has_order, prime_power_split
+
+
+def reference_rref(rows, p, modulus):
+    """Schoolbook unit-pivot Gauss-Jordan over Z/modulus, modulus = p^N,
+    on lists of ints: the pivot of a column is its first entry at or below
+    the current row that is not divisible by p."""
+    m = [[x % modulus for x in row] for row in rows]
+    n_rows = len(m)
+    n_cols = len(m[0]) if m else 0
+    pivots, r = [], 0
+    for c in range(n_cols):
+        if r == n_rows:
+            break
+        pivot = next((i for i in range(r, n_rows) if m[i][c] % p), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = pow(m[r][c], -1, modulus)
+        m[r] = [x * inv % modulus for x in m[r]]
+        for i in range(n_rows):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [(x - f * y) % modulus for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+def eliminated_decomposition_matrix(g):
+    """The decomposition matrix by one elimination of [V | T] over
+    Z/ell^(alpha+1): V[b][j] = zeta^(jb) holds the Brauer characters and
+    column m + i of T ordinary character i, both on the regular classes."""
+    table = orc.character_table(g)
+    m = g.e_order
+    zeta = g.zeta_lift()
+    mod = zeta.modulus
+    reg = [i for i, c in enumerate(table.classes) if c.kind != "d"]
+    exps = [0] + [c.rep for c in table.classes if c.kind == "e"]
+    aug = [[pow(zeta.value, j * b, mod) for j in range(m)]
+           + [orc._reduce_value(row[cls_idx], g, zeta) for row in table.values]
+           for cls_idx, b in zip(reg, exps)]
+    reduced, pivots = reference_rref(aug, g.ell, mod)
+    assert pivots[:m] == list(range(m))
+    return tuple(tuple(x if x <= mod // 2 else x - mod for x in col)
+                 for col in zip(*(row[m:] for row in reduced)))
 
 
 def test_group_validation():
@@ -15,6 +63,14 @@ def test_group_validation():
         orc.MetacyclicGroup(7, 3, 3)       # ord_7(3) = 6
     with pytest.raises(ValueError):
         orc.MetacyclicGroup(49, 3, 2)      # 2^3 = 8 != 1 mod 49
+
+
+def test_e_not_dividing_ell_minus_1_is_refused_before_trial_division():
+    # |E| = 2^61 - 1 is prime; factorizing it by trial division would hang
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="does not divide ell - 1 = 6"):
+        orc.MetacyclicGroup(7, 2 ** 61 - 1, 1)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_character_table_shape():
@@ -87,11 +143,31 @@ def test_brute_decomposition_49():
     assert d == ((1, 0, 0), (0, 1, 0), (0, 0, 1)) + ((1, 1, 1),) * 16
 
 
+@pytest.mark.parametrize("d_order", [5, 7, 9, 11, 13, 25, 27, 49])
+def test_closed_form_equals_elimination(d_order):
+    ell, _ = prime_power_split(d_order)
+    for e_order in (e for e in range(1, ell) if (ell - 1) % e == 0):
+        n = next(n for n in range(1, d_order) if pow(n, e_order, d_order) == 1
+                 and has_order(n % ell, e_order, ell))
+        g = orc.MetacyclicGroup(d_order, e_order, n)
+        assert orc.brute_decomposition_matrix(g) == eliminated_decomposition_matrix(g)
+
+
 def test_singular_brauer_matrix_raises(monkeypatch):
     # with the trivial lift every Brauer character takes the value 1 on
     # every regular class, so V is all ones and singular mod ell
     monkeypatch.setattr(orc.MetacyclicGroup, "zeta_lift",
                         lambda self: TruncatedPadic(1, self.ell, self.alpha + 1))
+    with pytest.raises(orc.SingularSystem, match="not invertible"):
+        orc.brute_decomposition_matrix(orc.MetacyclicGroup(7, 3, 2))
+
+
+@pytest.mark.parametrize("value", [3, 2])
+def test_lift_without_order_m_mod_ell_power_raises(monkeypatch, value):
+    # 3 has order 6 mod 7; 2 has order 3 mod 7, but 2^3 = 8 != 1 mod 49, the
+    # modulus of the solve, where V^-1 = conj(V)^T / m would then fail
+    monkeypatch.setattr(orc.MetacyclicGroup, "zeta_lift",
+                        lambda self: TruncatedPadic(value, self.ell, self.alpha + 1))
     with pytest.raises(orc.SingularSystem, match="not invertible"):
         orc.brute_decomposition_matrix(orc.MetacyclicGroup(7, 3, 2))
 
