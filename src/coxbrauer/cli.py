@@ -188,7 +188,8 @@ def _dumps(obj, indent: str = "\n") -> str:
         body = (json.dumps(k) + ": " + _dumps(v, inner)
                 for k, v in sorted(obj.items()))
         return "{" + inner + ("," + inner).join(body) + indent + "}"
-    if all(type(x) is int for x in obj):
+    # one C-level pass over the item types; a bool is not an int here
+    if set(map(type, obj)) == {int}:
         body = map(str, obj)
     else:
         body = (_dumps(x, inner) for x in obj)

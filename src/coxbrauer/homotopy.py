@@ -8,18 +8,23 @@ algebra's one product and one unipotent inverse: the d^2 = 0 check, the
 Schur complement of Gaussian-elimination trimming of contractible summands,
 and the change of basis that hides padded summands.  Built on this: total
 Hom complexes, the only place where complexes become sparse scalar matrices
-over F_ell, and their cohomology; the cohomology of a complex, read off the
-Hom complexes out of the stalk projectives; its Euler character, the signed
-sum of decomposition-matrix columns; the branch-walking complex attached to
-each tree edge; and the tilting verification for their direct sum (Hom
-vanishing off degree zero, generation, and the degree-zero Hom grid being
-the Cartan matrix of the star algebra with the same parameters).
+over F_ell, and their cohomology, read off the row rank profile of each
+boundary for every pair of top-truncations at once; the cohomology of a
+complex, read off the Hom complexes out of the stalk projectives; its Euler
+character, the signed sum of decomposition-matrix columns; the
+branch-walking complex attached to each tree edge; and the tilting
+verification for their direct sum (Hom vanishing off degree zero,
+generation, and the degree-zero Hom grid being the Cartan matrix of the
+star algebra with the same parameters), with one Hom complex per pair of
+nested branch chains.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from . import linalg
 from .brauer_tree import PlanarBrauerTree, decomposition_matrix, height, perversity
@@ -189,14 +194,13 @@ def cohomology(cx: ProjComplex) -> dict[int, Counter]:
     basis and boundary matrices are those of C, each ranked once over F_ell.
     """
     alg = cx.alg
-    homs = [(v, HomComplex(ProjComplex(alg, 0, [[v]]), cx)) for v in alg.vertices]
     out: dict[int, Counter] = {}
-    for d in cx.degrees():
-        counts = Counter({v: h for v, hc in homs
-                          if hc.dim(d) and (h := hc.cohomology_dim(d))})
-        if counts:
-            out[d] = counts
-    return out
+    for v in alg.vertices:
+        hc = HomComplex(ProjComplex(alg, 0, [[v]]), cx)
+        for d, h in hc.all_cohomology().items():
+            if h:
+                out.setdefault(d, Counter())[v] = h
+    return dict(sorted(out.items()))
 
 
 def euler_character(tree: PlanarBrauerTree,
@@ -300,6 +304,13 @@ class HomComplex:
     Hom^n = sum over i of Hom(C1^i, C2^(i+n)); the differential is
     D(f) = d2 o f - (-1)^n f o d1.  Since all terms are projective, the
     cohomology of this complex computes Hom in the homotopy category.
+
+    basis[n] lists the basis maps f = (i, t, s, p) of Hom^n in C1-degree
+    order i, which within one n is also C2-degree order i + n.  So the
+    Hom complex of the top-truncations of C1 and C2 (their terms up to
+    some degree, the lower boundaries unchanged) is a prefix of every
+    basis[n], its D the projection of this D, and one row rank profile
+    of each D answers every pair of truncations (`truncated_cohomology`).
     """
 
     def __init__(self, cx1: ProjComplex, cx2: ProjComplex):
@@ -315,7 +326,8 @@ class HomComplex:
             for s, v in enumerate(term):
                 at.setdefault(v, []).append((i, s))
         # Hom(P_v, P_tv) for v in C1^i and tv in C2^j is spanned by the
-        # paths from tv to v and lands in degree j - i
+        # paths from tv to v and lands in degree j - i; j ascends, so each
+        # basis[n] ascends in i = j - n
         self.basis: dict[int, list] = {n: [] for n in range(self.lo, self.hi + 1)}
         for j, term in enumerate(cx2.terms, cx2.lo):
             for t, tv in enumerate(term):
@@ -324,17 +336,18 @@ class HomComplex:
                         items = self.basis[j - i]
                         for p in paths:
                             items.append((i, t, s, p))
-        self._ranks: dict[int, int] = {}
+        self._profiles: dict[int, list[tuple[int, int]]] = {}
 
     def dim(self, n: int) -> int:
         return len(self.basis.get(n, []))
 
     def matrix(self, n: int) -> linalg.SparseMatrix:
-        """Scalar matrix of D: Hom^n -> Hom^(n+1) over the integers; the
-        elimination kernel reduces its own copy mod ell.
+        """Scalar matrix of D: Hom^n -> Hom^(n+1) over the integers, one
+        row per basis map f of Hom^n holding D(f) over the basis of
+        Hom^(n+1); the elimination kernel reduces its own copy mod ell.
 
-        A basis map f = (left multiplication by p) is pushed through the
-        boundary entries in its column of d2 and its row of d1, one path
+        f = (left multiplication by p) is pushed through the boundary
+        entries in its column of d2 and its row of d1, one path
         composition per term of each nonzero entry."""
         compose = self.alg.compose
         d1s, lo1 = self.cx1.diffs, self.cx1.lo
@@ -342,38 +355,41 @@ class HomComplex:
         src = self.basis.get(n, [])
         tgt = self.basis.get(n + 1, [])
         pos = {b: k for k, b in enumerate(tgt)}
-        rows: list[dict[int, int]] = [{} for _ in tgt]
+        rows: list[dict[int, int]] = []
         sign = -1 if n % 2 else 1
-        for col, (i, t, s, p) in enumerate(src):
+        for i, t, s, p in src:
+            row: dict[int, int] = {}
             # d2 o f: down column t of C2's boundary out of degree i + n
             for r, d2_row in enumerate(d2s[i + n - lo2]):
                 for q, c in d2_row[t].items():
                     qp = compose(q, p)
                     if qp is not None:
-                        row = rows[pos[i, r, s, qp]]
-                        row[col] = row.get(col, 0) + c
+                        k = pos[i, r, s, qp]
+                        row[k] = row.get(k, 0) + c
             # -(-1)^n f o d1: along row s of C1's boundary into degree i
             for c_idx, entry in enumerate(d1s[i - 1 - lo1][s] if i > lo1 else ()):
                 for q, c in entry.items():
                     pq = compose(p, q)
                     if pq is not None:
-                        row = rows[pos[i - 1, t, c_idx, pq]]
-                        row[col] = row.get(col, 0) - sign * c
-        return linalg.SparseMatrix((len(tgt), len(src)), rows)
+                        k = pos[i - 1, t, c_idx, pq]
+                        row[k] = row.get(k, 0) - sign * c
+            rows.append(row)
+        return linalg.SparseMatrix((len(src), len(tgt)), rows)
 
-    def rank(self, n: int) -> int:
-        """Rank of D: Hom^n -> Hom^(n+1), computed once per degree; an
-        empty end gives 0 without building the matrix."""
-        if n not in self._ranks:
-            self._ranks[n] = (linalg.rank_mod_prime(self.matrix(n), self.alg.ell)
-                              if self.dim(n) and self.dim(n + 1) else 0)
-        return self._ranks[n]
+    def profile(self, n: int) -> list[tuple[int, int]]:
+        """Row rank profile of D: Hom^n -> Hom^(n+1) over F_ell, computed
+        once per degree; an empty end gives [] without building the
+        matrix.  Its length is the rank of D."""
+        if n not in self._profiles:
+            self._profiles[n] = (
+                linalg.rref_mod_prime(self.matrix(n), self.alg.ell)
+                if self.dim(n) and self.dim(n + 1) else [])
+        return self._profiles[n]
 
     def cohomology_dim(self, n: int) -> int:
-        if not (self.lo <= n <= self.hi):
+        if not self.dim(n):
             return 0
-        rank_in = self.rank(n - 1) if n - 1 >= self.lo else 0
-        h = self.dim(n) - self.rank(n) - rank_in
+        h = self.dim(n) - len(self.profile(n)) - len(self.profile(n - 1))
         if h < 0:
             raise InvalidComplex(f"Hom complex image does not sit inside the "
                                  f"kernel in degree {n}")
@@ -382,6 +398,48 @@ class HomComplex:
     def all_cohomology(self) -> dict[int, int]:
         """H^n for every degree where Hom^n is not empty (elsewhere it is 0)."""
         return {n: self.cohomology_dim(n) for n, b in self.basis.items() if b}
+
+    def truncated_cohomology(self, his1, his2) -> dict[tuple[int, int], dict[int, int]]:
+        """{(h1, h2): {n: dim H^n}} for the Hom complex of C1 truncated to
+        degrees <= h1 and C2 truncated to degrees <= h2, for every h1 in
+        his1 and h2 in his2, over the degrees where that Hom^n is not empty.
+
+        Its Hom^n is spanned by the basis maps of C1-degree <= h1 and
+        C2-degree <= h2, a prefix of basis[n].  Its D is this D projected
+        onto that prefix of basis[n + 1].  A row of C1-degree <= h1 but
+        C2-degree > h2 projects to zero, and a row of C1-degree <= h1
+        meets no target of higher C1-degree, so rank D is the number of
+        profile pairs whose row has C1-degree <= h1 and whose column has
+        C2-degree <= h2: with the leading columns of those rows sorted once
+        per h1, a bisection per degree for each h2.
+        """
+        basis, c1_degree, lead = self.basis, itemgetter(0), itemgetter(1)
+        degrees = [n for n, b in basis.items() if b]
+        profiles = {m: self.profile(m) for m in degrees if self.dim(m + 1)}
+        out: dict[tuple[int, int], dict[int, int]] = {}
+        for h1 in his1:
+            cols: dict[int, list[int]] = {}
+            for m, prof in profiles.items():
+                # the profile is in row order, so the pivot rows of
+                # C1-degree <= h1 are a prefix of it: (end,) sorts before
+                # every pair of row end
+                end = bisect_right(basis[m], h1, key=c1_degree)
+                cols[m] = sorted(map(lead, prof[:bisect_left(prof, (end,))]))
+            rows = [(n, bisect_right(basis[n], h1, key=c1_degree)) for n in degrees]
+            for h2 in his2:
+                rank = {m: bisect_left(c, bisect_right(basis[m + 1], h2 - m - 1,
+                                                       key=c1_degree))
+                        for m, c in cols.items()}
+                coh = out[h1, h2] = {}
+                for n, upto_h1 in rows:
+                    d = min(upto_h1, bisect_right(basis[n], h2 - n, key=c1_degree))
+                    if d:
+                        h = d - rank.get(n, 0) - rank.get(n - 1, 0)
+                        if h < 0:
+                            raise InvalidComplex(f"Hom complex image does not sit "
+                                                 f"inside the kernel in degree {n}")
+                        coh[n] = h
+        return out
 
 
 def homotopy_hom(cx1: ProjComplex, cx2: ProjComplex, i: int) -> int:
@@ -446,6 +504,29 @@ def end_grid_mismatches(labels: list[int], grid: list[list[int]],
             if d != expected[a][b]]
 
 
+def is_top_truncation(lower: ProjComplex, upper: ProjComplex) -> bool:
+    """`lower` is literally `upper` with its top term dropped: the same
+    algebra, lowest degree and terms below the top, and the same boundaries
+    between those terms, entry by entry and coefficient by coefficient."""
+    below = max(len(lower.terms) - 1, 0)
+    return (lower.alg is upper.alg and lower.lo == upper.lo
+            and lower.terms == upper.terms[:-1]
+            and lower.diffs[:below] == upper.diffs[:below])
+
+
+def nested_runs(complexes: list[ProjComplex]) -> list[list[int]]:
+    """Positions of the family cut into maximal runs in which each complex
+    is the top-truncation of the next; a branch is one run of its branch
+    complexes, whose last complex truncates to every other."""
+    runs: list[list[int]] = []
+    for k, cx in enumerate(complexes):
+        if runs and is_top_truncation(complexes[runs[-1][-1]], cx):
+            runs[-1].append(k)
+        else:
+            runs.append([k])
+    return runs
+
+
 def check_tilting(alg: TreeAlgebra, tree: PlanarBrauerTree,
                   complexes: list[ProjComplex] | None = None) -> TiltingReport:
     """Verify that the direct sum of the branch-walking complexes tilts.
@@ -455,25 +536,34 @@ def check_tilting(alg: TreeAlgebra, tree: PlanarBrauerTree,
     degree-zero Hom grid dim Hom_K(C_a, C_b) is the Cartan matrix
     mu + delta_ab of the star algebra with the same h0 and multiplicity,
     so that the endomorphism ring has the star algebra's dimension pair by
-    pair.  Raises TiltingFailure on any failure; when complexes are
-    supplied they are verified instead of the canonical family (the
-    negative-control hook).
+    pair.  The family is cut into nested runs; one Hom complex between the
+    tops of two runs gives the Hom of every pair of their members, so a
+    branch chain costs one Hom complex, not one per pair.  Raises
+    TiltingFailure on any failure; when complexes are supplied they are
+    verified instead of the canonical family (the negative-control hook).
     """
     if complexes is None:
         complexes = [rickard_complex(alg, tree, j) for j in sorted(alg.vertices)]
     labels = sorted(alg.vertices)[: len(complexes)]
+    runs = nested_runs(complexes)
+    coh: dict[tuple[int, int], dict[int, int]] = {}
+    for run_a in runs:
+        for run_b in runs:
+            table = HomComplex(complexes[run_a[-1]], complexes[run_b[-1]]
+                               ).truncated_cohomology(
+                [complexes[a].hi for a in run_a], [complexes[b].hi for b in run_b])
+            for a in run_a:
+                for b in run_b:
+                    coh[a, b] = table[complexes[a].hi, complexes[b].hi]
     failures: list[tuple[int, int, int, int]] = []
     hom_dims: list[tuple[int, int, int, int]] = []
-    grid: list[list[int]] = []
-    for a_pos, ca in enumerate(complexes):
-        grid.append([])
-        for b_pos, cb in enumerate(complexes):
-            coh = HomComplex(ca, cb).all_cohomology()
-            grid[-1].append(coh.get(0, 0))
-            for n, h in sorted(coh.items()):
-                hom_dims.append((labels[a_pos], labels[b_pos], n, h))
-                if n and h:
-                    failures.append((labels[a_pos], labels[b_pos], n, h))
+    grid = [[coh[a, b].get(0, 0) for b in range(len(complexes))]
+            for a in range(len(complexes))]
+    for a, b in sorted(coh):
+        for n, h in sorted(coh[a, b].items()):
+            hom_dims.append((labels[a], labels[b], n, h))
+            if n and h:
+                failures.append((labels[a], labels[b], n, h))
     covered = {v for c in complexes for d in c.degrees() for v in c.term(d)}
     generation_ok = covered == set(alg.vertices)
     expected_grid = star_cartan(len(complexes), tree.multiplicity)

@@ -1,9 +1,14 @@
 """Exact sparse linear algebra over GF(p).
 
-The one elimination kernel: the ranks of the Hom complexes over F_ell.  A
-row operation walks only the nonzeros of the pivot row.  Python ints are
-exact at any size, but p stays below 2^31 (`MAX_MODULUS`), the supported
-range that `tree_algebra` also checks fields against."""
+The one elimination kernel: the ranks of the Hom complexes over F_ell, by
+forward elimination with pivot insertion.  Rows arrive one at a time; a
+table maps each leading column to its pivot row, and an incoming row is
+reduced only by the pivots its leading entries meet, so a row operation
+walks only the nonzeros of one pivot row and no other row is ever
+scanned.  The kernel returns the row rank profile, from which the rank of
+every leading submatrix can be read.  Python ints are exact at any size,
+but p stays below 2^31 (`MAX_MODULUS`), the supported range that
+`tree_algebra` also checks fields against."""
 
 from __future__ import annotations
 
@@ -17,49 +22,45 @@ MAX_MODULUS = 2 ** 31
 class SparseMatrix:
     """A rows x cols matrix; rows[i] maps column -> entry, and a column
     missing from it holds zero.  Entries need not be reduced or nonzero:
-    `rref_mod_prime` reduces its own copy."""
+    the kernel reduces its own copy of each row."""
 
     shape: tuple[int, int]
     rows: list[dict[int, int]]
 
 
-def rref_mod_prime(a: SparseMatrix, p: int) -> tuple[SparseMatrix, list[int]]:
-    """Gauss-Jordan elimination over GF(p), p prime.
+def rref_mod_prime(a: SparseMatrix, p: int) -> list[tuple[int, int]]:
+    """Row rank profile of `a` over GF(p), p prime, by pivot insertion.
 
-    Returns (reduced row echelon form, pivot columns).  The pivot of a
-    column is its first nonzero entry at or below the current row; a column
-    without one is skipped.  The result has its entries in [1, p); `a` is
+    Returns one (row, leading column) pair for each row that is
+    independent of the rows above it, in row order: the row's leading
+    column once it is reduced by the pivot rows above.  The pivot rows are
+    in echelon form, so for every R and C the rank of the leading R x C
+    submatrix is the number of pairs with row < R and column < C.  `a` is
     left as it is.  Raises ValueError unless 1 < p < 2^31.
+
+    The name is older than the kernel: `perfbench/layertrace.py` binds it
+    for the rank counters until ROADMAP item 1 renames it.
     """
     if not 1 < p < MAX_MODULUS:
         raise ValueError(f"p = {p} outside 1 < p < 2^31")
-    n_rows, n_cols = a.shape
-    rows = [{c: v for c, x in row.items() if (v := x % p)} for row in a.rows]
-    pivots: list[int] = []
-    r = 0
-    for c in range(n_cols):
-        if r == n_rows:
-            break
-        # only nonzero entries are stored, and mod p each is a unit
-        for pivot in range(r, n_rows):
-            if c in rows[pivot]:
+    pivots: dict[int, dict[int, int]] = {}     # leading column -> monic row
+    profile: list[tuple[int, int]] = []
+    for r, entries in enumerate(a.rows):
+        row = {c: v for c, x in entries.items() if (v := x % p)}
+        while row:
+            c = min(row)
+            prow = pivots.get(c)
+            if prow is None:
+                inv = pow(row[c], -1, p)
+                pivots[c] = {k: v * inv % p for k, v in row.items()}
+                profile.append((r, c))
                 break
-        else:
-            continue
-        inv = pow(rows[pivot][c], -1, p)
-        prow = {k: v * inv % p for k, v in rows[pivot].items()}
-        rows[pivot], rows[r] = rows[r], prow
-        for row in rows:
-            f = row.get(c)
-            if f and row is not prow:
-                for k, v in prow.items():
-                    row[k] = (row.get(k, 0) - f * v) % p
-                    if not row[k]:
-                        del row[k]
-        pivots.append(c)
-        r += 1
-    return SparseMatrix((n_rows, n_cols), rows), pivots
-
-
-def rank_mod_prime(a: SparseMatrix, p: int) -> int:
-    return len(rref_mod_prime(a, p)[1])
+            # only nonzero entries are stored, so the pivot's columns are
+            # all nonzero and one that cancels was already in the row
+            f = row[c]
+            for k, v in prow.items():
+                if x := (row.get(k, 0) - f * v) % p:
+                    row[k] = x
+                else:
+                    del row[k]
+    return profile

@@ -19,6 +19,7 @@ coefficients are stored as pairs (a, b) meaning a + b*sqrt(p).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -175,7 +176,15 @@ def cyclotomic_multiplicity(datum: CoxeterDatum, d: int) -> int:
 def coxeter_datum(type: TwistedType) -> CoxeterDatum:
     """Build the full datum for a type and cross-check it against the
     literature h/h0 tables."""
-    pairs = _degree_twist_pairs(type)
+    return _checked_datum(type, _degree_twist_pairs(type))
+
+
+@functools.cache
+def _checked_datum(type: TwistedType,
+                   pairs: tuple[tuple[int, Fraction], ...]) -> CoxeterDatum:
+    """The datum of `type` with these degree/twist pairs.  Cached on the
+    pairs as well as the type, so a table that changes is checked again;
+    a refused table raises and is not cached."""
     degrees = tuple(d for d, _ in pairs)
     epsilons = tuple(e for _, e in pairs)
     delta = _DELTA.get(type.family, 1)

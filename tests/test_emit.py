@@ -47,6 +47,8 @@ VALUES = st.recursive(
 @example({})
 @example([[], {}, ()])
 @example([1, True, 2, False, None, -3])
+@example([0, True, 1, False])
+@example([[7, True], [False]])
 @example([-(2 ** 64) - 1, 2 ** 100, 0])
 @example([-0.0, 1e16, 0.1, 1e-7, -2.5e300])
 @example({'q"uo\\te': 'a"b\\c\n\x01\x7fé€😀', "": [0.5, {"x": []}]})

@@ -361,18 +361,22 @@ def test_end_grid_negative_control_keeps_the_total():
 
 
 def test_end_grid_sabotage_is_caught_by_check_tilting(monkeypatch):
-    # the same swap, injected into the degree-0 cohomology of two pairs
+    # the same swap, injected into the degree-0 cohomology of two pairs as
+    # the one Hom complex of the branch chain reads them out; the line's
+    # branch complexes are told apart by their top degree
     tree, alg = line(3, 1)
     fam = [ho.rickard_complex(alg, tree, j) for j in range(3)]
-    real = ho.HomComplex.all_cohomology
+    tops = [cx.hi for cx in fam]
+    real = ho.HomComplex.truncated_cohomology
 
-    def swapped(self):
-        out = real(self)
-        pair = (fam.index(self.cx1), fam.index(self.cx2))
-        out[0] += {(1, 1): -1, (1, 2): 1}.get(pair, 0)
+    def swapped(self, his1, his2):
+        out = real(self, his1, his2)
+        for (h1, h2), coh in out.items():
+            pair = (tops.index(h1), tops.index(h2))
+            coh[0] += {(1, 1): -1, (1, 2): 1}.get(pair, 0)
         return out
 
-    monkeypatch.setattr(ho.HomComplex, "all_cohomology", swapped)
+    monkeypatch.setattr(ho.HomComplex, "truncated_cohomology", swapped)
     with pytest.raises(ho.TiltingFailure) as err:
         ho.check_tilting(alg, tree, fam)
     rep = err.value.report
@@ -439,8 +443,8 @@ def _reference_hom(cx1, cx2):
                 for q, c in alg.elt_mul(f, d1[s][c_idx]).items():
                     k = index[i - 1, t, c_idx, q]
                     rows[k][col] = rows[k].get(col, 0) - sign * c
-        return linalg.rank_mod_prime(
-            linalg.SparseMatrix((len(tgt), len(src)), rows), alg.ell)
+        return len(linalg.rref_mod_prime(
+            linalg.SparseMatrix((len(tgt), len(src)), rows), alg.ell))
 
     return {n: len(b) for n, b in basis.items()}, {n: rank(n) for n in basis}
 
@@ -456,7 +460,7 @@ def _assert_matches_reference(c1, c2):
     hc = ho.HomComplex(c1, c2)
     dims, ranks = _reference_hom(c1, c2)
     assert {n: hc.dim(n) for n in dims} == dims
-    assert {n: hc.rank(n) for n in ranks} == ranks
+    assert {n: len(hc.profile(n)) for n in ranks} == ranks
 
 
 def test_hom_complex_matches_the_reference_construction():
@@ -516,6 +520,7 @@ def test_tilting_work_counters_line16(monkeypatch):
         return run
 
     def count_basis(hc):
+        counts["hom"] += 1
         counts["basis"] += sum(len(b) for b in hc.basis.values())
 
     real_mul = ta.TreeAlgebra.elt_mul
@@ -528,15 +533,132 @@ def test_tilting_work_counters_line16(monkeypatch):
     monkeypatch.setattr(linalg, "rref_mod_prime", rref)
     monkeypatch.setattr(ho.HomComplex, "__init__",
                         guarded(ho.HomComplex.__init__, count_basis))
-    monkeypatch.setattr(ho.HomComplex, "rank", guarded(ho.HomComplex.rank))
+    monkeypatch.setattr(ho.HomComplex, "profile", guarded(ho.HomComplex.profile))
     monkeypatch.setattr(ho.HomComplex, "matrix", guarded(ho.HomComplex.matrix))
     monkeypatch.setattr(ta.TreeAlgebra, "elt_mul", elt_mul)
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(["rickard", "--fixture", "line16", "--mu", "1",
                          "--field", "31", "--vertex", "3", "--check-tilting"])
     assert code == 0
-    assert counts["rref"] == 486
-    assert counts["cells"] == 46_252
-    assert counts["basis"] == 5_727
+    # one Hom complex for the line's branch chain, one per stalk P_v for
+    # the cohomology of the complex reported; per-pair Hom complexes took
+    # 272 constructions, 486 kernel calls, 46,252 cells and 5,727 basis maps
+    assert counts["hom"] == 1 + 16
+    assert counts["rref"] == 8
+    assert counts["cells"] == 972
+    assert counts["basis"] == 77
     # elt_mul serves only the d^2 = 0 checks of the complexes themselves
     assert counts["elt_mul_in_hom"] == 0 and counts["elt_mul"] > 0
+
+
+def test_line60_tilting_builds_one_hom_complex(monkeypatch):
+    """The tilting check of a 60-edge line reads every pair of its branch
+    complexes off one Hom complex and two kernel calls (D out of degrees
+    -1 and 0); per-pair Hom complexes would take 3,600 of them."""
+    counts = Counter()
+    inside = [False]
+    real_rref, real_init = linalg.rref_mod_prime, ho.HomComplex.__init__
+    real_check = ho.check_tilting
+
+    def rref(a, p):
+        counts["rref"] += inside[0]
+        counts["cells"] += inside[0] and a.shape[0] * a.shape[1]
+        return real_rref(a, p)
+
+    def init(self, cx1, cx2):
+        counts["hom"] += inside[0]
+        real_init(self, cx1, cx2)
+
+    def check(*args):
+        inside[0] = True
+        try:
+            return real_check(*args)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(linalg, "rref_mod_prime", rref)
+    monkeypatch.setattr(ho.HomComplex, "__init__", init)
+    monkeypatch.setattr(ho, "check_tilting", check)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["rickard", "--fixture", "line60", "--mu", "1",
+                         "--field", "31", "--vertex", "3", "--check-tilting"])
+    assert code == 0 and json.loads(out.getvalue())["tilting"] == {
+        "ok": True, "end_dimension": 3660, "expected_end_dimension": 3660}
+    assert counts == {"hom": 1, "rref": 2, "cells": 14_160}
+
+
+# ---------------------------------------------------------------------------
+# nested runs: one Hom complex per pair of branch chains
+
+def test_top_truncation_is_literal():
+    tree, alg = line(3, 2, ell=31)
+    c0, c1, c2 = (ho.rickard_complex(alg, tree, j) for j in range(3))
+    assert ho.is_top_truncation(c1, c2) and not ho.is_top_truncation(c2, c1)
+    assert ho.nested_runs([c0, c1, c2]) == [[0, 1, 2]]
+    # shifted lo: the same terms and boundaries one degree up
+    up = ho.ProjComplex(alg, c2.lo + 1, c2.terms, c2.diffs)
+    assert not ho.is_top_truncation(c1, up)
+    # another algebra: the same tree and field, built again
+    _, other = line(3, 2, ell=31)
+    assert not ho.is_top_truncation(ho.rickard_complex(other, tree, 1), c2)
+    # an unreduced coefficient: the same map over F_31, not the same entry
+    ((p, c),) = c2.diffs[0][0][0].items()
+    lifted = ho.ProjComplex(alg, c2.lo, c2.terms,
+                            [[[{p: c + 31}]]] + c2.diffs[1:])
+    assert not ho.is_top_truncation(c1, lifted)
+    assert ho.nested_runs([c0, c1, lifted]) == [[0, 1], [2]]
+
+
+def _per_pair_hom_dims(fam, labels):
+    return [(labels[a], labels[b], n, h)
+            for a, ca in enumerate(fam) for b, cb in enumerate(fam)
+            for n, h in sorted(ho.HomComplex(ca, cb).all_cohomology().items())]
+
+
+def _rewritten(fam, rewrite, rng):
+    """The family with one complex shifted in lo, padded and mixed, or with
+    its boundaries zeroed, or the whole family shuffled."""
+    fam = list(fam)
+    if rewrite == "shuffle":
+        rng.shuffle(fam)
+        return fam
+    # the longest complex, so that a chain is broken where there is one
+    k = max(range(len(fam)), key=lambda i: (len(fam[i].terms), rng.random()))
+    cx = fam[k]
+    if rewrite == "shift":
+        fam[k] = ho.ProjComplex(cx.alg, cx.lo + 1, cx.terms, cx.diffs)
+    elif rewrite == "pad":
+        fam[k] = _padded_mixed(cx, rng, rng.randint(1, 3))
+    else:
+        fam[k] = ho.ProjComplex(cx.alg, cx.lo, cx.terms)
+    return fam
+
+
+def test_chain_read_out_matches_per_pair_hom_complexes():
+    """check_tilting reads each pair off the Hom complex of the tops of two
+    nested runs; every pair must get what its own Hom complex gives."""
+    rng = random.Random(4099)
+    cases = [(line(h0, mu, ell=31)[0], 31) for h0, mu in ((5, 1), (4, 2))]
+    cases += [(tree, 31) for tree in random_trees(10, seed=2718)]
+    cases.append((ree()[0], 19))
+    chained = 0
+    for tree, ell in cases:
+        alg = ta.from_tree(tree, ell)
+        labels = sorted(alg.vertices)
+        canonical = [ho.rickard_complex(alg, tree, j) for j in labels]
+        chained += len(ho.nested_runs(canonical)) < len(canonical)
+        families = [canonical] + [_rewritten(canonical, rewrite, rng)
+                                  for rewrite in ("shift", "pad", "shuffle", "zero")]
+        for fam in families:
+            try:
+                rep = ho.check_tilting(alg, tree, fam)
+            except ho.TiltingFailure as err:
+                rep = err.report
+            want = _per_pair_hom_dims(fam, labels)
+            assert rep.hom_dims == want
+            grid = {(a, b): h for a, b, n, h in want if n == 0}
+            assert rep.end_grid == [[grid.get((a, b), 0) for b in labels]
+                                    for a in labels]
+    # the canonical families do form chains, so the read-out is exercised
+    assert chained == len(cases)

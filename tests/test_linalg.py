@@ -1,5 +1,6 @@
 """The sparse elimination kernel against a pure-Python dense reference
-over GF(p)."""
+over GF(p): the row rank profile it returns must give the rank of every
+leading submatrix."""
 
 import ast
 import random
@@ -20,32 +21,42 @@ def sparse(rows):
                                [{c: x for c, x in enumerate(row) if x} for row in rows])
 
 
-def dense(a):
-    return [[row.get(c, 0) for c in range(a.shape[1])] for row in a.rows]
+def prefix_ranks(rows, p):
+    """[rank of the first R rows over GF(p) for R = 0 .. len(rows)], by
+    schoolbook elimination of each row against a dense echelon basis."""
+    basis: dict[int, list[int]] = {}           # pivot column -> monic row
+    ranks = [0]
+    for row in rows:
+        v = [x % p for x in row]
+        for c, b in sorted(basis.items()):
+            if v[c]:
+                f = v[c]
+                v = [(x - f * y) % p for x, y in zip(v, b)]
+        lead = next((c for c, x in enumerate(v) if x), None)
+        if lead is not None:
+            inv = pow(v[lead], -1, p)
+            basis[lead] = [x * inv % p for x in v]
+        ranks.append(len(basis))
+    return ranks
 
 
-def reference_rref(rows, p):
-    """Schoolbook Gauss-Jordan over GF(p) on lists of ints."""
-    m = [[x % p for x in row] for row in rows]
-    n_rows = len(m)
-    n_cols = len(m[0]) if m else 0
-    pivots, r = [], 0
-    for c in range(n_cols):
-        if r == n_rows:
-            break
-        pivot = next((i for i in range(r, n_rows) if m[i][c]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = pow(m[r][c], -1, p)
-        m[r] = [x * inv % p for x in m[r]]
-        for i in range(n_rows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    return m, pivots
+def check_profile(rows, p, n_cols):
+    """The profile against brute-force ranks: its rows are those that raise
+    the rank of their prefix, and for every R and C the rank of the leading
+    R x C submatrix is the number of pairs inside it."""
+    a = linalg.SparseMatrix((len(rows), n_cols),
+                            [{c: x for c, x in enumerate(row) if x} for row in rows])
+    before = [dict(row) for row in a.rows]
+    profile = linalg.rref_mod_prime(a, p)
+    assert a.rows == before                     # the input is not modified
+    ranks = prefix_ranks(rows, p)
+    assert [r for r, _ in profile] == [r for r in range(len(rows))
+                                       if ranks[r + 1] > ranks[r]]
+    for n in range(n_cols + 1):
+        want = prefix_ranks([row[:n] for row in rows], p)
+        got = [sum(r < m and c < n for r, c in profile) for m in range(len(rows) + 1)]
+        assert got == want, (n, profile)
+    return profile
 
 
 def random_matrix(rng, p, rows, cols, rank=None):
@@ -87,47 +98,32 @@ def cases(p):
     yield [[0] * 4 for _ in range(3)]
 
 
-def check_against_reference(rows, p):
-    want, want_pivots = reference_rref(rows, p)
-    a = sparse(rows)
-    before = [dict(row) for row in a.rows]
-    got, pivots = linalg.rref_mod_prime(a, p)
-    assert a.rows == before                     # the input is not modified
-    assert pivots == want_pivots
-    assert got.shape == a.shape
-    assert dense(got) == want
-    # only nonzero entries are stored, all in [1, p)
-    assert all(0 < x < p for row in got.rows for x in row.values())
-
-
 @pytest.mark.parametrize("p", PRIMES)
 def test_rref_matches_reference(p):
     for rows in cases(p):
-        # unreduced Python ints, and their residues
-        for mat in (rows, [[x % p for x in row] for row in rows]):
-            check_against_reference(mat, p)
-            assert (linalg.rank_mod_prime(sparse(mat), p)
-                    == len(reference_rref(mat, p)[1]))
+        # unreduced Python ints give the profile of their residues
+        profile = check_profile(rows, p, len(rows[0]))
+        assert linalg.rref_mod_prime(sparse([[x % p for x in row] for row in rows]),
+                                     p) == profile
 
 
 def test_rows_handed_over_unreduced():
     # stored zeros, multiples of p and negative entries, as a Hom-complex
-    # matrix hands them over; the kernel reduces its own copy once
-    a = linalg.SparseMatrix((2, 3), [{0: 0, 1: 10, 2: -3}, {0: 5, 1: 7, 2: 12}])
-    got, pivots = linalg.rref_mod_prime(a, 5)
-    want, want_pivots = reference_rref([[0, 10, -3], [5, 7, 12]], 5)
-    assert pivots == want_pivots == [1, 2] and dense(got) == want
-    assert all(0 < x < 5 for row in got.rows for x in row.values())
-    assert a.rows == [{0: 0, 1: 10, 2: -3}, {0: 5, 1: 7, 2: 12}]
+    # matrix hands them over; the kernel reduces its own copy of each row.
+    # Row 0 leads in column 2 (10 is 0 mod 5), row 1 is 0 mod 5, and row 3
+    # leads in column 3 once the pivots of columns 1 and 2 have met it
+    rows = [[0, 10, -3, 1], [5, -15, 0, 25], [0, 7, -1, 2], [5, 7, 12, 3]]
+    profile = check_profile(rows, 5, 4)
+    assert profile == [(0, 2), (2, 1), (3, 3)]
 
 
 @pytest.mark.parametrize("p", PRIMES)
 @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
 def test_rref_of_empty_matrices(p, shape):
+    rows = [[0] * shape[1] for _ in range(shape[0])]
     a = linalg.SparseMatrix(shape, [{} for _ in range(shape[0])])
-    got, pivots = linalg.rref_mod_prime(a, p)
-    assert got.shape == shape and pivots == []
-    assert dense(got) == [[]] * shape[0]
+    assert linalg.rref_mod_prime(a, p) == []
+    assert check_profile(rows, p, shape[1]) == []
 
 
 SQUARE = sparse([[1, 2], [3, 4]])
@@ -142,7 +138,7 @@ def test_rref_rejects_moduli_outside_the_kernel(p):
 @pytest.mark.parametrize("p, modulus", [(2, 2 ** 31), (3, 3 ** 20), (46349, 46349 ** 2)])
 def test_rref_rejects_prime_powers_from_2_31(p, modulus):
     # the prime is a field of the kernel, its power from 2^31 on is refused
-    assert linalg.rank_mod_prime(SQUARE, p) == (1 if p == 2 else 2)
+    assert len(linalg.rref_mod_prime(SQUARE, p)) == (1 if p == 2 else 2)
     with pytest.raises(ValueError, match="2\\^31"):
         linalg.rref_mod_prime(SQUARE, modulus)
 

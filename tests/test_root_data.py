@@ -144,9 +144,12 @@ def test_pretty():
 
 
 def test_table_checksum_negative_control(monkeypatch):
-    """A corrupted degree table must be refused by the h/h0 checksum."""
+    """A corrupted degree table must be refused by the h/h0 checksum, also
+    after a clean G2 datum has been built (and cached) in this process."""
     from coxbrauer import root_data
 
+    clean = coxeter_datum(parse_type("G2"))
+    assert coxeter_datum(parse_type("G2")) is clean
     real = root_data._degree_twist_pairs
 
     def corrupted(t):
@@ -158,3 +161,5 @@ def test_table_checksum_negative_control(monkeypatch):
     monkeypatch.setattr(root_data, "_degree_twist_pairs", corrupted)
     with pytest.raises(AssertionError, match="checksum"):
         coxeter_datum(parse_type("G2"))
+    monkeypatch.undo()
+    assert coxeter_datum(parse_type("G2")) is clean
