@@ -298,6 +298,16 @@ def trim(cx: ProjComplex, m: int, M: int) -> ProjComplex:
 # ---------------------------------------------------------------------------
 # Hom complexes and homotopy-category Hom groups
 
+def _cohomology_dim(n: int, dim: int, rank_out: int, rank_in: int) -> int:
+    """dim H^n of a Hom complex from dim Hom^n and the ranks of D out of
+    and into degree n; a negative value means D o D != 0."""
+    h = dim - rank_out - rank_in
+    if h < 0:
+        raise InvalidComplex(f"Hom complex image does not sit inside the "
+                             f"kernel in degree {n}")
+    return h
+
+
 class HomComplex:
     """Total Hom complex of two bounded complexes of projectives.
 
@@ -389,11 +399,8 @@ class HomComplex:
     def cohomology_dim(self, n: int) -> int:
         if not self.dim(n):
             return 0
-        h = self.dim(n) - len(self.profile(n)) - len(self.profile(n - 1))
-        if h < 0:
-            raise InvalidComplex(f"Hom complex image does not sit inside the "
-                                 f"kernel in degree {n}")
-        return h
+        return _cohomology_dim(n, self.dim(n), len(self.profile(n)),
+                               len(self.profile(n - 1)))
 
     def all_cohomology(self) -> dict[int, int]:
         """H^n for every degree where Hom^n is not empty (elsewhere it is 0)."""
@@ -434,11 +441,8 @@ class HomComplex:
                 for n, upto_h1 in rows:
                     d = min(upto_h1, bisect_right(basis[n], h2 - n, key=c1_degree))
                     if d:
-                        h = d - rank.get(n, 0) - rank.get(n - 1, 0)
-                        if h < 0:
-                            raise InvalidComplex(f"Hom complex image does not sit "
-                                                 f"inside the kernel in degree {n}")
-                        coh[n] = h
+                        coh[n] = _cohomology_dim(n, d, rank.get(n, 0),
+                                                 rank.get(n - 1, 0))
         return out
 
 

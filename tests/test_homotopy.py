@@ -274,20 +274,37 @@ def test_criterion_12_fails_when_the_degree_is_not_the_computed_one(monkeypatch)
 
 
 def test_hom_complex_differential_squares_to_zero():
+    # the Rickard complexes of a short line compose to zero path by path,
+    # so padded and mixed copies supply products that cancel only mod ell
+    rng = random.Random(5)
     tree, alg = line(3, 2)
     c1 = ho.rickard_complex(alg, tree, 2)
     c2 = ho.rickard_complex(alg, tree, 1)
-    hc = ho.HomComplex(c1, c2)
+    pairs = [(c1, c2)]
+    for _ in range(4):
+        pairs.append(tuple(
+            ho.mix_basis(ho.pad_with_contractible(cx, rng.randint(0, 3),
+                                                  rng.choice([0, 1, 2])), rng)
+            for cx in (c1, c2)))
 
     def dense(a):
         return [[row.get(c, 0) for c in range(a.shape[1])] for row in a.rows]
 
-    for n in range(hc.lo, hc.hi):
-        a = dense(hc.matrix(n))
-        b = dense(hc.matrix(n + 1))
-        for row in b:
-            for col in range(hc.dim(n)):
-                assert sum(x * a[k][col] for k, x in enumerate(row)) % alg.ell == 0
+    products = 0
+    for x1, x2 in pairs:
+        hc = ho.HomComplex(x1, x2)
+        # one row per source map, so D^(n+1) o D^n is the product a b
+        for n in range(hc.lo, hc.hi):
+            a = dense(hc.matrix(n))
+            b = dense(hc.matrix(n + 1))
+            assert len(a) == hc.dim(n) and len(b) == hc.dim(n + 1)
+            for r in range(hc.dim(n)):
+                assert len(a[r]) == hc.dim(n + 1)
+                for c in range(hc.dim(n + 2)):
+                    terms = [a[r][k] * b[k][c] for k in range(hc.dim(n + 1))]
+                    assert sum(terms) % alg.ell == 0
+                    products += any(terms)
+    assert products
 
 
 def test_trim_preserves_cohomology_and_cross_homs():
