@@ -12,13 +12,16 @@ of the branch [m, M] comes the edge of the branch starting at M+1 mod h0.
 
 Star trees (h0 singleton branches, the block of a metacyclic group D x| E)
 are the degenerate special case and the target of the derived equivalence
-checked in `homotopy`.
+checked in `homotopy`.  `MetacyclicGroup` owns a star's parameters
+(|D|, |E|, n): it makes every refusal and fixes the Hensel lift zeta that
+numbers the edges eta_j, and a star tree carries its group, so the tree,
+its JSON and the oracle in `oracle` share one validated datum.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd
 
@@ -38,7 +41,7 @@ class NonIntegral(ArithmeticError):
 
 
 class BadAction(ValueError):
-    """The action exponent does not have the required order mod ell."""
+    """(|D|, |E|, n) are not the parameters of a metacyclic group D x| E."""
 
 
 class InvalidDecomposition(ValueError):
@@ -85,11 +88,50 @@ class SeriesDatum:
         if sorted(seen) != list(range(self.h0)):
             raise InvalidSeries("intervals do not partition {0..h0-1}")
 
-    def branch_of(self, j: int) -> Branch:
-        for b in self.branches:
-            if b.m <= j <= b.M:
-                return b
-        raise KeyError(j)
+
+@dataclass(frozen=True)
+class MetacyclicGroup:
+    """D x| E with D cyclic of order ell^alpha and E cyclic of order m prime
+    to ell, whose generator acts on D by y -> y^n; n has order m already
+    mod ell, so the action is faithful.  n is stored mod |D|."""
+
+    d_order: int
+    e_order: int
+    n: int
+    ell: int = field(init=False)
+    alpha: int = field(init=False)
+
+    def __post_init__(self):
+        d, e, n = self.d_order, self.e_order, self.n
+        split = prime_power_split(d)
+        if split is None:
+            raise BadAction(f"|D| = {d} is not a prime power")
+        ell, alpha = split
+        if e < 1:
+            raise BadAction(f"|E| = {e} must be positive")
+        if gcd(e, ell) != 1:
+            raise BadAction("|E| must be prime to ell")
+        if pow(n, e, d) != 1:
+            raise BadAction(f"n={n} does not have order dividing {e} mod {d}")
+        # before has_order, which factorizes |E| by trial division
+        if (ell - 1) % e:
+            raise BadAction(f"{e} does not divide ell - 1 = {ell - 1}")
+        if e > 1 and not has_order(n % ell, e, ell):
+            raise BadAction(f"n={n} does not have order {e} mod {ell}")
+        object.__setattr__(self, "n", n % d)
+        object.__setattr__(self, "ell", ell)
+        object.__setattr__(self, "alpha", alpha)
+
+    @property
+    def order(self) -> int:
+        return self.d_order * self.e_order
+
+    def zeta_lift(self) -> TruncatedPadic:
+        """The root of unity of order |E| congruent to n, mod ell^(alpha+1)."""
+        one = TruncatedPadic(1, self.ell, self.alpha + 1)
+        if self.e_order == 1:
+            return one
+        return hensel_root(one, self.e_order, self.n % self.ell)
 
 
 @dataclass(frozen=True)
@@ -119,7 +161,7 @@ class PlanarBrauerTree:
     multiplicity: int
     series: SeriesDatum
     vertices: tuple[ChiVertex, ...]
-    star_meta: tuple[tuple[str, int], ...] | None = None
+    star: MetacyclicGroup | None = None
 
     @cached_property
     def _place(self) -> dict[int, int]:
@@ -128,6 +170,10 @@ class PlanarBrauerTree:
         cyclic order at the exceptional node."""
         return {j: k for k, b in enumerate(self.series.branches)
                 for j in range(b.m, b.M + 1)}
+
+    def branch_of(self, j: int) -> Branch:
+        """The branch [m, M] holding edge j; KeyError for an unknown j."""
+        return self.series.branches[self._place[j]]
 
     @cached_property
     def _exc_order(self) -> tuple[int, ...]:
@@ -146,7 +192,7 @@ class PlanarBrauerTree:
         the last vertex of a branch; KeyError for an unknown node."""
         if node == EXC:
             return self._exc_order
-        last = self.series.branches[self._place[node]].M
+        last = self.branch_of(node).M
         return (node, node + 1) if node < last else (node,)
 
     def _locate(self, node, j: int) -> tuple[tuple[int, ...], int]:
@@ -206,7 +252,7 @@ def exceptional_multiplicity(ctx: EllContext) -> int:
 def assemble_tree(series: SeriesDatum, mu: int, r: int,
                   labels: dict[int, str] | None = None,
                   annotations: dict[int, tuple[int, int]] | None = None,
-                  star_meta: dict[str, int] | None = None) -> PlanarBrauerTree:
+                  star: MetacyclicGroup | None = None) -> PlanarBrauerTree:
     """Glue the line branches of a series at the exceptional node.
 
     The anticlockwise successor of the exceptional edge of a branch [m, M]
@@ -221,9 +267,8 @@ def assemble_tree(series: SeriesDatum, mu: int, r: int,
         ChiVertex(j, labels.get(j),
                   *(annotations.get(j) or (None, None)))
         for j in range(series.h0))
-    meta = tuple(sorted(star_meta.items())) if star_meta else None
     return PlanarBrauerTree(h0=series.h0, r=r, multiplicity=mu, series=series,
-                            vertices=vertices, star_meta=meta)
+                            vertices=vertices, star=star)
 
 
 def principal_block_tree(ctx: EllContext, series: SeriesDatum,
@@ -240,30 +285,20 @@ def star_tree(d_order: int, e_order: int, n: int, r: int = 0) -> PlanarBrauerTre
 
     Edges are numbered by the linear characters eta_j pinned by the Hensel
     lift zeta of n (eta_j sends the generator of E to zeta^j); the
-    anticlockwise successor of edge j is edge j+1 mod e_order.
+    anticlockwise successor of edge j is edge j+1 mod e_order.  BadAction
+    for parameters that are not those of such a group.
     """
-    split = prime_power_split(d_order)
-    if split is None:
-        raise BadAction(f"|D| = {d_order} is not a prime power")
-    ell, alpha = split
-    if gcd(e_order, ell) != 1:
-        raise BadAction("|E| must be prime to ell")
-    if pow(n, e_order, d_order) != 1:
-        raise BadAction(f"n={n} does not have order dividing {e_order} mod {d_order}")
-    # before has_order, which factorizes |E| by trial division
-    if (d_order - 1) % e_order:
-        raise BadAction(f"{e_order} does not divide |D| - 1 = {d_order - 1}")
-    if e_order > 1 and not has_order(n % ell, e_order, ell):
-        raise BadAction(f"n={n} does not have order {e_order} mod {ell}")
-    zeta = hensel_root(TruncatedPadic(1, ell, alpha + 1), e_order, n % ell) \
-        if e_order > 1 else TruncatedPadic(1, ell, alpha + 1)
-    series = SeriesDatum(h0=e_order,
-                         branches=tuple(Branch(j, j, j) for j in range(e_order)))
+    group = MetacyclicGroup(d_order, e_order, n)
+    series, mu = _star_shape(group)
     labels = {j: f"eta{j}" for j in range(e_order)}
-    meta = {"d_order": d_order, "e_order": e_order, "n": n % d_order,
-            "zeta": zeta.value, "zeta_precision": zeta.n}
-    return assemble_tree(series, (d_order - 1) // e_order, r,
-                         labels=labels, star_meta=meta)
+    return assemble_tree(series, mu, r, labels=labels, star=group)
+
+
+def _star_shape(g: MetacyclicGroup) -> tuple[SeriesDatum, int]:
+    """The series and exceptional multiplicity of the star tree of g."""
+    series = SeriesDatum(h0=g.e_order,
+                         branches=tuple(Branch(j, j, j) for j in range(g.e_order)))
+    return series, (g.d_order - 1) // g.e_order
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +356,7 @@ def cartan_matrix(d: DecompositionMatrix) -> tuple[tuple[int, ...], ...]:
 def height(tree: PlanarBrauerTree, j: int) -> int:
     """Minimal number of edges between the exceptional node and edge S_j:
     j - m on the branch [m, M] of j."""
-    return j - tree.series.branches[tree._place[j]].m
+    return j - tree.branch_of(j).m
 
 
 def perversity(tree: PlanarBrauerTree, i: int) -> int:
@@ -371,9 +406,16 @@ def tree_to_obj(tree: PlanarBrauerTree) -> dict:
            if v.a_chi is not None}
     if ann:
         obj["annotations"] = ann
-    if tree.star_meta:
-        obj["star"] = dict(tree.star_meta)
+    if tree.star is not None:
+        obj["star"] = _star_obj(tree.star)
     return obj
+
+
+def _star_obj(g: MetacyclicGroup) -> dict:
+    """The `star` object of the tree JSON: the triple and its lift zeta."""
+    zeta = g.zeta_lift()
+    return {"d_order": g.d_order, "e_order": g.e_order, "n": g.n,
+            "zeta": zeta.value, "zeta_precision": zeta.n}
 
 
 def _expect(obj, key, types, loc):
@@ -404,9 +446,9 @@ def _vertex_items(obj, key, h0, loc):
 _STAR_KEYS = ("d_order", "e_order", "n", "zeta", "zeta_precision")
 
 
-def _check_star(star, series: SeriesDatum, mu: int, r: int, loc: str):
-    """Accept star metadata only as star_tree(d_order, e_order, n, r)
-    records it, on a tree of that star's shape."""
+def _check_star(star, series: SeriesDatum, mu: int, loc: str) -> MetacyclicGroup:
+    """The group of star metadata, accepted only as tree_to_obj writes it
+    for a star tree and only on a tree of that star's shape."""
     if not isinstance(star, dict):
         raise ParseError(loc, "expected an object")
     if (sorted(star) != sorted(_STAR_KEYS)
@@ -416,14 +458,16 @@ def _check_star(star, series: SeriesDatum, mu: int, r: int, loc: str):
         raise ParseError(loc, f"e_order {star['e_order']} but the tree has "
                               f"h0 = {series.h0} edges")
     try:
-        want = star_tree(star["d_order"], star["e_order"], star["n"], r)
-    except (ValueError, ArithmeticError) as exc:
+        group = MetacyclicGroup(star["d_order"], star["e_order"], star["n"])
+    except BadAction as exc:
         raise ParseError(loc, f"not the data of a star tree: {exc}") from exc
-    if dict(want.star_meta) != star:
+    want = _star_obj(group)
+    if want != star:
         raise ParseError(loc, f"differs from the star tree of these parameters: "
-                              f"{dict(want.star_meta)}")
-    if (want.series, want.multiplicity) != (series, mu):
+                              f"{want}")
+    if _star_shape(group) != (series, mu):
         raise ParseError(loc, "the tree does not have the shape of this star")
+    return group
 
 
 def obj_to_tree(obj: dict, loc: str = "$") -> PlanarBrauerTree:
@@ -462,9 +506,9 @@ def obj_to_tree(obj: dict, loc: str = "$") -> PlanarBrauerTree:
         raise ParseError(f"{loc}.multiplicity", "must be >= 1")
     star = obj.get("star")
     if star is not None:
-        _check_star(star, series, mu, r, f"{loc}.star")
+        star = _check_star(star, series, mu, f"{loc}.star")
     tree = assemble_tree(series, mu, r, labels=labels, annotations=annotations,
-                         star_meta=star)
+                         star=star)
     stated = obj.get("cyclic_order")
     order = list(tree.cyclic_order_at(EXC))
     if stated is not None and not (isinstance(stated, list) and stated == order

@@ -20,7 +20,6 @@ from . import oracle as orc
 from . import selftest as st
 from . import tree_algebra as ta
 from .ell_arith import BadRegime, eigenvalue_table, validate_regime
-from .numtheory import prime_power_split
 from .root_data import (UnsupportedType, coxeter_datum, group_order_poly,
                         parse_type, torus_order_poly)
 
@@ -256,9 +255,8 @@ def _field_for(tree, args) -> int:
     (its metadata is checked on load) or the Ree fixture's regime; else 5."""
     if args.field is not None:
         return args.field
-    meta = dict(tree.star_meta or ())
-    if meta:
-        return prime_power_split(meta["d_order"])[0]
+    if tree.star is not None:
+        return tree.star.ell
     if args.tree is None and args.fixture.lower() == "2g2":
         return bt.REE_ELL if args.ell is None else args.ell
     return 5
@@ -417,11 +415,10 @@ def _cmd_star(args) -> int:
               "oracle": None, "match": None}
     code = EXIT_OK
     if args.verify:
-        group = orc.MetacyclicGroup(args.d, args.e, args.n)
-        oracle_d = orc.brute_decomposition_matrix(group)
+        oracle_d = orc.brute_decomposition_matrix(tree.star)
         report["oracle"] = [list(r) for r in oracle_d]
         try:
-            report["match"] = orc.verify_star(tree, group, oracle_d)
+            report["match"] = orc.verify_star(tree, tree.star, oracle_d)
         except orc.Mismatch as exc:
             report["match"] = False
             report["mismatch"] = str(exc)

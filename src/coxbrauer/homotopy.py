@@ -169,7 +169,7 @@ def rickard_complex(alg: TreeAlgebra, tree: PlanarBrauerTree, j: int) -> ProjCom
     """
     if j not in alg.vertices:
         raise KeyError(j)
-    b = tree.series.branch_of(j)
+    b = tree.branch_of(j)
     terms = [[i] for i in range(b.m, j + 1)]
     diffs = []
     for i in range(b.m, j):

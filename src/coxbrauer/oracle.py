@@ -15,17 +15,22 @@ it.  The Brauer characters of the m simple modules are pinned by the
 Hensel lift zeta of n (eta_j sends x to zeta^j), which fixes the row and
 column numbering of the decomposition matrix so the comparison against
 the star tree is cell-exact, not up to permutation.
+
+The group is `brauer_tree.MetacyclicGroup`, the datum a star tree
+carries: the parameter checks and the lift zeta, hence the eta numbering,
+are shared with the tree by construction.  What this module checks
+independently of the tree is the character table, its orthogonality and
+the solve for the decomposition numbers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
-from .brauer_tree import PlanarBrauerTree, decomposition_matrix
+from .brauer_tree import MetacyclicGroup, PlanarBrauerTree, decomposition_matrix
 from .cyclotomic import power_basis
-from .ell_arith import TruncatedPadic, hensel_root
-from .numtheory import euler_phi, has_order, prime_power_split
+from .ell_arith import TruncatedPadic
+from .numtheory import euler_phi, has_order
 
 
 class SingularSystem(ArithmeticError):
@@ -40,46 +45,6 @@ class Mismatch(AssertionError):
         self.reason = reason
         self.cell = cell
         super().__init__(reason if cell is None else f"{reason} at cell {cell}")
-
-
-@dataclass(frozen=True)
-class MetacyclicGroup:
-    d_order: int
-    e_order: int
-    n: int
-
-    def __post_init__(self):
-        split = prime_power_split(self.d_order)
-        if split is None:
-            raise ValueError(f"|D| = {self.d_order} must be a prime power")
-        ell, _ = split
-        if gcd(self.e_order, ell) != 1:
-            raise ValueError("|E| must be prime to ell")
-        if pow(self.n, self.e_order, self.d_order) != 1:
-            raise ValueError(f"n^{self.e_order} != 1 mod {self.d_order}")
-        if (ell - 1) % self.e_order:
-            raise ValueError(f"|E| = {self.e_order} does not divide ell - 1 = {ell - 1}")
-        if self.e_order > 1 and not has_order(self.n % ell, self.e_order, ell):
-            raise ValueError(f"n must have order {self.e_order} mod {ell}")
-
-    @property
-    def ell(self) -> int:
-        return prime_power_split(self.d_order)[0]
-
-    @property
-    def alpha(self) -> int:
-        return prime_power_split(self.d_order)[1]
-
-    @property
-    def order(self) -> int:
-        return self.d_order * self.e_order
-
-    def zeta_lift(self) -> TruncatedPadic:
-        """The root of unity of order |E| congruent to n, mod ell^(alpha+1)."""
-        one = TruncatedPadic(1, self.ell, self.alpha + 1)
-        if self.e_order == 1:
-            return one
-        return hensel_root(one, self.e_order, self.n % self.ell)
 
 
 @dataclass(frozen=True)
@@ -181,8 +146,9 @@ def character_table(g: MetacyclicGroup) -> CharacterTable:
     L = g.e_order * g.d_order
     zeta_e = L // g.e_order      # zeta_m = zeta_L^(d_order)
     zeta_d = L // g.d_order      # zeta_(ell^alpha) = zeta_L^(e_order)
+    reps = _orbit_reps(g)
     classes = [ConjClass("one", 0, 1)]
-    for a in _orbit_reps(g):
+    for a in reps:
         classes.append(ConjClass("d", a, g.e_order))
     for b in range(1, g.e_order):
         classes.append(ConjClass("e", b, g.d_order))
@@ -197,7 +163,7 @@ def character_table(g: MetacyclicGroup) -> CharacterTable:
                 row.append({0: 1})
         names.append(f"eta{j}")
         values.append(row)
-    for t in _orbit_reps(g):
+    for t in reps:
         row = []
         for cls in classes:
             if cls.kind == "one":
@@ -282,22 +248,14 @@ def verify_star(tree: PlanarBrauerTree, g: MetacyclicGroup,
     """Cell-exact comparison of the star tree against the oracle.
 
     oracle_d is brute_decomposition_matrix(g), computed once by the caller.
-    The tree must have been built by star_tree with the same parameters;
-    the eta numbering on both sides is pinned by the same Hensel lift, so
-    rows and columns must agree literally, not up to permutation.
+    The tree must be the star tree of g itself: the group fixes the Hensel
+    lift that numbers eta on both sides, so rows and columns must agree
+    literally, not up to permutation.
     """
-    meta = dict(tree.star_meta or ())
-    if not meta:
+    if tree.star is None:
         raise Mismatch("tree carries no star metadata")
-    for key, want in (("d_order", g.d_order), ("e_order", g.e_order),
-                      ("n", g.n % g.d_order)):
-        if meta.get(key) != want:
-            raise Mismatch(f"parameter {key}: tree has {meta.get(key)}, "
-                           f"group has {want}")
-    zeta = g.zeta_lift()
-    if meta.get("zeta") != zeta.value or meta.get("zeta_precision") != zeta.n:
-        raise Mismatch(f"zeta lift differs: tree {meta.get('zeta')}, "
-                       f"oracle {zeta.value}")
+    if tree.star != g:
+        raise Mismatch(f"star parameters differ: tree {tree.star}, group {g}")
     tree_d = decomposition_matrix(tree).matrix
     tree_shape = (len(tree_d), len(tree_d[0]) if tree_d else 0)
     oracle_shape = (len(oracle_d), len(oracle_d[0]) if oracle_d else 0)

@@ -242,10 +242,6 @@ class CycloPoly:
         if self.p is None and any(b for _, b in self.coeffs):
             raise AssertionError("sqrt part in a rational polynomial")
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
     def evaluate(self, q_or_qsq: int) -> int:
         """Evaluate at q.
 

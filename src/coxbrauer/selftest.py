@@ -239,7 +239,7 @@ def check_rickard_family() -> tuple[bool, str]:
         alg = ta.from_tree(tree, 5)
         for j in alg.vertices:
             cx = ho.rickard_complex(alg, tree, j)   # d^2 checked on build
-            m = tree.series.branch_of(j).m
+            m = tree.branch_of(j).m
             coh = ho.cohomology(cx)
             lo, hi = tree.r, tree.r + j - m
             if set(coh) - ({lo, hi} if j > m else {lo}):

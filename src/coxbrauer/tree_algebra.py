@@ -104,10 +104,10 @@ class TreeAlgebra:
     # -- construction -----------------------------------------------------
 
     def _check_star_label_field(self):
-        meta = dict(self.tree.star_meta or ())
-        if meta and meta.get("e_order", 1) > 1 and (self.ell - 1) % meta["e_order"]:
+        star = self.tree.star
+        if star is not None and star.e_order > 1 and (self.ell - 1) % star.e_order:
             raise FieldTooSmall(
-                f"F_{self.ell} has no primitive {meta['e_order']}-th roots of "
+                f"F_{self.ell} has no primitive {star.e_order}-th roots of "
                 f"unity for the eigencharacter labels")
 
     def _node_ends(self, edge: int):

@@ -1,9 +1,11 @@
 import dataclasses
 import json
+import time
 
 import pytest
 
 from coxbrauer import brauer_tree as bt
+from coxbrauer import cli
 from coxbrauer.brauer_tree import (EXC, BadAction, Branch, InvalidSeries,
                                    NonIntegral, ParseError, SeriesDatum)
 from coxbrauer.ell_arith import validate_regime
@@ -63,8 +65,8 @@ def test_star_shape_and_order():
     assert [e.ends for e in tree.edges] == [(EXC, 0), (EXC, 1), (EXC, 2)]
     assert tree.cyclic_order_at(EXC) == (0, 1, 2)
     assert tree.multiplicity == 2
-    meta = dict(tree.star_meta)
-    assert meta["zeta"] == 30 and meta["zeta_precision"] == 2
+    zeta = tree.star.zeta_lift()
+    assert zeta.value == 30 and zeta.n == 2
 
 
 def test_star_variants():
@@ -72,18 +74,78 @@ def test_star_variants():
     t = bt.star_tree(49, 3, 18)
     assert t.multiplicity == 16
     # n = 18 reduces to 4 mod 7; its lift is the cube root of 1 above 4
-    zeta = dict(t.star_meta)["zeta"]
-    mod = 7 ** dict(t.star_meta)["zeta_precision"]
-    assert pow(zeta, 3, mod) == 1 and zeta % 7 == 4
+    zeta = t.star.zeta_lift()
+    assert pow(zeta.value, 3, zeta.modulus) == 1 and zeta.value % 7 == 4
+    # n is kept mod |D|, so n = 9 and n = 2 give one tree and one group
+    assert bt.star_tree(7, 3, 9) == bt.star_tree(7, 3, 2)
+    assert bt.star_tree(7, 3, 9).star.n == 2
 
 
-def test_star_bad_action():
-    with pytest.raises(BadAction):
-        bt.star_tree(7, 3, 3)      # ord_7(3) = 6 != 3
-    with pytest.raises(BadAction):
-        bt.star_tree(7, 2, 2)      # ord_7(2) = 3 != 2
-    with pytest.raises(BadAction):
-        bt.star_tree(12, 2, 5)     # |D| not a prime power
+STAR_REFUSALS = [
+    ((12, 2, 5), "|D| = 12 is not a prime power"),
+    ((7, -3, 2), "|E| = -3 must be positive"),
+    ((7, 7, 2), "|E| must be prime to ell"),
+    ((49, 3, 2), "n=2 does not have order dividing 3 mod 49"),
+    ((7, 3, 3), "n=3 does not have order dividing 3 mod 7"),
+    ((49, 8, 48), "8 does not divide ell - 1 = 6"),
+    ((7, 2 ** 61 - 1, 1), f"{2 ** 61 - 1} does not divide ell - 1 = 6"),
+]
+
+
+@pytest.mark.parametrize("triple, message", STAR_REFUSALS,
+                         ids=[",".join(map(str, t)) for t, _ in STAR_REFUSALS])
+def test_star_refusals(triple, message, tmp_path, capsys):
+    """The tree, the group, `star` and a tree file's star metadata refuse
+    a triple with one message; none of them trial-divides a 61-bit |E|."""
+    d, e, n = triple
+    start = time.perf_counter()
+    with pytest.raises(BadAction) as by_tree:
+        bt.star_tree(d, e, n)
+    with pytest.raises(BadAction) as by_group:
+        bt.MetacyclicGroup(d, e, n)
+    assert str(by_tree.value) == str(by_group.value) == message
+    assert cli.main(["star", "--d", str(d), "--e", str(e), "--n", str(n)]) == 1
+    assert time.perf_counter() - start < 1.0
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == f"error: {message}\n"
+    if not 0 < e <= 12:
+        return
+    # a star-shaped tree with h0 = |E| whose star object states the triple
+    obj = {"h0": e, "r": 0, "multiplicity": 1,
+           "branches": [{"zeta": j, "m": j, "M": j} for j in range(e)],
+           "star": {"d_order": d, "e_order": e, "n": n,
+                    "zeta": 1, "zeta_precision": 2}}
+    path = tmp_path / "tree.json"
+    path.write_text(json.dumps(obj))
+    assert cli.main(["decmatrix", "--tree", str(path)]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: $.star: not the data of a star tree: {message}\n"
+
+
+def acts_with_order(d, e, n):
+    """Brute force: n^e = 1 mod d and the powers of n mod ell, the prime
+    of d, first return to 1 at the e-th."""
+    ell = next(p for p in range(2, d + 1) if d % p == 0)
+    if pow(n, e, d) != 1:
+        return False
+    return next(k for k in range(1, ell) if pow(n, k, ell) == 1) == e
+
+
+def test_star_tree_accepts_exactly_the_actions_of_order_e():
+    accepted, want = set(), set()
+    for d in (5, 7, 9, 11, 13, 25, 27, 49):
+        for e in range(1, 13):
+            for n in range(d):
+                try:
+                    bt.star_tree(d, e, n)
+                    accepted.add((d, e, n))
+                except BadAction:
+                    pass
+                if acts_with_order(d, e, n):
+                    want.add((d, e, n))
+    assert accepted == want
+    assert (49, 3, 18) in want and (27, 2, 26) in want and (5, 1, 1) in want
 
 
 def test_successor_rule_cycle():

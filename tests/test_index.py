@@ -102,6 +102,9 @@ def test_lookups_match_linear_scans(tree):
         assert tree.edge(e.index) is e
     for v in tree.vertices:
         assert tree.vertex(v.index) is v
+    for j in tree.edge_indices():
+        assert tree.branch_of(j) is next(b for b in tree.series.branches
+                                         if b.m <= j <= b.M)
     for node in nodes(tree):
         assert tree.edges_at(node) == [e.index for e in tree.edges if node in e.ends]
         order = tree.cyclic_order_at(node)
@@ -138,6 +141,7 @@ def test_paths_between_partitions_the_path_basis(tree):
 def test_unknown_keys():
     tree = bt.assemble_tree(bt.line_series(3), 2, 1)
     for lookup, key in ((tree.edge, 3), (tree.edge, -1), (tree.vertex, 7),
+                        (tree.branch_of, 3), (tree.branch_of, -1),
                         (tree.cyclic_order_at, 99), (tree.cyclic_order_at, "x")):
         with pytest.raises(KeyError):
             lookup(key)

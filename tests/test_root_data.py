@@ -86,7 +86,7 @@ def test_group_order_examples():
     assert a1.coeffs == ((0, 0), (-1, 0), (0, 0), (1, 0))
     a2 = group_order_poly(data("A2"))
     assert a2.evaluate(2) == 168
-    assert a2.degree == data("A2").N + sum(data("A2").degrees)
+    assert len(a2.coeffs) - 1 == data("A2").N + sum(data("A2").degrees)
 
 
 def test_torus_order_examples():
@@ -97,7 +97,7 @@ def test_torus_order_examples():
         (1, 0), (0, -1), (1, 0), (0, -1), (1, 0))
     # E8: torus order is the 30th cyclotomic polynomial
     e8 = torus_order_poly(data("E8"))
-    assert e8.degree == euler_phi(30)
+    assert len(e8.coeffs) - 1 == euler_phi(30)
     assert e8.evaluate(2) == 2 ** 8 + 2 ** 7 - 2 ** 5 - 2 ** 4 - 2 ** 3 + 2 + 1
 
 
