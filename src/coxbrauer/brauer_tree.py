@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress
 from math import gcd
 
 from .ell_arith import EllContext, TruncatedPadic, hensel_root, validate_regime
@@ -343,13 +344,15 @@ def decomposition_matrix(tree: PlanarBrauerTree) -> DecompositionMatrix:
 
 
 def cartan_matrix(d: DecompositionMatrix) -> tuple[tuple[int, ...], ...]:
-    """D^T D with the mu exceptional rows each counted."""
+    """D^T D with the mu exceptional rows each counted; each row of D costs
+    the square of its nonzero count."""
     out = [[0] * len(d.col_edges) for _ in d.col_edges]
     for row in d.matrix:
-        nonzero = [(c, x) for c, x in enumerate(row) if x]
+        nonzero = [(c, row[c]) for c in compress(range(len(row)), row)]
         for a, x in nonzero:
+            out_a = out[a]
             for b, y in nonzero:
-                out[a][b] += x * y
+                out_a[b] += x * y
     return tuple(map(tuple, out))
 
 
@@ -369,22 +372,23 @@ def check_unitriangular(d: DecompositionMatrix):
     The character/edge pairs are sorted by decreasing edge height.  Returns
     (is_unitriangular, row_order); the matrix is reordered with the
     exceptional rows kept at the bottom and column S_j tracking row chi_j.
-    """
+    Unitriangular means: in the row of chi_j, column S_j holds 1 and every
+    column S_k with k after j in the order holds 0 (columns of edges with
+    no character row are not looked at).  Each row costs its nonzero
+    entries."""
     chi = [j for kind, j in d.row_labels if kind == "chi"]
     hgt = dict(zip(d.col_edges, d.heights))
     order = sorted(chi, key=lambda j: (-hgt[j], j))
     row_of = {j: i for i, (kind, j) in enumerate(d.row_labels) if kind == "chi"}
     col_of = {j: i for i, j in enumerate(d.col_edges)}
-    ok = True
-    for rpos, j in enumerate(order):
+    # column -> the (last) place of its edge in the order
+    place = {col_of[j]: pos for pos, j in enumerate(order)}
+    for pos, j in enumerate(order):
         row = d.matrix[row_of[j]]
-        for cpos, jc in enumerate(order):
-            entry = row[col_of[jc]]
-            if cpos == rpos and entry != 1:
-                ok = False
-            if cpos > rpos and entry != 0:
-                ok = False
-    return ok, order
+        if row[col_of[j]] != 1 or any(place.get(c, -1) > pos for c in
+                                      compress(range(len(row)), row)):
+            return False, order
+    return True, order
 
 
 # ---------------------------------------------------------------------------

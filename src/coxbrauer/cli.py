@@ -13,6 +13,7 @@ import argparse
 import functools
 import json
 import sys
+from itertools import chain, compress
 
 from . import brauer_tree as bt
 from . import homotopy as ho
@@ -168,39 +169,71 @@ SCHEMAS = {
 
 
 def _emit(obj, out_path: str | None):
-    _write(_dumps(obj) + "\n", out_path)
+    _write(chain(_dumps(obj), ["\n"]), out_path)
 
 
-def _dumps(obj, indent: str = "\n") -> str:
-    """What json.dumps gives with sorted keys and a two-space indent, byte
-    for byte.
+def _dumps(obj, indent: str = "\n", lead: str = ""):
+    """The chunks of what json.dumps gives with sorted keys and a two-space
+    indent, byte for byte, with `lead` (the text before the value) put in
+    front of the first chunk.
 
     json uses its C encoder only for compact output, so the containers are
-    laid out here and every key and leaf goes through the C encoder; a
-    list of plain ints is joined in one step.  Keys must be str."""
+    laid out here and every key and leaf goes through the C encoder.  The
+    chunks are yielded as they are laid out, so that no report is held as
+    one string: a leaf or a whole list of plain ints (see _int_items) with
+    what leads up to it, or a closing bracket.  Keys must be str."""
     if not obj or not isinstance(obj, (dict, list, tuple)):
-        return json.dumps(obj)
+        yield lead + json.dumps(obj)
+        return
     inner = indent + "  "
+    sep = "," + inner
     if isinstance(obj, dict):
         if not all(isinstance(k, str) for k in obj):
             raise TypeError(f"report keys must be str: {list(obj)!r}")
-        body = (json.dumps(k) + ": " + _dumps(v, inner)
-                for k, v in sorted(obj.items()))
-        return "{" + inner + ("," + inner).join(body) + indent + "}"
+        head = lead + "{" + inner
+        for k, v in sorted(obj.items()):
+            yield from _dumps(v, inner, head + json.dumps(k) + ": ")
+            head = sep
+        yield indent + "}"
+        return
     # one C-level pass over the item types; a bool is not an int here
     if set(map(type, obj)) == {int}:
-        body = map(str, obj)
-    else:
-        body = (_dumps(x, inner) for x in obj)
-    return "[" + inner + ("," + inner).join(body) + indent + "]"
+        yield lead + "[" + inner + _int_items(obj, sep) + indent + "]"
+        return
+    head = lead + "[" + inner
+    for x in obj:
+        yield from _dumps(x, inner, head)
+        head = sep
+    yield indent + "]"
 
 
-def _write(text: str, out_path: str | None):
+# an int list at least this long and at least three quarters zero is
+# written from its nonzero positions
+_SPARSE_MIN_LEN = 32
+
+
+def _int_items(row, sep: str) -> str:
+    """The ints of `row` joined by `sep`.  A short or dense row is one
+    join; a long sparse one costs its nonzero entries, and each zero run
+    is one repeated "0" + sep string."""
+    n = len(row)
+    if n < _SPARSE_MIN_LEN or 4 * row.count(0) < 3 * n:
+        return sep.join(map(str, row))
+    zeros, last, done, parts = "0" + sep, n - 1, 0, []
+    # every entry but the last is followed by sep
+    for i in compress(range(last), row):
+        parts += (zeros * (i - done), str(row[i]) + sep)
+        done = i + 1
+    parts += (zeros * (last - done), str(row[last]))
+    return "".join(parts)
+
+
+def _write(chunks, out_path: str | None):
     if out_path in (None, "-"):
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
 
 
 def _poly_obj(poly):
@@ -336,7 +369,7 @@ def _cmd_validate(args) -> int:
 def _cmd_tree(args) -> int:
     tree = _load_tree(args)
     if args.format == "dot":
-        _write(bt.to_dot(tree), args.out)
+        _write([bt.to_dot(tree)], args.out)
     else:
         _emit(bt.tree_to_obj(tree), args.out)
     return EXIT_OK
@@ -348,9 +381,9 @@ def _cmd_decmatrix(args) -> int:
     ok, order = bt.check_unitriangular(d)
     _emit({
         "rows": [f"{kind}{idx}" for kind, idx in d.row_labels],
-        "columns": list(d.col_edges),
-        "matrix": [list(r) for r in d.matrix],
-        "cartan": [list(r) for r in bt.cartan_matrix(d)],
+        "columns": d.col_edges,
+        "matrix": d.matrix,
+        "cartan": bt.cartan_matrix(d),
         "unitriangular": ok,
         "order": order,
     }, args.out)
@@ -360,14 +393,15 @@ def _cmd_decmatrix(args) -> int:
 def _cmd_algebra(args) -> int:
     tree = _load_tree(args)
     alg = ta.from_tree(tree, _field_for(tree, args))
-    vs = sorted(alg.vertices)
-    _emit({
+    report = {
         "dimension": alg.dim,
         "field": alg.ell,
-        "vertices": vs,
-        "cartan": [[ta.hom_dim(alg, i, j) for j in vs] for i in vs],
-        "ext1": [[ta.ext1(alg, i, j) for j in vs] for i in vs],
-    }, args.out)
+        "vertices": alg.vertices,
+        "cartan": ta.hom_grid(alg),
+        "ext1": ta.ext1_grid(alg),
+    }
+    del tree, alg       # only the report is held while it is written
+    _emit(report, args.out)
     return EXIT_OK
 
 

@@ -252,3 +252,25 @@ def hom_dim(alg: TreeAlgebra, i: int, j: int) -> int:
     """dim Hom(P_i, P_j), the number of basis paths from j to i: each acts
     by left multiplication."""
     return len(alg.paths_between.get((j, i), ()))
+
+
+def hom_grid(alg: TreeAlgebra) -> list[list[int]]:
+    """[hom_dim(alg, i, j)] over the sorted vertices, from one pass over the
+    path table."""
+    return _vertex_grid(alg, (((i, j), len(ps))
+                              for (j, i), ps in alg.paths_between.items()))
+
+
+def ext1_grid(alg: TreeAlgebra) -> list[list[int]]:
+    """[ext1(alg, i, j)] over the sorted vertices, from the arrow counts."""
+    return _vertex_grid(alg, alg.arrow_counts.items())
+
+
+def _vertex_grid(alg: TreeAlgebra, counts) -> list[list[int]]:
+    """The vertices-by-vertices grid holding n at each ((i, j), n) of
+    `counts`, zero elsewhere."""
+    at = {v: k for k, v in enumerate(alg.vertices)}
+    grid = [[0] * len(at) for _ in at]
+    for (i, j), n in counts:
+        grid[at[i]][at[j]] = n
+    return grid

@@ -1,10 +1,13 @@
 """The bytes of a report, and a CLI that can be called again.
 
-`cli._dumps` lays out what `json.dumps(obj, sort_keys=True, indent=2)`
-gives, byte for byte: a property test holds it to json on generated
-values and every report captured under tests/golden/ must re-emit
-unchanged.  `cli.build_parser` is built once per process, so a sequence
-of `cli.main` calls in one process must print what fresh processes print.
+`cli._dumps` yields the chunks of what `json.dumps(obj, sort_keys=True,
+indent=2)` gives; joined, they must equal it byte for byte.  Two property
+tests hold it to json: one on generated values of every kind, one on long
+sparse int rows and matrices (the path that writes zero runs whole, and
+the values it must refuse: a False, None or 0.0 among the zeros).  Every
+report captured under tests/golden/ must re-emit unchanged.
+`cli.build_parser` is built once per process, so a sequence of `cli.main`
+calls in one process must print what fresh processes print.
 """
 
 import contextlib
@@ -22,8 +25,14 @@ from hypothesis import strategies as st
 from coxbrauer import cli
 
 GOLDEN = Path(__file__).parent / "golden"
-# inputs kept in compact JSON, not reports: a tree file and the validate grid
-INPUTS = {"two_branch20.tree.json", "validate_grid.json"}
+# inputs kept in compact JSON, not reports: the tree files and the validate grid
+INPUTS = {"two_branch20.tree.json", "wide48.tree.json", "validate_grid.json"}
+
+
+def dumps(obj) -> str:
+    """The report text: the chunks of cli._dumps, joined."""
+    return "".join(cli._dumps(obj))
+
 
 TEXT = (st.text(alphabet=st.sampled_from('ab"\\/\n\t\x00\x1f\x7f é€😀'), max_size=6)
         | st.text())
@@ -41,6 +50,32 @@ VALUES = st.recursive(
         st.dictionaries(TEXT, children, max_size=4)),
     max_leaves=30)
 
+NONZERO = st.one_of(st.integers(-3, 3), st.integers(-2 ** 80, 2 ** 80)).filter(bool)
+NOT_INT_ZEROS = st.sampled_from([False, None, 0.0])
+
+
+@st.composite
+def sparse_rows(draw):
+    """Rows of up to 300 entries, mostly zero, so that runs of zeros open,
+    split and close them; now and then a False, None or 0.0 stands among
+    the zeros and the row is no longer all int."""
+    row = [0] * draw(st.integers(0, 300))
+    if row:
+        places = st.integers(0, len(row) - 1)
+        for i in draw(st.sets(places, max_size=8)):
+            row[i] = draw(NONZERO)
+        for x in draw(st.lists(NOT_INT_ZEROS, max_size=1)):
+            row[draw(places)] = x
+    return row
+
+
+SPARSE = st.one_of(
+    sparse_rows(),
+    st.lists(sparse_rows(), max_size=4),
+    st.lists(sparse_rows(), max_size=4).map(tuple),
+    st.dictionaries(st.sampled_from(["cartan", "ext1", "matrix"]),
+                    st.lists(sparse_rows().map(tuple), max_size=3), max_size=3))
+
 
 @settings(max_examples=200, deadline=None)
 @given(VALUES)
@@ -55,19 +90,49 @@ VALUES = st.recursive(
 @example({"ok": True, "results": [{"detail": "dim 21", "name": "7-algebra",
                                    "ok": True, "seconds": 0.012}]})
 def test_dumps_is_json_with_sorted_keys_and_two_space_indent(obj):
-    assert cli._dumps(obj) == json.dumps(obj, sort_keys=True, indent=2)
+    assert dumps(obj) == json.dumps(obj, sort_keys=True, indent=2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(SPARSE)
+@example([0] * 300)
+@example([0] * 31 + [5])
+@example([7] + [0] * 40)
+@example([0] * 40 + [-(2 ** 64) - 1] + [0] * 40 + [2 ** 65])
+@example([0] * 40 + [False] + [0] * 40)
+@example([0] * 40 + [None, 3] + [0] * 40)
+@example({"cartan": [[0] * 50, [0.0] + [0] * 49, [0] * 49 + [1]]})
+def test_sparse_int_rows_are_json(obj):
+    assert dumps(obj) == json.dumps(obj, sort_keys=True, indent=2)
+
+
+def test_zero_runs_are_written_whole(monkeypatch):
+    sep = ",\n  "
+    row = [0] * 40 + [-2] + [0] * 19 + [2 ** 70] + [0] * 39
+    text = sep.join(map(str, row))
+    # a long sparse row converts only its nonzero entries and its last one;
+    # a short or dense one, such as the star reports' rows, all of them
+    converted = []
+    monkeypatch.setattr(cli, "str", lambda x: converted.append(x) or repr(x),
+                        raising=False)
+    assert cli._int_items(row, sep) == text
+    assert converted == [-2, 2 ** 70, 0]
+    converted.clear()
+    dense = [1, 0, 1, 0] * 10
+    assert cli._int_items(dense, sep) == sep.join(map(repr, dense))
+    assert converted == dense
 
 
 def test_non_string_keys_are_refused():
     with pytest.raises(TypeError, match="keys must be str"):
-        cli._dumps({"cartan": {1: [2]}})
+        dumps({"cartan": {1: [2]}})
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in GOLDEN.glob("*.json")
                                         if p.name not in INPUTS))
 def test_every_golden_report_re_emits_unchanged(name):
     text = (GOLDEN / name).read_text(encoding="utf-8")
-    assert cli._dumps(json.loads(text)) + "\n" == text
+    assert dumps(json.loads(text)) + "\n" == text
 
 
 def _in_process(argv) -> tuple[int, str]:

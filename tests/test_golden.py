@@ -24,6 +24,8 @@ from coxbrauer import cli
 
 GOLDEN = Path(__file__).parent / "golden"
 TWO_BRANCH = str(GOLDEN / "two_branch20.tree.json")
+# h0 = 48 in six branches, mu = 3, with labels: grids that are mostly zero
+WIDE = str(GOLDEN / "wide48.tree.json")
 
 CAPTURES = {
     "2g2_decmatrix.json": ["decmatrix", "--fixture", "2g2"],
@@ -39,6 +41,8 @@ CAPTURES = {
     "two_branch20_rickard_tilting.json": ["rickard", "--tree", TWO_BRANCH,
                                           "--field", "31", "--vertex", "17",
                                           "--check-tilting"],
+    "wide48_decmatrix.json": ["decmatrix", "--tree", WIDE],
+    "wide48_algebra.json": ["algebra", "--tree", WIDE, "--field", "31"],
     "line40.dot": ["tree", "--fixture", "line40", "--format", "dot"],
     "2g2_tree.json": ["tree", "--fixture", "2g2"],
     "two_branch20_tree.json": ["tree", "--tree", TWO_BRANCH],

@@ -1,4 +1,7 @@
-"""Property tests of the tree and path indices against linear scans."""
+"""Property tests of the tree and path indices against linear scans, and
+of the sparse report tables against dense references."""
+
+import dataclasses
 
 import pytest
 from hypothesis import given, settings
@@ -136,6 +139,73 @@ def test_paths_between_partitions_the_path_basis(tree):
     for a in alg.arrows:
         assert a in alg.paths and alg.target(a) == reference_target(alg, a)
         assert (a.kind, a.steps) == ("cyc", 1) or (alg.degenerate and a.kind == "soc")
+
+
+def dense_unitriangular(d):
+    """Every cell of the reordered matrix on and above the diagonal."""
+    chi = [j for kind, j in d.row_labels if kind == "chi"]
+    hgt = dict(zip(d.col_edges, d.heights))
+    order = sorted(chi, key=lambda j: (-hgt[j], j))
+    row_of = {j: i for i, (kind, j) in enumerate(d.row_labels) if kind == "chi"}
+    col_of = {j: i for i, j in enumerate(d.col_edges)}
+    ok = True
+    for rpos, j in enumerate(order):
+        row = d.matrix[row_of[j]]
+        for cpos, jc in enumerate(order):
+            entry = row[col_of[jc]]
+            if (cpos == rpos and entry != 1) or (cpos > rpos and entry != 0):
+                ok = False
+    return ok, order
+
+
+def dense_cartan(d):
+    cols = range(len(d.col_edges))
+    return tuple(tuple(sum(row[a] * row[b] for row in d.matrix) for b in cols)
+                 for a in cols)
+
+
+def with_entry(d, row, col, value):
+    rows = [list(r) for r in d.matrix]
+    rows[row][col] = value
+    return dataclasses.replace(d, matrix=tuple(map(tuple, rows)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(trees())
+def test_report_grids_match_the_per_pair_counts(tree):
+    alg = ta.from_tree(tree, 7)
+    vs = alg.vertices
+    assert ta.hom_grid(alg) == [[ta.hom_dim(alg, i, j) for j in vs] for i in vs]
+    assert ta.ext1_grid(alg) == [[ta.ext1(alg, i, j) for j in vs] for i in vs]
+
+
+@settings(max_examples=60, deadline=None)
+@given(trees(), st.data())
+def test_sparse_matrix_checks_match_dense_references(tree, data):
+    d = bt.decomposition_matrix(tree)
+    assert bt.cartan_matrix(d) == dense_cartan(d)
+    ok, order = bt.check_unitriangular(d)
+    assert ok and (ok, order) == dense_unitriangular(d)
+    # one cell rewritten: the check must still agree with every-cell reading
+    moved = with_entry(d, data.draw(st.integers(0, len(d.matrix) - 1)),
+                       data.draw(st.integers(0, len(d.col_edges) - 1)),
+                       data.draw(st.integers(0, 2)))
+    assert bt.check_unitriangular(moved) == dense_unitriangular(moved)
+    assert bt.cartan_matrix(moved) == dense_cartan(moved)
+
+
+def test_unitriangular_negative_controls():
+    # a line tree of 48 edges: the height order is 47, 46, ..., 0 and each
+    # row of D has at most two nonzero entries
+    d = bt.decomposition_matrix(bt.assemble_tree(bt.line_series(48), 3, 1))
+    ok, order = bt.check_unitriangular(d)
+    assert ok and order == list(range(47, -1, -1))
+    # chi_47 comes first; S_0, last in the order, sits deep in its zero run
+    assert d.matrix[47][5:45] == (0,) * 40
+    above = with_entry(d, 47, 0, 1)
+    assert bt.check_unitriangular(above) == dense_unitriangular(above) == (False, order)
+    double = with_entry(d, 20, 20, 2)
+    assert bt.check_unitriangular(double) == dense_unitriangular(double) == (False, order)
 
 
 def test_unknown_keys():
