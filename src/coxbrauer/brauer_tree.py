@@ -323,15 +323,15 @@ class DecompositionMatrix:
 
 
 def decomposition_matrix(tree: PlanarBrauerTree) -> DecompositionMatrix:
-    cols = tuple(sorted(tree.edge_indices()))
-    chi_rows = [("chi", v.index) for v in sorted(tree.vertices, key=lambda v: v.index)]
+    # edges, characters and their indices are all 0..h0-1
+    cols = tuple(tree.edge_indices())
+    chi_rows = [("chi", v.index) for v in tree.vertices]
     exc_rows = [("exc", t) for t in range(tree.multiplicity)]
-    col_of = {j: i for i, j in enumerate(cols)}
     mat = [[0] * len(cols) for _ in chi_rows]
     exc_row = [0] * len(cols)
     for e in tree.edges:
         for end in e.ends:
-            (exc_row if end == EXC else mat[end])[col_of[e.index]] = 1
+            (exc_row if end == EXC else mat[end])[e.index] = 1
     rows = tuple(map(tuple, mat)) + (tuple(exc_row),) * tree.multiplicity
     heights = tuple(height(tree, j) for j in cols)
     d = DecompositionMatrix(tuple(chi_rows + exc_rows), cols, rows,
@@ -373,20 +373,14 @@ def check_unitriangular(d: DecompositionMatrix):
     (is_unitriangular, row_order); the matrix is reordered with the
     exceptional rows kept at the bottom and column S_j tracking row chi_j.
     Unitriangular means: in the row of chi_j, column S_j holds 1 and every
-    column S_k with k after j in the order holds 0 (columns of edges with
-    no character row are not looked at).  Each row costs its nonzero
-    entries."""
-    chi = [j for kind, j in d.row_labels if kind == "chi"]
-    hgt = dict(zip(d.col_edges, d.heights))
-    order = sorted(chi, key=lambda j: (-hgt[j], j))
-    row_of = {j: i for i, (kind, j) in enumerate(d.row_labels) if kind == "chi"}
-    col_of = {j: i for i, j in enumerate(d.col_edges)}
-    # column -> the (last) place of its edge in the order
-    place = {col_of[j]: pos for pos, j in enumerate(order)}
+    column S_k with k after j in the order holds 0.  Each row costs its
+    nonzero entries."""
+    # chi_j is row j and S_j column j
+    order = sorted(d.col_edges, key=lambda j: (-d.heights[j], j))
+    place = {j: pos for pos, j in enumerate(order)}
     for pos, j in enumerate(order):
-        row = d.matrix[row_of[j]]
-        if row[col_of[j]] != 1 or any(place.get(c, -1) > pos for c in
-                                      compress(range(len(row)), row)):
+        row = d.matrix[j]
+        if row[j] != 1 or any(place[c] > pos for c in compress(range(len(row)), row)):
             return False, order
     return True, order
 
@@ -535,7 +529,7 @@ def to_dot(tree: PlanarBrauerTree) -> str:
     the anticlockwise cyclic order at the node written first."""
     lines = ["graph brauer_tree {", "  graph [ordering=out];"]
     lines.append(f'  exc [shape=doublecircle, label="exc ({tree.multiplicity})"];')
-    for v in sorted(tree.vertices, key=lambda v: v.index):
+    for v in tree.vertices:
         label = v.label or f"chi{v.index}"
         lines.append(f'  v{v.index} [shape=circle, label="{label}"];')
     emitted = set()
@@ -548,10 +542,11 @@ def to_dot(tree: PlanarBrauerTree) -> str:
         other = e.ends[0] if e.ends[1] == EXC else e.ends[1]
         lines.append(f'  exc -- {node_name(other)} [label="S{j}", order={pos}];')
         emitted.add(j)
-    for e in sorted(tree.edges, key=lambda e: e.index):
+    for e in tree.edges:
         if e.index in emitted:
             continue
-        a, b = sorted(e.ends, key=lambda n: (n == EXC, n))
+        # an edge off the exceptional node joins chi_(j-1) and chi_j
+        a, b = e.ends
         order = tree.cyclic_order_at(a).index(e.index)
         lines.append(f'  {node_name(a)} -- {node_name(b)} '
                      f'[label="S{e.index}", order={order}];')

@@ -5,15 +5,16 @@ projectives (a list of quiver vertices) and one boundary matrix whose
 entries are algebra elements acting by left multiplication.  Every
 operation on complexes is arithmetic with such matrices, done by the tree
 algebra's one product and one unipotent inverse: the d^2 = 0 check, the
-Schur complement of Gaussian-elimination trimming of contractible summands,
-and the change of basis that hides padded summands.  Built on this: total
-Hom complexes, the only place where complexes become sparse scalar matrices
-over F_ell, and their cohomology, read off the row rank profile of each
-boundary for every pair of top-truncations at once; the cohomology of a
-complex, read off the Hom complexes out of the stalk projectives; its Euler
-character, the signed sum of decomposition-matrix columns; the
-branch-walking complex attached to each tree edge; and the tilting
-verification for their direct sum (Hom vanishing off degree zero,
+Schur complements of trimming, one forward sweep of Gaussian elimination
+of contractible summands, and the change of basis that hides padded ones.
+Built on this: total Hom complexes, the only place where complexes become
+sparse scalar matrices over F_ell, and their cohomology, read off the row
+rank profile of each boundary for every pair of top-truncations at once;
+the cohomology of a complex, read off the Hom complexes out of the stalk
+projectives; its Euler character, the signed sum of decomposition-matrix
+columns; the branch-walking complex attached to each tree edge, each
+boundary an arrow read off the algebra's (node, source) table; and the
+tilting verification for their direct sum (Hom vanishing off degree zero,
 generation, and the degree-zero Hom grid being the Cartan matrix of the
 star algebra with the same parameters), with one Hom complex per pair of
 nested branch chains.
@@ -171,16 +172,10 @@ def rickard_complex(alg: TreeAlgebra, tree: PlanarBrauerTree, j: int) -> ProjCom
         raise KeyError(j)
     b = tree.branch_of(j)
     terms = [[i] for i in range(b.m, j + 1)]
-    diffs = []
-    for i in range(b.m, j):
-        # the arrow at chi_i runs S_(i+1) -> S_i, a path from i+1 to i,
-        # which is exactly a left-multiplication map P_i -> P_(i+1)
-        entry = alg.elt(next(a for a in alg.arrows if a.node == i and a.src == i + 1))
-        if not entry:
-            raise InvalidComplex("boundary map vanished over the field")
-        diffs.append([[entry]])
-    diffs.append([])
-    return ProjComplex(alg, tree.r, terms, diffs)
+    # the arrow at chi_i runs S_(i+1) -> S_i, a path from i+1 to i, which
+    # is exactly a left-multiplication map P_i -> P_(i+1)
+    diffs = [[[alg.elt(alg.arrow_at[i, i + 1])]] for i in range(b.m, j)]
+    return ProjComplex(alg, tree.r, terms, diffs + [[]])
 
 
 # ---------------------------------------------------------------------------
@@ -210,65 +205,29 @@ def euler_character(tree: PlanarBrauerTree,
 
     [P_v] is column v of the decomposition matrix with its identical
     exceptional rows collapsed to one."""
-    dec = decomposition_matrix(tree)
-    rows = dec.collapsed()
-    col = {j: k for k, j in enumerate(dec.col_edges)}
+    rows = decomposition_matrix(tree).collapsed()
     total = [0] * len(rows)
     for d in cx.degrees():
         sign = -1 if (d - tree.r) % 2 else 1
         for v in cx.term(d):
             for k, row in enumerate(rows):
-                total[k] += sign * row[col[v]]
+                total[k] += sign * row[v]
     return tuple(total[:-1]), total[-1]
 
 
 # ---------------------------------------------------------------------------
 # trimming by Gaussian elimination on invertible boundary entries
 
-def _unit_entry(cx: ProjComplex) -> tuple[int, int, int] | None:
-    """(degree, row, column) of the first boundary entry with an invertible
-    trivial-path coefficient; check_shapes lets an identity path sit only
-    where the row and column vertices agree."""
-    for i, mat in enumerate(cx.diffs):
-        ids = [Path(v, "id") for v in cx.terms[i]]
-        for r, row in enumerate(mat):
-            for c, entry in enumerate(row):
-                if entry.get(ids[c], 0) % cx.alg.ell:
-                    return cx.lo + i, r, c
+def _unit_at(mat: list[list[dict]], src: list[int], ell: int) -> tuple[int, int] | None:
+    """(row, column) of the first entry of a boundary matrix, in row-major
+    order, with an invertible trivial-path coefficient; check_shapes lets
+    an identity path sit only where the row and column vertices agree."""
+    ids = [Path(v, "id") for v in src]
+    for r, row in enumerate(mat):
+        for c, entry in enumerate(row):
+            if entry.get(ids[c], 0) % ell:
+                return r, c
     return None
-
-
-def _eliminate(cx: ProjComplex, d: int, r: int, c: int) -> ProjComplex:
-    """Split off the contractible summand 0 -> P -> P -> 0 located at
-    (row r of terms[d+1], column c of terms[d])."""
-    alg = cx.alg
-    i = d - cx.lo
-    terms, diffs = list(cx.terms), list(cx.diffs)
-    mat = diffs[i]
-    rows = [k for k in range(len(terms[i + 1])) if k != r]
-    cols = [k for k in range(len(terms[i])) if k != c]
-    # Schur complement d - d[:, c] u^-1 d[r, :] on the remaining block
-    neg_uinv = alg.elt_scale(alg.local_inverse(mat[r][c], terms[i][c]), -1)
-    corr = alg.mat_mul([[mat[rr][c]] for rr in rows],
-                       alg.mat_mul([[neg_uinv]], [[mat[r][cc] for cc in cols]]))
-    diffs[i] = [[alg.elt_add(mat[rr][cc], x) for cc, x in zip(cols, corr_row)]
-                for rr, corr_row in zip(rows, corr)]
-    # incoming boundary: drop the row of the removed source summand
-    if i - 1 >= 0:
-        diffs[i - 1] = [row for k, row in enumerate(diffs[i - 1]) if k != c]
-    # outgoing boundary: drop the column of the removed target summand
-    if i + 1 < len(diffs):
-        diffs[i + 1] = [[e for k, e in enumerate(row) if k != r]
-                        for row in diffs[i + 1]]
-    terms[i] = [v for k, v in enumerate(terms[i]) if k != c]
-    terms[i + 1] = [v for k, v in enumerate(terms[i + 1]) if k != r]
-    # strip leading empty degrees to keep lo tight
-    lo = cx.lo
-    while terms and not terms[0]:
-        terms.pop(0)
-        diffs.pop(0)
-        lo += 1
-    return ProjComplex(alg, lo, terms, diffs if terms else [])
 
 
 def trim(cx: ProjComplex, m: int, M: int) -> ProjComplex:
@@ -283,16 +242,48 @@ def trim(cx: ProjComplex, m: int, M: int) -> ProjComplex:
     to its highest cohomology degree, though a degree between them may
     carry a term and no cohomology.  So the cohomology lies inside [m, M]
     exactly when those terms do; CohomologyOutsideRange is raised otherwise.
+
+    One forward sweep over one working copy splits off the unit entries of
+    boundary i in row-major order until none is left.  Each elimination
+    replaces boundary i by its Schur complement and deletes, in place, a
+    row of boundary i - 1 and a column of boundary i + 1; that creates no
+    unit entry, so no earlier boundary is visited again, and the order is
+    that of a rescan from the lowest degree after every pair.  The result
+    is built, and checked, once.
     """
-    cur = cx
-    while (hit := _unit_entry(cur)) is not None:
-        cur = _eliminate(cur, *hit)
-    occupied = [d for d in cur.degrees() if cur.term(d)]
+    alg = cx.alg
+    terms = [list(t) for t in cx.terms]
+    diffs = [[list(row) for row in mat] for mat in cx.diffs]
+    for i, mat in enumerate(diffs):
+        while (hit := _unit_at(mat, terms[i], alg.ell)) is not None:
+            r, c = hit
+            rows = [k for k in range(len(mat)) if k != r]
+            cols = [k for k in range(len(terms[i])) if k != c]
+            # Schur complement d - d[:, c] u^-1 d[r, :] on the remaining block
+            neg_uinv = alg.elt_scale(alg.local_inverse(mat[r][c], terms[i][c]), -1)
+            corr = alg.mat_mul([[mat[rr][c]] for rr in rows],
+                               alg.mat_mul([[neg_uinv]], [[mat[r][cc] for cc in cols]]))
+            mat[:] = [[alg.elt_add(mat[rr][cc], x) for cc, x in zip(cols, corr_row)]
+                      for rr, corr_row in zip(rows, corr)]
+            # incoming boundary: drop the row of the removed source summand;
+            # outgoing boundary: drop the column of the removed target summand
+            if i:
+                del diffs[i - 1][c]
+            if i + 1 < len(diffs):
+                for row in diffs[i + 1]:
+                    del row[r]
+            del terms[i][c], terms[i + 1][r]
+    lo = cx.lo
+    while terms and not terms[0]:
+        del terms[0], diffs[0]
+        lo += 1
+    out = ProjComplex(alg, lo, terms, diffs)
+    occupied = [d for d in out.degrees() if out.term(d)]
     if any(d < m or d > M for d in occupied):
         raise CohomologyOutsideRange(
             f"minimal complex has terms in degrees {occupied}, "
             f"so cohomology outside [{m}, {M}]")
-    return cur
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -547,8 +538,8 @@ def check_tilting(alg: TreeAlgebra, tree: PlanarBrauerTree,
     verified instead of the canonical family (the negative-control hook).
     """
     if complexes is None:
-        complexes = [rickard_complex(alg, tree, j) for j in sorted(alg.vertices)]
-    labels = sorted(alg.vertices)[: len(complexes)]
+        complexes = [rickard_complex(alg, tree, j) for j in alg.vertices]
+    labels = list(alg.vertices[: len(complexes)])
     runs = nested_runs(complexes)
     coh: dict[tuple[int, int], dict[int, int]] = {}
     for run_a in runs:
@@ -596,7 +587,7 @@ def perversity_report(tree: PlanarBrauerTree) -> dict:
     """
     r = tree.r
     rows = []
-    for j in sorted(tree.edge_indices()):
+    for j in tree.edge_indices():
         hg = height(tree, j)
         i = r - hg
         rows.append({

@@ -287,14 +287,16 @@ def check_trimming() -> tuple[bool, str]:
         cx = base
         for _ in range(rng.randint(1, 2)):
             deg = rng.randint(base.lo - 1, base.hi)
-            vertex = rng.choice(sorted(base.alg.vertices))
+            vertex = rng.choice(base.alg.vertices)
             cx = ho.pad_with_contractible(cx, deg, vertex)
         cx = ho.mix_basis(cx, rng)
         back = ho.trim(cx, base.lo, base.hi)
-        span = base.hi - base.lo + 2
-        for i in range(-span, span + 1):
-            if ho.homotopy_hom(back, back, i) != ho.homotopy_hom(base, base, i):
-                return False, f"hom dims changed on trial {trial} at shift {i}"
+        # H^n vanishes where Hom^n is empty, so the nonzero degrees give
+        # dim Hom_K(x, x[n]) at every shift n
+        got, want = ({n: h for n, h in ho.HomComplex(x, x).all_cohomology().items() if h}
+                     for x in (back, base))
+        if got != want:
+            return False, f"hom dims changed on trial {trial}: {got} != {want}"
     return True, "200 padded complexes trim back with identical Hom dimensions"
 
 

@@ -68,7 +68,7 @@ class TreeAlgebra:
             raise ValueError(f"field order {ell} is not prime")
         self.tree = tree
         self.ell = ell
-        self.vertices = tuple(sorted(tree.edge_indices()))
+        self.vertices = tuple(tree.edge_indices())
         # node -> (anticlockwise edge cycle, multiplicity, cycle length)
         self.nodes: dict[object, tuple[tuple[int, ...], int, int]] = {}
         nodes = {EXC} | {end for e in tree.edges for end in e.ends}
@@ -88,7 +88,8 @@ class TreeAlgebra:
         # lookup tables: the target of every basis path (a cyclic path ends
         # `steps` clockwise steps around its node), the basis paths from src
         # to tgt in the order of self.paths, the same lists grouped by
-        # source as (tgt, paths) pairs, and the arrows between two vertices
+        # source as (tgt, paths) pairs, the arrows between two vertices, and
+        # the one arrow out of src around node (the socle loop's is None)
         self._targets = {p: (tree.predecessor_at(p.node, p.src, p.steps)
                              if p.kind == _CYC else p.src)
                          for p in self.paths}
@@ -100,6 +101,7 @@ class TreeAlgebra:
         for (v, w), ps in self.paths_between.items():
             self.paths_out[v].append((w, ps))
         self.arrow_counts = Counter((a.src, self._targets[a]) for a in self.arrows)
+        self.arrow_at = {(a.node, a.src): a for a in self.arrows}
 
     # -- construction -----------------------------------------------------
 
@@ -255,22 +257,22 @@ def hom_dim(alg: TreeAlgebra, i: int, j: int) -> int:
 
 
 def hom_grid(alg: TreeAlgebra) -> list[list[int]]:
-    """[hom_dim(alg, i, j)] over the sorted vertices, from one pass over the
+    """[hom_dim(alg, i, j)] over the vertices 0..h0-1, from one pass over the
     path table."""
     return _vertex_grid(alg, (((i, j), len(ps))
                               for (j, i), ps in alg.paths_between.items()))
 
 
 def ext1_grid(alg: TreeAlgebra) -> list[list[int]]:
-    """[ext1(alg, i, j)] over the sorted vertices, from the arrow counts."""
+    """[ext1(alg, i, j)] over the vertices 0..h0-1, from the arrow counts."""
     return _vertex_grid(alg, alg.arrow_counts.items())
 
 
 def _vertex_grid(alg: TreeAlgebra, counts) -> list[list[int]]:
     """The vertices-by-vertices grid holding n at each ((i, j), n) of
     `counts`, zero elsewhere."""
-    at = {v: k for k, v in enumerate(alg.vertices)}
-    grid = [[0] * len(at) for _ in at]
+    size = len(alg.vertices)
+    grid = [[0] * size for _ in range(size)]
     for (i, j), n in counts:
-        grid[at[i]][at[j]] = n
+        grid[i][j] = n
     return grid

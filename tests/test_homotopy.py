@@ -679,3 +679,113 @@ def test_chain_read_out_matches_per_pair_hom_complexes():
                                     for a in labels]
     # the canonical families do form chains, so the read-out is exercised
     assert chained == len(cases)
+
+
+# ---------------------------------------------------------------------------
+# trimming: one forward sweep against the rescan-and-rebuild elimination
+
+TRIM_FIELDS = (5, 7, 11, 13, 17, 19, 23, 29, 31)
+
+
+def _reference_trim(cx):
+    """Split off the first unit entry in (degree, row, column) order,
+    rescanning from the lowest degree and rebuilding, and so revalidating,
+    the whole complex after every pair, until no unit entry is left.
+    Returns the trimmed complex and the degree of each split-off pair."""
+    alg = cx.alg
+    split = []
+    while True:
+        hit = next(((i, r, c) for i, mat in enumerate(cx.diffs)
+                    for r, row in enumerate(mat) for c, entry in enumerate(row)
+                    if entry.get(ta.Path(cx.terms[i][c], "id"), 0) % alg.ell),
+                   None)
+        if hit is None:
+            return cx, split
+        i, r, c = hit
+        split.append(cx.lo + i)
+        terms, diffs = list(cx.terms), list(cx.diffs)
+        mat = diffs[i]
+        rows = [k for k in range(len(terms[i + 1])) if k != r]
+        cols = [k for k in range(len(terms[i])) if k != c]
+        neg_uinv = alg.elt_scale(alg.local_inverse(mat[r][c], terms[i][c]), -1)
+        corr = alg.mat_mul([[mat[rr][c]] for rr in rows],
+                           alg.mat_mul([[neg_uinv]], [[mat[r][cc] for cc in cols]]))
+        diffs[i] = [[alg.elt_add(mat[rr][cc], x) for cc, x in zip(cols, corr_row)]
+                    for rr, corr_row in zip(rows, corr)]
+        if i:
+            diffs[i - 1] = [row for k, row in enumerate(diffs[i - 1]) if k != c]
+        if i + 1 < len(diffs):
+            diffs[i + 1] = [[e for k, e in enumerate(row) if k != r]
+                            for row in diffs[i + 1]]
+        terms[i] = [v for k, v in enumerate(terms[i]) if k != c]
+        terms[i + 1] = [v for k, v in enumerate(terms[i + 1]) if k != r]
+        lo = cx.lo
+        while terms and not terms[0]:
+            terms.pop(0)
+            diffs.pop(0)
+            lo += 1
+        cx = ho.ProjComplex(alg, lo, terms, diffs)
+
+
+def _trim_cases():
+    """(tree, field): lines with h0 2..9 and mu 1..3, the selftest's random
+    trees and the Ree tree, over the fields 5..31 in turn."""
+    trees = [bt.assemble_tree(bt.line_series(h0), mu, 1 + h0 % 3)
+             for h0 in range(2, 10) for mu in (1, 2, 3)]
+    trees += random_trees() + [bt.ree_tree()]
+    return [(tree, TRIM_FIELDS[k % len(TRIM_FIELDS)]) for k, tree in enumerate(trees)]
+
+
+def test_trim_sweep_matches_the_rescanning_elimination():
+    rng = random.Random(6007)
+    complexes = eliminated = crowded = 0
+    for tree, ell in _trim_cases():
+        alg = ta.from_tree(tree, ell)
+        for j in alg.vertices:
+            base = ho.rickard_complex(alg, tree, j)
+            cx = _padded_mixed(base, rng, rng.randint(1, 4))
+            before = (cx.lo, [list(t) for t in cx.terms],
+                      [[[dict(e) for e in row] for row in mat] for mat in cx.diffs])
+            got = ho.trim(cx, base.lo, base.hi)
+            want, split = _reference_trim(cx)
+            assert (got.lo, got.terms, got.diffs) == (want.lo, want.terms, want.diffs)
+            assert got.terms == base.terms and got.lo == base.lo
+            assert (cx.lo, cx.terms, cx.diffs) == before
+            complexes += 1
+            eliminated += len(split)
+            crowded += len(set(split)) < len(split)
+    # a sweep that left a boundary after one elimination would keep a
+    # contractible summand of every crowded complex
+    assert (complexes, eliminated, crowded) == (542, 1346, 211)
+
+
+def test_trim_builds_one_complex(monkeypatch):
+    rng = random.Random(31337)
+    tree, alg = line(6, 2, ell=13)
+    base = ho.rickard_complex(alg, tree, 5)
+    cx = _padded_mixed(base, rng, 5)
+    built = []
+    real = ho.ProjComplex.__post_init__
+
+    def counted(self):
+        built.append(self)
+        real(self)
+
+    monkeypatch.setattr(ho.ProjComplex, "__post_init__", counted)
+    back = ho.trim(cx, base.lo, base.hi)
+    assert len(built) == 1 and built[0] is back
+    assert back.terms == base.terms
+    assert sum(map(len, cx.terms)) - sum(map(len, back.terms)) == 10
+
+
+def test_arrow_table_is_the_first_arrow_found():
+    # a lone edge of multiplicity one: the socle loop is the arrow
+    lone = ta.from_tree(bt.assemble_tree(bt.line_series(1), 1, 1), 5)
+    assert lone.degenerate and lone.arrow_at == {(None, 0): ta.Path(0, "soc")}
+    algebras = [ta.from_tree(tree, 31) for tree, _ in _trim_cases()]
+    algebras += [ta.from_tree(bt.star_tree(7, 3, 2), 7), lone]
+    for alg in algebras:
+        for a in alg.arrows:
+            assert alg.arrow_at[a.node, a.src] == next(
+                b for b in alg.arrows if b.node == a.node and b.src == a.src)
+        assert len(alg.arrow_at) == len(alg.arrows)

@@ -156,7 +156,8 @@ def test_every_definition_in_the_package_is_referenced():
     aside, occurs as a name or attribute somewhere in the package outside
     its own definition."""
     src = Path(linalg.__file__).parent
-    allowed = {"cli._Parser.error"}             # called by argparse
+    allowed = {"cli._Parser.error",             # called by argparse
+               "homotopy.homotopy_hom"}         # called by perfbench's trim jobs
 
     def used(node):
         return Counter(n.id if isinstance(n, ast.Name) else n.attr
