@@ -32,6 +32,10 @@ from .root_data import coxeter_datum, parse_type
 
 EXC = "exc"
 
+# The most edges a tree may have, refused before any per-edge work: every
+# per-edge table, the algebra and the complexes grow with h0 or faster.
+MAX_EDGES = 2 ** 16
+
 
 class InvalidSeries(ValueError):
     """Branch intervals fail to partition {0..h0-1}."""
@@ -79,14 +83,18 @@ class SeriesDatum:
     def validate(self):
         if self.h0 < 1:
             raise InvalidSeries("h0 must be positive")
+        if self.h0 > MAX_EDGES:
+            raise InvalidSeries(f"h0 = {self.h0} is more than the {MAX_EDGES} "
+                                f"edges supported")
         if not self.branches:
             raise InvalidSeries("series has no branches")
-        seen: list[int] = []
         for b in self.branches:
             if not (0 <= b.m <= b.M < self.h0):
                 raise InvalidSeries(f"branch [{b.m}, {b.M}] outside 0..{self.h0 - 1}")
-            seen.extend(range(b.m, b.M + 1))
-        if sorted(seen) != list(range(self.h0)):
+        # sorted by m, the intervals partition 0..h0-1 exactly when each
+        # starts where the one before it ends and the last ends at h0 - 1
+        ends = [b.M + 1 for b in self.branches]
+        if [b.m for b in self.branches] != [0, *ends[:-1]] or ends[-1] != self.h0:
             raise InvalidSeries("intervals do not partition {0..h0-1}")
 
 
@@ -117,6 +125,9 @@ class MetacyclicGroup:
         # before has_order, which factorizes |E| by trial division
         if (ell - 1) % e:
             raise BadAction(f"{e} does not divide ell - 1 = {ell - 1}")
+        if e > MAX_EDGES:
+            raise BadAction(f"|E| = {e} is more than the {MAX_EDGES} edges "
+                            f"supported")
         if e > 1 and not has_order(n % ell, e, ell):
             raise BadAction(f"n={n} does not have order {e} mod {ell}")
         object.__setattr__(self, "n", n % d)
@@ -261,7 +272,6 @@ def assemble_tree(series: SeriesDatum, mu: int, r: int,
     """
     if mu < 1:
         raise InvalidSeries("multiplicity must be >= 1")
-    series.validate()
     labels = labels or {}
     annotations = annotations or {}
     vertices = tuple(
@@ -281,7 +291,7 @@ def principal_block_tree(ctx: EllContext, series: SeriesDatum,
                          labels=labels)
 
 
-def star_tree(d_order: int, e_order: int, n: int, r: int = 0) -> PlanarBrauerTree:
+def star_tree(d_order: int, e_order: int, n: int) -> PlanarBrauerTree:
     """Star tree of the block of D x| E with cyclic D of order ell^alpha.
 
     Edges are numbered by the linear characters eta_j pinned by the Hensel
@@ -292,7 +302,7 @@ def star_tree(d_order: int, e_order: int, n: int, r: int = 0) -> PlanarBrauerTre
     group = MetacyclicGroup(d_order, e_order, n)
     series, mu = _star_shape(group)
     labels = {j: f"eta{j}" for j in range(e_order)}
-    return assemble_tree(series, mu, r, labels=labels, star=group)
+    return assemble_tree(series, mu, 0, labels=labels, star=group)
 
 
 def _star_shape(g: MetacyclicGroup) -> tuple[SeriesDatum, int]:
@@ -488,7 +498,8 @@ def obj_to_tree(obj: dict, loc: str = "$") -> PlanarBrauerTree:
     try:
         series = SeriesDatum(h0=h0, branches=tuple(branches))
     except InvalidSeries as exc:
-        raise ParseError(f"{loc}.branches", str(exc)) from exc
+        where = "h0" if h0 > MAX_EDGES else "branches"
+        raise ParseError(f"{loc}.{where}", str(exc)) from exc
     labels = {}
     for k, v in _vertex_items(obj, "labels", h0, loc):
         if not isinstance(v, str) or not v:

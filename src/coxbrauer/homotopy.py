@@ -16,8 +16,9 @@ columns; the branch-walking complex attached to each tree edge, each
 boundary an arrow read off the algebra's (node, source) table; and the
 tilting verification for their direct sum (Hom vanishing off degree zero,
 generation, and the degree-zero Hom grid being the Cartan matrix of the
-star algebra with the same parameters), with one Hom complex per pair of
-nested branch chains.
+star algebra with the same parameters).  The complexes of a branch are the
+top-truncations of its top complex, so the check builds one complex per
+branch and one Hom complex per pair of branches.
 """
 
 from __future__ import annotations
@@ -499,29 +500,6 @@ def end_grid_mismatches(labels: list[int], grid: list[list[int]],
             if d != expected[a][b]]
 
 
-def is_top_truncation(lower: ProjComplex, upper: ProjComplex) -> bool:
-    """`lower` is literally `upper` with its top term dropped: the same
-    algebra, lowest degree and terms below the top, and the same boundaries
-    between those terms, entry by entry and coefficient by coefficient."""
-    below = max(len(lower.terms) - 1, 0)
-    return (lower.alg is upper.alg and lower.lo == upper.lo
-            and lower.terms == upper.terms[:-1]
-            and lower.diffs[:below] == upper.diffs[:below])
-
-
-def nested_runs(complexes: list[ProjComplex]) -> list[list[int]]:
-    """Positions of the family cut into maximal runs in which each complex
-    is the top-truncation of the next; a branch is one run of its branch
-    complexes, whose last complex truncates to every other."""
-    runs: list[list[int]] = []
-    for k, cx in enumerate(complexes):
-        if runs and is_top_truncation(complexes[runs[-1][-1]], cx):
-            runs[-1].append(k)
-        else:
-            runs.append([k])
-    return runs
-
-
 def check_tilting(alg: TreeAlgebra, tree: PlanarBrauerTree,
                   complexes: list[ProjComplex] | None = None) -> TiltingReport:
     """Verify that the direct sum of the branch-walking complexes tilts.
@@ -531,37 +509,39 @@ def check_tilting(alg: TreeAlgebra, tree: PlanarBrauerTree,
     degree-zero Hom grid dim Hom_K(C_a, C_b) is the Cartan matrix
     mu + delta_ab of the star algebra with the same h0 and multiplicity,
     so that the endomorphism ring has the star algebra's dimension pair by
-    pair.  The family is cut into nested runs; one Hom complex between the
-    tops of two runs gives the Hom of every pair of their members, so a
-    branch chain costs one Hom complex, not one per pair.  Raises
-    TiltingFailure on any failure; when complexes are supplied they are
-    verified instead of the canonical family (the negative-control hook).
+    pair.  The complexes C_j of a branch [m, M] are, by construction, the
+    top-truncations of its top complex C_M: C_j keeps its terms of degree
+    <= r + j - m.  So only C_M is built, and one Hom complex between the
+    tops of two branches gives the Hom of every pair of their members.
+    Raises TiltingFailure on any failure; when complexes are supplied they
+    are verified instead of the canonical family (the negative-control
+    hook), each its own top with one member.
     """
     if complexes is None:
-        complexes = [rickard_complex(alg, tree, j) for j in alg.vertices]
-    labels = list(alg.vertices[: len(complexes)])
-    runs = nested_runs(complexes)
-    coh: dict[tuple[int, int], dict[int, int]] = {}
-    for run_a in runs:
-        for run_b in runs:
-            table = HomComplex(complexes[run_a[-1]], complexes[run_b[-1]]
-                               ).truncated_cohomology(
-                [complexes[a].hi for a in run_a], [complexes[b].hi for b in run_b])
-            for a in run_a:
-                for b in run_b:
-                    coh[a, b] = table[complexes[a].hi, complexes[b].hi]
-    failures: list[tuple[int, int, int, int]] = []
+        runs = [(rickard_complex(alg, tree, b.M),
+                 [(j, tree.r + j - b.m) for j in range(b.m, b.M + 1)])
+                for b in tree.series.branches]
+    else:
+        runs = [(cx, [(k, cx.hi)]) for k, cx in enumerate(complexes)]
+    size = sum(len(members) for _, members in runs)
+    labels = list(alg.vertices[:size])
+    grid = [[0] * size for _ in range(size)]
     hom_dims: list[tuple[int, int, int, int]] = []
-    grid = [[coh[a, b].get(0, 0) for b in range(len(complexes))]
-            for a in range(len(complexes))]
-    for a, b in sorted(coh):
-        for n, h in sorted(coh[a, b].items()):
-            hom_dims.append((labels[a], labels[b], n, h))
-            if n and h:
-                failures.append((labels[a], labels[b], n, h))
-    covered = {v for c in complexes for d in c.degrees() for v in c.term(d)}
+    for top_a, members_a in runs:
+        for top_b, members_b in runs:
+            table = HomComplex(top_a, top_b).truncated_cohomology(
+                [h for _, h in members_a], [h for _, h in members_b])
+            for a, h1 in members_a:
+                for b, h2 in members_b:
+                    coh = table[h1, h2]
+                    grid[a][b] = coh.get(0, 0)
+                    hom_dims += [(labels[a], labels[b], n, h) for n, h in coh.items()]
+    # labels ascend with position, so this is (position, position, n) order
+    hom_dims.sort()
+    failures = [x for x in hom_dims if x[2] and x[3]]
+    covered = {v for top, _ in runs for term in top.terms for v in term}
     generation_ok = covered == set(alg.vertices)
-    expected_grid = star_cartan(len(complexes), tree.multiplicity)
+    expected_grid = star_cartan(size, tree.multiplicity)
     end_dim = sum(map(sum, grid))
     expected = star_algebra_dimension(tree.h0, tree.multiplicity)
     ok = (not failures and generation_ok and end_dim == expected

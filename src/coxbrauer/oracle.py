@@ -62,7 +62,6 @@ class CharacterTable:
     # characters Theta_t over orbit representatives t
     names: list[str]
     values: list[list[dict[int, int]]]    # {k: c} is sum c*zeta_|G|^k
-    induced_reps: list[int]
 
     def degree(self, row: int) -> int:
         one = next(i for i, c in enumerate(self.classes) if c.kind == "one")
@@ -153,7 +152,7 @@ def character_table(g: MetacyclicGroup) -> CharacterTable:
     for b in range(1, g.e_order):
         classes.append(ConjClass("e", b, g.d_order))
 
-    names, values, induced_reps = [], [], []
+    names, values = [], []
     for j in range(g.e_order):
         row = []
         for cls in classes:
@@ -180,8 +179,7 @@ def character_table(g: MetacyclicGroup) -> CharacterTable:
                 row.append({})
         names.append(f"ind{t}")
         values.append(row)
-        induced_reps.append(t)
-    table = CharacterTable(g, classes, names, values, induced_reps)
+    table = CharacterTable(g, classes, names, values)
     table.verify()
     return table
 

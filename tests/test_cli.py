@@ -361,3 +361,56 @@ def test_validate_beyond_the_primality_bound_is_an_error(capsys):
     code, out, err = run(capsys, "validate", "--type", "A", "--rank", "1",
                          "--qsq", "2", "--ell", str(10 ** 30 + 57))
     assert code == 1 and out == "" and "too large" in err
+
+
+# the child times its own cli.main, so interpreter start-up is not counted;
+# its address space is capped, so a refusal that comes too late ends in a
+# MemoryError there and not in a machine out of memory
+_TIMED_MAIN = """
+import resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from coxbrauer import cli
+start = time.perf_counter()
+code = cli.main(sys.argv[1:])
+sys.stderr.write(f"seconds {time.perf_counter() - start}\\n")
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["tree", "--fixture", "line10000000000000"],
+     "error: h0 = 10000000000000 is more than the 65536 edges supported"),
+    (["tree", "--tree", "HUGE"],
+     "error: $.h0: h0 = 10000000000000 is more than the 65536 edges supported"),
+    (["star", "--d", "70368744181907", "--e", "35184372090953", "--n", "4"],
+     "error: |E| = 35184372090953 is more than the 65536 edges supported"),
+], ids=["fixture", "tree-json", "star"])
+def test_oversized_trees_are_refused_before_any_per_edge_work(argv, message,
+                                                              tmp_path):
+    import os
+    import subprocess
+    import sys
+    huge = tmp_path / "huge.tree.json"
+    huge.write_text(json.dumps({
+        "h0": 10 ** 13, "r": 0, "multiplicity": 1,
+        "branches": [{"zeta": 0, "m": 0, "M": 10 ** 13 - 1}]}))
+    argv = [str(huge) if a == "HUGE" else a for a in argv]
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _TIMED_MAIN, *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    err, seconds = proc.stderr.rsplit("seconds ", 1)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert err == message + "\n"
+    assert float(seconds) < 1.0
+
+
+def test_the_edge_bound_is_inclusive():
+    from coxbrauer import brauer_tree as bt
+    assert bt.line_series(bt.MAX_EDGES).h0 == 65536 == bt.MAX_EDGES
+    with pytest.raises(bt.InvalidSeries, match="more than the 65536 edges"):
+        bt.line_series(bt.MAX_EDGES + 1)
+    # 65537 is prime and 3 is a primitive root mod it
+    assert bt.MetacyclicGroup(65537, bt.MAX_EDGES, 3).e_order == bt.MAX_EDGES

@@ -43,6 +43,8 @@ CAPTURES = {
                                           "--check-tilting"],
     "wide48_decmatrix.json": ["decmatrix", "--tree", WIDE],
     "wide48_algebra.json": ["algebra", "--tree", WIDE, "--field", "31"],
+    "wide48_rickard_tilting.json": ["rickard", "--tree", WIDE, "--field", "31",
+                                    "--vertex", "40", "--check-tilting"],
     "line40.dot": ["tree", "--fixture", "line40", "--format", "dot"],
     "2g2_tree.json": ["tree", "--fixture", "2g2"],
     "two_branch20_tree.json": ["tree", "--tree", TWO_BRANCH],

@@ -3,6 +3,7 @@ import io
 import json
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +13,8 @@ from coxbrauer import homotopy as ho
 from coxbrauer import linalg
 from coxbrauer import tree_algebra as ta
 from coxbrauer.selftest import line_trees, random_trees
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def line(h0, mu, r=1, ell=5):
@@ -568,13 +571,13 @@ def test_tilting_work_counters_line16(monkeypatch):
     assert counts["elt_mul_in_hom"] == 0 and counts["elt_mul"] > 0
 
 
-def test_line60_tilting_builds_one_hom_complex(monkeypatch):
-    """The tilting check of a 60-edge line reads every pair of its branch
-    complexes off one Hom complex and two kernel calls (D out of degrees
-    -1 and 0); per-pair Hom complexes would take 3,600 of them."""
+def _tilting_counts(monkeypatch, argv):
+    """The report of `argv` and what its tilting check alone built: Hom
+    complexes, kernel calls and their cells, and ProjComplex constructions."""
     counts = Counter()
     inside = [False]
     real_rref, real_init = linalg.rref_mod_prime, ho.HomComplex.__init__
+    real_post_init = ho.ProjComplex.__post_init__
     real_check = ho.check_tilting
 
     def rref(a, p):
@@ -586,6 +589,10 @@ def test_line60_tilting_builds_one_hom_complex(monkeypatch):
         counts["hom"] += inside[0]
         real_init(self, cx1, cx2)
 
+    def post_init(self):
+        counts["complexes"] += inside[0]
+        real_post_init(self)
+
     def check(*args):
         inside[0] = True
         try:
@@ -595,36 +602,66 @@ def test_line60_tilting_builds_one_hom_complex(monkeypatch):
 
     monkeypatch.setattr(linalg, "rref_mod_prime", rref)
     monkeypatch.setattr(ho.HomComplex, "__init__", init)
+    monkeypatch.setattr(ho.ProjComplex, "__post_init__", post_init)
     monkeypatch.setattr(ho, "check_tilting", check)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = cli.main(["rickard", "--fixture", "line60", "--mu", "1",
-                         "--field", "31", "--vertex", "3", "--check-tilting"])
-    assert code == 0 and json.loads(out.getvalue())["tilting"] == {
+        code = cli.main(argv)
+    assert code == 0
+    return json.loads(out.getvalue()), counts
+
+
+def test_line60_tilting_builds_one_hom_complex(monkeypatch):
+    """The tilting check of a 60-edge line builds one complex, its branch
+    top, and reads every pair of its branch complexes off one Hom complex
+    and two kernel calls (D out of degrees -1 and 0); per-pair Hom
+    complexes would take 3,600 of them.  A tree of several branches builds
+    one complex per branch and one Hom complex per pair of branches."""
+    report, counts = _tilting_counts(
+        monkeypatch, ["rickard", "--fixture", "line60", "--mu", "1",
+                      "--field", "31", "--vertex", "3", "--check-tilting"])
+    assert report["tilting"] == {
         "ok": True, "end_dimension": 3660, "expected_end_dimension": 3660}
-    assert counts == {"hom": 1, "rref": 2, "cells": 14_160}
+    assert counts == {"complexes": 1, "hom": 1, "rref": 2, "cells": 14_160}
+    for argv, branches in (
+            (["rickard", "--tree", str(GOLDEN / "wide48.tree.json"), "--field",
+              "31", "--vertex", "40", "--check-tilting"], 6),
+            (["rickard", "--fixture", "2g2", "--vertex", "1", "--check-tilting"], 5)):
+        report, counts = _tilting_counts(monkeypatch, argv)
+        assert report["tilting"]["ok"] is True
+        assert counts["complexes"] == branches
+        assert counts["hom"] == branches ** 2
 
 
 # ---------------------------------------------------------------------------
-# nested runs: one Hom complex per pair of branch chains
+# branch chains: one Hom complex per pair of branch tops
 
-def test_top_truncation_is_literal():
-    tree, alg = line(3, 2, ell=31)
-    c0, c1, c2 = (ho.rickard_complex(alg, tree, j) for j in range(3))
-    assert ho.is_top_truncation(c1, c2) and not ho.is_top_truncation(c2, c1)
-    assert ho.nested_runs([c0, c1, c2]) == [[0, 1, 2]]
-    # shifted lo: the same terms and boundaries one degree up
-    up = ho.ProjComplex(alg, c2.lo + 1, c2.terms, c2.diffs)
-    assert not ho.is_top_truncation(c1, up)
-    # another algebra: the same tree and field, built again
-    _, other = line(3, 2, ell=31)
-    assert not ho.is_top_truncation(ho.rickard_complex(other, tree, 1), c2)
-    # an unreduced coefficient: the same map over F_31, not the same entry
-    ((p, c),) = c2.diffs[0][0][0].items()
-    lifted = ho.ProjComplex(alg, c2.lo, c2.terms,
-                            [[[{p: c + 31}]]] + c2.diffs[1:])
-    assert not ho.is_top_truncation(c1, lifted)
-    assert ho.nested_runs([c0, c1, lifted]) == [[0, 1], [2]]
+def test_branch_complexes_are_top_truncations_of_their_branch_top():
+    """check_tilting builds only the top complex C_M of a branch [m, M] and
+    reads C_j off it as its terms of degree <= r + j - m; rickard_complex
+    must build exactly that cut: the same algebra and lowest degree, the
+    first j - m + 1 terms, the boundaries between them, and an empty
+    boundary out of the new top."""
+    cases = [(line(h0, mu, r=r)[0], 31) for h0, mu, r in ((1, 1, 0), (5, 1, 1),
+                                                           (4, 2, 3))]
+    cases += [(tree, 31) for tree in random_trees(10, seed=2718)]
+    cases += [(ree()[0], 19), (bt.star_tree(7, 3, 2), 7)]
+    cut = 0
+    for tree, ell in cases:
+        alg = ta.from_tree(tree, ell)
+        for j in alg.vertices:
+            b = tree.branch_of(j)
+            top = ho.rickard_complex(alg, tree, b.M)
+            cx = ho.rickard_complex(alg, tree, j)
+            k = j - b.m + 1
+            assert cx.alg is top.alg is alg
+            assert cx.lo == top.lo == tree.r
+            assert cx.hi == tree.r + j - b.m
+            assert cx.terms == top.terms[:k]
+            assert cx.diffs[:k - 1] == top.diffs[:k - 1]
+            assert cx.diffs[k - 1:] == [[]]
+            cut += j < b.M
+    assert cut
 
 
 def _per_pair_hom_dims(fam, labels):
@@ -653,8 +690,10 @@ def _rewritten(fam, rewrite, rng):
 
 
 def test_chain_read_out_matches_per_pair_hom_complexes():
-    """check_tilting reads each pair off the Hom complex of the tops of two
-    nested runs; every pair must get what its own Hom complex gives."""
+    """check_tilting reads each pair of the canonical family off the Hom
+    complex of the tops of two branches, and each pair of a supplied family
+    off the Hom complex of the two complexes; every pair must get what its
+    own Hom complex gives."""
     rng = random.Random(4099)
     cases = [(line(h0, mu, ell=31)[0], 31) for h0, mu in ((5, 1), (4, 2))]
     cases += [(tree, 31) for tree in random_trees(10, seed=2718)]
@@ -664,20 +703,22 @@ def test_chain_read_out_matches_per_pair_hom_complexes():
         alg = ta.from_tree(tree, ell)
         labels = sorted(alg.vertices)
         canonical = [ho.rickard_complex(alg, tree, j) for j in labels]
-        chained += len(ho.nested_runs(canonical)) < len(canonical)
-        families = [canonical] + [_rewritten(canonical, rewrite, rng)
-                                  for rewrite in ("shift", "pad", "shuffle", "zero")]
+        chained += any(b.m < b.M for b in tree.series.branches)
+        # None is the canonical family, read off the branch tops
+        families = [None] + [_rewritten(canonical, rewrite, rng)
+                             for rewrite in ("shift", "pad", "shuffle", "zero")]
         for fam in families:
             try:
                 rep = ho.check_tilting(alg, tree, fam)
             except ho.TiltingFailure as err:
                 rep = err.report
+            fam = fam or canonical
             want = _per_pair_hom_dims(fam, labels)
             assert rep.hom_dims == want
             grid = {(a, b): h for a, b, n, h in want if n == 0}
             assert rep.end_grid == [[grid.get((a, b), 0) for b in labels]
                                     for a in labels]
-    # the canonical families do form chains, so the read-out is exercised
+    # every tree has a branch of two or more edges, so chains are read out
     assert chained == len(cases)
 
 

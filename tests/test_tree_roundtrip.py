@@ -31,7 +31,9 @@ def valid_objects(draw):
     if draw(st.integers(0, 4)) == 0:
         d, e, n = draw(st.sampled_from([(7, 3, 2), (7, 2, 6), (9, 2, 8),
                                         (13, 4, 5), (5, 1, 1)]))
-        return bt.tree_to_obj(bt.star_tree(d, e, n, draw(st.integers(0, 3))))
+        obj = bt.tree_to_obj(bt.star_tree(d, e, n))
+        obj["r"] = draw(st.integers(0, 3))
+        return obj
     h0 = draw(st.integers(1, 7))
     cuts = sorted(draw(st.sets(st.integers(1, h0 - 1), max_size=3))) if h0 > 1 else []
     bounds = [0, *cuts, h0]
