@@ -35,6 +35,10 @@ EXC = "exc"
 # The most edges a tree may have, refused before any per-edge work: every
 # per-edge table, the algebra and the complexes grow with h0 or faster.
 MAX_EDGES = 2 ** 16
+# The largest exceptional multiplicity mu, refused as early: the
+# decomposition matrix has mu exceptional rows and the algebra mu paths per
+# edge around the exceptional node.
+MAX_MULTIPLICITY = 2 ** 16
 
 
 class InvalidSeries(ValueError):
@@ -128,6 +132,9 @@ class MetacyclicGroup:
         if e > MAX_EDGES:
             raise BadAction(f"|E| = {e} is more than the {MAX_EDGES} edges "
                             f"supported")
+        if (d - 1) // e > MAX_MULTIPLICITY:
+            raise BadAction(f"multiplicity (|D| - 1)/|E| = {(d - 1) // e} is more "
+                            f"than the {MAX_MULTIPLICITY} supported")
         if e > 1 and not has_order(n % ell, e, ell):
             raise BadAction(f"n={n} does not have order {e} mod {ell}")
         object.__setattr__(self, "n", n % d)
@@ -272,6 +279,9 @@ def assemble_tree(series: SeriesDatum, mu: int, r: int,
     """
     if mu < 1:
         raise InvalidSeries("multiplicity must be >= 1")
+    if mu > MAX_MULTIPLICITY:
+        raise InvalidSeries(f"multiplicity = {mu} is more than the "
+                            f"{MAX_MULTIPLICITY} supported")
     labels = labels or {}
     annotations = annotations or {}
     vertices = tuple(
@@ -513,6 +523,9 @@ def obj_to_tree(obj: dict, loc: str = "$") -> PlanarBrauerTree:
         annotations[int(k)] = (v[0], v[1])
     if mu < 1:
         raise ParseError(f"{loc}.multiplicity", "must be >= 1")
+    if mu > MAX_MULTIPLICITY:
+        raise ParseError(f"{loc}.multiplicity",
+                         f"{mu} is more than the {MAX_MULTIPLICITY} supported")
     star = obj.get("star")
     if star is not None:
         star = _check_star(star, series, mu, f"{loc}.star")

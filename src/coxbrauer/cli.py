@@ -21,8 +21,8 @@ from . import oracle as orc
 from . import selftest as st
 from . import tree_algebra as ta
 from .ell_arith import BadRegime, eigenvalue_table, validate_regime
-from .root_data import (UnsupportedType, coxeter_datum, group_order_poly,
-                        parse_type, torus_order_poly)
+from .root_data import (coxeter_datum, group_order_poly, parse_type,
+                        torus_order_poly)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -497,8 +497,7 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"io error: {exc}\n")
         return EXIT_USAGE
-    except (UnsupportedType, bt.ParseError, bt.InvalidSeries, bt.BadAction,
-            KeyError, ValueError) as exc:
+    except (KeyError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except (orc.Mismatch, orc.SingularSystem, ho.TiltingFailure) as exc:

@@ -36,10 +36,8 @@ class EllContext:
 
     datum: CoxeterDatum
     ell: int
-    qsq: int
     qdelta_mod: int
     torus_value: int
-    weyl_order: int
 
     @property
     def h0(self) -> int:
@@ -91,8 +89,8 @@ def validate_regime(datum: CoxeterDatum, qsq: int, ell: int) -> EllContext:
             where = (f"mod {ell}" if pow(qdelta_mod, (ell - 1) // 2, ell) == 1
                      else f"in F_{ell}^2")
             raise BadRegime("WrongOrder", f"q has order != h = {h} {where}")
-    return EllContext(datum=datum, ell=ell, qsq=qsq, qdelta_mod=qdelta_mod,
-                      torus_value=torus_value, weyl_order=weyl_order)
+    return EllContext(datum=datum, ell=ell, qdelta_mod=qdelta_mod,
+                      torus_value=torus_value)
 
 
 def eigenvalue_table(ctx: EllContext) -> dict[int, int]:

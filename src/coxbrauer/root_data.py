@@ -4,9 +4,12 @@ For each supported type the table below stores the invariant degrees d_j of
 the reflection representation together with the twist eigenvalue of each
 fundamental invariant, written as an exact rational angle a/b meaning
 exp(2*pi*i*a/b).  The degree and twist data are classical (Shephard-Todd /
-Steinberg); everything else here, the Coxeter number h, the twisted Coxeter
-number h0 = h/delta, the number of positive roots N and the order
-polynomials of the group and of its Coxeter torus, is derived arithmetic.
+Steinberg) and are the only per-type source; everything else here is
+derived arithmetic: the order delta of the twist (the lcm of the angle
+denominators), the number r of F-orbits on the simple reflections (the
+number of invariants the twist fixes, Springer), the Coxeter number h, the
+twisted Coxeter number h0 = h/delta, the number of positive roots N and the
+order polynomials of the group and of its Coxeter torus.
 
 A separate literature table of (h, h0) values per type is kept as a
 checksum: `coxeter_datum` recomputes h and h0 from the degree/twist pairs
@@ -22,6 +25,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .cyclotomic import CycloInt, as_quadratic_pair, common_level
 from .numtheory import valuation
@@ -38,10 +42,6 @@ FAMILIES = (
 
 _FIXED_RANK = {"E6": 6, "E7": 7, "E8": 8, "F4": 4, "G2": 2,
                "2B2": 2, "3D4": 4, "2E6": 6, "2F4": 4, "2G2": 2}
-
-_DELTA = {"3D4": 3}
-for _f in ("2A", "2B2", "2D", "2E6", "2F4", "2G2"):
-    _DELTA[_f] = 2
 
 _SUZUKI_REE_PRIME = {"2B2": 2, "2G2": 3, "2F4": 2}
 
@@ -72,7 +72,7 @@ class TwistedType:
 
     @property
     def name(self) -> str:
-        return f"{self.family}{self.rank}" if self.family in ("A", "B", "C", "D", "2A", "2D") else self.family
+        return self.family if self.family in _FIXED_RANK else f"{self.family}{self.rank}"
 
     @property
     def sqrt_prime(self) -> int | None:
@@ -135,15 +135,6 @@ def _table_h_h0(t: TwistedType) -> tuple[int, int]:
     raise UnsupportedType(f)
 
 
-def _orbit_count(t: TwistedType) -> int:
-    """Number of twist orbits on the simple roots (the Coxeter length r)."""
-    f, n = t.family, t.rank
-    if f in ("A", "B", "C", "D") or f in _E_DEGREES:
-        return n
-    return {"2A": (n + 1) // 2, "2D": n - 1, "3D4": 2, "2E6": 4,
-            "2B2": 1, "2G2": 1, "2F4": 2}[f]
-
-
 @dataclass(frozen=True)
 class CoxeterDatum:
     type: TwistedType
@@ -169,8 +160,12 @@ def cyclotomic_multiplicity(datum: CoxeterDatum, d: int) -> int:
     """
     if d < 1:
         raise ValueError("d must be positive")
-    return sum(1 for dj, ej in zip(datum.degrees, datum.epsilons)
-               if Fraction(dj, d) % 1 == ej % 1)
+    return _multiplicity(zip(datum.degrees, datum.epsilons), d)
+
+
+def _multiplicity(pairs, d: int) -> int:
+    """a(d) over degree/twist pairs, d >= 1."""
+    return sum(1 for dj, ej in pairs if Fraction(dj, d) % 1 == ej % 1)
 
 
 def coxeter_datum(type: TwistedType) -> CoxeterDatum:
@@ -187,26 +182,20 @@ def _checked_datum(type: TwistedType,
     a refused table raises and is not cached."""
     degrees = tuple(d for d, _ in pairs)
     epsilons = tuple(e for _, e in pairs)
-    delta = _DELTA.get(type.family, 1)
-    datum = CoxeterDatum(
-        type=type,
-        m=len(degrees),
-        degrees=degrees,
-        epsilons=epsilons,
-        h=0, delta=delta, h0=0,
-        r=_orbit_count(type),
-        N=sum(d - 1 for d in degrees),
-    )
+    delta = lcm(*(e.denominator for e in epsilons))   # the order of the twist
     # h is the largest d with a(d) > 0; candidates are bounded by delta*max degree
-    h = max(d for d in range(1, delta * max(degrees) + 1)
-            if cyclotomic_multiplicity(datum, d) > 0)
+    h = max(d for d in range(1, delta * max(degrees) + 1) if _multiplicity(pairs, d))
     table_h, table_h0 = _table_h_h0(type)
     if h != table_h or h % delta or h // delta != table_h0:
         raise AssertionError(
             f"degree table checksum failed for {type.name}: computed h={h}, "
             f"table (h, h0) = ({table_h}, {table_h0})")
-    datum = CoxeterDatum(type=type, m=datum.m, degrees=degrees, epsilons=epsilons,
-                         h=h, delta=delta, h0=h // delta, r=datum.r, N=datum.N)
+    # r, the number of F-orbits on the simple reflections, is the number
+    # of invariants the twist fixes
+    datum = CoxeterDatum(type=type, m=len(degrees), degrees=degrees,
+                         epsilons=epsilons, h=h, delta=delta, h0=h // delta,
+                         r=sum(1 for e in epsilons if e % 1 == 0),
+                         N=sum(d - 1 for d in degrees))
     if cyclotomic_multiplicity(datum, h) != 1:
         raise AssertionError(f"a(h) != 1 for {type.name}")
     return datum

@@ -174,8 +174,7 @@ def check_algebra_dims() -> tuple[bool, str]:
     alg = ta.from_tree(tree, 7)
     cartan = bt.cartan_matrix(bt.decomposition_matrix(tree))
     want = ((3, 2, 2), (2, 3, 2), (2, 2, 3))
-    hom_grid = tuple(tuple(ta.hom_dim(alg, i, j) for j in range(3))
-                     for i in range(3))
+    hom_grid = tuple(map(tuple, ta.hom_grid(alg)))
     ok = alg.dim == 21 and cartan == want and hom_grid == want
     return ok, f"dim {alg.dim} = |D x| E|; Cartan == D^T D == Hom grid"
 
@@ -219,17 +218,18 @@ def _expected_ext(tree: bt.PlanarBrauerTree, i: int, j: int) -> int:
 
 
 def check_ext_adjacency() -> tuple[bool, str]:
-    star = ta.from_tree(bt.star_tree(7, 3, 2), 7)
+    star = ta.ext1_grid(ta.from_tree(bt.star_tree(7, 3, 2), 7))
     for i in range(3):
         for j in range(3):
             want = 1 if i == (j + 1) % 3 else 0
-            if ta.ext1(star, i, j) != want:
+            if star[i][j] != want:
                 return False, f"star ext1({i},{j}) != {want}"
     for tree in random_trees():
         alg = ta.from_tree(tree, 5)
+        grid = ta.ext1_grid(alg)
         for i in alg.vertices:
             for j in alg.vertices:
-                if ta.ext1(alg, i, j) != _expected_ext(tree, i, j):
+                if grid[i][j] != _expected_ext(tree, i, j):
                     return False, f"ext mismatch at ({i},{j}) on {tree.series}"
     return True, "star rule i = j+1 mod 3; 100 random trees match the embedding"
 

@@ -245,26 +245,17 @@ def from_tree(tree: PlanarBrauerTree, ell: int) -> TreeAlgebra:
     return TreeAlgebra(tree, ell)
 
 
-def ext1(alg: TreeAlgebra, i: int, j: int) -> int:
-    """dim Ext^1(S_i, S_j) = number of quiver arrows from i to j."""
-    return alg.arrow_counts.get((i, j), 0)
-
-
-def hom_dim(alg: TreeAlgebra, i: int, j: int) -> int:
-    """dim Hom(P_i, P_j), the number of basis paths from j to i: each acts
-    by left multiplication."""
-    return len(alg.paths_between.get((j, i), ()))
-
-
 def hom_grid(alg: TreeAlgebra) -> list[list[int]]:
-    """[hom_dim(alg, i, j)] over the vertices 0..h0-1, from one pass over the
-    path table."""
+    """[dim Hom(P_i, P_j)] over the vertices 0..h0-1, from one pass over the
+    path table: Hom(P_i, P_j) has a basis of the paths from j to i, each
+    acting by left multiplication."""
     return _vertex_grid(alg, (((i, j), len(ps))
                               for (j, i), ps in alg.paths_between.items()))
 
 
 def ext1_grid(alg: TreeAlgebra) -> list[list[int]]:
-    """[ext1(alg, i, j)] over the vertices 0..h0-1, from the arrow counts."""
+    """[dim Ext^1(S_i, S_j)] over the vertices 0..h0-1: the number of quiver
+    arrows from i to j."""
     return _vertex_grid(alg, alg.arrow_counts.items())
 
 

@@ -384,17 +384,29 @@ sys.exit(code)
      "error: $.h0: h0 = 10000000000000 is more than the 65536 edges supported"),
     (["star", "--d", "70368744181907", "--e", "35184372090953", "--n", "4"],
      "error: |E| = 35184372090953 is more than the 65536 edges supported"),
-], ids=["fixture", "tree-json", "star"])
+    (["decmatrix", "--fixture", "line3", "--mu", "10000000000000"],
+     "error: multiplicity = 10000000000000 is more than the 65536 supported"),
+    (["algebra", "--fixture", "line3", "--mu", "10000000000000"],
+     "error: multiplicity = 10000000000000 is more than the 65536 supported"),
+    (["tree", "--tree", "HEAVY"],
+     "error: $.multiplicity: 10000000000000 is more than the 65536 supported"),
+    (["star", "--d", "70368744181907", "--e", "2", "--n", "70368744181906"],
+     "error: multiplicity (|D| - 1)/|E| = 35184372090953 is more than the "
+     "65536 supported"),
+], ids=["fixture", "tree-json", "star", "decmatrix-mu", "algebra-mu",
+        "tree-json-mu", "star-mu"])
 def test_oversized_trees_are_refused_before_any_per_edge_work(argv, message,
                                                               tmp_path):
     import os
     import subprocess
     import sys
-    huge = tmp_path / "huge.tree.json"
-    huge.write_text(json.dumps({
-        "h0": 10 ** 13, "r": 0, "multiplicity": 1,
-        "branches": [{"zeta": 0, "m": 0, "M": 10 ** 13 - 1}]}))
-    argv = [str(huge) if a == "HUGE" else a for a in argv]
+    files = {"HUGE": {"h0": 10 ** 13, "r": 0, "multiplicity": 1,
+                      "branches": [{"zeta": 0, "m": 0, "M": 10 ** 13 - 1}]},
+             "HEAVY": {"h0": 3, "r": 0, "multiplicity": 10 ** 13,
+                       "branches": [{"zeta": 0, "m": 0, "M": 2}]}}
+    for name, obj in files.items():
+        (tmp_path / name).write_text(json.dumps(obj))
+    argv = [str(tmp_path / a) if a in files else a for a in argv]
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                        "src")
     env = dict(os.environ)
@@ -414,3 +426,16 @@ def test_the_edge_bound_is_inclusive():
         bt.line_series(bt.MAX_EDGES + 1)
     # 65537 is prime and 3 is a primitive root mod it
     assert bt.MetacyclicGroup(65537, bt.MAX_EDGES, 3).e_order == bt.MAX_EDGES
+    series = bt.line_series(3)
+    assert bt.MAX_MULTIPLICITY == 65536
+    assert bt.assemble_tree(series, 65536, 1).multiplicity == 65536
+    with pytest.raises(bt.InvalidSeries, match="multiplicity = 65537 is more"):
+        bt.assemble_tree(series, 65537, 1)
+    obj = bt.tree_to_obj(bt.assemble_tree(series, 1, 1))
+    assert bt.obj_to_tree({**obj, "multiplicity": 65536}).multiplicity == 65536
+    with pytest.raises(bt.ParseError, match=r"^\$\.multiplicity: 65537 is more"):
+        bt.obj_to_tree({**obj, "multiplicity": 65537})
+    # mu = (|D| - 1)/|E|: 65536 for |D| = 65537, and 131070 for the prime 2^17 - 1
+    assert bt.MetacyclicGroup(65537, 1, 1).d_order == 65537
+    with pytest.raises(bt.BadAction, match="= 131070 is more than the 65536"):
+        bt.MetacyclicGroup(131071, 1, 1)

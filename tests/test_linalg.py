@@ -187,6 +187,31 @@ def test_every_definition_in_the_package_is_referenced():
     assert unreferenced == []
 
 
+def test_every_dataclass_field_is_read():
+    """Each annotated field of each dataclass under the package is read as
+    an attribute, by name, somewhere in the package."""
+    src = Path(linalg.__file__).parent
+    allowed = {"linalg.SparseMatrix.shape"}     # read by perfbench's rank_cells
+
+    def is_dataclass(node):
+        return any(getattr(d.func if isinstance(d, ast.Call) else d, "id", None)
+                   == "dataclass" for d in node.decorator_list)
+
+    modules = {f.stem: ast.parse(f.read_text(encoding="utf-8"))
+               for f in sorted(src.glob("**/*.py"))}
+    read = {n.attr for tree in modules.values() for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    unread = [f"{stem}.{cls.name}.{stmt.target.id}"
+              for stem, tree in modules.items()
+              for cls in ast.walk(tree)
+              if isinstance(cls, ast.ClassDef) and is_dataclass(cls)
+              for stmt in cls.body
+              if isinstance(stmt, ast.AnnAssign)
+              and isinstance(stmt.target, ast.Name)
+              and stmt.target.id not in read]
+    assert [f for f in unread if f not in allowed] == []
+
+
 def test_importing_the_cli_does_not_load_numpy():
     src = str(Path(linalg.__file__).parent.parent)
     proc = subprocess.run(

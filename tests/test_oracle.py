@@ -184,9 +184,8 @@ def test_dec_transpose_equals_cartan():
         d = orc.brute_decomposition_matrix(g)
         alg = ta.from_tree(bt.star_tree(d_order, e_order, n), g.ell)
         cols = sorted(alg.vertices)
-        cartan = [[ta.hom_dim(alg, i, j) for j in cols] for i in cols]
         dtd = [[sum(row[a] * row[b] for row in d) for b in cols] for a in cols]
-        assert dtd == cartan
+        assert dtd == ta.hom_grid(alg)
 
 
 def test_exceptional_count_matches_multiplicity():

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from coxbrauer.numtheory import euler_phi
-from coxbrauer.root_data import (CycloPoly, UnsupportedType,
+from coxbrauer.root_data import (FAMILIES, CycloPoly, TwistedType, UnsupportedType,
                                  coxeter_datum, cyclotomic_multiplicity,
                                  group_order_poly, parse_type,
                                  torus_order_poly, twisted_coxeter_eigenvalues,
@@ -163,3 +163,53 @@ def test_table_checksum_negative_control(monkeypatch):
         coxeter_datum(parse_type("G2"))
     monkeypatch.undo()
     assert coxeter_datum(parse_type("G2")) is clean
+
+
+def supported_types(max_rank: int = 15) -> list[TwistedType]:
+    out = []
+    for family in FAMILIES:
+        for rank in range(1, max_rank + 1):
+            try:
+                out.append(TwistedType(family, rank))
+            except UnsupportedType:
+                pass
+    return out
+
+
+def restated_delta_r(t: TwistedType) -> tuple[int, int]:
+    """The order delta of the twist and the number r of F-orbits on the
+    simple reflections, restated from the Dynkin diagram automorphisms."""
+    n = t.rank
+    if t.family == "2A":
+        return 2, (n + 1) // 2      # the diagram flip pairs s_i with s_(n+1-i)
+    if t.family == "2D":
+        return 2, n - 1             # swaps the two end nodes of the fork
+    return {"3D4": (3, 2), "2E6": (2, 4), "2B2": (2, 1), "2G2": (2, 1),
+            "2F4": (2, 2)}.get(t.family, (1, n))
+
+
+def test_delta_and_r_match_the_closed_forms():
+    types = supported_types()
+    assert len(types) == 91
+    got = {t.name: (coxeter_datum(t).delta, coxeter_datum(t).r) for t in types}
+    assert got == {t.name: restated_delta_r(t) for t in types}
+
+
+def test_each_datum_is_built_once_with_its_final_numbers(monkeypatch):
+    """The uncached builder makes one CoxeterDatum per type, never one
+    with the placeholder h = 0."""
+    from coxbrauer import root_data
+
+    built = []
+    real = root_data.CoxeterDatum
+
+    def recording(*args, **kwargs):
+        built.append(real(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(root_data, "CoxeterDatum", recording)
+    types = supported_types()
+    for t in types:
+        root_data._checked_datum.__wrapped__(t, root_data._degree_twist_pairs(t))
+    assert [d.type for d in built] == types
+    assert all(d.h > 0 and d.h0 > 0 for d in built)
