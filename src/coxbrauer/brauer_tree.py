@@ -39,6 +39,9 @@ MAX_EDGES = 2 ** 16
 # decomposition matrix has mu exceptional rows and the algebra mu paths per
 # edge around the exceptional node.
 MAX_MULTIPLICITY = 2 ** 16
+# The most conjugacy classes, mu + |E|, of a group whose character table
+# the oracle builds: the table is dense, so it grows with the square.
+MAX_CLASSES = 2 ** 10
 
 
 class InvalidSeries(ValueError):
@@ -333,7 +336,6 @@ class DecompositionMatrix:
     row_labels: tuple[tuple[str, int], ...]
     col_edges: tuple[int, ...]
     matrix: tuple[tuple[int, ...], ...]
-    multiplicity: int
     heights: tuple[int, ...]              # height of each column edge
 
     def collapsed(self) -> tuple[tuple[int, ...], ...]:
@@ -354,8 +356,7 @@ def decomposition_matrix(tree: PlanarBrauerTree) -> DecompositionMatrix:
             (exc_row if end == EXC else mat[end])[e.index] = 1
     rows = tuple(map(tuple, mat)) + (tuple(exc_row),) * tree.multiplicity
     heights = tuple(height(tree, j) for j in cols)
-    d = DecompositionMatrix(tuple(chi_rows + exc_rows), cols, rows,
-                            tree.multiplicity, heights)
+    d = DecompositionMatrix(tuple(chi_rows + exc_rows), cols, rows, heights)
     for j, total in zip(cols, map(sum, zip(*d.collapsed()))):
         if total != 2:
             raise InvalidDecomposition(f"projective P_{j} has {total} ordinary "

@@ -1,12 +1,14 @@
 """Exact arithmetic in rings of cyclotomic integers Z[zeta_L].
 
 A cyclotomic integer is written down as a sparse exponent vector {k: c},
-standing for the sum of c*zeta_L^k; that is how the oracle's character
-tables carry their values.  `power_basis` gives its canonical coordinates
-on the power basis 1, zeta, ..., zeta^(phi(L)-1): the remainder of the
-polynomial modulo the L-th cyclotomic polynomial.  `CycloInt` holds such
-coordinates and multiplies through the same reduction.  No floating point
-is used anywhere; equality of elements is literal equality of coordinates.
+the sum of c*zeta_L^k, an element of the group ring Z[Z/L]: the oracle's
+character tables carry their values that way, and `expand_product`, the
+one multiplication here, expands the order polynomials in it.
+`power_basis` reduces such a vector once, to its coordinates on the power
+basis 1, zeta, ..., zeta^(phi(L)-1): the remainder modulo the L-th
+cyclotomic polynomial.  `CycloInt` is the record of a reduced element.
+No floating point is used anywhere; equality of elements is literal
+equality of coordinates.
 
 The module also knows how to express sqrt(2) and sqrt(3) inside a large
 enough cyclotomic ring (8 | L, resp. 12 | L), which is what the twisted
@@ -17,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import lcm
 
 from .numtheory import euler_phi
 
@@ -79,9 +80,29 @@ def power_basis(L: int, terms: dict[int, int]) -> tuple[int, ...]:
     return tuple(acc[:d])
 
 
+def expand_product(L: int,
+                   factors: list[tuple[int, int, int]]) -> list[dict[int, int]]:
+    """prod_j (zeta^(t_j) * q^(k_j) - zeta^(l_j)) over factors (k, t, l) in
+    Z[Z/L][q], where exponents add mod L: one exponent vector per power of
+    q, ascending.  Z[Z/L] -> Z[zeta_L] is a ring map, so `power_basis` of
+    each coefficient is the product in Z[zeta_L]."""
+    poly: list[dict[int, int]] = [{0: 1}]
+    for k, t, l in factors:
+        new: list[dict[int, int]] = [{} for _ in range(len(poly) + k)]
+        for i, vec in enumerate(poly):
+            low, top = new[i], new[i + k]
+            for e, c in vec.items():
+                x, y = (e + l) % L, (e + t) % L
+                low[x] = low.get(x, 0) - c
+                top[y] = top.get(y, 0) + c
+        poly = new
+    return poly
+
+
 @dataclass(frozen=True)
 class CycloInt:
-    """An element of Z[zeta_L] in power-basis coordinates."""
+    """A reduced element of Z[zeta_L]: its power-basis coordinates.  It
+    adds and scales by integers; products are taken by `expand_product`."""
 
     L: int
     coords: tuple[int, ...]
@@ -91,36 +112,16 @@ class CycloInt:
             raise ValueError("coordinate vector has wrong length")
 
     @staticmethod
-    def zero(L: int) -> "CycloInt":
-        return CycloInt(L, (0,) * euler_phi(L))
-
-    @staticmethod
     def integer(L: int, a: int) -> "CycloInt":
-        c = [0] * euler_phi(L)
-        c[0] = a
-        return CycloInt(L, tuple(c))
-
-    @staticmethod
-    def zeta_power(L: int, k: int) -> "CycloInt":
-        return CycloInt(L, power_basis(L, {k: 1}))
+        return CycloInt(L, (a,) + (0,) * (euler_phi(L) - 1))
 
     def __add__(self, other: "CycloInt") -> "CycloInt":
         return CycloInt(self.L, tuple(a + b for a, b in zip(self.coords, other.coords)))
 
-    def __sub__(self, other: "CycloInt") -> "CycloInt":
-        return CycloInt(self.L, tuple(a - b for a, b in zip(self.coords, other.coords)))
-
     def __mul__(self, other):
-        if isinstance(other, int):
-            return CycloInt(self.L, tuple(a * other for a in self.coords))
-        # schoolbook product, then one reduction modulo Phi_L
-        conv: dict[int, int] = {}
-        for i, a in enumerate(self.coords):
-            if a:
-                for j, b in enumerate(other.coords):
-                    if b:
-                        conv[i + j] = conv.get(i + j, 0) + a * b
-        return CycloInt(self.L, power_basis(self.L, conv))
+        if not isinstance(other, int):
+            return NotImplemented
+        return CycloInt(self.L, tuple(a * other for a in self.coords))
 
     __rmul__ = __mul__
 
@@ -147,7 +148,7 @@ def sqrt_element(L: int, p: int) -> CycloInt:
         k = L // 12
     else:
         raise ValueError("only sqrt(2) and sqrt(3) are supported")
-    return CycloInt.zeta_power(L, k) + CycloInt.zeta_power(L, -k % L)
+    return CycloInt(L, power_basis(L, {k: 1, -k % L: 1}))
 
 
 def as_quadratic_pair(x: CycloInt, p: int | None) -> tuple[int, int]:
@@ -175,8 +176,3 @@ def as_quadratic_pair(x: CycloInt, p: int | None) -> tuple[int, int]:
     if (CycloInt.integer(x.L, a) + b * w).coords != x.coords:
         raise ArithmeticError(f"residue outside Z[sqrt({p})]: {x.coords}")
     return a, b
-
-
-def common_level(denominators: list[int]) -> int:
-    """lcm of angle denominators, the level L used for the arithmetic."""
-    return lcm(*denominators) if denominators else 1

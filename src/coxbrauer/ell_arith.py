@@ -50,7 +50,7 @@ def validate_regime(datum: CoxeterDatum, qsq: int, ell: int) -> EllContext:
     `qsq` is q itself for ordinary types and q^2 (an odd power of 2 or 3)
     for the Suzuki and Ree types.
     """
-    p_root = datum.sqrt_prime
+    p_root = datum.type.sqrt_prime
     split = prime_power_split(qsq)
     if split is None:
         raise BadRegime("BadParameter", f"q={qsq} is not a prime power")

@@ -27,7 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .brauer_tree import MetacyclicGroup, PlanarBrauerTree, decomposition_matrix
+from .brauer_tree import (MAX_CLASSES, MetacyclicGroup, PlanarBrauerTree,
+                          decomposition_matrix)
 from .cyclotomic import power_basis
 from .ell_arith import TruncatedPadic
 from .numtheory import euler_phi, has_order
@@ -140,8 +141,13 @@ def character_table(g: MetacyclicGroup) -> CharacterTable:
 
     The m linear characters are inflated from E; the (ell^alpha - 1)/m
     induced characters come from the E-orbits of nontrivial characters of
-    D and vanish off D.
+    D and vanish off D.  A group with more than MAX_CLASSES classes is
+    refused with a ValueError before any of the table is built.
     """
+    n_classes = (g.d_order - 1) // g.e_order + g.e_order
+    if n_classes > MAX_CLASSES:
+        raise ValueError(f"the character table would have {n_classes} classes, "
+                         f"more than the {MAX_CLASSES} supported")
     L = g.e_order * g.d_order
     zeta_e = L // g.e_order      # zeta_m = zeta_L^(d_order)
     zeta_d = L // g.d_order      # zeta_(ell^alpha) = zeta_L^(e_order)

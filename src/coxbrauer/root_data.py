@@ -15,9 +15,11 @@ A separate literature table of (h, h0) values per type is kept as a
 checksum: `coxeter_datum` recomputes h and h0 from the degree/twist pairs
 and refuses to return a datum that disagrees with the table.
 
-For the Suzuki and Ree types the parameter q is not an integer (q^2 is an
-odd power of 2 or 3), so torus order polynomials live over Z[sqrt(p)];
-coefficients are stored as pairs (a, b) meaning a + b*sqrt(p).
+Both are products of factors (zeta^t*q^k - zeta^l), expanded by
+`cyclotomic.expand_product`.  For the Suzuki and Ree types the parameter q
+is not an integer (q^2 is an odd power of 2 or 3), so torus order
+polynomials live over Z[sqrt(p)]; coefficients are stored as pairs (a, b)
+meaning a + b*sqrt(p).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .cyclotomic import CycloInt, as_quadratic_pair, common_level
+from .cyclotomic import CycloInt, as_quadratic_pair, expand_product, power_basis
 from .numtheory import valuation
 
 
@@ -138,7 +140,6 @@ def _table_h_h0(t: TwistedType) -> tuple[int, int]:
 @dataclass(frozen=True)
 class CoxeterDatum:
     type: TwistedType
-    m: int                       # dimension of the reflection representation
     degrees: tuple[int, ...]
     epsilons: tuple[Fraction, ...]   # twist eigenvalue angles, exp(2*pi*i*eps)
     h: int
@@ -146,10 +147,6 @@ class CoxeterDatum:
     h0: int
     r: int
     N: int
-
-    @property
-    def sqrt_prime(self) -> int | None:
-        return self.type.sqrt_prime
 
 
 def cyclotomic_multiplicity(datum: CoxeterDatum, d: int) -> int:
@@ -192,7 +189,7 @@ def _checked_datum(type: TwistedType,
             f"table (h, h0) = ({table_h}, {table_h0})")
     # r, the number of F-orbits on the simple reflections, is the number
     # of invariants the twist fixes
-    datum = CoxeterDatum(type=type, m=len(degrees), degrees=degrees,
+    datum = CoxeterDatum(type=type, degrees=degrees,
                          epsilons=epsilons, h=h, delta=delta, h0=h // delta,
                          r=sum(1 for e in epsilons if e % 1 == 0),
                          N=sum(d - 1 for d in degrees))
@@ -294,23 +291,19 @@ class IntegralityFailure(ArithmeticError):
 
 def _angles_to_poly(factors: list[tuple[int, Fraction, Fraction]],
                     p: int | None) -> CycloPoly:
-    """Expand prod_j (zeta^(top_j) * q^(k_j) - zeta^(low_j)) over Z[zeta_L]."""
-    denoms = [a.denominator for _, top, low in factors for a in (top, low)]
-    L = common_level(denoms + ([8 if p == 2 else 12] if p else [1]))
-    poly: list[CycloInt] = [CycloInt.integer(L, 1)]
-    for k, top, low in factors:
-        z_top = CycloInt.zeta_power(L, int(top * L))
-        z_low = CycloInt.zeta_power(L, int(low * L))
-        new = [CycloInt.zero(L) for _ in range(len(poly) + k)]
-        for i, c in enumerate(poly):
-            new[i] = new[i] - c * z_low
-            new[i + k] = new[i + k] + c * z_top
-        poly = new
+    """Expand prod_j (zeta^(top_j) * q^(k_j) - zeta^(low_j)) over Z[sqrt(p)]:
+    in Z[Z/L] for the L that holds every angle and sqrt(p), then each
+    coefficient reduced once and read as a + b*sqrt(p)."""
+    L = lcm(8 if p == 2 else 12 if p else 1,
+            *(a.denominator for _, top, low in factors for a in (top, low)))
+    coeffs = expand_product(L, [(k, int(top * L), int(low * L))
+                                for k, top, low in factors])
     try:
-        coeffs = tuple(as_quadratic_pair(c, p) for c in poly)
+        pairs = tuple(as_quadratic_pair(CycloInt(L, power_basis(L, c)), p)
+                      for c in coeffs)
     except ArithmeticError as exc:
         raise IntegralityFailure(str(exc)) from exc
-    return CycloPoly(coeffs=coeffs, p=p)
+    return CycloPoly(coeffs=pairs, p=p)
 
 
 ZERO_ANGLE = Fraction(0)
@@ -320,7 +313,7 @@ def group_order_poly(datum: CoxeterDatum) -> CycloPoly:
     """|G| = q^N * prod_j (q^(d_j) - eps_j^-1) as an exact polynomial."""
     factors = [(d, ZERO_ANGLE, (-e) % 1)
                for d, e in zip(datum.degrees, datum.epsilons)]
-    body = _angles_to_poly(factors, datum.sqrt_prime)
+    body = _angles_to_poly(factors, datum.type.sqrt_prime)
     shifted = ((0, 0),) * datum.N + body.coeffs
     return CycloPoly(coeffs=shifted, p=body.p)
 
@@ -328,17 +321,20 @@ def group_order_poly(datum: CoxeterDatum) -> CycloPoly:
 def torus_order_poly(datum: CoxeterDatum) -> CycloPoly:
     """|T_c| = det(q * c*sigma - 1) = prod_j (q*mu_j - 1) over Z[sqrt(p)][q].
 
-    The raw determinant carries the sign det(c*sigma) = +-1 in its leading
-    coefficient; the group order is the positive value, so the polynomial
+    The raw determinant carries the sign det(c*sigma) = prod_j mu_j in its
+    leading coefficient.  That product is read off the angles first and
+    must be +-1; the group order is the positive value, so the polynomial
     is normalized to be monic.
     """
-    factors = [(1, a, ZERO_ANGLE) for a in twisted_coxeter_eigenvalues(datum)]
-    poly = _angles_to_poly(factors, datum.sqrt_prime)
-    lead = poly.coeffs[-1]
-    if lead == (-1, 0):
+    angles = twisted_coxeter_eigenvalues(datum)
+    det = sum(angles, ZERO_ANGLE) % 1          # det(c*sigma) = exp(2*pi*i*det)
+    if det not in (ZERO_ANGLE, _HALF):
+        raise IntegralityFailure(f"non-unit leading torus coefficient: "
+                                 f"det(c*sigma) = exp(2*pi*i*{det})")
+    poly = _angles_to_poly([(1, a, ZERO_ANGLE) for a in angles],
+                           datum.type.sqrt_prime)
+    if det:
         return CycloPoly(tuple((-a, -b) for a, b in poly.coeffs), poly.p)
-    if lead != (1, 0):
-        raise IntegralityFailure(f"non-unit leading torus coefficient {lead}")
     return poly
 
 

@@ -69,15 +69,12 @@ class TreeAlgebra:
         self.tree = tree
         self.ell = ell
         self.vertices = tuple(tree.edge_indices())
-        # node -> (anticlockwise edge cycle, multiplicity, cycle length)
-        self.nodes: dict[object, tuple[tuple[int, ...], int, int]] = {}
-        nodes = {EXC} | {end for e in tree.edges for end in e.ends}
-        for node in nodes:
-            cycle = tree.cyclic_order_at(node)
-            mult = tree.node_multiplicity(node)
-            self.nodes[node] = (cycle, mult, len(cycle) * mult)
+        # node -> length of its cycle of arrows (degree times multiplicity)
+        self.cycle_length: dict[object, int] = {
+            node: len(tree.cyclic_order_at(node)) * tree.node_multiplicity(node)
+            for node in {EXC} | {end for e in tree.edges for end in e.ends}}
         self.degenerate = (len(self.vertices) == 1
-                           and all(c == 1 for _, _, c in self.nodes.values()))
+                           and all(c == 1 for c in self.cycle_length.values()))
         self._check_star_label_field()
         self.paths = self._enumerate_paths()
         self.dim = len(self.paths)
@@ -120,12 +117,12 @@ class TreeAlgebra:
         for e in self.vertices:
             paths.append(Path(e, _ID))
             for node in self._node_ends(e):
-                _, _, cyclen = self.nodes[node]
-                for t in range(1, cyclen):
+                for t in range(1, self.cycle_length[node]):
                     paths.append(Path(e, _CYC, node, t))
             # one socle element per edge; in the doubly degenerate
             # single-edge multiplicity-one case it plays the loop arrow
-            if self.degenerate or any(self.nodes[n][2] > 1 for n in self._node_ends(e)):
+            if self.degenerate or any(self.cycle_length[n] > 1
+                                      for n in self._node_ends(e)):
                 paths.append(Path(e, _SOC))
         return paths
 
@@ -148,7 +145,7 @@ class TreeAlgebra:
             return None
         if p.node != q.node:
             return None
-        cyclen = self.nodes[p.node][2]
+        cyclen = self.cycle_length[p.node]
         total = p.steps + q.steps
         if total < cyclen:
             return Path(p.src, _CYC, p.node, total)

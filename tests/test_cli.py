@@ -419,6 +419,26 @@ def test_oversized_trees_are_refused_before_any_per_edge_work(argv, message,
     assert float(seconds) < 1.0
 
 
+
+def test_oversized_character_tables_are_refused_before_the_table_is_built():
+    """mu = 65536 is accepted for the tree, but the oracle's dense table
+    would have mu + |E| = 65537 classes."""
+    import os
+    import subprocess
+    import sys
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _TIMED_MAIN, "star", "--d", "65537",
+                           "--e", "1", "--n", "1", "--verify"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    err, seconds = proc.stderr.rsplit("seconds ", 1)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert err == ("error: the character table would have 65537 classes, "
+                   "more than the 1024 supported\n")
+    assert float(seconds) < 1.0
+
 def test_the_edge_bound_is_inclusive():
     from coxbrauer import brauer_tree as bt
     assert bt.line_series(bt.MAX_EDGES).h0 == 65536 == bt.MAX_EDGES

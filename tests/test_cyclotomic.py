@@ -3,8 +3,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coxbrauer.cyclotomic import (CycloInt, _poly_divexact, as_quadratic_pair,
-                                  cyclotomic_polynomial, power_basis,
-                                  sqrt_element)
+                                  cyclotomic_polynomial, expand_product,
+                                  power_basis, sqrt_element)
 from coxbrauer.numtheory import euler_phi
 
 
@@ -30,26 +30,25 @@ def test_cyclotomic_polynomials():
 
 
 def test_zeta_arithmetic():
-    z = CycloInt.zeta_power
     # zeta_3^2 + zeta_3 + 1 = 0
-    acc = z(3, 2) + z(3, 1) + CycloInt.integer(3, 1)
-    assert acc.coords == CycloInt.zero(3).coords
-    # zeta_8^2 = zeta_4 embedded at level 8
-    assert (z(8, 1) * z(8, 1)).coords == z(8, 2).coords
-    # full cycle: zeta_12^12 = 1
-    acc = CycloInt.integer(12, 1)
-    for _ in range(12):
-        acc = acc * z(12, 1)
-    assert acc.as_integer() == 1
+    assert power_basis(3, {2: 1, 1: 1, 0: 1}) == (0, 0)
+    # (zeta_8*q - 1)^2 leads with zeta_8 * zeta_8 = zeta_4, which is zeta_8^2
+    square = expand_product(8, [(1, 1, 0)] * 2)
+    assert square == [{0: 1}, {1: -2}, {2: 1}]
+    assert power_basis(8, square[2]) == (0, 0, 1, 0)
+    # full cycle: zeta_12^12 = 1, the leading coefficient of (zeta_12*q - 1)^12
+    cycle = expand_product(12, [(1, 1, 0)] * 12)
+    assert power_basis(12, cycle[12]) == (1, 0, 0, 0)
 
 
 def test_conjugate_norm():
-    z = CycloInt.zeta_power(5, 1)
-    zbar = CycloInt.zeta_power(5, 4)         # complex conjugate of zeta_5
-    n = (z - CycloInt.integer(5, 1)) * (zbar - CycloInt.integer(5, 1))
-    # (zeta-1)(zeta^-1-1) = 2 - zeta - zeta^-1
-    want = CycloInt.integer(5, 2) - z - zbar
-    assert n.coords == want.coords
+    # factors with k = 0 are elements zeta^t - zeta^l of Z[Z/L] itself:
+    # (zeta - 1)(zeta^-1 - 1) = 2 - zeta - zeta^-1
+    [n] = expand_product(5, [(0, 1, 0), (0, 4, 0)])
+    assert power_basis(5, n) == power_basis(5, {0: 2, 1: -1, 4: -1})
+    # the norm of zeta_5 - 1 is the product of its four conjugates, Phi_5(1) = 5
+    [norm] = expand_product(5, [(0, k, 0) for k in range(1, 5)])
+    assert power_basis(5, norm) == (5, 0, 0, 0)
 
 
 def test_power_basis_small_levels():
@@ -82,16 +81,31 @@ def test_power_basis_is_the_remainder_mod_phi(case):
 
 def test_sqrt_elements():
     for L, p in ((8, 2), (12, 3), (24, 2), (24, 3)):
-        w = sqrt_element(L, p)
-        assert (w * w).as_integer() == p
+        k = L // (8 if p == 2 else 12)
+        # sqrt(p) = zeta^k + zeta^-k = zeta^k - zeta^(L/2 - k)
+        root = (0, k, (L // 2 - k) % L)
+        [w] = expand_product(L, [root])
+        assert sqrt_element(L, p).coords == power_basis(L, w)
+        [square] = expand_product(L, [root, root])
+        assert power_basis(L, square) == CycloInt.integer(L, p).coords
 
 
 def test_quadratic_pair_roundtrip():
     w = sqrt_element(24, 2)
-    x = CycloInt.integer(24, 5) + 3 * w
+    x = CycloInt(24, power_basis(24, {0: 5, 3: 3, 21: 3}))       # 5 + 3*sqrt(2)
+    assert x == CycloInt.integer(24, 5) + 3 * w == CycloInt.integer(24, 5) + w * 3
     assert as_quadratic_pair(x, 2) == (5, 3)
     assert as_quadratic_pair(CycloInt.integer(24, -7), 2) == (-7, 0)
     with pytest.raises(ArithmeticError):
-        as_quadratic_pair(CycloInt.zeta_power(24, 1), 2)
+        as_quadratic_pair(CycloInt(24, power_basis(24, {1: 1})), 2)
     with pytest.raises(ArithmeticError):
         as_quadratic_pair(sqrt_element(24, 3), None)
+
+
+def test_cycloint_is_a_reduced_record():
+    with pytest.raises(ValueError, match="wrong length"):
+        CycloInt(12, (1, 0))
+    # the ring product is taken before reduction, by expand_product
+    w = sqrt_element(8, 2)
+    with pytest.raises(TypeError):
+        w * w

@@ -169,11 +169,13 @@ def test_algebra_and_tree_checks_hold_under_optimize():
 # powers but of order 6, not h0 = 3), 2A2 at q = 2, ell = 3 (q of order
 # 2, not h = 6), 2G2 at q^2 = 27, ell = 7 (7 does not divide |T_c| = 19),
 # A2 with both degrees 3 (the angle 2/3 of order h twice), a direct sum
-# of nothing, and a Hom complex between complexes over two algebras of
-# the same tree.
+# of nothing, a Hom complex between complexes over two algebras of the
+# same tree, the product zeta_3*q - 1 (a coefficient outside Z), and A2's
+# torus with eigenvalues zeta_3, zeta_3 (det(c*sigma) = zeta_3^2, not +-1).
 GUARD_SCRIPT = """
 import dataclasses
-from coxbrauer import brauer_tree as bt, homotopy as ho, tree_algebra as ta
+from fractions import Fraction
+from coxbrauer import brauer_tree as bt, homotopy as ho, root_data, tree_algebra as ta
 from coxbrauer.ell_arith import eigenvalue_table, validate_regime
 from coxbrauer.root_data import (coxeter_datum, parse_type,
                                  twisted_coxeter_eigenvalues)
@@ -182,6 +184,17 @@ datum = coxeter_datum(parse_type("A2"))
 ctx = validate_regime(datum, 2, 7)
 tree = bt.assemble_tree(bt.line_series(2), 1, 1)
 alg, other = ta.from_tree(tree, 5), ta.from_tree(tree, 5)
+
+
+def torus_with_angles(angles):
+    saved = root_data.twisted_coxeter_eigenvalues
+    root_data.twisted_coxeter_eigenvalues = lambda datum: angles
+    try:
+        return root_data.torus_order_poly(datum)
+    finally:
+        root_data.twisted_coxeter_eigenvalues = saved
+
+
 bad = {
     "collision": lambda: eigenvalue_table(dataclasses.replace(ctx, qdelta_mod=1)),
     "root": lambda: eigenvalue_table(dataclasses.replace(ctx, qdelta_mod=3)),
@@ -192,11 +205,14 @@ bad = {
     "sum": lambda: ho.direct_sum([]),
     "hom": lambda: ho.HomComplex(ho.ProjComplex(alg, 0, [[0]], [[]]),
                                  ho.ProjComplex(other, 0, [[0]], [[]])),
+    "integral": lambda: root_data._angles_to_poly(
+        [(1, Fraction(1, 3), Fraction(0))], None),
+    "det": lambda: torus_with_angles([Fraction(1, 3), Fraction(1, 3)]),
 }
 for name, run in bad.items():
     try:
         run()
-    except ValueError as exc:
+    except (ValueError, root_data.IntegralityFailure) as exc:
         print(name, "rejected:", exc)
     else:
         print(name, "ACCEPTED")
@@ -207,7 +223,8 @@ def test_regime_datum_and_complex_guards_hold_under_optimize():
     lines = _run_optimized(GUARD_SCRIPT)
     assert [line.split()[:2] for line in lines] == [
         [name, "rejected:"] for name in
-        ("collision", "root", "order", "ree", "angles", "sum", "hom")]
+        ("collision", "root", "order", "ree", "angles", "sum", "hom",
+         "integral", "det")]
     assert "collision" in lines[0]
     assert "h0-th root" in lines[1]
     assert "WrongOrder: q has order != h = 6 mod 3" in lines[2]
@@ -215,3 +232,5 @@ def test_regime_datum_and_complex_guards_hold_under_optimize():
     assert "multiplicity > 1" in lines[4]
     assert "no complexes" in lines[5]
     assert "different algebras" in lines[6]
+    assert "non-rational cyclotomic residue" in lines[7]
+    assert "non-unit leading torus coefficient" in lines[8]

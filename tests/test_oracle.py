@@ -71,6 +71,24 @@ def test_character_table_shape():
     assert sum(table.degree(i) ** 2 for i in range(5)) == 21
 
 
+
+def test_the_class_bound_is_inclusive_and_checked_before_d_is_walked(monkeypatch):
+    g = orc.MetacyclicGroup(7, 3, 2)             # mu + |E| = 2 + 3 classes
+    monkeypatch.setattr(orc, "MAX_CLASSES", 5)
+    assert len(orc.character_table(g).classes) == 5
+
+    def walk(group):
+        raise LookupError("walked D")
+
+    monkeypatch.setattr(orc, "_orbit_reps", walk)
+    monkeypatch.setattr(orc, "MAX_CLASSES", 4)
+    with pytest.raises(ValueError, match="would have 5 classes, more than the 4"):
+        orc.character_table(g)
+    # the largest ladder input, mu + |E| = 800 + 3, passes the bound
+    monkeypatch.setattr(orc, "MAX_CLASSES", bt.MAX_CLASSES)
+    with pytest.raises(LookupError):
+        orc.character_table(orc.MetacyclicGroup(2401, 3, 1047))
+
 def test_character_table_cyclic_group():
     g = orc.MetacyclicGroup(5, 1, 1)
     table = orc.character_table(g)

@@ -1,13 +1,16 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
+from coxbrauer import root_data
+from coxbrauer.cyclotomic import power_basis
 from coxbrauer.numtheory import euler_phi
-from coxbrauer.root_data import (FAMILIES, CycloPoly, TwistedType, UnsupportedType,
-                                 coxeter_datum, cyclotomic_multiplicity,
-                                 group_order_poly, parse_type,
-                                 torus_order_poly, twisted_coxeter_eigenvalues,
-                                 weyl_fixed_order)
+from coxbrauer.root_data import (FAMILIES, CycloPoly, IntegralityFailure,
+                                 TwistedType, UnsupportedType, coxeter_datum,
+                                 cyclotomic_multiplicity, group_order_poly,
+                                 parse_type, torus_order_poly,
+                                 twisted_coxeter_eigenvalues, weyl_fixed_order)
 
 ALL_TYPES = (["A1", "A2", "A4", "A7", "B2", "B5", "C3", "D4", "D6",
               "E6", "E7", "E8", "F4", "G2",
@@ -53,7 +56,7 @@ def test_datum_invariants(name):
     assert d.h0 * d.delta == d.h
     assert cyclotomic_multiplicity(d, d.h) == 1
     assert d.N == sum(deg - 1 for deg in d.degrees)
-    assert d.m == len(d.degrees) == d.type.rank
+    assert len(d.degrees) == d.type.rank
     # sum over d of a(d) phi(d) recovers the degree sum
     assert phi_degree_sum(d) == sum(d.degrees)
 
@@ -62,7 +65,7 @@ def test_datum_invariants(name):
 def test_eigenvalue_multiplicity_one(name):
     d = data(name)
     angles = twisted_coxeter_eigenvalues(d)
-    assert len(angles) == d.m
+    assert len(angles) == len(d.degrees)
     full = [a for a in angles if a.denominator == d.h]
     assert len(full) == len(set(full))
 
@@ -104,7 +107,7 @@ def test_torus_order_examples():
 @pytest.mark.parametrize("name", ALL_TYPES)
 def test_order_divisibility(name):
     d = data(name)
-    qs = {2: [8, 32, 128], 3: [27, 243]}.get(d.sqrt_prime, [2, 3, 4, 5])
+    qs = {2: [8, 32, 128], 3: [27, 243]}.get(d.type.sqrt_prime, [2, 3, 4, 5])
     for q in qs:
         g = group_order_poly(d).evaluate(q)
         t = torus_order_poly(d).evaluate(q)
@@ -213,3 +216,87 @@ def test_each_datum_is_built_once_with_its_final_numbers(monkeypatch):
         root_data._checked_datum.__wrapped__(t, root_data._degree_twist_pairs(t))
     assert [d.type for d in built] == types
     assert all(d.h > 0 and d.h0 > 0 for d in built)
+
+
+def _types_up_to_rank(n):
+    for family in FAMILIES:
+        for rank in range(1, n + 1):
+            try:
+                yield TwistedType(family, rank)
+            except UnsupportedType:
+                pass
+
+
+def _reduced_each_step(L, factors):
+    """prod (zeta^t * q^k - zeta^l) with every coefficient held in
+    power-basis coordinates and reduced after every product: a route that
+    shares no multiplication with the group-ring expansion."""
+    d = euler_phi(L)
+
+    def mul(x, y):
+        conv = {}
+        for i, a in enumerate(x):
+            for j, b in enumerate(y):
+                conv[i + j] = conv.get(i + j, 0) + a * b
+        return power_basis(L, conv)
+
+    def add(x, y, sign=1):
+        return tuple(a + sign * b for a, b in zip(x, y))
+
+    poly = [power_basis(L, {0: 1})]
+    for k, t, l in factors:
+        z_top, z_low = power_basis(L, {t: 1}), power_basis(L, {l: 1})
+        new = [(0,) * d] * (len(poly) + k)
+        for i, c in enumerate(poly):
+            new[i] = add(new[i], mul(c, z_low), -1)
+            new[i + k] = add(new[i + k], mul(c, z_top))
+        poly = new
+    return poly
+
+
+def _pair_coords(L, pair, p):
+    """Power-basis coordinates of a + b*sqrt(p), sqrt(p) = zeta^k + zeta^-k."""
+    a, b = pair
+    if p is None:
+        return power_basis(L, {0: a})
+    k = L // (8 if p == 2 else 12)
+    return power_basis(L, {0: a, k: b, -k % L: b})
+
+
+def test_order_polys_match_products_reduced_after_each_step():
+    types = list(_types_up_to_rank(15))
+    assert len(types) == 91
+    for t in types:
+        datum, p = coxeter_datum(t), t.sqrt_prime
+        group = [(d, Fraction(0), -e % 1)
+                 for d, e in zip(datum.degrees, datum.epsilons)]
+        torus = [(1, a, Fraction(0)) for a in twisted_coxeter_eigenvalues(datum)]
+        for factors, poly, shift in ((group, group_order_poly(datum), datum.N),
+                                     (torus, torus_order_poly(datum), 0)):
+            L = lcm(8 if p == 2 else 12 if p else 1,
+                    *(a.denominator for _, top, low in factors for a in (top, low)))
+            want = _reduced_each_step(L, [(k, int(top * L), int(low * L))
+                                          for k, top, low in factors])
+            # the leading coefficient is +-1 and the polynomials are monic:
+            # the torus order divides the sign out, the group order leads with 1
+            sign = want[-1][0]
+            assert want[-1] == power_basis(L, {0: sign}) and sign in (1, -1), t
+            assert poly.p == p and poly.coeffs[:shift] == ((0, 0),) * shift, t
+            got = [_pair_coords(L, c, p) for c in poly.coeffs[shift:]]
+            assert got == [tuple(sign * x for x in c) for c in want], t
+
+
+def test_coefficient_outside_the_quadratic_ring_is_refused():
+    # zeta_3 * q - 1 has a coefficient outside Z
+    with pytest.raises(IntegralityFailure, match="non-rational cyclotomic residue"):
+        root_data._angles_to_poly([(1, Fraction(1, 3), Fraction(0))], None)
+
+
+def test_torus_determinant_other_than_plus_minus_one_is_refused(monkeypatch):
+    # eigenvalues zeta_3, zeta_3 have product zeta_3^2, not +-1
+    monkeypatch.setattr(root_data, "twisted_coxeter_eigenvalues",
+                        lambda datum: [Fraction(1, 3), Fraction(1, 3)])
+    with pytest.raises(IntegralityFailure,
+                       match=r"non-unit leading torus coefficient: "
+                             r"det\(c\*sigma\) = exp\(2\*pi\*i\*2/3\)"):
+        torus_order_poly(data("A2"))

@@ -103,7 +103,7 @@ def test_relations_hold_on_projectives():
         for e in alg.vertices:
             cycles = []
             for node in tree.edge(e).ends:
-                _, _, cyclen = alg.nodes[node]
+                cyclen = alg.cycle_length[node]
                 if cyclen <= 1:
                     continue
                 x, cur = alg.unit(e), e

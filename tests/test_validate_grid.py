@@ -57,7 +57,7 @@ def _grid_triples():
                                      torus_order_poly, weyl_fixed_order)
     for family in FAMILIES:
         datum = coxeter_datum(parse_type(family, RANKS.get(family)))
-        p = datum.sqrt_prime
+        p = datum.type.sqrt_prime
         qs = set(QS) | ({p, p ** 3, p ** 5, p ** 7} if p else set())
         for qsq in sorted(qs):
             try:
