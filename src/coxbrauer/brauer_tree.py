@@ -42,6 +42,17 @@ MAX_MULTIPLICITY = 2 ** 16
 # The most conjugacy classes, mu + |E|, of a group whose character table
 # the oracle builds: the table is dense, so it grows with the square.
 MAX_CLASSES = 2 ** 10
+# The most cells of a dense report, a matrix or grid of one or more cells
+# per pair of edges, refused before it is built: the largest power of two
+# at which the largest report each command accepts fits in 1 GiB.
+MAX_REPORT_CELLS = 2 ** 26
+
+
+def check_report_cells(report: str, cells: int):
+    """Refuse a dense report of more than MAX_REPORT_CELLS cells."""
+    if cells > MAX_REPORT_CELLS:
+        raise ValueError(f"the {report} would have {cells} cells, more than "
+                         f"the {MAX_REPORT_CELLS} supported")
 
 
 class InvalidSeries(ValueError):
@@ -338,11 +349,6 @@ class DecompositionMatrix:
     matrix: tuple[tuple[int, ...], ...]
     heights: tuple[int, ...]              # height of each column edge
 
-    def collapsed(self) -> tuple[tuple[int, ...], ...]:
-        """Matrix with the identical exceptional rows collapsed to one."""
-        n_chi = sum(1 for kind, _ in self.row_labels if kind == "chi")
-        return self.matrix[:n_chi + 1]
-
 
 def decomposition_matrix(tree: PlanarBrauerTree) -> DecompositionMatrix:
     # edges, characters and their indices are all 0..h0-1
@@ -354,14 +360,17 @@ def decomposition_matrix(tree: PlanarBrauerTree) -> DecompositionMatrix:
     for e in tree.edges:
         for end in e.ends:
             (exc_row if end == EXC else mat[end])[e.index] = 1
-    rows = tuple(map(tuple, mat)) + (tuple(exc_row),) * tree.multiplicity
+    # each row becomes a tuple in place, so that one copy is held at a time
+    for k, row in enumerate(mat):
+        mat[k] = tuple(row)
+    rows = tuple(mat) + (tuple(exc_row),) * tree.multiplicity
     heights = tuple(height(tree, j) for j in cols)
-    d = DecompositionMatrix(tuple(chi_rows + exc_rows), cols, rows, heights)
-    for j, total in zip(cols, map(sum, zip(*d.collapsed()))):
+    # the mu exceptional rows are one row repeated, counted once
+    for j, total in zip(cols, map(sum, zip(*rows[:len(chi_rows) + 1]))):
         if total != 2:
             raise InvalidDecomposition(f"projective P_{j} has {total} ordinary "
                                        f"constituents, not two")
-    return d
+    return DecompositionMatrix(tuple(chi_rows + exc_rows), cols, rows, heights)
 
 
 def cartan_matrix(d: DecompositionMatrix) -> tuple[tuple[int, ...], ...]:
@@ -374,7 +383,10 @@ def cartan_matrix(d: DecompositionMatrix) -> tuple[tuple[int, ...], ...]:
             out_a = out[a]
             for b, y in nonzero:
                 out_a[b] += x * y
-    return tuple(map(tuple, out))
+    # in place, as in decomposition_matrix: one copy is held at a time
+    for k, row in enumerate(out):
+        out[k] = tuple(row)
+    return tuple(out)
 
 
 def height(tree: PlanarBrauerTree, j: int) -> int:

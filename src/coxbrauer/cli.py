@@ -377,6 +377,9 @@ def _cmd_tree(args) -> int:
 
 def _cmd_decmatrix(args) -> int:
     tree = _load_tree(args)
+    # the matrix, h0 + mu rows of h0, and the h0 x h0 Cartan matrix
+    bt.check_report_cells("decmatrix report",
+                          (2 * tree.h0 + tree.multiplicity) * tree.h0)
     d = bt.decomposition_matrix(tree)
     ok, order = bt.check_unitriangular(d)
     _emit({
@@ -392,6 +395,7 @@ def _cmd_decmatrix(args) -> int:
 
 def _cmd_algebra(args) -> int:
     tree = _load_tree(args)
+    bt.check_report_cells("algebra report", 2 * tree.h0 ** 2)   # cartan, ext1
     alg = ta.from_tree(tree, _field_for(tree, args))
     report = {
         "dimension": alg.dim,
@@ -410,6 +414,8 @@ def _cmd_rickard(args) -> int:
     if args.vertex not in tree.edge_indices():
         raise _UsageError(f"vertex {args.vertex} out of range "
                           f"0..{tree.h0 - 1}")
+    if args.check_tilting:
+        bt.check_report_cells("End grid of the tilting check", tree.h0 ** 2)
     alg = ta.from_tree(tree, _field_for(tree, args))
     cx = ho.rickard_complex(alg, tree, args.vertex)
     coh = ho.cohomology(cx)
@@ -443,16 +449,17 @@ def _cmd_rickard(args) -> int:
 
 def _cmd_star(args) -> int:
     tree = bt.star_tree(args.d, args.e, args.n)
-    d = bt.decomposition_matrix(tree)
-    report = {"tree": bt.tree_to_obj(tree),
-              "decomposition": [list(r) for r in d.matrix],
+    bt.check_report_cells("star decomposition matrix",
+                          (tree.h0 + tree.multiplicity) * tree.h0)
+    tree_d = bt.decomposition_matrix(tree).matrix
+    report = {"tree": bt.tree_to_obj(tree), "decomposition": tree_d,
               "oracle": None, "match": None}
     code = EXIT_OK
     if args.verify:
         oracle_d = orc.brute_decomposition_matrix(tree.star)
-        report["oracle"] = [list(r) for r in oracle_d]
+        report["oracle"] = oracle_d
         try:
-            report["match"] = orc.verify_star(tree, tree.star, oracle_d)
+            report["match"] = orc.verify_star(tree, tree.star, oracle_d, tree_d)
         except orc.Mismatch as exc:
             report["match"] = False
             report["mismatch"] = str(exc)

@@ -9,10 +9,10 @@ Schur complements of trimming, one forward sweep of Gaussian elimination
 of contractible summands, and the change of basis that hides padded ones.
 Built on this: total Hom complexes, the only place where complexes become
 sparse scalar matrices over F_ell, and their cohomology, read off the row
-rank profile of each boundary for every pair of top-truncations at once;
-the cohomology of a complex, read off the Hom complexes out of the stalk
-projectives; its Euler character, the signed sum of decomposition-matrix
-columns; the branch-walking complex attached to each tree edge, each
+rank profile of each boundary for one pair of top-truncations at a time;
+the cohomology of a complex, read off one Hom complex out of a stalk of
+projectives; its Euler character, the signed sum of the ends of the edges
+of its terms; the branch-walking complex attached to each tree edge, each
 boundary an arrow read off the algebra's (node, source) table; and the
 tilting verification for their direct sum (Hom vanishing off degree zero,
 generation, and the degree-zero Hom grid being the Cartan matrix of the
@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 
 from . import linalg
-from .brauer_tree import PlanarBrauerTree, decomposition_matrix, height, perversity
+from .brauer_tree import EXC, PlanarBrauerTree, height, perversity
 from .tree_algebra import Path, TreeAlgebra
 
 
@@ -185,18 +185,27 @@ def rickard_complex(alg: TreeAlgebra, tree: PlanarBrauerTree, j: int) -> ProjCom
 def cohomology(cx: ProjComplex) -> dict[int, Counter]:
     """Per-degree composition multisets of the cohomology modules.
 
-    The multiplicity of S_v in H^d(C) is dim Hom_K(P_v, C[d]), the degree-d
-    cohomology of the Hom complex out of the stalk complex P_v; its grade-v
-    basis and boundary matrices are those of C, each ranked once over F_ell.
+    The multiplicity of S_v in H^d(C) is dim Hom_K(P_v, C[d]), which is 0
+    unless some term of C has a path to v.  One Hom complex out of the
+    stalk of those P_v answers every v: the stalk has no boundary, so
+    D(f) = d o f keeps the source summand of each basis map f.  D is block
+    diagonal by source summand, a row is independent of the rows above it
+    exactly when it is so within its block, and the rank of the block of
+    P_v is the number of profile pairs whose row maps out of P_v.
     """
     alg = cx.alg
+    stalk = sorted({v for term in cx.terms for w in term for v, _ in alg.paths_out[w]})
+    hc = HomComplex(ProjComplex(alg, 0, [stalk]), cx)
+    summand = itemgetter(2)
     out: dict[int, Counter] = {}
-    for v in alg.vertices:
-        hc = HomComplex(ProjComplex(alg, 0, [[v]]), cx)
-        for d, h in hc.all_cohomology().items():
-            if h:
-                out.setdefault(d, Counter())[v] = h
-    return dict(sorted(out.items()))
+    for n, b in hc.basis.items():
+        dims = Counter(map(summand, b))
+        rank_out = Counter(summand(b[row]) for row, _ in hc.profile(n))
+        rank_in = Counter(summand(hc.basis[n - 1][row]) for row, _ in hc.profile(n - 1))
+        for s in sorted(dims):
+            if h := _cohomology_dim(n, dims[s], rank_out[s], rank_in[s]):
+                out.setdefault(n, Counter())[stalk[s]] = h
+    return out
 
 
 def euler_character(tree: PlanarBrauerTree,
@@ -204,15 +213,14 @@ def euler_character(tree: PlanarBrauerTree,
     """Alternating sum of the term characters, with signs relative to degree
     r, as (chi_0 .. chi_(h0-1) coefficients, exceptional coefficient).
 
-    [P_v] is column v of the decomposition matrix with its identical
-    exceptional rows collapsed to one."""
-    rows = decomposition_matrix(tree).collapsed()
-    total = [0] * len(rows)
+    [P_v] is the sum of the two ends of the edge S_v: chi_k for the vertex
+    k, the exceptional character for the exceptional node."""
+    total = [0] * (tree.h0 + 1)     # the exceptional coefficient comes last
     for d in cx.degrees():
         sign = -1 if (d - tree.r) % 2 else 1
         for v in cx.term(d):
-            for k, row in enumerate(rows):
-                total[k] += sign * row[v]
+            for end in tree.edge(v).ends:
+                total[-1 if end == EXC else end] += sign
     return tuple(total[:-1]), total[-1]
 
 
@@ -398,10 +406,11 @@ class HomComplex:
         """H^n for every degree where Hom^n is not empty (elsewhere it is 0)."""
         return {n: self.cohomology_dim(n) for n, b in self.basis.items() if b}
 
-    def truncated_cohomology(self, his1, his2) -> dict[tuple[int, int], dict[int, int]]:
-        """{(h1, h2): {n: dim H^n}} for the Hom complex of C1 truncated to
-        degrees <= h1 and C2 truncated to degrees <= h2, for every h1 in
-        his1 and h2 in his2, over the degrees where that Hom^n is not empty.
+    def truncated_cohomology(self, members1, members2):
+        """Yield (a, b, {n: dim H^n}) for each (a, h1) in members1 and
+        (b, h2) in members2, one pair at a time: the Hom complex of C1
+        truncated to degrees <= h1 and C2 truncated to degrees <= h2, over
+        the degrees where that Hom^n is not empty.
 
         Its Hom^n is spanned by the basis maps of C1-degree <= h1 and
         C2-degree <= h2, a prefix of basis[n].  Its D is this D projected
@@ -410,32 +419,36 @@ class HomComplex:
         meets no target of higher C1-degree, so rank D is the number of
         profile pairs whose row has C1-degree <= h1 and whose column has
         C2-degree <= h2: with the leading columns of those rows sorted once
-        per h1, a bisection per degree for each h2.
+        per h1, a bisection per degree for each pair.  The prefixes cut by
+        each h2 are found once, before the first h1.
         """
-        basis, c1_degree, lead = self.basis, itemgetter(0), itemgetter(1)
+        basis, lead = self.basis, itemgetter(1)
+
+        def upto(n: int, h: int) -> int:
+            """The length of the prefix of basis[n] of C1-degree <= h."""
+            return bisect_right(basis[n], h, key=itemgetter(0))
+
         degrees = [n for n, b in basis.items() if b]
         profiles = {m: self.profile(m) for m in degrees if self.dim(m + 1)}
-        out: dict[tuple[int, int], dict[int, int]] = {}
-        for h1 in his1:
-            cols: dict[int, list[int]] = {}
-            for m, prof in profiles.items():
-                # the profile is in row order, so the pivot rows of
-                # C1-degree <= h1 are a prefix of it: (end,) sorts before
-                # every pair of row end
-                end = bisect_right(basis[m], h1, key=c1_degree)
-                cols[m] = sorted(map(lead, prof[:bisect_left(prof, (end,))]))
-            rows = [(n, bisect_right(basis[n], h1, key=c1_degree)) for n in degrees]
-            for h2 in his2:
-                rank = {m: bisect_left(c, bisect_right(basis[m + 1], h2 - m - 1,
-                                                       key=c1_degree))
-                        for m, c in cols.items()}
-                coh = out[h1, h2] = {}
-                for n, upto_h1 in rows:
-                    d = min(upto_h1, bisect_right(basis[n], h2 - n, key=c1_degree))
-                    if d:
+        # per h2: the prefix of each basis[n], and the column bound of each
+        # profile, of C2-degree <= h2
+        cuts = [(b, [upto(n, h2 - n) for n in degrees],
+                 {m: upto(m + 1, h2 - m - 1) for m in profiles}) for b, h2 in members2]
+        for a, h1 in members1:
+            # the profile is in row order, so the pivot rows of C1-degree
+            # <= h1 are a prefix of it: with end the first row past them,
+            # (end,) sorts before every pair of row end
+            cols = {m: sorted(map(lead, prof[:bisect_left(prof, (upto(m, h1),))]))
+                    for m, prof in profiles.items()}
+            rows = [upto(n, h1) for n in degrees]
+            for b, rows2, col_ends in cuts:
+                rank = {m: bisect_left(c, col_ends[m]) for m, c in cols.items()}
+                coh = {}
+                for n, d1, d2 in zip(degrees, rows, rows2):
+                    if d := min(d1, d2):
                         coh[n] = _cohomology_dim(n, d, rank.get(n, 0),
                                                  rank.get(n - 1, 0))
-        return out
+                yield a, b, coh
 
 
 def homotopy_hom(cx1: ProjComplex, cx2: ProjComplex, i: int) -> int:
@@ -455,9 +468,11 @@ class TiltingReport:
     generation_ok: bool
     labels: list[int]                               # the complexes, in order
     end_grid: list[list[int]]           # dim Hom_K(C_a, C_b) in degree 0
-    expected_end_grid: list[list[int]]  # mu + delta_ab: the star Cartan matrix
-    hom_dims: list[tuple[int, int, int, int]]       # (j, j', n, dim) wherever
-                                                    # Hom^n is not empty
+    # built only for a failed check, which is the only report printing them:
+    # mu + delta_ab, the star Cartan matrix, and (j, j', n, dim) wherever
+    # Hom^n is not empty
+    expected_end_grid: list[list[int]] | None = None
+    hom_dims: list[tuple[int, int, int, int]] | None = None
 
     def summary(self) -> str:
         if self.ok:
@@ -525,30 +540,37 @@ def check_tilting(alg: TreeAlgebra, tree: PlanarBrauerTree,
         runs = [(cx, [(k, cx.hi)]) for k, cx in enumerate(complexes)]
     size = sum(len(members) for _, members in runs)
     labels = list(alg.vertices[:size])
+
+    def pairs():
+        for top_a, members_a in runs:
+            for top_b, members_b in runs:
+                yield from HomComplex(top_a, top_b).truncated_cohomology(
+                    members_a, members_b)
+
     grid = [[0] * size for _ in range(size)]
-    hom_dims: list[tuple[int, int, int, int]] = []
-    for top_a, members_a in runs:
-        for top_b, members_b in runs:
-            table = HomComplex(top_a, top_b).truncated_cohomology(
-                [h for _, h in members_a], [h for _, h in members_b])
-            for a, h1 in members_a:
-                for b, h2 in members_b:
-                    coh = table[h1, h2]
-                    grid[a][b] = coh.get(0, 0)
-                    hom_dims += [(labels[a], labels[b], n, h) for n, h in coh.items()]
+    failures = []
+    for a, b, coh in pairs():
+        grid[a][b] = coh.get(0, 0)
+        for n, h in coh.items():
+            if n and h:
+                failures.append((labels[a], labels[b], n, h))
     # labels ascend with position, so this is (position, position, n) order
-    hom_dims.sort()
-    failures = [x for x in hom_dims if x[2] and x[3]]
+    failures.sort()
     covered = {v for top, _ in runs for term in top.terms for v in term}
     generation_ok = covered == set(alg.vertices)
-    expected_grid = star_cartan(size, tree.multiplicity)
-    end_dim = sum(map(sum, grid))
-    expected = star_algebra_dimension(tree.h0, tree.multiplicity)
+    mu, end_dim = tree.multiplicity, sum(map(sum, grid))
+    expected = star_algebra_dimension(tree.h0, mu)
+    # the grid is the star Cartan matrix when each row a holds mu + 1 at a
+    # and mu in its size - 1 other cells
     ok = (not failures and generation_ok and end_dim == expected
-          and not end_grid_mismatches(labels, grid, expected_grid))
-    report = TiltingReport(ok, end_dim, expected, failures, generation_ok,
-                           labels, grid, expected_grid, hom_dims)
+          and all(row[a] == mu + 1 and row.count(mu) == size - 1
+                  for a, row in enumerate(grid)))
+    report = TiltingReport(ok, end_dim, expected, failures, generation_ok, labels, grid)
     if not ok:
+        # the pairs are read a second time for the data only a failure prints
+        report.expected_end_grid = star_cartan(size, mu)
+        report.hom_dims = sorted((labels[a], labels[b], n, h)
+                                 for a, b, coh in pairs() for n, h in coh.items())
         raise TiltingFailure(report)
     return report
 

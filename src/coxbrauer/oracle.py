@@ -27,8 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .brauer_tree import (MAX_CLASSES, MetacyclicGroup, PlanarBrauerTree,
-                          decomposition_matrix)
+from .brauer_tree import MAX_CLASSES, MetacyclicGroup, PlanarBrauerTree
 from .cyclotomic import power_basis
 from .ell_arith import TruncatedPadic
 from .numtheory import euler_phi, has_order
@@ -248,10 +247,12 @@ def _reduce_value(val: dict[int, int], g: MetacyclicGroup,
 
 
 def verify_star(tree: PlanarBrauerTree, g: MetacyclicGroup,
-                oracle_d: tuple[tuple[int, ...], ...]) -> bool:
+                oracle_d: tuple[tuple[int, ...], ...],
+                tree_d: tuple[tuple[int, ...], ...]) -> bool:
     """Cell-exact comparison of the star tree against the oracle.
 
-    oracle_d is brute_decomposition_matrix(g), computed once by the caller.
+    oracle_d is brute_decomposition_matrix(g) and tree_d is
+    decomposition_matrix(tree).matrix, each computed once by the caller.
     The tree must be the star tree of g itself: the group fixes the Hensel
     lift that numbers eta on both sides, so rows and columns must agree
     literally, not up to permutation.
@@ -260,7 +261,6 @@ def verify_star(tree: PlanarBrauerTree, g: MetacyclicGroup,
         raise Mismatch("tree carries no star metadata")
     if tree.star != g:
         raise Mismatch(f"star parameters differ: tree {tree.star}, group {g}")
-    tree_d = decomposition_matrix(tree).matrix
     tree_shape = (len(tree_d), len(tree_d[0]) if tree_d else 0)
     oracle_shape = (len(oracle_d), len(oracle_d[0]) if oracle_d else 0)
     if tree_shape != oracle_shape:

@@ -161,7 +161,8 @@ def check_star_oracle() -> tuple[bool, str]:
     for d, e, n in [(7, 3, 2), (7, 3, 4), (49, 3, 18)]:
         g = orc.MetacyclicGroup(d, e, n)
         oracle[d, e, n] = orc.brute_decomposition_matrix(g)
-        orc.verify_star(bt.star_tree(d, e, n), g, oracle[d, e, n])
+        tree = bt.star_tree(d, e, n)
+        orc.verify_star(tree, g, oracle[d, e, n], bt.decomposition_matrix(tree).matrix)
     want = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 1, 1))
     ok = oracle[7, 3, 2] == want
     return ok, "verify_star cell-exact on (7,3,2), (7,3,4), (49,3,18)"

@@ -181,9 +181,10 @@ def test_decomposition_matrix_rows():
     # the edge at the exceptional node has chi_m and all mu exceptional rows
     col0 = [row[0] for row in d.matrix]
     assert col0 == [1, 0, 0, 0, 0, 0, 1, 1, 1]
-    coll = d.collapsed()
-    assert coll == d.matrix[:7]
-    assert [sum(col) for col in zip(*coll)] == [2] * 6
+    # the mu exceptional rows are one row; with it counted once, every
+    # projective has two ordinary constituents
+    assert d.matrix[6] == d.matrix[7] == d.matrix[8]
+    assert [sum(col) for col in zip(*d.matrix[:7])] == [2] * 6
 
 
 def test_cartan_examples():

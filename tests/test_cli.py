@@ -459,3 +459,105 @@ def test_the_edge_bound_is_inclusive():
     assert bt.MetacyclicGroup(65537, 1, 1).d_order == 65537
     with pytest.raises(bt.BadAction, match="= 131070 is more than the 65536"):
         bt.MetacyclicGroup(131071, 1, 1)
+
+
+def _child(script, *argv):
+    """A python child running `script` on argv, with this checkout's src
+    first on its path."""
+    import os
+    import subprocess
+    import sys
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", script, *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+# _TIMED_MAIN with the child's files capped at 1 MiB too: a report that got
+# through would end the child, not fill the disk
+_TIMED_MAIN_SMALL_FILES = _TIMED_MAIN.replace(
+    "from coxbrauer",
+    "resource.setrlimit(resource.RLIMIT_FSIZE, (1 << 20, 1 << 20))\nfrom coxbrauer")
+
+
+@pytest.mark.parametrize("argv, cells", [
+    (["decmatrix", "--fixture", "line8192"], (2 * 8192 + 1) * 8192),
+    (["algebra", "--fixture", "line8192"], 2 * 8192 ** 2),
+    (["star", "--d", "65537", "--e", "65536", "--n", "3"], 65537 * 65536),
+    (["decmatrix", "--fixture", "line4096", "--mu", "65536"],
+     (2 * 4096 + 65536) * 4096),
+    (["rickard", "--fixture", "line65536", "--vertex", "3", "--check-tilting"],
+     65536 ** 2),
+], ids=["decmatrix", "algebra", "star", "decmatrix-mu", "tilting"])
+def test_dense_reports_are_refused_before_they_are_built(argv, cells, tmp_path):
+    """Each report would hold more than MAX_REPORT_CELLS = 2^26 cells; the
+    refusal comes from (h0, mu) or (|E|, mu), before the matrix or grid.
+    A report that got through would go to a file, not into this process."""
+    out = tmp_path / "report.json"
+    proc = _child(_TIMED_MAIN_SMALL_FILES, *argv, "--out", str(out))
+    err, seconds = proc.stderr.rsplit("seconds ", 1)
+    report = {"decmatrix": "decmatrix report", "algebra": "algebra report",
+              "star": "star decomposition matrix",
+              "rickard": "End grid of the tilting check"}[argv[0]]
+    assert proc.returncode == 1 and proc.stdout == "" and not out.exists()
+    assert err == (f"error: the {report} would have {cells} cells, more than "
+                   f"the 67108864 supported\n")
+    assert float(seconds) < 1.0
+
+
+@pytest.mark.parametrize("argv, cells", [
+    (["decmatrix", "--fixture", "line3", "--mu", "2"], (2 * 3 + 2) * 3),
+    (["algebra", "--fixture", "line3"], 2 * 3 ** 2),
+    (["star", "--d", "7", "--e", "3", "--n", "2"], (3 + 2) * 3),
+    (["rickard", "--fixture", "line3", "--vertex", "1", "--check-tilting"], 3 ** 2),
+], ids=["decmatrix", "algebra", "star", "tilting"])
+def test_the_report_cell_bound_is_inclusive(argv, cells, capsys, monkeypatch):
+    from coxbrauer import brauer_tree as bt
+    assert bt.MAX_REPORT_CELLS == 2 ** 26
+    bt.check_report_cells("report", bt.MAX_REPORT_CELLS)
+    with pytest.raises(ValueError, match="would have 67108865 cells, more than"):
+        bt.check_report_cells("report", bt.MAX_REPORT_CELLS + 1)
+    # each command counts its report exactly: at the bound it is accepted,
+    # one cell more and it is refused
+    monkeypatch.setattr(bt, "MAX_REPORT_CELLS", cells)
+    assert run(capsys, *argv)[0] == 0
+    monkeypatch.setattr(bt, "MAX_REPORT_CELLS", cells - 1)
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert f"would have {cells} cells, more than the {cells - 1} supported" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["rickard", "--fixture", "line65536", "--vertex", "3"],
+    ["rickard", "--fixture", "line8192", "--vertex", "8000"],
+], ids=["line65536", "line8192"])
+def test_long_line_complexes_are_reported_in_bounded_memory(argv):
+    """Without the tilting check the report is the complex of one vertex:
+    its Euler character is read off the edge ends and its cohomology off
+    one Hom complex, so nothing grows with h0^2."""
+    proc = _child(_TIMED_MAIN, *argv)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["degrees"] == list(range(1, int(argv[-1]) + 2))
+    assert float(proc.stderr.rsplit("seconds ", 1)[1]) < 3.0
+
+
+# a wrapper whose only child is one cli run: RUSAGE_CHILDREN is that run's
+_CHILD_MAX_RSS = """
+import resource, subprocess, sys
+proc = subprocess.run([sys.executable, "-m", "coxbrauer.cli", *sys.argv[1:]],
+                      stdout=subprocess.DEVNULL)
+print(proc.returncode, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+
+
+def test_passing_tilting_check_holds_no_per_pair_data():
+    """line400 has 160,000 member pairs; they are streamed into the End
+    grid, so the run stays far below the 112 MB that per-pair tables took."""
+    proc = _child(_CHILD_MAX_RSS, "rickard", "--fixture", "line400", "--mu", "1",
+                  "--field", "31", "--vertex", "3", "--check-tilting")
+    code, max_rss_kb = map(int, proc.stdout.split())
+    assert code == 0
+    assert max_rss_kb < 60 * 1024

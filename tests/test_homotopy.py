@@ -91,6 +91,44 @@ def test_cohomology_single_term():
     assert coh == {0: Counter(alg.target(p) for p in alg.paths if p.src == 0)}
 
 
+def _per_vertex_cohomology(cx):
+    """The cohomology read off one stalk Hom complex per vertex of the
+    algebra, as cohomology once did."""
+    out = {}
+    for v in cx.alg.vertices:
+        hc = ho.HomComplex(ho.ProjComplex(cx.alg, 0, [[v]]), cx)
+        for d, h in hc.all_cohomology().items():
+            if h:
+                out.setdefault(d, Counter())[v] = h
+    return dict(sorted(out.items()))
+
+
+def test_cohomology_matches_the_per_vertex_stalk_hom_complexes():
+    """cohomology reads every S_v off one Hom complex out of a stalk of
+    several projectives, block diagonal by source summand; each block must
+    give what the stalk P_v alone gives, on canonical, padded-and-mixed
+    and zero-boundary complexes and on direct sums of branch complexes."""
+    rng = random.Random(65537)
+    cases = [(line(h0, mu, ell=31)[0], 31) for h0, mu in ((6, 1), (4, 3))]
+    cases += [(tree, 31) for tree in random_trees(12, seed=1729)]
+    cases += [(ree()[0], 19), (bt.star_tree(7, 3, 2), 7)]
+    kinds = Counter()
+    for tree, ell in cases:
+        alg = ta.from_tree(tree, ell)
+        branch = [ho.rickard_complex(alg, tree, j) for j in alg.vertices]
+        for cx in branch:
+            for kind, c in (("canonical", cx),
+                            ("padded", _padded_mixed(cx, rng, rng.randint(1, 3))),
+                            ("zero", ho.ProjComplex(alg, cx.lo, cx.terms))):
+                got = ho.cohomology(c)
+                assert got == _per_vertex_cohomology(c)
+                assert all(list(counts) == sorted(counts) for counts in got.values())
+                kinds[kind] += bool(got)
+        total = ho.direct_sum(rng.sample(branch, min(3, len(branch))))
+        assert ho.cohomology(total) == _per_vertex_cohomology(total)
+    assert all(kinds[k] for k in ("canonical", "padded", "zero"))
+
+
 def test_identity_complex_acyclic():
     _, alg = line(2, 1)
     cc = ho.contractible_complex(alg, 4, 1)
@@ -350,13 +388,12 @@ def test_end_grid_is_the_star_cartan_matrix():
         alg = ta.from_tree(tree, 31)
         rep = ho.check_tilting(alg, tree)
         mu = tree.multiplicity
-        assert rep.end_grid == rep.expected_end_grid == [
+        assert rep.end_grid == ho.star_cartan(tree.h0, mu) == [
             [mu + (a == b) for b in range(tree.h0)] for a in range(tree.h0)]
         assert rep.labels == sorted(alg.vertices)
-        # every (j, j', n) with a nonempty Hom^n, zero off degree 0
-        assert {(j, jp) for j, jp, _, _ in rep.hom_dims} == \
-            {(j, jp) for j in rep.labels for jp in rep.labels}
-        assert all(h == 0 for _, _, n, h in rep.hom_dims if n)
+        # a passing check holds no per-pair data beyond the End grid: the
+        # expected grid and every Hom^n are built for a failure only
+        assert rep.expected_end_grid is None and rep.hom_dims is None
     tree, alg = ree()
     rep = ho.check_tilting(alg, tree)
     assert rep.end_grid == ho.star_cartan(6, 3)
@@ -382,19 +419,15 @@ def test_end_grid_negative_control_keeps_the_total():
 
 def test_end_grid_sabotage_is_caught_by_check_tilting(monkeypatch):
     # the same swap, injected into the degree-0 cohomology of two pairs as
-    # the one Hom complex of the branch chain reads them out; the line's
-    # branch complexes are told apart by their top degree
+    # the Hom complexes of the supplied family stream them out
     tree, alg = line(3, 1)
     fam = [ho.rickard_complex(alg, tree, j) for j in range(3)]
-    tops = [cx.hi for cx in fam]
     real = ho.HomComplex.truncated_cohomology
 
-    def swapped(self, his1, his2):
-        out = real(self, his1, his2)
-        for (h1, h2), coh in out.items():
-            pair = (tops.index(h1), tops.index(h2))
-            coh[0] += {(1, 1): -1, (1, 2): 1}.get(pair, 0)
-        return out
+    def swapped(self, members1, members2):
+        for a, b, coh in real(self, members1, members2):
+            coh[0] += {(1, 1): -1, (1, 2): 1}.get((a, b), 0)
+            yield a, b, coh
 
     monkeypatch.setattr(ho.HomComplex, "truncated_cohomology", swapped)
     with pytest.raises(ho.TiltingFailure) as err:
@@ -560,12 +593,14 @@ def test_tilting_work_counters_line16(monkeypatch):
         code = cli.main(["rickard", "--fixture", "line16", "--mu", "1",
                          "--field", "31", "--vertex", "3", "--check-tilting"])
     assert code == 0
-    # one Hom complex for the line's branch chain, one per stalk P_v for
-    # the cohomology of the complex reported; per-pair Hom complexes took
-    # 272 constructions, 486 kernel calls, 46,252 cells and 5,727 basis maps
-    assert counts["hom"] == 1 + 16
-    assert counts["rref"] == 8
-    assert counts["cells"] == 972
+    # one Hom complex for the line's branch chain, and one out of a stalk of
+    # projectives for the cohomology of the complex reported; per-pair Hom
+    # complexes took 272 constructions, 486 kernel calls, 46,252 cells and
+    # 5,727 basis maps, and one stalk per vertex 1 + 16 Hom complexes, 8
+    # kernel calls and 972 cells
+    assert counts["hom"] == 1 + 1
+    assert counts["rref"] == 5
+    assert counts["cells"] == 1004
     assert counts["basis"] == 77
     # elt_mul serves only the d^2 = 0 checks of the complexes themselves
     assert counts["elt_mul_in_hom"] == 0 and counts["elt_mul"] > 0
@@ -689,12 +724,23 @@ def _rewritten(fam, rewrite, rng):
     return fam
 
 
-def test_chain_read_out_matches_per_pair_hom_complexes():
+def test_chain_read_out_matches_per_pair_hom_complexes(monkeypatch):
     """check_tilting reads each pair of the canonical family off the Hom
     complex of the tops of two branches, and each pair of a supplied family
-    off the Hom complex of the two complexes; every pair must get what its
-    own Hom complex gives."""
+    off the Hom complex of the two complexes; every pair, streamed once per
+    reading, must get what its own Hom complex gives, and a failure's
+    hom_dims, read in a second pass, must list them all."""
+    streamed = []
+    real = ho.HomComplex.truncated_cohomology
+
+    def spy(self, members1, members2):
+        for a, b, coh in real(self, members1, members2):
+            streamed.append((a, b, dict(coh)))
+            yield a, b, coh
+
+    monkeypatch.setattr(ho.HomComplex, "truncated_cohomology", spy)
     rng = random.Random(4099)
+    outcomes = Counter()
     cases = [(line(h0, mu, ell=31)[0], 31) for h0, mu in ((5, 1), (4, 2))]
     cases += [(tree, 31) for tree in random_trees(10, seed=2718)]
     cases.append((ree()[0], 19))
@@ -708,18 +754,31 @@ def test_chain_read_out_matches_per_pair_hom_complexes():
         families = [None] + [_rewritten(canonical, rewrite, rng)
                              for rewrite in ("shift", "pad", "shuffle", "zero")]
         for fam in families:
+            streamed.clear()
             try:
                 rep = ho.check_tilting(alg, tree, fam)
             except ho.TiltingFailure as err:
                 rep = err.report
             fam = fam or canonical
             want = _per_pair_hom_dims(fam, labels)
-            assert rep.hom_dims == want
+            size = len(labels)
+            readings = [streamed[k:k + size ** 2]
+                        for k in range(0, len(streamed), size ** 2)]
+            assert len(readings) == (1 if rep.ok else 2)
+            for reading in readings:
+                assert sorted((a, b) for a, b, _ in reading) == [
+                    (a, b) for a in range(size) for b in range(size)]
+                assert sorted((labels[a], labels[b], n, h) for a, b, coh in reading
+                              for n, h in coh.items()) == want
+            assert rep.hom_dims == (None if rep.ok else want)
             grid = {(a, b): h for a, b, n, h in want if n == 0}
             assert rep.end_grid == [[grid.get((a, b), 0) for b in labels]
                                     for a in labels]
-    # every tree has a branch of two or more edges, so chains are read out
+            outcomes[rep.ok] += 1
+    # every tree has a branch of two or more edges, so chains are read out;
+    # the canonical families pass and the shifted and zeroed ones fail
     assert chained == len(cases)
+    assert outcomes[True] >= len(cases) and outcomes[False] >= 2 * len(cases)
 
 
 # ---------------------------------------------------------------------------

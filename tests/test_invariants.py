@@ -208,6 +208,8 @@ bad = {
     "integral": lambda: root_data._angles_to_poly(
         [(1, Fraction(1, 3), Fraction(0))], None),
     "det": lambda: torus_with_angles([Fraction(1, 3), Fraction(1, 3)]),
+    "cells": lambda: bt.check_report_cells("decmatrix report",
+                                           bt.MAX_REPORT_CELLS + 1),
 }
 for name, run in bad.items():
     try:
@@ -224,7 +226,7 @@ def test_regime_datum_and_complex_guards_hold_under_optimize():
     assert [line.split()[:2] for line in lines] == [
         [name, "rejected:"] for name in
         ("collision", "root", "order", "ree", "angles", "sum", "hom",
-         "integral", "det")]
+         "integral", "det", "cells")]
     assert "collision" in lines[0]
     assert "h0-th root" in lines[1]
     assert "WrongOrder: q has order != h = 6 mod 3" in lines[2]
@@ -234,3 +236,4 @@ def test_regime_datum_and_complex_guards_hold_under_optimize():
     assert "different algebras" in lines[6]
     assert "non-rational cyclotomic residue" in lines[7]
     assert "non-unit leading torus coefficient" in lines[8]
+    assert "decmatrix report would have 67108865 cells" in lines[9]

@@ -216,8 +216,9 @@ def test_exceptional_count_matches_multiplicity():
 def test_verify_star_fixtures():
     for d, e, n in [(7, 3, 2), (7, 3, 4), (49, 3, 18)]:
         g = orc.MetacyclicGroup(d, e, n)
-        assert orc.verify_star(bt.star_tree(d, e, n), g,
-                               orc.brute_decomposition_matrix(g))
+        tree = bt.star_tree(d, e, n)
+        assert orc.verify_star(tree, g, orc.brute_decomposition_matrix(g),
+                               bt.decomposition_matrix(tree).matrix)
 
 
 def test_verify_star_rotated_numbering():
@@ -227,19 +228,21 @@ def test_verify_star_rotated_numbering():
     t4 = bt.star_tree(7, 3, 4)
     assert t2.star.zeta_lift() != t4.star.zeta_lift()
     g4 = orc.MetacyclicGroup(7, 3, 4)
-    assert orc.verify_star(t4, g4, orc.brute_decomposition_matrix(g4))
+    assert orc.verify_star(t4, g4, orc.brute_decomposition_matrix(g4),
+                           bt.decomposition_matrix(t4).matrix)
 
 
 def test_verify_star_reports_the_differing_cell():
     g = orc.MetacyclicGroup(7, 3, 2)
     d = [list(row) for row in orc.brute_decomposition_matrix(g)]
+    tree_d = bt.decomposition_matrix(bt.star_tree(7, 3, 2)).matrix
     d[4][1] = 0
     with pytest.raises(orc.Mismatch) as err:
-        orc.verify_star(bt.star_tree(7, 3, 2), g, tuple(map(tuple, d)))
+        orc.verify_star(bt.star_tree(7, 3, 2), g, tuple(map(tuple, d)), tree_d)
     assert err.value.cell == (4, 1)
     with pytest.raises(orc.Mismatch, match=r"shapes differ: tree \(5, 3\), "
                        r"oracle \(4, 3\)"):
-        orc.verify_star(bt.star_tree(7, 3, 2), g, tuple(map(tuple, d[:4])))
+        orc.verify_star(bt.star_tree(7, 3, 2), g, tuple(map(tuple, d[:4])), tree_d)
 
 
 def test_verify_star_mismatch():
@@ -247,8 +250,10 @@ def test_verify_star_mismatch():
     for g in (orc.MetacyclicGroup(7, 3, 4), orc.MetacyclicGroup(49, 3, 18)):
         with pytest.raises(orc.Mismatch, match=r"star parameters differ: tree "
                            r"MetacyclicGroup\(d_order=7, e_order=3, n=2,"):
-            orc.verify_star(tree, g, orc.brute_decomposition_matrix(g))
+            orc.verify_star(tree, g, orc.brute_decomposition_matrix(g),
+                            bt.decomposition_matrix(tree).matrix)
     line = bt.assemble_tree(bt.line_series(3), 2, 1)
     g = orc.MetacyclicGroup(7, 3, 2)
     with pytest.raises(orc.Mismatch, match="no star metadata"):
-        orc.verify_star(line, g, orc.brute_decomposition_matrix(g))
+        orc.verify_star(line, g, orc.brute_decomposition_matrix(g),
+                        bt.decomposition_matrix(line).matrix)
