@@ -168,32 +168,21 @@ class MetacyclicGroup:
 
 
 @dataclass(frozen=True)
-class ChiVertex:
-    index: int
-    label: str | None = None
-    a_chi: int | None = None
-    A_chi: int | None = None
-
-
-@dataclass(frozen=True)
-class Edge:
-    index: int
-    ends: tuple[object, object]   # vertex index or EXC
-
-
-@dataclass(frozen=True)
 class PlanarBrauerTree:
     """The branches of `series` glued at the exceptional node.
 
-    The series is the only stored shape: every edge, cyclic order and
-    height is read off the branch of an edge index in O(1).
+    The series is the only stored shape: every edge end, cyclic order and
+    height is read off the branch of an edge index in O(1).  `labels` and
+    `annotations` hold, sorted by vertex, only the (vertex, value) pairs
+    that were given.
     """
 
     h0: int
     r: int
     multiplicity: int
     series: SeriesDatum
-    vertices: tuple[ChiVertex, ...]
+    labels: tuple[tuple[int, str], ...] = ()
+    annotations: tuple[tuple[int, tuple[int, int]], ...] = ()
     star: MetacyclicGroup | None = None
 
     @cached_property
@@ -208,18 +197,23 @@ class PlanarBrauerTree:
         """The branch [m, M] holding edge j; KeyError for an unknown j."""
         return self.series.branches[self._place[j]]
 
+    @property
+    def edges(self) -> range:
+        """The edge indices, which are also the vertex indices."""
+        return range(self.h0)
+
+    def ends(self, j: int) -> tuple[object, int]:
+        """(EXC, j) when edge j starts its branch, else (j - 1, j);
+        KeyError for an unknown j."""
+        return (EXC, j) if j == self.branch_of(j).m else (j - 1, j)
+
     @cached_property
     def _exc_order(self) -> tuple[int, ...]:
         # the branch starts in increasing order: the successor rule
         # M + 1 mod h0 visits them so, as the branches partition 0..h0-1
         return tuple(b.m for b in self.series.branches)
 
-    @cached_property
-    def edges(self) -> tuple[Edge, ...]:
-        return tuple(Edge(j, (EXC, j) if j == b.m else (j - 1, j))
-                     for b in self.series.branches for j in range(b.m, b.M + 1))
-
-    def _order(self, node) -> tuple[int, ...]:
+    def cyclic_order_at(self, node) -> tuple[int, ...]:
         """The anticlockwise order at node: the branch starts at the
         exceptional node, (S_v, S_v+1) at an inner vertex and S_M alone at
         the last vertex of a branch; KeyError for an unknown node."""
@@ -228,47 +222,16 @@ class PlanarBrauerTree:
         last = self.branch_of(node).M
         return (node, node + 1) if node < last else (node,)
 
-    def _locate(self, node, j: int) -> tuple[tuple[int, ...], int]:
-        """The order at node and the place of edge j in it; ValueError for
-        an edge not at the node."""
-        order = self._order(node)
-        i = self._place.get(j, -1) if node == EXC else j - node
-        if not (0 <= i < len(order) and order[i] == j):
-            raise ValueError(f"edge {j} is not in the cyclic order at {node}")
-        return order, i
-
-    def cyclic_order_at(self, node) -> tuple[int, ...]:
-        return self._order(node)
-
-    def edges_at(self, node) -> list[int]:
-        try:
-            return list(self._order(node))
-        except KeyError:
-            return []
-
-    def edge(self, j: int) -> Edge:
-        if j not in self._place:
-            raise KeyError(j)
-        return self.edges[j]
-
-    def vertex(self, j: int) -> ChiVertex:
-        if j not in self._place:
-            raise KeyError(j)
-        return self.vertices[j]
-
-    def edge_indices(self) -> list[int]:
-        return list(range(self.h0))
-
     def node_multiplicity(self, node) -> int:
         return self.multiplicity if node == EXC else 1
 
-    def successor_at(self, node, j: int) -> int:
-        order, i = self._locate(node, j)
-        return order[(i + 1) % len(order)]
-
     def predecessor_at(self, node, j: int, steps: int = 1) -> int:
-        """The edge `steps` places clockwise of edge j at node."""
-        order, i = self._locate(node, j)
+        """The edge `steps` places clockwise of edge j at node; KeyError for
+        an unknown node, ValueError for an edge not at the node."""
+        order = self.cyclic_order_at(node)
+        i = self._place.get(j, -1) if node == EXC else j - node
+        if not (0 <= i < len(order) and order[i] == j):
+            raise ValueError(f"edge {j} is not in the cyclic order at {node}")
         return order[(i - steps) % len(order)]
 
 
@@ -296,14 +259,10 @@ def assemble_tree(series: SeriesDatum, mu: int, r: int,
     if mu > MAX_MULTIPLICITY:
         raise InvalidSeries(f"multiplicity = {mu} is more than the "
                             f"{MAX_MULTIPLICITY} supported")
-    labels = labels or {}
-    annotations = annotations or {}
-    vertices = tuple(
-        ChiVertex(j, labels.get(j),
-                  *(annotations.get(j) or (None, None)))
-        for j in range(series.h0))
     return PlanarBrauerTree(h0=series.h0, r=r, multiplicity=mu, series=series,
-                            vertices=vertices, star=star)
+                            labels=tuple(sorted((labels or {}).items())),
+                            annotations=tuple(sorted((annotations or {}).items())),
+                            star=star)
 
 
 def principal_block_tree(ctx: EllContext, series: SeriesDatum,
@@ -352,14 +311,14 @@ class DecompositionMatrix:
 
 def decomposition_matrix(tree: PlanarBrauerTree) -> DecompositionMatrix:
     # edges, characters and their indices are all 0..h0-1
-    cols = tuple(tree.edge_indices())
-    chi_rows = [("chi", v.index) for v in tree.vertices]
+    cols = tuple(tree.edges)
+    chi_rows = [("chi", j) for j in cols]
     exc_rows = [("exc", t) for t in range(tree.multiplicity)]
     mat = [[0] * len(cols) for _ in chi_rows]
     exc_row = [0] * len(cols)
-    for e in tree.edges:
-        for end in e.ends:
-            (exc_row if end == EXC else mat[end])[e.index] = 1
+    for j in cols:
+        for end in tree.ends(j):
+            (exc_row if end == EXC else mat[end])[j] = 1
     # each row becomes a tuple in place, so that one copy is held at a time
     for k, row in enumerate(mat):
         mat[k] = tuple(row)
@@ -430,13 +389,10 @@ def tree_to_obj(tree: PlanarBrauerTree) -> dict:
                      for b in tree.series.branches],
         "cyclic_order": list(tree.cyclic_order_at(EXC)),
     }
-    labels = {str(v.index): v.label for v in tree.vertices if v.label}
-    if labels:
-        obj["labels"] = labels
-    ann = {str(v.index): [v.a_chi, v.A_chi] for v in tree.vertices
-           if v.a_chi is not None}
-    if ann:
-        obj["annotations"] = ann
+    if tree.labels:
+        obj["labels"] = {str(j): label for j, label in tree.labels}
+    if tree.annotations:
+        obj["annotations"] = {str(j): list(a) for j, a in tree.annotations}
     if tree.star is not None:
         obj["star"] = _star_obj(tree.star)
     return obj
@@ -563,30 +519,23 @@ def from_json(text: str) -> PlanarBrauerTree:
 
 def to_dot(tree: PlanarBrauerTree) -> str:
     """Graphviz rendering; the `order` edge attribute is the position in
-    the anticlockwise cyclic order at the node written first."""
+    the anticlockwise cyclic order at the node written first.  Labels are
+    written as DOT strings, with backslash and double quote escaped."""
     lines = ["graph brauer_tree {", "  graph [ordering=out];"]
     lines.append(f'  exc [shape=doublecircle, label="exc ({tree.multiplicity})"];')
-    for v in tree.vertices:
-        label = v.label or f"chi{v.index}"
-        lines.append(f'  v{v.index} [shape=circle, label="{label}"];')
-    emitted = set()
-
-    def node_name(n):
-        return "exc" if n == EXC else f"v{n}"
-
+    labels = dict(tree.labels)
+    for j in tree.edges:
+        label = labels.get(j) or f"chi{j}"
+        label = label.replace("\\", "\\\\").replace('"', '\\"')
+        lines.append(f'  v{j} [shape=circle, label="{label}"];')
     for pos, j in enumerate(tree.cyclic_order_at(EXC)):
-        e = tree.edge(j)
-        other = e.ends[0] if e.ends[1] == EXC else e.ends[1]
-        lines.append(f'  exc -- {node_name(other)} [label="S{j}", order={pos}];')
-        emitted.add(j)
-    for e in tree.edges:
-        if e.index in emitted:
-            continue
-        # an edge off the exceptional node joins chi_(j-1) and chi_j
-        a, b = e.ends
-        order = tree.cyclic_order_at(a).index(e.index)
-        lines.append(f'  {node_name(a)} -- {node_name(b)} '
-                     f'[label="S{e.index}", order={order}];')
+        lines.append(f'  exc -- v{j} [label="S{j}", order={pos}];')
+    for j in tree.edges:
+        a = tree.ends(j)[0]
+        if a != EXC:
+            # an edge off the exceptional node joins chi_(j-1) and chi_j
+            order = tree.cyclic_order_at(a).index(j)
+            lines.append(f'  v{a} -- v{j} [label="S{j}", order={order}];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -626,12 +575,12 @@ def ree_tree(qsq: int = REE_QSQ, ell: int = REE_ELL) -> PlanarBrauerTree:
 
 
 def fixture_series(name: str) -> tuple[SeriesDatum, dict[int, str]]:
+    """The series and labels of a built-in fixture: 2g2, or lineN with
+    N >= 1; ValueError naming any other value."""
     key = name.lower()
     if key == "2g2":
         return _REE_SERIES, dict(_REE_LABELS)
-    if key.startswith("line") and key[4:].isdigit():
-        h0 = int(key[4:])
-        if h0 < 1:
-            raise KeyError(name)
-        return line_series(h0), {}
-    raise KeyError(name)
+    if key.startswith("line") and key[4:].isdecimal() and int(key[4:]) >= 1:
+        return line_series(int(key[4:])), {}
+    raise ValueError(f"unknown fixture {name!r}: expected 2g2, or lineN with "
+                     f"N >= 1")

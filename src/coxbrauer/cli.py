@@ -411,7 +411,7 @@ def _cmd_algebra(args) -> int:
 
 def _cmd_rickard(args) -> int:
     tree = _load_tree(args)
-    if args.vertex not in tree.edge_indices():
+    if args.vertex not in tree.edges:
         raise _UsageError(f"vertex {args.vertex} out of range "
                           f"0..{tree.h0 - 1}")
     if args.check_tilting:

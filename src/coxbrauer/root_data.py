@@ -47,6 +47,11 @@ _FIXED_RANK = {"E6": 6, "E7": 7, "E8": 8, "F4": 4, "G2": 2,
 
 _SUZUKI_REE_PRIME = {"2B2": 2, "2G2": 3, "2F4": 2}
 
+# The largest rank accepted: the largest power of two at which `info` of
+# each classical family A, B, D and 2A finishes within 60 s and 1 GiB (the
+# order polynomials have degree about rank^2).
+MAX_RANK = 2 ** 9
+
 _HALF = Fraction(1, 2)
 _E_DEGREES = {
     "E6": (2, 5, 6, 8, 9, 12),
@@ -71,6 +76,9 @@ class TwistedType:
         minimum = {"A": 1, "B": 2, "C": 2, "D": 4, "2A": 2, "2D": 4}.get(self.family)
         if minimum is not None and self.rank < minimum:
             raise UnsupportedType(f"{self.family} needs rank >= {minimum}")
+        if self.rank > MAX_RANK:
+            raise UnsupportedType(f"rank {self.rank} is more than the {MAX_RANK} "
+                                  f"supported")
 
     @property
     def name(self) -> str:

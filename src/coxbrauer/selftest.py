@@ -145,7 +145,7 @@ def check_hensel() -> tuple[bool, str]:
 def check_ree_tree() -> tuple[bool, str]:
     tree = bt.ree_tree()
     lengths = sorted(b.M - b.m + 1 for b in tree.series.branches)
-    ok = (len(tree.vertices) == 6
+    ok = (tree.h0 == 6
           and tree.multiplicity == 3
           and lengths == [1, 1, 1, 1, 2]
           and tree.cyclic_order_at(bt.EXC) == (0, 2, 3, 4, 5)
@@ -207,13 +207,11 @@ def line_trees():
 def _expected_ext(tree: bt.PlanarBrauerTree, i: int, j: int) -> int:
     """Planar successor relation read straight off the cyclic orders."""
     count = 0
-    for node in [bt.EXC] + [v.index for v in tree.vertices]:
-        edges = tree.edges_at(node)
-        if not edges:
+    for node in (bt.EXC, *tree.edges):
+        order = tree.cyclic_order_at(node)
+        if len(order) * tree.node_multiplicity(node) <= 1:
             continue
-        if len(edges) * tree.node_multiplicity(node) <= 1:
-            continue
-        if i in edges and j in edges and tree.successor_at(node, j) == i:
+        if i in order and j in order and order[(order.index(j) + 1) % len(order)] == i:
             count += 1
     return count
 

@@ -68,37 +68,33 @@ class TreeAlgebra:
             raise ValueError(f"field order {ell} is not prime")
         self.tree = tree
         self.ell = ell
-        self.vertices = tuple(tree.edge_indices())
-        # node -> length of its cycle of arrows (degree times multiplicity)
+        self.vertices = tuple(tree.edges)
+        # node -> length of its cycle of arrows (degree times multiplicity);
+        # every vertex is a node, as the end of the edge of its index
         self.cycle_length: dict[object, int] = {
             node: len(tree.cyclic_order_at(node)) * tree.node_multiplicity(node)
-            for node in {EXC} | {end for e in tree.edges for end in e.ends}}
+            for node in (EXC, *self.vertices)}
         self.degenerate = (len(self.vertices) == 1
                            and all(c == 1 for c in self.cycle_length.values()))
         self._check_star_label_field()
         self.paths = self._enumerate_paths()
         self.dim = len(self.paths)
-        # the arrows are the basis paths of length one: a step around a
-        # node, or the socle loop of a lone edge of multiplicity one
-        self.arrows = [p for p in self.paths if p.steps == 1
-                       or (self.degenerate and p.kind == _SOC)]
         # lookup tables: the target of every basis path (a cyclic path ends
-        # `steps` clockwise steps around its node), the basis paths from src
-        # to tgt in the order of self.paths, the same lists grouped by
-        # source as (tgt, paths) pairs, the arrows between two vertices, and
-        # the one arrow out of src around node (the socle loop's is None)
+        # `steps` clockwise steps around its node); per source, the basis
+        # paths to each target as (tgt, paths) pairs in the order of
+        # self.paths; and the arrows, the basis paths of length one, as the
+        # one arrow out of src around node: a step around the node, or the
+        # socle loop of a lone edge of multiplicity one (its node is None)
         self._targets = {p: (tree.predecessor_at(p.node, p.src, p.steps)
                              if p.kind == _CYC else p.src)
                          for p in self.paths}
-        self.paths_between: dict[tuple[int, int], list[Path]] = {}
+        by_target: dict[int, dict[int, list[Path]]] = {v: {} for v in self.vertices}
         for p in self.paths:
-            self.paths_between.setdefault((p.src, self._targets[p]), []).append(p)
+            by_target[p.src].setdefault(self._targets[p], []).append(p)
         self.paths_out: dict[int, list[tuple[int, list[Path]]]] = {
-            v: [] for v in self.vertices}
-        for (v, w), ps in self.paths_between.items():
-            self.paths_out[v].append((w, ps))
-        self.arrow_counts = Counter((a.src, self._targets[a]) for a in self.arrows)
-        self.arrow_at = {(a.node, a.src): a for a in self.arrows}
+            v: list(ps.items()) for v, ps in by_target.items()}
+        self.arrow_at = {(p.node, p.src): p for p in self.paths if p.steps == 1
+                         or (self.degenerate and p.kind == _SOC)}
 
     # -- construction -----------------------------------------------------
 
@@ -109,20 +105,17 @@ class TreeAlgebra:
                 f"F_{self.ell} has no primitive {star.e_order}-th roots of "
                 f"unity for the eigencharacter labels")
 
-    def _node_ends(self, edge: int):
-        return self.tree.edge(edge).ends
-
     def _enumerate_paths(self) -> list[Path]:
         paths: list[Path] = []
         for e in self.vertices:
             paths.append(Path(e, _ID))
-            for node in self._node_ends(e):
+            for node in self.tree.ends(e):
                 for t in range(1, self.cycle_length[node]):
                     paths.append(Path(e, _CYC, node, t))
             # one socle element per edge; in the doubly degenerate
             # single-edge multiplicity-one case it plays the loop arrow
             if self.degenerate or any(self.cycle_length[n] > 1
-                                      for n in self._node_ends(e)):
+                                      for n in self.tree.ends(e)):
                 paths.append(Path(e, _SOC))
         return paths
 
@@ -246,14 +239,15 @@ def hom_grid(alg: TreeAlgebra) -> list[list[int]]:
     """[dim Hom(P_i, P_j)] over the vertices 0..h0-1, from one pass over the
     path table: Hom(P_i, P_j) has a basis of the paths from j to i, each
     acting by left multiplication."""
-    return _vertex_grid(alg, (((i, j), len(ps))
-                              for (j, i), ps in alg.paths_between.items()))
+    return _vertex_grid(alg, (((i, j), len(ps)) for j, out in alg.paths_out.items()
+                              for i, ps in out))
 
 
 def ext1_grid(alg: TreeAlgebra) -> list[list[int]]:
     """[dim Ext^1(S_i, S_j)] over the vertices 0..h0-1: the number of quiver
     arrows from i to j."""
-    return _vertex_grid(alg, alg.arrow_counts.items())
+    return _vertex_grid(alg, Counter((a.src, alg._targets[a])
+                                     for a in alg.arrow_at.values()).items())
 
 
 def _vertex_grid(alg: TreeAlgebra, counts) -> list[list[int]]:

@@ -54,15 +54,14 @@ def test_non_integral_multiplicity():
 def test_single_branch_shape():
     tree = bt.principal_block_tree(a2_ctx(), bt.line_series(3))
     assert tree.multiplicity == 2 and tree.r == 2
-    assert [e.ends for e in tree.edges] == [(EXC, 0), (0, 1), (1, 2)]
+    assert [tree.ends(j) for j in tree.edges] == [(EXC, 0), (0, 1), (1, 2)]
     # edges at the exceptional node are exactly the branch starts
-    assert tree.edges_at(EXC) == [0]
     assert tree.cyclic_order_at(EXC) == (0,)
 
 
 def test_star_shape_and_order():
     tree = bt.star_tree(7, 3, 2)
-    assert [e.ends for e in tree.edges] == [(EXC, 0), (EXC, 1), (EXC, 2)]
+    assert [tree.ends(j) for j in tree.edges] == [(EXC, 0), (EXC, 1), (EXC, 2)]
     assert tree.cyclic_order_at(EXC) == (0, 1, 2)
     assert tree.multiplicity == 2
     zeta = tree.star.zeta_lift()
@@ -153,7 +152,7 @@ def test_successor_rule_cycle():
         order = tree.cyclic_order_at(EXC)
         starts = sorted(b.m for b in tree.series.branches)
         # the exceptional node sees exactly the branch-start edges
-        assert sorted(tree.edges_at(EXC)) == starts
+        assert sorted(j for j in tree.edges if tree.ends(j)[0] == EXC) == starts
         assert sorted(order) == starts
         by_m = {b.m: b for b in tree.series.branches}
         for pos, m in enumerate(order):
@@ -163,13 +162,12 @@ def test_successor_rule_cycle():
 
 def test_ree_figure():
     tree = bt.ree_tree()
-    assert len(tree.vertices) == 6
-    assert len(tree.edges) == 6
+    assert tree.h0 == len(tree.edges) == 6
     assert tree.multiplicity == 3
     assert tree.cyclic_order_at(EXC) == (0, 2, 3, 4, 5)
     lengths = sorted(b.M - b.m + 1 for b in tree.series.branches)
     assert lengths == [1, 1, 1, 1, 2]
-    assert tree.vertex(0).label == "St" and tree.vertex(1).label == "1"
+    assert tree.labels[:2] == ((0, "St"), (1, "1"))
 
 
 def test_decomposition_matrix_rows():

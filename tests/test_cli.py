@@ -140,8 +140,50 @@ def test_tree_requires_source(capsys):
 
 
 def test_unknown_fixture(capsys):
-    code, _, err = run(capsys, "tree", "--fixture", "nosuch")
-    assert code == 1
+    for name in ("nosuch", "line0", "line", "line-3", "foo"):
+        code, out, err = run(capsys, "tree", "--fixture", name)
+        assert code == 1 and out == ""
+        assert err == (f"error: unknown fixture {name!r}: expected 2g2, or lineN "
+                       f"with N >= 1\n")
+
+
+def dot_statements(text):
+    """The statements of a DOT graph as token lists, split at ';' and at
+    braces outside double-quoted strings; a quoted string is one token,
+    unescaped."""
+    import re
+    token = re.compile(r'\s*(?:"((?:[^"\\]|\\.)*)"'          # a quoted string
+                       r'|(--|[^\s"{};\[\]=,]+|[\[\]=,])'   # a word or punctuation
+                       r'|([{};]))')                        # the end of a statement
+    statements, current, pos = [], [], 0
+    while text[pos:].strip():
+        m = token.match(text, pos)
+        assert m, f"not DOT at {text[pos:pos + 20]!r}"
+        quoted, word, stop = m.groups()
+        if stop:
+            if current:
+                statements.append(current)
+            current = []
+        else:
+            current.append(re.sub(r"\\(.)", r"\1", quoted) if quoted is not None
+                           else word)
+        pos = m.end()
+    return statements + ([current] if current else [])
+
+
+def test_dot_labels_are_escaped(monkeypatch, capsys):
+    import io
+    labels = {"0": 'St"; x [label="pwn', "1": "ends in a backslash \\"}
+    obj = {"h0": 2, "r": 1, "multiplicity": 1,
+           "branches": [{"zeta": 0, "m": 0, "M": 1}], "labels": labels}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(obj)))
+    code, out, _ = run(capsys, "tree", "--tree", "-", "--format", "dot")
+    assert code == 0
+    # exactly h0 + 1 node statements, each label read back verbatim
+    nodes = [st for st in dot_statements(out) if st[0] != "graph" and "--" not in st]
+    assert [st[0] for st in nodes] == ["exc", "v0", "v1"]
+    for st, label in zip(nodes[1:], labels.values()):
+        assert st[st.index("label") + 2] == label
 
 
 @pytest.mark.parametrize("command, argv, offending", [
@@ -473,6 +515,29 @@ def _child(script, *argv):
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-c", script, *argv],
                           capture_output=True, text=True, env=env, timeout=120)
+
+
+@pytest.mark.parametrize("argv", [
+    ["info", "--type", "A", "--rank", "513"],
+    ["info", "--type", "D513"],
+    ["validate", "--type", "2A", "--rank", "513", "--qsq", "2", "--ell", "7"],
+], ids=["info", "info-inline", "validate"])
+def test_ranks_above_the_bound_are_refused_quickly(argv):
+    proc = _child(_TIMED_MAIN, *argv)
+    err, seconds = proc.stderr.rsplit("seconds ", 1)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert err == "error: rank 513 is more than the 512 supported\n"
+    assert float(seconds) < 1.0
+
+
+def test_the_rank_bound_is_inclusive():
+    from coxbrauer import root_data
+    assert root_data.MAX_RANK == 512
+    for family in ("A", "B", "C", "D", "2A", "2D"):
+        assert root_data.parse_type(family, 512).rank == 512
+        with pytest.raises(root_data.UnsupportedType,
+                           match="^rank 513 is more than the 512 supported$"):
+            root_data.parse_type(family, 513)
 
 
 # _TIMED_MAIN with the child's files capped at 1 MiB too: a report that got

@@ -37,17 +37,30 @@ def successor_walk(series):
     return tuple(cycle)
 
 
+def reference_ends(series):
+    """Edge j -> its two ends, walking each branch out from the exceptional
+    node: S_m meets it, and every later edge meets the vertex before it."""
+    ends = {}
+    for b in series.branches:
+        prev = EXC
+        for j in range(b.m, b.M + 1):
+            ends[j] = (prev, j)
+            prev = j
+    return ends
+
+
 def reference_height(tree, j):
     """Breadth-first search over all edges from the exceptional node."""
-    target = next(e for e in tree.edges if e.index == j)
+    edges = [tree.ends(k) for k in tree.edges]
+    target = edges[j]
     frontier, dist, seen = {EXC}, 0, {EXC}
     while frontier:
-        if any(n in frontier for n in target.ends):
+        if any(n in frontier for n in target):
             return dist
         nxt = set()
-        for e in tree.edges:
-            if any(n in frontier for n in e.ends):
-                for n in e.ends:
+        for e in edges:
+            if any(n in frontier for n in e):
+                for n in e:
                     if n not in seen:
                         seen.add(n)
                         nxt.add(n)
@@ -64,16 +77,24 @@ def reference_target(alg, p):
     return e
 
 
-def reference_ext1_grid(alg):
-    """Count the arrows from i to j, each ending where `reference_target` says."""
+def reference_arrows(alg):
+    """The basis paths of length one: a step around a node, or the socle
+    loop of a lone edge of multiplicity one."""
+    return [p for p in alg.paths
+            if p.steps == 1 or (alg.degenerate and p.kind == "soc")]
+
+
+def reference_grid(alg, paths):
+    """Count the paths from i to j, each ending where `reference_target` says."""
     grid = [[0] * len(alg.vertices) for _ in alg.vertices]
-    for a in alg.arrows:
-        grid[a.src][reference_target(alg, a)] += 1
+    for p in paths:
+        grid[p.src][reference_target(alg, p)] += 1
     return grid
 
 
 def nodes(tree):
-    return {EXC} | {end for e in tree.edges for end in e.ends}
+    return {EXC} | {end for ends in reference_ends(tree.series).values()
+                    for end in ends}
 
 
 @settings(max_examples=60, deadline=None)
@@ -85,14 +106,14 @@ def test_exceptional_order_is_the_successor_walk(tree):
 @settings(max_examples=60, deadline=None)
 @given(trees())
 def test_the_edges_form_a_tree(tree):
-    assert sorted(e.index for e in tree.edges) == list(range(tree.h0))
+    assert tree.edges == range(tree.h0)
     assert len(nodes(tree)) == tree.h0 + 1
     seen, frontier = {EXC}, [EXC]
     while frontier:
         node = frontier.pop()
-        for e in tree.edges:
-            if node in e.ends:
-                for end in e.ends:
+        for j in tree.edges:
+            if node in tree.ends(j):
+                for end in tree.ends(j):
                     if end not in seen:
                         seen.add(end)
                         frontier.append(end)
@@ -102,47 +123,48 @@ def test_the_edges_form_a_tree(tree):
 @settings(max_examples=60, deadline=None)
 @given(trees())
 def test_heights_match_the_all_edges_search(tree):
-    for j in tree.edge_indices():
+    for j in tree.edges:
         assert bt.height(tree, j) == reference_height(tree, j)
 
 
 @settings(max_examples=60, deadline=None)
 @given(trees())
 def test_lookups_match_linear_scans(tree):
-    for e in tree.edges:
-        assert tree.edge(e.index) is e
-    for v in tree.vertices:
-        assert tree.vertex(v.index) is v
-    for j in tree.edge_indices():
+    ends = reference_ends(tree.series)
+    for j in tree.edges:
+        assert tree.ends(j) == ends[j]
         assert tree.branch_of(j) is next(b for b in tree.series.branches
                                          if b.m <= j <= b.M)
     for node in nodes(tree):
-        assert tree.edges_at(node) == [e.index for e in tree.edges if node in e.ends]
         order = tree.cyclic_order_at(node)
-        assert sorted(order) == sorted(tree.edges_at(node))
+        assert sorted(order) == [j for j, e in sorted(ends.items()) if node in e]
         for j in order:
-            assert tree.predecessor_at(node, tree.successor_at(node, j)) == j
-            assert tree.successor_at(node, tree.predecessor_at(node, j)) == j
             i = order.index(j)
-            assert tree.successor_at(node, j) == order[(i + 1) % len(order)]
+            assert tree.predecessor_at(node, j) == order[(i - 1) % len(order)]
             assert tree.predecessor_at(node, j, 3) == order[(i - 3) % len(order)]
+            assert tree.predecessor_at(node, j, len(order)) == j
 
 
 @settings(max_examples=40, deadline=None)
 @given(trees())
-def test_paths_between_partitions_the_path_basis(tree):
+def test_paths_out_partitions_the_path_basis(tree):
     alg = ta.from_tree(tree, 7)
-    flat = [p for group in alg.paths_between.values() for p in group]
+    flat = [p for out in alg.paths_out.values() for _, group in out for p in group]
     assert sorted(map(alg.paths.index, flat)) == list(range(alg.dim))
-    for (src, tgt), group in alg.paths_between.items():
-        assert group == [p for p in alg.paths
-                         if p.src == src and reference_target(alg, p) == tgt]
+    for src, out in alg.paths_out.items():
+        # one group per target, in the order the targets first occur
+        from_src = [p for p in alg.paths if p.src == src]
+        assert [tgt for tgt, _ in out] == list(dict.fromkeys(
+            reference_target(alg, p) for p in from_src))
+        for tgt, group in out:
+            assert group == [p for p in from_src if reference_target(alg, p) == tgt]
     for p in alg.paths:
         assert alg.target(p) == reference_target(alg, p)
-    assert ta.ext1_grid(alg) == reference_ext1_grid(alg)
-    for a in alg.arrows:
-        assert a in alg.paths and alg.target(a) == reference_target(alg, a)
-        assert (a.kind, a.steps) == ("cyc", 1) or (alg.degenerate and a.kind == "soc")
+    arrows = reference_arrows(alg)
+    assert len(alg.arrow_at) == len(arrows)
+    assert set(alg.arrow_at.values()) == set(arrows)
+    for (node, src), a in alg.arrow_at.items():
+        assert (a.node, a.src) == (node, src)
 
 
 def dense_unitriangular(d):
@@ -180,8 +202,12 @@ def test_report_grids_match_the_per_pair_counts(tree):
     alg = ta.from_tree(tree, 7)
     d = bt.decomposition_matrix(tree)
     assert d.col_edges == alg.vertices == tuple(range(tree.h0))
+    # Hom(P_i, P_j) has a basis of the paths from j to i
+    per_pair = reference_grid(alg, alg.paths)
+    assert ta.hom_grid(alg) == [list(col) for col in zip(*per_pair)]
     assert ta.hom_grid(alg) == [list(row) for row in bt.cartan_matrix(d)]
-    assert ta.ext1_grid(alg) == reference_ext1_grid(alg)
+    assert ta.ext1_grid(alg) == reference_grid(alg, reference_arrows(alg))
+    assert ta.ext1_grid(alg) == reference_grid(alg, alg.arrow_at.values())
 
 
 @settings(max_examples=60, deadline=None)
@@ -215,17 +241,15 @@ def test_unitriangular_negative_controls():
 
 def test_unknown_keys():
     tree = bt.assemble_tree(bt.line_series(3), 2, 1)
-    for lookup, key in ((tree.edge, 3), (tree.edge, -1), (tree.vertex, 7),
+    for lookup, key in ((tree.ends, 3), (tree.ends, -1),
                         (tree.branch_of, 3), (tree.branch_of, -1),
                         (tree.cyclic_order_at, 99), (tree.cyclic_order_at, "x")):
         with pytest.raises(KeyError):
             lookup(key)
-    for walk in (tree.successor_at, tree.predecessor_at):
-        with pytest.raises(KeyError):
-            walk(99, 0)
+    with pytest.raises(KeyError):
+        tree.predecessor_at(99, 0)
+    for node in (EXC, 0):
         with pytest.raises(ValueError):
-            walk(EXC, 2)            # S_2 does not meet the exceptional node
+            tree.predecessor_at(node, 2)    # S_2 meets neither node
     with pytest.raises(KeyError):
         bt.height(tree, 3)
-    assert tree.edges_at(99) == []
-    assert tree.edges_at("x") == []

@@ -128,7 +128,7 @@ def test_invalid_complex_is_a_value_error():
     assert issubclass(ho.InvalidComplex, ValueError)
     with pytest.raises(ho.InvalidComplex, match="does not run from"):
         # the arrow path 1 -> 0 placed as a map P_1 -> P_0
-        arrow = next(a for a in alg.arrows if a.src == 1 and alg.target(a) == 0)
+        arrow = alg.arrow_at[0, 1]      # around chi_0 out of S_1, to S_0
         ho.ProjComplex(alg, 0, [[1], [0]], [[[alg.elt(arrow)]], []])
 
 
@@ -141,7 +141,7 @@ from coxbrauer import brauer_tree as bt, tree_algebra as ta
 assert False, "asserts must be stripped under -O"
 tree = bt.assemble_tree(bt.line_series(3), 1, 1)
 alg = ta.from_tree(tree, 5)
-arrow = next(a for a in alg.arrows if a.src == 1 and alg.target(a) == 0)
+arrow = alg.arrow_at[0, 1]          # around chi_0 out of S_1, to S_0
 bad = {
     "compose": lambda: alg.compose(arrow, ta.Path(2, "id")),
     "decomposition": lambda: bt.decomposition_matrix(
@@ -210,6 +210,7 @@ bad = {
     "det": lambda: torus_with_angles([Fraction(1, 3), Fraction(1, 3)]),
     "cells": lambda: bt.check_report_cells("decmatrix report",
                                            bt.MAX_REPORT_CELLS + 1),
+    "rank": lambda: parse_type("A", root_data.MAX_RANK + 1),
 }
 for name, run in bad.items():
     try:
@@ -226,7 +227,7 @@ def test_regime_datum_and_complex_guards_hold_under_optimize():
     assert [line.split()[:2] for line in lines] == [
         [name, "rejected:"] for name in
         ("collision", "root", "order", "ree", "angles", "sum", "hom",
-         "integral", "det", "cells")]
+         "integral", "det", "cells", "rank")]
     assert "collision" in lines[0]
     assert "h0-th root" in lines[1]
     assert "WrongOrder: q has order != h = 6 mod 3" in lines[2]
@@ -237,3 +238,4 @@ def test_regime_datum_and_complex_guards_hold_under_optimize():
     assert "non-rational cyclotomic residue" in lines[7]
     assert "non-unit leading torus coefficient" in lines[8]
     assert "decmatrix report would have 67108865 cells" in lines[9]
+    assert "rank 513 is more than the 512 supported" in lines[10]
