@@ -9,9 +9,12 @@ with the character numbering below.)
 Ordinary character values are exact cyclotomic integers in Z[zeta_L] with
 L = |G|, kept as the sparse exponent vectors {k: c} (the sum of c*zeta_L^k)
 that the construction produces.  The row orthogonality relation is
-checked literally on a square table, each inner product reduced modulo
-Phi_L once by `cyclotomic.power_basis`; the column relation follows from
-it.  The Brauer characters of the m simple modules are pinned by the
+checked literally on a square table; the column relation follows from
+it.  Each inner product, like each degree, is reduced once by
+`cyclotomic.power_basis` in the smallest ring Z[zeta_(L/g)] that holds
+it, g the gcd of L and its exponents: Z[zeta_|E|] for two linear
+characters, Z[zeta_|D|] when an induced character is involved.  The
+Brauer characters of the m simple modules are pinned by the
 Hensel lift zeta of n (eta_j sends x to zeta^j), which fixes the row and
 column numbering of the decomposition matrix so the comparison against
 the star tree is cell-exact, not up to permutation.
@@ -26,11 +29,12 @@ the solve for the decomposition numbers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from .brauer_tree import MAX_CLASSES, MetacyclicGroup, PlanarBrauerTree
 from .cyclotomic import power_basis
 from .ell_arith import TruncatedPadic
-from .numtheory import euler_phi, has_order
+from .numtheory import has_order
 
 
 class SingularSystem(ArithmeticError):
@@ -65,7 +69,7 @@ class CharacterTable:
 
     def degree(self, row: int) -> int:
         one = next(i for i, c in enumerate(self.classes) if c.kind == "one")
-        coords = power_basis(self.group.order, self.values[row][one])
+        coords = _smallest_ring_coords(self.group.order, self.values[row][one])
         if any(coords[1:]):
             raise Mismatch(f"degree of {self.names[row]} is not an integer")
         return coords[0]
@@ -89,15 +93,19 @@ class CharacterTable:
     def check_orthogonality(self) -> bool:
         """Exact row orthogonality relation: sum over classes of
         |C| chi_i(C) conj(chi_j(C)) is |G| if i = j and 0 otherwise.
+        A row with a value missing or to spare fails it.
 
         Worked in Z[x]/(x^L - 1), where conjugation is the exponent flip
         and products are sparse convolutions; each inner product is
-        reduced modulo Phi_L once and compared with the coordinates
-        (n, 0, ..., 0) of the expected integer n.
+        reduced once, in the smallest ring Z[zeta_(L/g)] that holds it,
+        and compared with the coordinates (n, 0, ..., 0) of the expected
+        integer n.
         """
         L = order = self.group.order
         nrows = len(self.values)
-        zeros = (0,) * (euler_phi(L) - 1)
+        sizes = [c.size for c in self.classes]
+        if any(len(row) != len(sizes) for row in self.values):
+            return False
         conj = [[{-k % L: c for k, c in val.items()} for val in row]
                 for row in self.values]
 
@@ -105,17 +113,34 @@ class CharacterTable:
             acc: dict[int, int] = {}
             for weight, x, y in pairs:
                 for kx, cx in x.items():
+                    wcx = weight * cx
                     for ky, cy in y.items():
                         k = (kx + ky) % L
-                        acc[k] = acc.get(k, 0) + weight * cx * cy
-            return power_basis(L, acc) == (want,) + zeros
+                        acc[k] = acc.get(k, 0) + wcx * cy
+            coords = _smallest_ring_coords(L, acc)
+            return coords[0] == want and not any(coords[1:])
 
         for i in range(nrows):
             for j in range(i, nrows):
-                pairs = zip((c.size for c in self.classes), self.values[i], conj[j])
-                if not inner_is(order if i == j else 0, pairs):
+                if not inner_is(order if i == j else 0,
+                                zip(sizes, self.values[i], conj[j])):
                     return False
         return True
+
+
+def _smallest_ring_coords(L: int, terms: dict[int, int]) -> tuple[int, ...]:
+    """Power-basis coordinates of the sum of c*zeta_L^k over terms {k: c}
+    in Z[zeta_(L/g)], g = gcd(L, every k).
+
+    Sending zeta_(L/g) to zeta_L^g is an injective ring map into Z[zeta_L]
+    that fixes the integers, so the element is the integer n in one ring
+    exactly when it is in the other; the reduction folds L/g - phi(L/g)
+    exponents instead of L - phi(L).
+    """
+    g = gcd(L, *terms)
+    if g == 1:
+        return power_basis(L, terms)
+    return power_basis(L // g, {k // g: c for k, c in terms.items()})
 
 
 def _orbit_reps(g: MetacyclicGroup) -> list[int]:

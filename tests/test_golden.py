@@ -98,16 +98,29 @@ def test_selftest_shape_is_byte_identical():
     assert shape == (GOLDEN / SELFTEST_SHAPE).read_text(encoding="utf-8")
 
 
-def test_selftest_holds_under_python_O():
-    """python -O strips bare asserts; the selftest must not rest on any."""
+def _run_optimized(argv: list[str]) -> subprocess.CompletedProcess:
+    """The CLI run as a child under python -O, which strips bare asserts."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-O", "-m", "coxbrauer.cli", "selftest"],
+    return subprocess.run([sys.executable, "-O", "-m", "coxbrauer.cli", *argv],
                           capture_output=True, text=True, env=env, timeout=300)
+
+
+def test_selftest_holds_under_python_O():
+    """The selftest must not rest on any bare assert."""
+    proc = _run_optimized(["selftest"])
     assert proc.returncode == 0, proc.stderr
     assert (_without_seconds(proc.stdout)
             == (GOLDEN / SELFTEST_SHAPE).read_text(encoding="utf-8"))
+
+
+def test_star_verify_holds_under_python_O():
+    """The oracle's checks must not rest on any bare assert either."""
+    name = "star_d125_e4_n57_verify.json"
+    proc = _run_optimized(CAPTURES[name])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (GOLDEN / name).read_text(encoding="utf-8")
 
 
 def _write_captures():

@@ -1,3 +1,4 @@
+import random
 import time
 
 import pytest
@@ -5,8 +6,9 @@ import pytest
 from coxbrauer import brauer_tree as bt
 from coxbrauer import oracle as orc
 from coxbrauer import tree_algebra as ta
+from coxbrauer.cyclotomic import power_basis
 from coxbrauer.ell_arith import TruncatedPadic
-from coxbrauer.numtheory import has_order, prime_power_split
+from coxbrauer.numtheory import euler_phi, has_order, prime_power_split
 
 
 def reference_rref(rows, p, modulus):
@@ -33,6 +35,65 @@ def reference_rref(rows, p, modulus):
         pivots.append(c)
         r += 1
     return m, pivots
+
+
+def reference_orthogonality(table):
+    """The row orthogonality relation with every inner product reduced
+    modulo the full Phi_L, L = |G|, and compared with (n, 0, ..., 0)."""
+    L = table.group.order
+    zeros = (0,) * (euler_phi(L) - 1)
+    sizes = [c.size for c in table.classes]
+    conj = [[{-k % L: c for k, c in val.items()} for val in row]
+            for row in table.values]
+    for i, row in enumerate(table.values):
+        for j in range(i, len(table.values)):
+            acc = {}
+            for weight, x, y in zip(sizes, row, conj[j]):
+                for kx, cx in x.items():
+                    for ky, cy in y.items():
+                        k = (kx + ky) % L
+                        acc[k] = acc.get(k, 0) + weight * cx * cy
+            if power_basis(L, acc) != (L if i == j else 0,) + zeros:
+                return False
+    return True
+
+
+def valid_groups(max_d, max_e):
+    """One MetacyclicGroup per (|D|, |E|), |D| a prime power <= max_d and
+    |E| <= max_e dividing ell - 1, with the smallest valid action exponent."""
+    groups = []
+    for d_order in range(2, max_d + 1):
+        split = prime_power_split(d_order)
+        if split is None:
+            continue
+        ell = split[0]
+        for e_order in range(1, min(ell - 1, max_e) + 1):
+            if (ell - 1) % e_order == 0:
+                n = next(n for n in range(1, d_order)
+                         if pow(n, e_order, d_order) == 1
+                         and has_order(n % ell, e_order, ell))
+                groups.append(orc.MetacyclicGroup(d_order, e_order, n))
+    return groups
+
+
+def perturbed(table, row, col, k, sign):
+    """A copy of the table with sign*zeta_L^k added to one cell."""
+    values = [list(r) for r in table.values]
+    val = values[row][col]
+    values[row][col] = {**val, k: val.get(k, 0) + sign}
+    return orc.CharacterTable(table.group, table.classes, table.names, values)
+
+
+def reduction_levels(monkeypatch):
+    """Record the level L of every `power_basis` call the oracle makes."""
+    levels = []
+
+    def spy(L, terms):
+        levels.append(L)
+        return power_basis(L, terms)
+
+    monkeypatch.setattr(orc, "power_basis", spy)
+    return levels
 
 
 def eliminated_decomposition_matrix(g):
@@ -104,6 +165,80 @@ def test_orthogonality_detects_corruption():
     assert table.check_orthogonality()
     val = table.values[0][1]
     table.values[0][1] = {**val, 0: val.get(0, 0) + 1}
+    assert not table.check_orthogonality()
+
+
+def test_orthogonality_agrees_with_the_full_reduction_on_perturbations(monkeypatch):
+    # every (|D|, |E|) with |D| <= 128 and |E| <= 12; the tables are built
+    # unverified, since only the verdicts on their perturbations are compared
+    groups = valid_groups(128, 12)
+    assert len(groups) == 166
+    monkeypatch.setattr(orc.CharacterTable, "verify", lambda self: None)
+    rng = random.Random(20101)
+    for g in groups:
+        table = orc.character_table(g)
+        for _ in range(4):
+            bad = perturbed(table, rng.randrange(len(table.values)),
+                            rng.randrange(len(table.classes)),
+                            rng.randrange(g.order), rng.choice((1, -1)))
+            assert bad.check_orthogonality() == reference_orthogonality(bad), g
+
+
+def test_orthogonality_reduces_a_perturbed_pair_in_its_own_ring(monkeypatch):
+    g = orc.MetacyclicGroup(49, 6, 19)
+    L = g.order
+    table = orc.character_table(g)
+    eta1, e1 = table.names.index("eta1"), 1 + (49 - 1) // 6
+    assert table.classes[e1] == orc.ConjClass("e", 1, 49)
+    levels = reduction_levels(monkeypatch)
+    assert table.check_orthogonality()
+    # eta0 and eta1 take values in Z[zeta_6], zeta_6 = zeta_L^49: their
+    # pair, the second inner product, is reduced at level L / 49 = 6
+    assert levels[1] == 6
+    # a multiple of the pair's g keeps the perturbed pair in Z[zeta_6],
+    # where it must still fail
+    del levels[:]
+    bad = perturbed(table, eta1, e1, 2 * 49, 1)
+    assert not bad.check_orthogonality() and not reference_orthogonality(bad)
+    assert levels[-1] == 6
+    # an exponent prime to L leaves the subring: g comes from the values
+    # being checked, not from the classes, so the pair is reduced at L
+    del levels[:]
+    bad = perturbed(table, eta1, e1, 1, -1)
+    assert not bad.check_orthogonality() and not reference_orthogonality(bad)
+    assert levels[-1] == L
+
+
+@pytest.mark.parametrize("d_order, e_order, n, levels", [
+    (125, 4, 57, {125, 25, 5, 4, 2, 1}),
+    (49, 6, 19, {49, 7, 6, 3, 2, 1}),
+])
+def test_gram_reductions_stay_below_the_group_order(monkeypatch, d_order,
+                                                     e_order, n, levels):
+    degrees = []
+    real_degree = orc.CharacterTable.degree
+
+    def degree(self, row):
+        degrees.append(row)
+        return real_degree(self, row)
+
+    monkeypatch.setattr(orc.CharacterTable, "degree", degree)
+    seen = reduction_levels(monkeypatch)
+    table = orc.character_table(orc.MetacyclicGroup(d_order, e_order, n))
+    k = len(table.classes)
+    # one reduction per degree and one per Gram entry, none at |G|
+    assert len(degrees) == k
+    assert len(seen) - len(degrees) == k * (k + 1) // 2
+    assert set(seen) == levels
+
+
+def test_a_row_of_the_wrong_length_fails_orthogonality():
+    g = orc.MetacyclicGroup(7, 3, 2)
+    table = orc.character_table(g)
+    del table.values[3][-1]         # ind1 vanishes on that class
+    assert not table.check_orthogonality()
+    table = orc.character_table(g)
+    table.values[3].append({})
     assert not table.check_orthogonality()
 
 
