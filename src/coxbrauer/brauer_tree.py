@@ -23,10 +23,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress
+from itertools import groupby
 from math import gcd
 
 from .ell_arith import EllContext, TruncatedPadic, hensel_root, validate_regime
+from .linalg import SparseMatrix
 from .numtheory import has_order, prime_power_split, valuation
 from .root_data import coxeter_datum, parse_type
 
@@ -301,51 +302,58 @@ def _star_shape(g: MetacyclicGroup) -> tuple[SeriesDatum, int]:
 @dataclass(frozen=True)
 class DecompositionMatrix:
     """Rows: ordinary characters (chi_j ascending, then mu exceptional
-    copies); columns: edges S_j ascending.  Entries count constituents."""
+    copies); columns: edges S_j ascending.  Entries count constituents.
+    The matrix stores its nonzero entries only, and its mu exceptional rows
+    are one row object."""
 
     row_labels: tuple[tuple[str, int], ...]
     col_edges: tuple[int, ...]
-    matrix: tuple[tuple[int, ...], ...]
+    matrix: SparseMatrix
     heights: tuple[int, ...]              # height of each column edge
 
 
 def decomposition_matrix(tree: PlanarBrauerTree) -> DecompositionMatrix:
+    """The incidence matrix of characters and edges, read off the two ends
+    of each edge: O(h0 + mu)."""
     # edges, characters and their indices are all 0..h0-1
     cols = tuple(tree.edges)
     chi_rows = [("chi", j) for j in cols]
     exc_rows = [("exc", t) for t in range(tree.multiplicity)]
-    mat = [[0] * len(cols) for _ in chi_rows]
-    exc_row = [0] * len(cols)
+    rows: list[dict[int, int]] = [{} for _ in cols]
+    exc_row: dict[int, int] = {}
     for j in cols:
         for end in tree.ends(j):
-            (exc_row if end == EXC else mat[end])[j] = 1
-    # each row becomes a tuple in place, so that one copy is held at a time
-    for k, row in enumerate(mat):
-        mat[k] = tuple(row)
-    rows = tuple(mat) + (tuple(exc_row),) * tree.multiplicity
+            (exc_row if end == EXC else rows[end])[j] = 1
+    rows += [exc_row] * tree.multiplicity
     heights = tuple(height(tree, j) for j in cols)
     # the mu exceptional rows are one row repeated, counted once
-    for j, total in zip(cols, map(sum, zip(*rows[:len(chi_rows) + 1]))):
+    totals = [0] * len(cols)
+    for row in rows[:len(chi_rows) + 1]:
+        for c, x in row.items():
+            totals[c] += x
+    for j, total in zip(cols, totals):
         if total != 2:
             raise InvalidDecomposition(f"projective P_{j} has {total} ordinary "
                                        f"constituents, not two")
-    return DecompositionMatrix(tuple(chi_rows + exc_rows), cols, rows, heights)
+    return DecompositionMatrix(tuple(chi_rows + exc_rows), cols,
+                               SparseMatrix((len(rows), len(cols)), rows), heights)
 
 
-def cartan_matrix(d: DecompositionMatrix) -> tuple[tuple[int, ...], ...]:
-    """D^T D with the mu exceptional rows each counted; each row of D costs
-    the square of its nonzero count."""
-    out = [[0] * len(d.col_edges) for _ in d.col_edges]
-    for row in d.matrix:
-        nonzero = [(c, row[c]) for c in compress(range(len(row)), row)]
-        for a, x in nonzero:
+def cartan_matrix(d: DecompositionMatrix) -> SparseMatrix:
+    """D^T D with the mu exceptional rows each counted.  A run of one row
+    object repeated, as the exceptional rows are, is multiplied once and
+    weighted by its length, so each distinct row of D costs the square of
+    its stored entries and the product costs O(h0 + mu) besides."""
+    n = len(d.col_edges)
+    out: list[dict[int, int]] = [{} for _ in range(n)]
+    for _, run in groupby(d.matrix.rows, key=id):
+        row = next(run)
+        copies = 1 + sum(1 for _ in run)
+        for a, x in row.items():
             out_a = out[a]
-            for b, y in nonzero:
-                out_a[b] += x * y
-    # in place, as in decomposition_matrix: one copy is held at a time
-    for k, row in enumerate(out):
-        out[k] = tuple(row)
-    return tuple(out)
+            for b, y in row.items():
+                out_a[b] = out_a.get(b, 0) + copies * x * y
+    return SparseMatrix((n, n), out)
 
 
 def height(tree: PlanarBrauerTree, j: int) -> int:
@@ -366,13 +374,13 @@ def check_unitriangular(d: DecompositionMatrix):
     exceptional rows kept at the bottom and column S_j tracking row chi_j.
     Unitriangular means: in the row of chi_j, column S_j holds 1 and every
     column S_k with k after j in the order holds 0.  Each row costs its
-    nonzero entries."""
+    stored entries, so the check costs O(h0 + nonzeros)."""
     # chi_j is row j and S_j column j
     order = sorted(d.col_edges, key=lambda j: (-d.heights[j], j))
     place = {j: pos for pos, j in enumerate(order)}
     for pos, j in enumerate(order):
-        row = d.matrix[j]
-        if row[j] != 1 or any(place[c] > pos for c in compress(range(len(row)), row)):
+        row = d.matrix.rows[j]
+        if row.get(j) != 1 or any(x and place[c] > pos for c, x in row.items()):
             return False, order
     return True, order
 

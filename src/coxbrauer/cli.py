@@ -21,6 +21,7 @@ from . import oracle as orc
 from . import selftest as st
 from . import tree_algebra as ta
 from .ell_arith import BadRegime, eigenvalue_table, validate_regime
+from .linalg import SparseMatrix
 from .root_data import (coxeter_datum, group_order_poly, parse_type,
                         torus_order_poly)
 
@@ -175,13 +176,17 @@ def _emit(obj, out_path: str | None):
 def _dumps(obj, indent: str = "\n", lead: str = ""):
     """The chunks of what json.dumps gives with sorted keys and a two-space
     indent, byte for byte, with `lead` (the text before the value) put in
-    front of the first chunk.
+    front of the first chunk.  A SparseMatrix is written as the list of its
+    rows, each row from its stored entries (see _int_items).
 
     json uses its C encoder only for compact output, so the containers are
     laid out here and every key and leaf goes through the C encoder.  The
     chunks are yielded as they are laid out, so that no report is held as
-    one string: a leaf or a whole list of plain ints (see _int_items) with
+    one string: a leaf, a whole list of plain ints or a matrix row with
     what leads up to it, or a closing bracket.  Keys must be str."""
+    if isinstance(obj, SparseMatrix):
+        yield from _matrix_rows(obj, indent, lead)
+        return
     if not obj or not isinstance(obj, (dict, list, tuple)):
         yield lead + json.dumps(obj)
         return
@@ -198,7 +203,11 @@ def _dumps(obj, indent: str = "\n", lead: str = ""):
         return
     # one C-level pass over the item types; a bool is not an int here
     if set(map(type, obj)) == {int}:
-        yield lead + "[" + inner + _int_items(obj, sep) + indent + "]"
+        n = len(obj)
+        items = (sep.join(map(str, obj))
+                 if n < _SPARSE_MIN_LEN or 4 * obj.count(0) < 3 * n
+                 else _int_items(compress(enumerate(obj), obj), n, sep))
+        yield lead + "[" + inner + items + indent + "]"
         return
     head = lead + "[" + inner
     for x in obj:
@@ -212,19 +221,42 @@ def _dumps(obj, indent: str = "\n", lead: str = ""):
 _SPARSE_MIN_LEN = 32
 
 
-def _int_items(row, sep: str) -> str:
-    """The ints of `row` joined by `sep`.  A short or dense row is one
-    join; a long sparse one costs its nonzero entries, and each zero run
-    is one repeated "0" + sep string."""
-    n = len(row)
-    if n < _SPARSE_MIN_LEN or 4 * row.count(0) < 3 * n:
-        return sep.join(map(str, row))
-    zeros, last, done, parts = "0" + sep, n - 1, 0, []
+def _matrix_rows(a: SparseMatrix, indent: str, lead: str):
+    """The chunks of a SparseMatrix laid out as _dumps lays out the list of
+    its dense rows: one chunk per row, written from the row's stored
+    entries.  A row object repeated, as the exceptional rows of a
+    decomposition matrix are, is written once."""
+    n_rows, n = a.shape
+    if not n_rows:
+        yield lead + "[]"
+        return
+    inner = indent + "  "
+    cell = inner + "  "
+    head, last, text = lead + "[" + inner, None, ""
+    for row in a.rows:
+        if row is not last:
+            last = row
+            text = ("[" + cell + _int_items(sorted(row.items()), n, "," + cell)
+                    + inner + "]") if n else "[]"
+        yield head + text
+        head = "," + inner
+    yield indent + "]"
+
+
+def _int_items(items, n: int, sep: str) -> str:
+    """The n > 0 ints of a row joined by `sep`, from its (column, int)
+    items in increasing column order; a column not among them holds 0.
+    Only the items are converted, and each zero run is one repeated
+    "0" + sep string, so a row costs its items plus the bytes written."""
+    zeros, last, done, parts, end = "0" + sep, n - 1, 0, [], "0"
     # every entry but the last is followed by sep
-    for i in compress(range(last), row):
-        parts += (zeros * (i - done), str(row[i]) + sep)
+    for i, x in items:
+        if i == last:
+            end = str(x)
+            break
+        parts += (zeros * (i - done), str(x) + sep)
         done = i + 1
-    parts += (zeros * (last - done), str(row[last]))
+    parts += (zeros * (last - done), end)
     return "".join(parts)
 
 

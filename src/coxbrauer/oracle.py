@@ -29,11 +29,13 @@ the solve for the decomposition numbers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from math import gcd
 
 from .brauer_tree import MAX_CLASSES, MetacyclicGroup, PlanarBrauerTree
 from .cyclotomic import power_basis
 from .ell_arith import TruncatedPadic
+from .linalg import SparseMatrix
 from .numtheory import has_order
 
 
@@ -273,27 +275,33 @@ def _reduce_value(val: dict[int, int], g: MetacyclicGroup,
 
 def verify_star(tree: PlanarBrauerTree, g: MetacyclicGroup,
                 oracle_d: tuple[tuple[int, ...], ...],
-                tree_d: tuple[tuple[int, ...], ...]) -> bool:
+                tree_d: SparseMatrix) -> bool:
     """Cell-exact comparison of the star tree against the oracle.
 
     oracle_d is brute_decomposition_matrix(g) and tree_d is
     decomposition_matrix(tree).matrix, each computed once by the caller.
     The tree must be the star tree of g itself: the group fixes the Hensel
     lift that numbers eta on both sides, so rows and columns must agree
-    literally, not up to permutation.
+    literally, not up to permutation.  Each row pair compares the tree's
+    stored entries with the oracle's nonzero ones, so a differing cell is
+    found wherever either side holds a nonzero, and the first in row-major
+    order is reported.
     """
     if tree.star is None:
         raise Mismatch("tree carries no star metadata")
     if tree.star != g:
         raise Mismatch(f"star parameters differ: tree {tree.star}, group {g}")
-    tree_shape = (len(tree_d), len(tree_d[0]) if tree_d else 0)
     oracle_shape = (len(oracle_d), len(oracle_d[0]) if oracle_d else 0)
-    if tree_shape != oracle_shape:
-        raise Mismatch(f"decomposition shapes differ: tree {tree_shape}, "
+    if tree_d.shape != oracle_shape:
+        raise Mismatch(f"decomposition shapes differ: tree {tree_d.shape}, "
                        f"oracle {oracle_shape}")
-    for i, (tree_row, oracle_row) in enumerate(zip(tree_d, oracle_d)):
-        for j, (x, y) in enumerate(zip(tree_row, oracle_row)):
-            if x != y:
-                raise Mismatch(f"decomposition entries differ: tree {x}, "
-                               f"oracle {y}", cell=(i, j))
+    for i, (tree_row, oracle_row) in enumerate(zip(tree_d.rows, oracle_d)):
+        want = dict(compress(enumerate(oracle_row), oracle_row))
+        differ = [j for j in tree_row.keys() | want.keys()
+                  if tree_row.get(j, 0) != want.get(j, 0)]
+        if differ:
+            j = min(differ)
+            raise Mismatch(f"decomposition entries differ: tree "
+                           f"{tree_row.get(j, 0)}, oracle {want.get(j, 0)}",
+                           cell=(i, j))
     return True

@@ -235,7 +235,7 @@ def from_tree(tree: PlanarBrauerTree, ell: int) -> TreeAlgebra:
     return TreeAlgebra(tree, ell)
 
 
-def hom_grid(alg: TreeAlgebra) -> list[list[int]]:
+def hom_grid(alg: TreeAlgebra) -> linalg.SparseMatrix:
     """[dim Hom(P_i, P_j)] over the vertices 0..h0-1, from one pass over the
     path table: Hom(P_i, P_j) has a basis of the paths from j to i, each
     acting by left multiplication."""
@@ -243,18 +243,18 @@ def hom_grid(alg: TreeAlgebra) -> list[list[int]]:
                               for i, ps in out))
 
 
-def ext1_grid(alg: TreeAlgebra) -> list[list[int]]:
+def ext1_grid(alg: TreeAlgebra) -> linalg.SparseMatrix:
     """[dim Ext^1(S_i, S_j)] over the vertices 0..h0-1: the number of quiver
     arrows from i to j."""
     return _vertex_grid(alg, Counter((a.src, alg._targets[a])
                                      for a in alg.arrow_at.values()).items())
 
 
-def _vertex_grid(alg: TreeAlgebra, counts) -> list[list[int]]:
+def _vertex_grid(alg: TreeAlgebra, counts) -> linalg.SparseMatrix:
     """The vertices-by-vertices grid holding n at each ((i, j), n) of
-    `counts`, zero elsewhere."""
+    `counts`, each n nonzero, and zero elsewhere: O(h0 + len(counts))."""
     size = len(alg.vertices)
-    grid = [[0] * size for _ in range(size)]
+    rows: list[dict[int, int]] = [{} for _ in range(size)]
     for (i, j), n in counts:
-        grid[i][j] = n
-    return grid
+        rows[i][j] = n
+    return linalg.SparseMatrix((size, size), rows)

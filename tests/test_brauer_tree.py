@@ -9,6 +9,7 @@ from coxbrauer import cli
 from coxbrauer.brauer_tree import (EXC, BadAction, Branch, InvalidSeries,
                                    NonIntegral, ParseError, SeriesDatum)
 from coxbrauer.ell_arith import validate_regime
+from coxbrauer.linalg import SparseMatrix
 from coxbrauer.root_data import coxeter_datum, parse_type
 from coxbrauer.selftest import random_trees
 
@@ -170,35 +171,45 @@ def test_ree_figure():
     assert tree.labels[:2] == ((0, "St"), (1, "1"))
 
 
+def dense(a):
+    """The rows of a SparseMatrix, every cell written out."""
+    return [[row.get(c, 0) for c in range(a.shape[1])] for row in a.rows]
+
+
 def test_decomposition_matrix_rows():
     tree = bt.ree_tree()
     d = bt.decomposition_matrix(tree)
+    cells = dense(d.matrix)
     # interior edge S1 joins chi_0 and chi_1 only
-    col = [row[1] for row in d.matrix]
+    col = [row[1] for row in cells]
     assert col == [1, 1, 0, 0, 0, 0, 0, 0, 0]
     # the edge at the exceptional node has chi_m and all mu exceptional rows
-    col0 = [row[0] for row in d.matrix]
+    col0 = [row[0] for row in cells]
     assert col0 == [1, 0, 0, 0, 0, 0, 1, 1, 1]
     # the mu exceptional rows are one row; with it counted once, every
     # projective has two ordinary constituents
-    assert d.matrix[6] == d.matrix[7] == d.matrix[8]
-    assert [sum(col) for col in zip(*d.matrix[:7])] == [2] * 6
+    assert d.matrix.rows[6] is d.matrix.rows[7] is d.matrix.rows[8]
+    assert [sum(col) for col in zip(*cells[:7])] == [2] * 6
+    # only the nonzero cells are stored
+    assert d.matrix.rows[0] == {0: 1, 1: 1} and d.matrix.rows[6] == {0: 1, 2: 1,
+                                                                    3: 1, 4: 1, 5: 1}
 
 
 def test_cartan_examples():
     star = bt.decomposition_matrix(bt.star_tree(7, 3, 2))
-    assert bt.cartan_matrix(star) == ((3, 2, 2), (2, 3, 2), (2, 2, 3))
+    assert dense(bt.cartan_matrix(star)) == [[3, 2, 2], [2, 3, 2], [2, 2, 3]]
     single = bt.decomposition_matrix(bt.star_tree(7, 1, 1))
-    assert bt.cartan_matrix(single) == ((7,),)
+    assert bt.cartan_matrix(single) == SparseMatrix((1, 1), [{0: 7}])
     line = bt.decomposition_matrix(bt.assemble_tree(bt.line_series(2), 1, 1))
-    assert bt.cartan_matrix(line) == ((2, 1), (1, 2))
+    assert dense(bt.cartan_matrix(line)) == [[2, 1], [1, 2]]
     # D^T D cell by cell, on a tree with several branches and mu = 3
     series = bt.SeriesDatum(7, (bt.Branch(0, 0, 2), bt.Branch(1, 3, 3),
                                 bt.Branch(2, 4, 6)))
     dec = bt.decomposition_matrix(bt.assemble_tree(series, 3, 1))
     cols = range(len(dec.col_edges))
-    assert bt.cartan_matrix(dec) == tuple(
-        tuple(sum(row[a] * row[b] for row in dec.matrix) for b in cols) for a in cols)
+    cells = dense(dec.matrix)
+    assert dense(bt.cartan_matrix(dec)) == [
+        [sum(row[a] * row[b] for row in cells) for b in cols] for a in cols]
 
 
 def test_heights_and_perversity():
@@ -218,10 +229,11 @@ def test_unitriangular_orders():
     # move the 1 of chi_0 in column S_1 (below the diagonal in this order)
     # to chi_1 in column S_0, above it
     first, second = order[:2]
-    moved = [list(row) for row in d.matrix]
-    assert moved[second][first] == 1 and moved[first][second] == 0
-    moved[second][first], moved[first][second] = 0, 1
-    moved = tuple(map(tuple, moved))
+    moved = [dict(row) for row in d.matrix.rows]
+    assert moved[second].get(first) == 1 and second not in moved[first]
+    del moved[second][first]
+    moved[first][second] = 1
+    moved = SparseMatrix(d.matrix.shape, moved)
     ok_moved, _ = bt.check_unitriangular(dataclasses.replace(d, matrix=moved))
     assert not ok_moved
     star = bt.decomposition_matrix(bt.star_tree(7, 3, 2))

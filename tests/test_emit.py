@@ -1,11 +1,12 @@
 """The bytes of a report, and a CLI that can be called again.
 
 `cli._dumps` yields the chunks of what `json.dumps(obj, sort_keys=True,
-indent=2)` gives; joined, they must equal it byte for byte.  Two property
+indent=2)` gives; joined, they must equal it byte for byte.  Three property
 tests hold it to json: one on generated values of every kind, one on long
 sparse int rows and matrices (the path that writes zero runs whole, and
-the values it must refuse: a False, None or 0.0 among the zeros).  Every
-report captured under tests/golden/ must re-emit unchanged.
+the values it must refuse: a False, None or 0.0 among the zeros), and one
+on SparseMatrix values, which are written as the list of their dense
+rows.  Every report captured under tests/golden/ must re-emit unchanged.
 `cli.build_parser` is built once per process, so a sequence of `cli.main`
 calls in one process must print what fresh processes print.
 """
@@ -23,6 +24,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coxbrauer import cli
+from coxbrauer.linalg import SparseMatrix
 
 GOLDEN = Path(__file__).parent / "golden"
 # inputs kept in compact JSON, not reports: the tree files and the validate grid
@@ -110,17 +112,82 @@ def test_zero_runs_are_written_whole(monkeypatch):
     sep = ",\n  "
     row = [0] * 40 + [-2] + [0] * 19 + [2 ** 70] + [0] * 39
     text = sep.join(map(str, row))
-    # a long sparse row converts only its nonzero entries and its last one;
-    # a short or dense one, such as the star reports' rows, all of them
+    items = [(40, -2), (60, 2 ** 70)]
+    # the row writer converts only the entries it is given, and writes
+    # each zero run, the last entry's too, as one repeated string
     converted = []
     monkeypatch.setattr(cli, "str", lambda x: converted.append(x) or repr(x),
                         raising=False)
-    assert cli._int_items(row, sep) == text
-    assert converted == [-2, 2 ** 70, 0]
+    assert cli._int_items(items, len(row), sep) == text
+    assert converted == [-2, 2 ** 70]
+    converted.clear()
+    # a nonzero last entry is written without a separator after it
+    assert cli._int_items([*items, (99, 5)], len(row), sep) == text[:-1] + "5"
+    assert converted == [-2, 2 ** 70, 5]
+    converted.clear()
+    # a long list mostly zero goes through the row writer; a short or dense
+    # one, such as the star reports' oracle rows, converts every entry
+    assert dumps(row) == json.dumps(row, indent=2)
+    assert converted == [-2, 2 ** 70]
     converted.clear()
     dense = [1, 0, 1, 0] * 10
-    assert cli._int_items(dense, sep) == sep.join(map(repr, dense))
+    assert dumps(dense) == json.dumps(dense, indent=2)
     assert converted == dense
+
+
+def sparse(rows, width):
+    """A SparseMatrix of dense rows of the given width, storing their
+    nonzero cells only."""
+    return SparseMatrix((len(rows), width),
+                        [{c: x for c, x in enumerate(r) if x} for r in rows])
+
+
+def dense(a):
+    return [[row.get(c, 0) for c in range(a.shape[1])] for row in a.rows]
+
+
+EXC_ROW = {0: 1, 5: 1, 32: 1}
+MATRICES = {
+    "no rows": SparseMatrix((0, 5), []),
+    "no columns": SparseMatrix((3, 0), [{}, {}, {}]),
+    "1 x 1": SparseMatrix((1, 1), [{0: 7}]),
+    "1 x 1 zero": SparseMatrix((1, 1), [{}]),
+    "last column": sparse([[0] * 39 + [4], [0] * 40, [3] + [0] * 39], 40),
+    "all-zero rows": sparse([[0] * 50] * 3, 50),
+    **{f"width {n}": sparse([[0] * (n - 1) + [1], [2] + [0] * (n - 1),
+                             [0] * (n // 2) + [-1] + [0] * (n - n // 2 - 1),
+                             list(range(1, n + 1))], n)
+       for n in (31, 32, 33)},
+    # mu copies of one row object, as the exceptional rows are stored
+    "repeated row": SparseMatrix((5, 33), [{1: 1}, {}] + [EXC_ROW] * 3),
+    "big values": sparse([[0] * 10 + [-(2 ** 64) - 1] + [0] * 30 + [2 ** 70],
+                          [2 ** 70] + [0] * 41], 42),
+    # entries stored out of column order, and a zero stored
+    "unsorted": SparseMatrix((2, 34), [{33: 2, 0: 1, 17: 0}, {20: 3, 2: 1}]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MATRICES))
+def test_sparse_matrix_is_json_of_its_dense_rows(name):
+    a = MATRICES[name]
+    cells = dense(a)
+    assert dumps(a) == json.dumps(cells, indent=2)
+    # inside a report, one level down
+    report = {"cartan": a, "h0": a.shape[1], "zeros": [0] * 40}
+    assert dumps(report) == json.dumps({**report, "cartan": cells},
+                                       sort_keys=True, indent=2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(sparse_rows(), max_size=4), st.integers(0, 3))
+def test_generated_sparse_matrices_are_json(rows, copies):
+    width = min(map(len, rows), default=0)
+    rows = [[x if type(x) is int else 0 for x in row[:width]] for row in rows]
+    # the last row object repeated `copies` more times
+    stored = sparse(rows, width).rows
+    stored += stored[-1:] * copies
+    a = SparseMatrix((len(stored), width), stored)
+    assert dumps(a) == json.dumps(dense(a), indent=2)
 
 
 def test_non_string_keys_are_refused():

@@ -46,6 +46,10 @@ CAPTURES = {
     "wide48_rickard_tilting.json": ["rickard", "--tree", WIDE, "--field", "31",
                                     "--vertex", "40", "--check-tilting"],
     "line40.dot": ["tree", "--fixture", "line40", "--format", "dot"],
+    # one exceptional row object, with one nonzero, printed three times
+    "line40_mu3_decmatrix.json": ["decmatrix", "--fixture", "line40", "--mu", "3"],
+    "line40_mu3_algebra.json": ["algebra", "--fixture", "line40", "--mu", "3",
+                                "--field", "31"],
     "2g2_tree.json": ["tree", "--fixture", "2g2"],
     "two_branch20_tree.json": ["tree", "--tree", TWO_BRANCH],
     "star_d7_e3_n2_verify.json": ["star", "--d", "7", "--e", "3", "--n", "2",

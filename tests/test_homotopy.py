@@ -184,7 +184,7 @@ def test_trim_range_guard():
 
 def test_hom_complex_dims():
     tree, alg = line(2, 1)
-    cartan = bt.cartan_matrix(bt.decomposition_matrix(tree))
+    cartan = bt.cartan_matrix(bt.decomposition_matrix(tree)).rows
     c0 = ho.rickard_complex(alg, tree, 0)
     hc = ho.HomComplex(c0, c0)
     assert hc.dim(0) == cartan[0][0]

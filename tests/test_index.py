@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coxbrauer import brauer_tree as bt
+from coxbrauer import linalg
 from coxbrauer import tree_algebra as ta
 from coxbrauer.brauer_tree import EXC
 
@@ -167,6 +168,37 @@ def test_paths_out_partitions_the_path_basis(tree):
         assert (a.node, a.src) == (node, src)
 
 
+def dense(a):
+    """The rows of a SparseMatrix, every cell written out."""
+    return [[row.get(c, 0) for c in range(a.shape[1])] for row in a.rows]
+
+
+def sparse(rows, width):
+    """A SparseMatrix of dense rows of the given width, storing their
+    nonzero cells only."""
+    return linalg.SparseMatrix((len(rows), width),
+                               [{c: x for c, x in enumerate(r) if x} for r in rows])
+
+
+def stored(a):
+    """The number of entries a SparseMatrix stores, a repeated row object
+    counted at each place."""
+    return sum(map(len, a.rows))
+
+
+def nonzero(rows):
+    return sum(x != 0 for row in rows for x in row)
+
+
+def reference_decomposition(tree):
+    """D cell by cell from the walked edge ends: chi_v has a 1 in the
+    column of each edge it ends, and each of the mu exceptional rows a 1
+    in the column of each edge at the exceptional node."""
+    ends = reference_ends(tree.series)
+    return ([[int(v in ends[j]) for j in tree.edges] for v in tree.edges]
+            + [[int(EXC in ends[j]) for j in tree.edges]] * tree.multiplicity)
+
+
 def dense_unitriangular(d):
     """Every cell of the reordered matrix on and above the diagonal."""
     chi = [j for kind, j in d.row_labels if kind == "chi"]
@@ -174,9 +206,10 @@ def dense_unitriangular(d):
     order = sorted(chi, key=lambda j: (-hgt[j], j))
     row_of = {j: i for i, (kind, j) in enumerate(d.row_labels) if kind == "chi"}
     col_of = {j: i for i, j in enumerate(d.col_edges)}
+    cells = dense(d.matrix)
     ok = True
     for rpos, j in enumerate(order):
-        row = d.matrix[row_of[j]]
+        row = cells[row_of[j]]
         for cpos, jc in enumerate(order):
             entry = row[col_of[jc]]
             if (cpos == rpos and entry != 1) or (cpos > rpos and entry != 0):
@@ -186,14 +219,14 @@ def dense_unitriangular(d):
 
 def dense_cartan(d):
     cols = range(len(d.col_edges))
-    return tuple(tuple(sum(row[a] * row[b] for row in d.matrix) for b in cols)
-                 for a in cols)
+    cells = dense(d.matrix)
+    return [[sum(row[a] * row[b] for row in cells) for b in cols] for a in cols]
 
 
 def with_entry(d, row, col, value):
-    rows = [list(r) for r in d.matrix]
+    rows = dense(d.matrix)
     rows[row][col] = value
-    return dataclasses.replace(d, matrix=tuple(map(tuple, rows)))
+    return dataclasses.replace(d, matrix=sparse(rows, len(d.col_edges)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -204,25 +237,58 @@ def test_report_grids_match_the_per_pair_counts(tree):
     assert d.col_edges == alg.vertices == tuple(range(tree.h0))
     # Hom(P_i, P_j) has a basis of the paths from j to i
     per_pair = reference_grid(alg, alg.paths)
-    assert ta.hom_grid(alg) == [list(col) for col in zip(*per_pair)]
-    assert ta.hom_grid(alg) == [list(row) for row in bt.cartan_matrix(d)]
-    assert ta.ext1_grid(alg) == reference_grid(alg, reference_arrows(alg))
-    assert ta.ext1_grid(alg) == reference_grid(alg, alg.arrow_at.values())
+    assert dense(ta.hom_grid(alg)) == [list(col) for col in zip(*per_pair)]
+    assert ta.hom_grid(alg) == bt.cartan_matrix(d)
+    assert dense(ta.ext1_grid(alg)) == reference_grid(alg, reference_arrows(alg))
+    assert dense(ta.ext1_grid(alg)) == reference_grid(alg, alg.arrow_at.values())
 
 
 @settings(max_examples=60, deadline=None)
 @given(trees(), st.data())
 def test_sparse_matrix_checks_match_dense_references(tree, data):
     d = bt.decomposition_matrix(tree)
-    assert bt.cartan_matrix(d) == dense_cartan(d)
+    assert dense(bt.cartan_matrix(d)) == dense_cartan(d)
     ok, order = bt.check_unitriangular(d)
     assert ok and (ok, order) == dense_unitriangular(d)
     # one cell rewritten: the check must still agree with every-cell reading
-    moved = with_entry(d, data.draw(st.integers(0, len(d.matrix) - 1)),
+    moved = with_entry(d, data.draw(st.integers(0, d.matrix.shape[0] - 1)),
                        data.draw(st.integers(0, len(d.col_edges) - 1)),
                        data.draw(st.integers(0, 2)))
     assert bt.check_unitriangular(moved) == dense_unitriangular(moved)
-    assert bt.cartan_matrix(moved) == dense_cartan(moved)
+    assert dense(bt.cartan_matrix(moved)) == dense_cartan(moved)
+    # a zero stored in a row reads as a zero, not as an entry
+    row = data.draw(st.integers(0, d.matrix.shape[0] - 1))
+    col = data.draw(st.integers(0, len(d.col_edges) - 1))
+    rows = [dict(r) for r in d.matrix.rows]
+    rows[row].setdefault(col, 0)
+    padded = dataclasses.replace(d, matrix=linalg.SparseMatrix(d.matrix.shape, rows))
+    assert bt.check_unitriangular(padded) == (ok, order)
+    assert dense(bt.cartan_matrix(padded)) == dense_cartan(d)
+
+
+def test_report_grids_store_their_nonzeros_only():
+    # h0 = 100 in four branches, mu = 3: grids 2.5 % nonzero or less
+    series = bt.SeriesDatum(100, (bt.Branch(3, 0, 39), bt.Branch(0, 40, 69),
+                                  bt.Branch(7, 70, 89), bt.Branch(5, 90, 99)))
+    tree = bt.assemble_tree(series, 3, 1)
+    d = bt.decomposition_matrix(tree)
+    alg = ta.from_tree(tree, 7)
+    want_d = reference_decomposition(tree)
+    assert d.matrix.shape == (103, 100)
+    assert dense(d.matrix) == want_d and stored(d.matrix) == nonzero(want_d)
+    # the exceptional rows are one row object
+    assert len({id(row) for row in d.matrix.rows[100:]}) == 1
+    cartan = bt.cartan_matrix(d)
+    want_cartan = dense_cartan(d)
+    assert dense(cartan) == want_cartan and stored(cartan) == nonzero(want_cartan)
+    assert bt.check_unitriangular(d) == dense_unitriangular(d)
+    hom = ta.hom_grid(alg)
+    want_hom = [list(col) for col in zip(*reference_grid(alg, alg.paths))]
+    assert want_hom == want_cartan
+    assert dense(hom) == want_hom and stored(hom) == nonzero(want_hom)
+    ext1 = ta.ext1_grid(alg)
+    want_ext1 = reference_grid(alg, reference_arrows(alg))
+    assert dense(ext1) == want_ext1 and stored(ext1) == nonzero(want_ext1)
 
 
 def test_unitriangular_negative_controls():
@@ -232,7 +298,8 @@ def test_unitriangular_negative_controls():
     ok, order = bt.check_unitriangular(d)
     assert ok and order == list(range(47, -1, -1))
     # chi_47 comes first; S_0, last in the order, sits deep in its zero run
-    assert d.matrix[47][5:45] == (0,) * 40
+    assert dense(d.matrix)[47][5:45] == [0] * 40
+    assert d.matrix.rows[47] == {47: 1}
     above = with_entry(d, 47, 0, 1)
     assert bt.check_unitriangular(above) == dense_unitriangular(above) == (False, order)
     double = with_entry(d, 20, 20, 2)

@@ -191,7 +191,6 @@ def test_every_dataclass_field_is_read():
     """Each annotated field of each dataclass under the package is read as
     an attribute, by name, somewhere in the package."""
     src = Path(linalg.__file__).parent
-    allowed = {"linalg.SparseMatrix.shape"}     # read by perfbench's rank_cells
 
     def is_dataclass(node):
         return any(getattr(d.func if isinstance(d, ast.Call) else d, "id", None)
@@ -209,7 +208,7 @@ def test_every_dataclass_field_is_read():
               if isinstance(stmt, ast.AnnAssign)
               and isinstance(stmt.target, ast.Name)
               and stmt.target.id not in read]
-    assert [f for f in unread if f not in allowed] == []
+    assert unread == []
 
 
 def test_importing_the_cli_does_not_load_numpy():

@@ -4,6 +4,7 @@ import time
 import pytest
 
 from coxbrauer import brauer_tree as bt
+from coxbrauer import linalg
 from coxbrauer import oracle as orc
 from coxbrauer import tree_algebra as ta
 from coxbrauer.cyclotomic import power_basis
@@ -338,7 +339,8 @@ def test_dec_transpose_equals_cartan():
         alg = ta.from_tree(bt.star_tree(d_order, e_order, n), g.ell)
         cols = sorted(alg.vertices)
         dtd = [[sum(row[a] * row[b] for row in d) for b in cols] for a in cols]
-        assert dtd == ta.hom_grid(alg)
+        hom = ta.hom_grid(alg)
+        assert dtd == [[row.get(c, 0) for c in cols] for row in hom.rows]
 
 
 def test_exceptional_count_matches_multiplicity():
@@ -375,6 +377,26 @@ def test_verify_star_reports_the_differing_cell():
     with pytest.raises(orc.Mismatch) as err:
         orc.verify_star(bt.star_tree(7, 3, 2), g, tuple(map(tuple, d)), tree_d)
     assert err.value.cell == (4, 1)
+    assert "tree 1, oracle 0" in str(err.value)
+    # the reverse: the oracle holds a 1 where the tree's row stores nothing,
+    # which a walk over the tree's stored entries alone would miss
+    d[4][1] = 1
+    d[1][2] = 1
+    assert 2 not in tree_d.rows[1]
+    with pytest.raises(orc.Mismatch) as err:
+        orc.verify_star(bt.star_tree(7, 3, 2), g, tuple(map(tuple, d)), tree_d)
+    assert err.value.cell == (1, 2)
+    assert "tree 0, oracle 1" in str(err.value)
+    # two differing cells: the first in row-major order is named
+    d[0][2] = 1
+    with pytest.raises(orc.Mismatch) as err:
+        orc.verify_star(bt.star_tree(7, 3, 2), g, tuple(map(tuple, d)), tree_d)
+    assert err.value.cell == (0, 2)
+    d[0][2] = d[1][2] = 0
+    # a zero stored in the tree's row is no difference
+    padded = linalg.SparseMatrix(tree_d.shape, [{**row, 2: row.get(2, 0)}
+                                                for row in tree_d.rows])
+    assert orc.verify_star(bt.star_tree(7, 3, 2), g, tuple(map(tuple, d)), padded)
     with pytest.raises(orc.Mismatch, match=r"shapes differ: tree \(5, 3\), "
                        r"oracle \(4, 3\)"):
         orc.verify_star(bt.star_tree(7, 3, 2), g, tuple(map(tuple, d[:4])), tree_d)
