@@ -4,13 +4,16 @@ Every capture under tests/golden/ is the stdout of one CLI invocation.
 Refactors and speed-ups must leave all of them byte for byte as they are.
 `coxbrauer selftest` reports timings, so only its shape is captured: the
 report with the seconds of each criterion taken out, which keeps the
-criteria names, PASS/FAIL and details.  Regenerate only when a report is
-meant to change:
+criteria names, PASS/FAIL and details.  The failure reports of the tilting
+check on sabotaged families run to megabytes, so each is captured as the
+exit code and SHA-256 digest of its stdout.  Regenerate only when a report
+is meant to change:
 
     PYTHONPATH=src python tests/test_golden.py --write
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -21,6 +24,7 @@ from pathlib import Path
 import pytest
 
 from coxbrauer import cli
+from coxbrauer import homotopy as ho
 
 GOLDEN = Path(__file__).parent / "golden"
 TWO_BRANCH = str(GOLDEN / "two_branch20.tree.json")
@@ -71,6 +75,22 @@ CAPTURES = {
 
 SELFTEST_SHAPE = "selftest_shape.json"
 
+# The tilting captures rerun with one complex of the canonical family
+# sabotaged: its boundaries zeroed, its lowest degree shifted up by one, or
+# the complex dropped.  The targets are branch tops, and members below the
+# top where a tree has fewer than three branches.  C_2 and C_5 of 2g2 are
+# stalks, which have no boundary to zero: those two families must pass.
+SABOTAGE_TARGETS = {
+    "line12_rickard_tilting.json": (11, 10, 5),
+    "2g2_rickard_tilting.json": (1, 2, 5),
+    "two_branch20_rickard_tilting.json": (11, 19, 18),
+    "wide48_rickard_tilting.json": (8, 22, 47),
+}
+SABOTAGES = ("zero", "shift", "drop")
+SABOTAGE_DIGESTS = "tilting_failures.sha256"
+SABOTAGED = [f"{name} {kind} {target}" for name, targets in SABOTAGE_TARGETS.items()
+             for kind in SABOTAGES for target in targets]
+
 
 def _without_seconds(stdout: str) -> str:
     """A selftest report with the timing of each criterion taken out."""
@@ -100,6 +120,61 @@ def test_selftest_shape_is_byte_identical():
     code, shape = _selftest_shape()
     assert code == 0
     assert shape == (GOLDEN / SELFTEST_SHAPE).read_text(encoding="utf-8")
+
+
+def _sabotaged_run(family: str) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one tilting capture run on a
+    sabotaged family ("<capture> <sabotage> <target>")."""
+    name, kind, target = family.split()
+    target = int(target)
+    real = ho.check_tilting
+
+    def sabotaged(alg, tree):
+        fam = [ho.rickard_complex(alg, tree, j) for j in sorted(alg.vertices)]
+        cx = fam[target]
+        if kind == "zero":
+            fam[target] = ho.ProjComplex(alg, cx.lo, cx.terms)
+        elif kind == "shift":
+            fam[target] = ho.ProjComplex(alg, cx.lo + 1, cx.terms, cx.diffs)
+        else:
+            del fam[target]
+        return real(alg, tree, fam)
+
+    out, err = io.StringIO(), io.StringIO()
+    ho.check_tilting = sabotaged
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(CAPTURES[name])
+    finally:
+        ho.check_tilting = real
+    return code, out.getvalue(), err.getvalue()
+
+
+def _digest_line(family: str) -> str:
+    code, out, err = _sabotaged_run(family)
+    if err:
+        raise AssertionError(f"{family}: stderr {err!r}")
+    return f"{code} {hashlib.sha256(out.encode()).hexdigest()} {family}\n"
+
+
+def _recorded_digests() -> dict[str, str]:
+    lines = (GOLDEN / SABOTAGE_DIGESTS).read_text(encoding="utf-8").splitlines()
+    return {line.split(" ", 2)[2]: line + "\n" for line in lines}
+
+
+def test_sabotaged_families_are_all_recorded():
+    recorded = _recorded_digests()
+    assert sorted(recorded) == sorted(SABOTAGED) and len(SABOTAGED) == 36
+    passing = {f for f, line in recorded.items() if not line.startswith("2 ")}
+    assert passing == {"2g2_rickard_tilting.json zero 2",
+                       "2g2_rickard_tilting.json zero 5"}
+
+
+@pytest.mark.parametrize("family", SABOTAGED)
+def test_tilting_failure_report_is_byte_identical(family):
+    """Each sabotaged family gets the exit code and the stdout, with its end
+    grid and Hom dimensions, that were captured."""
+    assert _digest_line(family) == _recorded_digests()[family]
 
 
 def _run_optimized(argv: list[str]) -> subprocess.CompletedProcess:
@@ -141,6 +216,9 @@ def _write_captures():
         raise SystemExit(f"{SELFTEST_SHAPE}: exit code {code}")
     (GOLDEN / SELFTEST_SHAPE).write_text(shape, encoding="utf-8")
     print(f"wrote {SELFTEST_SHAPE}")
+    (GOLDEN / SABOTAGE_DIGESTS).write_text(
+        "".join(map(_digest_line, SABOTAGED)), encoding="utf-8")
+    print(f"wrote {SABOTAGE_DIGESTS}")
 
 
 if __name__ == "__main__":
