@@ -43,9 +43,12 @@ MAX_MULTIPLICITY = 2 ** 16
 # The most conjugacy classes, mu + |E|, of a group whose character table
 # the oracle builds: the table is dense, so it grows with the square.
 MAX_CLASSES = 2 ** 10
-# The most cells of a dense report, a matrix or grid of one or more cells
-# per pair of edges, refused before it is built: the largest power of two
-# at which the largest report each command accepts fits in 1 GiB.
+# The most cells of a report with one or more cells per pair of edges,
+# refused from (h0, mu) or (|E|, mu) before any of it is built.  What it
+# limits differs by command: `decmatrix`, `algebra` and `star` hold only
+# the nonzero cells, so for them it limits the bytes printed, about 9 a
+# cell; `rickard --check-tilting` builds its h0 x h0 End grid, with the Hom
+# dimensions of every pair, only when the check fails.
 MAX_REPORT_CELLS = 2 ** 26
 
 

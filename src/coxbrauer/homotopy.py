@@ -9,24 +9,28 @@ Schur complements of trimming, one forward sweep of Gaussian elimination
 of contractible summands, and the change of basis that hides padded ones.
 Built on this: total Hom complexes, the only place where complexes become
 sparse scalar matrices over F_ell, and their cohomology, read off the row
-rank profile of each boundary for one pair of top-truncations at a time;
-the cohomology of a complex, read off one Hom complex out of a stalk of
-projectives; its Euler character, the signed sum of the ends of the edges
-of its terms; the branch-walking complex attached to each tree edge, each
-boundary an arrow read off the algebra's (node, source) table; and the
-tilting verification for their direct sum (Hom vanishing off degree zero,
-generation, and the degree-zero Hom grid being the Cartan matrix of the
-star algebra with the same parameters).  The complexes of a branch are the
-top-truncations of its top complex, so the check builds one complex per
-branch and one Hom complex per pair of branches.
+rank profile of each boundary; the cohomology of a complex, read off one
+Hom complex out of a stalk of projectives; its Euler character, the signed
+sum of the ends of the edges of its terms; the branch-walking complex
+attached to each tree edge, each boundary an arrow read off the algebra's
+(node, source) table; and the tilting verification for their direct sum
+(Hom vanishing off degree zero, generation, and the degree-zero Hom grid
+being the Cartan matrix of the star algebra with the same parameters).
+The complexes of a branch are the top-truncations of its top complex, so
+the check builds one complex per branch and one Hom complex per pair of
+branches.  Such a Hom complex is a set of point masses, one per basis
+map and rank-profile pair, whose 2-D prefix sums are the Hom dimensions
+of every pair of members: a pass is certified from sums of the masses,
+and only a failure builds the grids.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
-from operator import itemgetter
+from itertools import accumulate
+from operator import add, itemgetter
 
 from . import linalg
 from .brauer_tree import EXC, PlanarBrauerTree, height, perversity
@@ -320,7 +324,7 @@ class HomComplex:
     Hom complex of the top-truncations of C1 and C2 (their terms up to
     some degree, the lower boundaries unchanged) is a prefix of every
     basis[n], its D the projection of this D, and one row rank profile
-    of each D answers every pair of truncations (`truncated_cohomology`).
+    of each D answers every pair of truncations (`hom_masses`).
     """
 
     def __init__(self, cx1: ProjComplex, cx2: ProjComplex):
@@ -406,50 +410,6 @@ class HomComplex:
         """H^n for every degree where Hom^n is not empty (elsewhere it is 0)."""
         return {n: self.cohomology_dim(n) for n, b in self.basis.items() if b}
 
-    def truncated_cohomology(self, members1, members2):
-        """Yield (a, b, {n: dim H^n}) for each (a, h1) in members1 and
-        (b, h2) in members2, one pair at a time: the Hom complex of C1
-        truncated to degrees <= h1 and C2 truncated to degrees <= h2, over
-        the degrees where that Hom^n is not empty.
-
-        Its Hom^n is spanned by the basis maps of C1-degree <= h1 and
-        C2-degree <= h2, a prefix of basis[n].  Its D is this D projected
-        onto that prefix of basis[n + 1].  A row of C1-degree <= h1 but
-        C2-degree > h2 projects to zero, and a row of C1-degree <= h1
-        meets no target of higher C1-degree, so rank D is the number of
-        profile pairs whose row has C1-degree <= h1 and whose column has
-        C2-degree <= h2: with the leading columns of those rows sorted once
-        per h1, a bisection per degree for each pair.  The prefixes cut by
-        each h2 are found once, before the first h1.
-        """
-        basis, lead = self.basis, itemgetter(1)
-
-        def upto(n: int, h: int) -> int:
-            """The length of the prefix of basis[n] of C1-degree <= h."""
-            return bisect_right(basis[n], h, key=itemgetter(0))
-
-        degrees = [n for n, b in basis.items() if b]
-        profiles = {m: self.profile(m) for m in degrees if self.dim(m + 1)}
-        # per h2: the prefix of each basis[n], and the column bound of each
-        # profile, of C2-degree <= h2
-        cuts = [(b, [upto(n, h2 - n) for n in degrees],
-                 {m: upto(m + 1, h2 - m - 1) for m in profiles}) for b, h2 in members2]
-        for a, h1 in members1:
-            # the profile is in row order, so the pivot rows of C1-degree
-            # <= h1 are a prefix of it: with end the first row past them,
-            # (end,) sorts before every pair of row end
-            cols = {m: sorted(map(lead, prof[:bisect_left(prof, (upto(m, h1),))]))
-                    for m, prof in profiles.items()}
-            rows = [upto(n, h1) for n in degrees]
-            for b, rows2, col_ends in cuts:
-                rank = {m: bisect_left(c, col_ends[m]) for m, c in cols.items()}
-                coh = {}
-                for n, d1, d2 in zip(degrees, rows, rows2):
-                    if d := min(d1, d2):
-                        coh[n] = _cohomology_dim(n, d, rank.get(n, 0),
-                                                 rank.get(n - 1, 0))
-                yield a, b, coh
-
 
 def homotopy_hom(cx1: ProjComplex, cx2: ProjComplex, i: int) -> int:
     """dim Hom_K(cx1, cx2[i]) = dim H^i of the Hom complex."""
@@ -466,10 +426,10 @@ class TiltingReport:
     expected_end_dim: int
     generation_ok: bool
     labels: list[int]                               # the complexes, in order
-    end_grid: list[list[int]]           # dim Hom_K(C_a, C_b) in degree 0
     # built only for a failed check, which is the only report printing them:
-    # mu + delta_ab, the star Cartan matrix, and (j, j', n, dim) wherever
-    # Hom^n is not empty
+    # dim Hom_K(C_a, C_b) in degree 0, mu + delta_ab, the star Cartan
+    # matrix, and (j, j', n, dim) wherever Hom^n is not empty
+    end_grid: list[list[int]] | None = None
     expected_end_grid: list[list[int]] | None = None
     hom_dims: list[tuple[int, int, int, int]] | None = None
 
@@ -513,6 +473,141 @@ def end_grid_mismatches(labels: list[int], grid: list[list[int]],
             if d != expected[a][b]]
 
 
+# point masses on the grid of member pairs of two tops, (A, B) -> weight,
+# and such cells per degree n
+Cells = dict[tuple[int, int], int]
+Masses = dict[int, Cells]
+
+
+def tilting_runs(alg: TreeAlgebra, tree: PlanarBrauerTree,
+                 complexes: list[ProjComplex] | None = None
+                 ) -> list[tuple[ProjComplex, list[tuple[int, int]]]]:
+    """The family to verify as (top, members) runs: each member a (label,
+    top degree) pair, in ascending top degree, standing for the top cut to
+    its terms of degree <= that degree.  C_j of a branch [m, M] is its top
+    C_M so cut at r + j - m; a supplied complex is its own top."""
+    if complexes is None:
+        return [(rickard_complex(alg, tree, b.M),
+                 [(j, tree.r + j - b.m) for j in range(b.m, b.M + 1)])
+                for b in tree.series.branches]
+    return [(cx, [(k, cx.hi)]) for k, cx in enumerate(complexes)]
+
+
+def hom_masses(top1: ProjComplex, members1: list[tuple[int, int]],
+               top2: ProjComplex, members2: list[tuple[int, int]]
+               ) -> tuple[Masses, Masses]:
+    """The Hom complex of two tops as point masses on the grid of member
+    pairs (A, B), A and B places in members1 and members2: (dims, ranks).
+
+    alpha(i) is the first member of top1 of top degree >= i, beta(j) the
+    same in top2.  basis[n] ascends in C1-degree i and C2-degree j = i + n,
+    so the Hom complex of members A and B holds the prefix of it with
+    A >= alpha(i) and B >= beta(j): dims[n] has one mass per basis map, at
+    (alpha(i), beta(j)).  Its D is this D projected onto the prefix of
+    basis[n + 1]; a row beyond the C2-degree of B projects to zero, and a
+    row meets no target of higher C1-degree, so its rank is the number of
+    profile pairs (r, c) of D_n inside both prefixes: ranks[n] has one mass
+    per pair, at (alpha(i_r), beta(j_c)).  dim H^n(A, B) is the sum of
+    dims[n] - ranks[n] - ranks[n - 1] over the cells <= (A, B).
+    """
+    hc = HomComplex(top1, top2)
+    tops1, tops2 = [h for _, h in members1], [h for _, h in members2]
+    alpha = [bisect_left(tops1, i) for i in top1.degrees()]
+    beta = [bisect_left(tops2, j) for j in top2.degrees()]
+    lo1, lo2 = top1.lo, top2.lo
+    dims: Masses = {}
+    ranks: Masses = {}
+    for n, b in hc.basis.items():
+        if not b:
+            continue
+        cells = dims[n] = {}
+        for f in b:
+            cell = alpha[f[0] - lo1], beta[f[0] + n - lo2]
+            cells[cell] = cells.get(cell, 0) + 1
+        if up := hc.basis.get(n + 1):
+            cells = ranks[n] = {}
+            for r, c in hc.profile(n):
+                cell = alpha[b[r][0] - lo1], beta[up[c][0] + n + 1 - lo2]
+                cells[cell] = cells.get(cell, 0) + 1
+    return dims, ranks
+
+
+def _star_masses(size: int, mu: int, within: bool) -> Cells:
+    """The second difference of mu + delta_ab on a size x size grid: the
+    degree-zero masses of the Hom complex of a run's top with itself
+    (within), or of the tops of two runs."""
+    if not within:
+        return {(0, 0): mu}
+    out = {(0, 0): mu + 1}
+    for a in range(1, size):
+        out[a, a] = 2
+        out[a - 1, a] = out[a, a - 1] = -1
+    return out
+
+
+def _certified(dims: Masses, ranks: Masses,
+               size1: int, size2: int, expected: Cells) -> bool:
+    """Whether every H^n(A, B) off degree zero vanishes and the degree-zero
+    masses are `expected`, in O(masses).  A mass at (a, b) counts in the
+    (size1 - a)(size2 - b) pairs (A, B) >= (a, b); weighted by that, the
+    masses off degree zero (a profile pair of D_n in H^n and H^(n + 1))
+    sum to the sum of all those H^n(A, B).  Each is a dimension, as every
+    complex is checked for d^2 = 0 when it is built, so the sum is 0
+    exactly when each is."""
+    def weighed(cells: Cells) -> int:
+        return sum(w * (size1 - a) * (size2 - b) for (a, b), w in cells.items())
+
+    if (sum(weighed(cells) for n, cells in dims.items() if n)
+            != sum(weighed(cells) * ((n != 0) + (n != -1))
+                   for n, cells in ranks.items())):
+        return False
+    zero = dict(dims.get(0, {}))
+    for n in (0, -1):
+        for cell, w in ranks.get(n, {}).items():
+            zero[cell] = zero.get(cell, 0) - w
+    return {cell: w for cell, w in zero.items() if w} == expected
+
+
+def _prefix_sums(cells: Cells, rows: int, cols: int) -> list[list[int]]:
+    """The sum of the masses over the cells <= (a, b), for each (a, b)."""
+    grid = [[0] * cols for _ in range(rows)]
+    for (a, b), w in cells.items():
+        grid[a][b] += w
+    out, above = [], [0] * cols
+    for row in grid:
+        above = list(map(add, above, accumulate(row)))
+        out.append(above)
+    return out
+
+
+def end_grid_read_out(runs: list[tuple[ProjComplex, list[tuple[int, int]]]]
+                      ) -> tuple[list[list[int]], list[tuple[int, int, int, int]]]:
+    """The End grid dim Hom_K(C_a, C_b) and the sorted (j, j', n, dim H^n)
+    wherever Hom^n(C_j, C_j') is not empty, as 2-D prefix sums of the
+    masses; InvalidComplex for a negative dimension.  Only a failed check
+    builds these."""
+    size = sum(len(members) for _, members in runs)
+    grid = [[0] * size for _ in range(size)]
+    hom_dims = []
+    for top1, members1 in runs:
+        for top2, members2 in runs:
+            dims, ranks = hom_masses(top1, members1, top2, members2)
+            shape = len(members1), len(members2)
+            sums = [(n, _prefix_sums(cells, *shape),
+                     _prefix_sums(ranks.get(n, {}), *shape),
+                     _prefix_sums(ranks.get(n - 1, {}), *shape))
+                    for n, cells in dims.items()]
+            for x, (a, _) in enumerate(members1):
+                for y, (b, _) in enumerate(members2):
+                    for n, dim, rank_out, rank_in in sums:
+                        if d := dim[x][y]:
+                            h = _cohomology_dim(n, d, rank_out[x][y], rank_in[x][y])
+                            hom_dims.append((a, b, n, h))
+                            if not n:
+                                grid[a][b] = h
+    return grid, sorted(hom_dims)
+
+
 def check_tilting(alg: TreeAlgebra, tree: PlanarBrauerTree,
                   complexes: list[ProjComplex] | None = None) -> TiltingReport:
     """Verify that the direct sum of the branch-walking complexes tilts.
@@ -522,53 +617,32 @@ def check_tilting(alg: TreeAlgebra, tree: PlanarBrauerTree,
     degree-zero Hom grid dim Hom_K(C_a, C_b) is the Cartan matrix
     mu + delta_ab of the star algebra with the same h0 and multiplicity,
     so that the endomorphism ring has the star algebra's dimension pair by
-    pair.  The complexes C_j of a branch [m, M] are, by construction, the
-    top-truncations of its top complex C_M: C_j keeps its terms of degree
-    <= r + j - m.  So only C_M is built, and one Hom complex between the
-    tops of two branches gives the Hom of every pair of their members.
-    Raises TiltingFailure on any failure; when complexes are supplied they
-    are verified instead of the canonical family (the negative-control
-    hook), each its own top with one member.
+    pair.  Only the top of each branch is built, and the masses of one Hom
+    complex between two tops certify every pair of their members at once,
+    resting on d^2 = 0 of the tops (`_certified`); a pass builds no grid.
+    Raises TiltingFailure on any failure, with the End grid and every
+    Hom^n dimension; when complexes are supplied they are verified instead
+    of the canonical family (the negative-control hook).
     """
-    if complexes is None:
-        runs = [(rickard_complex(alg, tree, b.M),
-                 [(j, tree.r + j - b.m) for j in range(b.m, b.M + 1)])
-                for b in tree.series.branches]
-    else:
-        runs = [(cx, [(k, cx.hi)]) for k, cx in enumerate(complexes)]
+    runs = tilting_runs(alg, tree, complexes)
     size = sum(len(members) for _, members in runs)
-    labels = list(alg.vertices[:size])
-
-    def pairs():
-        for top_a, members_a in runs:
-            for top_b, members_b in runs:
-                yield from HomComplex(top_a, top_b).truncated_cohomology(
-                    members_a, members_b)
-
-    grid = [[0] * size for _ in range(size)]
-    shifted = False         # some Hom in a nonzero shift is not zero
-    for a, b, coh in pairs():
-        grid[a][b] = coh.get(0, 0)
-        for n, h in coh.items():
-            if n and h:
-                shifted = True
+    labels = list(range(size))
     covered = {v for top, _ in runs for term in top.terms for v in term}
     generation_ok = covered == set(alg.vertices)
-    mu, end_dim = tree.multiplicity, sum(map(sum, grid))
+    mu = tree.multiplicity
     expected = star_algebra_dimension(tree.h0, mu)
-    # the grid is the star Cartan matrix when each row a holds mu + 1 at a
-    # and mu in its size - 1 other cells
-    ok = (not shifted and generation_ok and end_dim == expected
-          and all(row[a] == mu + 1 and row.count(mu) == size - 1
-                  for a, row in enumerate(grid)))
-    report = TiltingReport(ok, end_dim, expected, generation_ok, labels, grid)
-    if not ok:
-        # the pairs are read a second time for the data only a failure prints
-        report.expected_end_grid = star_cartan(size, mu)
-        report.hom_dims = sorted((labels[a], labels[b], n, h)
-                                 for a, b, coh in pairs() for n, h in coh.items())
-        raise TiltingFailure(report)
-    return report
+    # a certified End grid is mu + delta_ab, of dimension size(size mu + 1)
+    if (generation_ok and star_algebra_dimension(size, mu) == expected
+            and all(_certified(*hom_masses(top1, members1, top2, members2),
+                               len(members1), len(members2),
+                               _star_masses(len(members1), mu, x == y))
+                    for x, (top1, members1) in enumerate(runs)
+                    for y, (top2, members2) in enumerate(runs))):
+        return TiltingReport(True, expected, expected, True, labels)
+    grid, hom_dims = end_grid_read_out(runs)
+    raise TiltingFailure(TiltingReport(
+        False, sum(map(sum, grid)), expected, generation_ok, labels, grid,
+        star_cartan(size, mu), hom_dims))
 
 
 # ---------------------------------------------------------------------------

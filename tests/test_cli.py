@@ -619,13 +619,39 @@ print(proc.returncode, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
 
 
 def test_passing_tilting_check_holds_no_per_pair_data():
-    """line400 has 160,000 member pairs; they are streamed into the End
-    grid, so the run stays far below the 112 MB that per-pair tables took."""
+    """line400 has 160,000 member pairs; a pass certifies them all from one
+    Hom complex and builds no End grid, so the run stays far below the
+    112 MB that per-pair tables took."""
     proc = _child(_CHILD_MAX_RSS, "rickard", "--fixture", "line400", "--mu", "1",
                   "--field", "31", "--vertex", "3", "--check-tilting")
     code, max_rss_kb = map(int, proc.stdout.split())
     assert code == 0
     assert max_rss_kb < 60 * 1024
+
+
+# a wrapper whose only child runs the script given first (_TIMED_MAIN) on
+# the rest: its exit code, the seconds of its cli.main and its max RSS
+_TIMED_CHILD_MAX_RSS = """
+import resource, subprocess, sys
+proc = subprocess.run([sys.executable, "-c", *sys.argv[1:]], text=True,
+                      stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+seconds = proc.stderr.rsplit("seconds ", 1)[1].strip()
+print(proc.returncode, seconds, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+
+
+def test_tilting_check_at_the_end_grid_bound_answers_in_bounded_time():
+    """line8192 has 2^26 member pairs, the most the End-grid bound accepts.
+    Read pair by pair they took 117.6 s and 567 MB; certified from the
+    degree counts and rank profiles of one Hom complex, the check answers
+    within seconds, in a child capped at 1 GiB of address space."""
+    proc = _child(_TIMED_CHILD_MAX_RSS, _TIMED_MAIN, "rickard", "--fixture",
+                  "line8192", "--mu", "1", "--field", "31", "--vertex", "3",
+                  "--check-tilting")
+    code, seconds, max_rss_kb = proc.stdout.split()
+    assert int(code) == 0
+    assert float(seconds) < 5.0
+    assert int(max_rss_kb) < 100 * 1024
 
 
 @pytest.mark.parametrize("command", ["decmatrix", "algebra"])

@@ -246,6 +246,22 @@ def test_check_tilting_line_and_ree():
     assert rep.end_dim == ho.star_algebra_dimension(6, 3) == 114
 
 
+def test_a_family_longer_than_the_tree_fails_with_its_report():
+    # one complex too many: the labels are the places in the family, so the
+    # report names C_3 where the tree has three edges
+    tree, alg = line(3, 1)
+    fam = [ho.rickard_complex(alg, tree, j) for j in range(3)]
+    with pytest.raises(ho.TiltingFailure) as err:
+        ho.check_tilting(alg, tree, fam + fam[:1])
+    rep = err.value.report
+    assert rep.labels == [0, 1, 2, 3] and len(rep.end_grid) == 4
+    assert ho.end_grid_mismatches(rep.labels, rep.end_grid,
+                                  rep.expected_end_grid) == [(0, 3, 2, 1),
+                                                             (3, 0, 2, 1)]
+    assert rep.summary() == ("Hom(C_0, C_3) has dimension 2 != 1 of the star "
+                             "algebra; End dimension 22 != star dimension 12")
+
+
 def test_check_tilting_negative_control():
     tree, alg = line(3, 2)
     fam = [ho.rickard_complex(alg, tree, j) for j in range(3)]
@@ -387,19 +403,21 @@ def test_direct_sum_shapes():
 def test_end_grid_is_the_star_cartan_matrix():
     trees = [line(h0, mu)[0] for h0, mu in ((5, 1), (6, 2), (8, 1))]
     trees += random_trees(5, seed=404)
+    trees.append(ree()[0])
     for tree in trees:
-        alg = ta.from_tree(tree, 31)
+        alg = ta.from_tree(tree, 19 if tree.h0 == 6 else 31)
         rep = ho.check_tilting(alg, tree)
-        mu = tree.multiplicity
-        assert rep.end_grid == ho.star_cartan(tree.h0, mu) == [
-            [mu + (a == b) for b in range(tree.h0)] for a in range(tree.h0)]
-        assert rep.labels == sorted(alg.vertices)
-        # a passing check holds no per-pair data beyond the End grid: the
-        # expected grid and every Hom^n are built for a failure only
+        # a passing check builds no grid: the End grid, every Hom^n and the
+        # expected grid are built for a failure only
+        assert rep.end_grid is None
         assert rep.expected_end_grid is None and rep.hom_dims is None
-    tree, alg = ree()
-    rep = ho.check_tilting(alg, tree)
-    assert rep.end_grid == ho.star_cartan(6, 3)
+        assert rep.labels == sorted(alg.vertices)
+        # read as a failure reads it, the prefix sums of the masses
+        grid, hom_dims = ho.end_grid_read_out(ho.tilting_runs(alg, tree))
+        mu = tree.multiplicity
+        assert grid == ho.star_cartan(tree.h0, mu) == [
+            [mu + (a == b) for b in range(tree.h0)] for a in range(tree.h0)]
+        assert not any(n and h for _, _, n, h in hom_dims)
 
 
 def test_end_grid_negative_control_keeps_the_total():
@@ -421,18 +439,19 @@ def test_end_grid_negative_control_keeps_the_total():
 
 
 def test_end_grid_sabotage_is_caught_by_check_tilting(monkeypatch):
-    # the same swap, injected into the degree-0 cohomology of two pairs as
-    # the Hom complexes of the supplied family stream them out
+    # the same swap, injected into the degree-0 masses of two pairs of the
+    # supplied family, each complex its own top with its one member at (0, 0)
     tree, alg = line(3, 1)
     fam = [ho.rickard_complex(alg, tree, j) for j in range(3)]
-    real = ho.HomComplex.truncated_cohomology
+    real = ho.hom_masses
 
-    def swapped(self, members1, members2):
-        for a, b, coh in real(self, members1, members2):
-            coh[0] += {(1, 1): -1, (1, 2): 1}.get((a, b), 0)
-            yield a, b, coh
+    def swapped(top1, members1, top2, members2):
+        dims, ranks = real(top1, members1, top2, members2)
+        (a, _), (b, _) = members1[0], members2[0]
+        dims[0][0, 0] += {(1, 1): -1, (1, 2): 1}.get((a, b), 0)
+        return dims, ranks
 
-    monkeypatch.setattr(ho.HomComplex, "truncated_cohomology", swapped)
+    monkeypatch.setattr(ho, "hom_masses", swapped)
     with pytest.raises(ho.TiltingFailure) as err:
         ho.check_tilting(alg, tree, fam)
     rep = err.value.report
@@ -441,6 +460,60 @@ def test_end_grid_sabotage_is_caught_by_check_tilting(monkeypatch):
                                   rep.expected_end_grid) == [(1, 1, 1, 2),
                                                              (1, 2, 2, 1)]
     assert "Hom(C_1, C_1) has dimension 1 != 2" in rep.summary()
+
+
+def test_a_dropped_rank_profile_pair_is_rejected(monkeypatch):
+    """C_3 of line(4, 1) padded with P_2 == P_2 in degrees 2 and 3 still
+    tilts, and its Hom complex with itself is the only one of the family
+    whose D_1 has rank: one profile pair.  With that pair dropped, H^1 and
+    H^2 of that one pair rise to 1 and degree 0 is untouched, so the
+    certificate must reject the family on its nonzero shifts alone, and the
+    failure report must differ from the true one in those two entries."""
+    tree, alg = line(4, 1)
+    fam = [ho.rickard_complex(alg, tree, j) for j in range(4)]
+    fam[3] = ho.pad_with_contractible(fam[3], 2, 2)
+    runs = ho.tilting_runs(alg, tree, fam)
+    _, true_dims = ho.end_grid_read_out(runs)
+    assert ho.check_tilting(alg, tree, fam).ok
+    real = ho.HomComplex.profile
+
+    def dropped(self, n):
+        prof = real(self, n)
+        return prof[:-1] if n == 1 else prof
+
+    monkeypatch.setattr(ho.HomComplex, "profile", dropped)
+    with pytest.raises(ho.TiltingFailure) as err:
+        ho.check_tilting(alg, tree, fam)
+    rep = err.value.report
+    raised = [(x, y) for x, y in zip(true_dims, rep.hom_dims) if x != y]
+    assert raised == [((3, 3, 1, 0), (3, 3, 1, 1)), ((3, 3, 2, 0), (3, 3, 2, 1))]
+    assert rep.end_grid == rep.expected_end_grid
+    assert rep.summary() == "Hom(C_3, C_3[1]) has dimension 1 != 0"
+
+
+def test_a_misplaced_mass_is_rejected_by_its_weight(monkeypatch):
+    """One Hom^1 basis map of a line's top counted from one member earlier
+    on both sides: H^1 rises by one on the pairs that now hold it, and the
+    number of masses, the degree-zero masses and every other pair stay.
+    The sum over all pairs sees it only through the weight of each mass,
+    the number of member pairs that hold it."""
+    tree, alg = line(5, 1)
+    real = ho.hom_masses
+
+    def misplaced(*args):
+        dims, ranks = real(*args)
+        (a, b), _ = max(dims[1].items())
+        dims[1][a, b] -= 1
+        dims[1][a - 1, b - 1] = dims[1].get((a - 1, b - 1), 0) + 1
+        return dims, ranks
+
+    monkeypatch.setattr(ho, "hom_masses", misplaced)
+    with pytest.raises(ho.TiltingFailure) as err:
+        ho.check_tilting(alg, tree)
+    rep = err.value.report
+    assert rep.end_grid == rep.expected_end_grid
+    assert rep.summary().startswith("Hom(C_")
+    assert {n for _, _, n, h in rep.hom_dims if h and n} == {1}
 
 
 def test_failed_tilting_json_carries_both_grids(monkeypatch, capsys):
@@ -709,39 +782,84 @@ def _per_pair_hom_dims(fam, labels):
 
 
 def _rewritten(fam, rewrite, rng):
-    """The family with one complex shifted in lo, padded and mixed, or with
-    its boundaries zeroed, or the whole family shuffled."""
+    """The family with one complex shifted in lo, padded and mixed, with its
+    boundaries zeroed, replaced by the stalk of its lowest term, swapped
+    with or replaced by another complex of the family, or the whole family
+    shuffled."""
     fam = list(fam)
     if rewrite == "shuffle":
         rng.shuffle(fam)
         return fam
     # the longest complex, so that a chain is broken where there is one
     k = max(range(len(fam)), key=lambda i: (len(fam[i].terms), rng.random()))
+    other = rng.choice([i for i in range(len(fam)) if i != k] or [k])
     cx = fam[k]
     if rewrite == "shift":
         fam[k] = ho.ProjComplex(cx.alg, cx.lo + 1, cx.terms, cx.diffs)
     elif rewrite == "pad":
         fam[k] = _padded_mixed(cx, rng, rng.randint(1, 3))
+    elif rewrite == "replace":
+        fam[k] = ho.ProjComplex(cx.alg, cx.lo, cx.terms[:1])
+    elif rewrite == "swap":
+        fam[k], fam[other] = fam[other], fam[k]
+    elif rewrite == "duplicate":
+        fam[k] = fam[other]
     else:
         fam[k] = ho.ProjComplex(cx.alg, cx.lo, cx.terms)
     return fam
 
 
+def _matches_per_pair_hom_complexes(alg, tree, fam):
+    """Run check_tilting on fam (None: the canonical family) and require
+    its verdict, and for a failure its End grid, hom_dims and summary, to be
+    those of the per-pair Hom complexes HomComplex(C_a, C_b); the End grid
+    and hom_dims read off the masses must be those too, pass or fail.
+    Returns the verdict."""
+    labels = sorted(alg.vertices)
+    try:
+        rep = ho.check_tilting(alg, tree, fam)
+    except ho.TiltingFailure as err:
+        rep = err.report
+    runs = ho.tilting_runs(alg, tree, fam)
+    fam = fam or [ho.rickard_complex(alg, tree, j) for j in labels]
+    want = _per_pair_hom_dims(fam, labels)
+    cells = {(a, b): h for a, b, n, h in want if n == 0}
+    grid = [[cells.get((a, b), 0) for b in range(len(fam))]
+            for a in range(len(fam))]
+    assert ho.end_grid_read_out(runs) == (grid, want)
+    mu = tree.multiplicity
+    covered = {v for cx in fam for term in cx.terms for v in term}
+    ok = (covered == set(labels) and not any(n and h for *_, n, h in want)
+          and grid == ho.star_cartan(len(fam), mu)
+          and sum(map(sum, grid)) == ho.star_algebra_dimension(tree.h0, mu))
+    assert rep.ok == ok
+    assert rep.end_dim == (ho.star_algebra_dimension(tree.h0, mu) if ok
+                           else sum(map(sum, grid)))
+    if ok:
+        assert (rep.end_grid, rep.expected_end_grid, rep.hom_dims) == (None,) * 3
+    else:
+        assert (rep.end_grid, rep.hom_dims) == (grid, want)
+        assert rep.expected_end_grid == ho.star_cartan(len(fam), mu)
+        assert rep.summary() == ho.TiltingReport(
+            False, rep.end_dim, rep.expected_end_dim, covered == set(labels),
+            labels[:len(fam)], grid, rep.expected_end_grid, want).summary()
+    return rep.ok
+
+
 def test_chain_read_out_matches_per_pair_hom_complexes(monkeypatch):
-    """check_tilting reads each pair of the canonical family off the Hom
-    complex of the tops of two branches, and each pair of a supplied family
-    off the Hom complex of the two complexes; every pair, streamed once per
-    reading, must get what its own Hom complex gives, and a failure's
-    hom_dims, read in a second pass, must list them all."""
-    streamed = []
-    real = ho.HomComplex.truncated_cohomology
+    """check_tilting certifies each pair of the canonical family off the
+    Hom complex of the tops of two branches, and each pair of a supplied
+    family off the Hom complex of the two complexes; verdict and read-out
+    must be what per-pair Hom complexes give.  A pass reads the masses of
+    each pair of tops once."""
+    read = Counter()
+    real = ho.hom_masses
 
-    def spy(self, members1, members2):
-        for a, b, coh in real(self, members1, members2):
-            streamed.append((a, b, dict(coh)))
-            yield a, b, coh
+    def spy(*args):
+        read["masses"] += 1
+        return real(*args)
 
-    monkeypatch.setattr(ho.HomComplex, "truncated_cohomology", spy)
+    monkeypatch.setattr(ho, "hom_masses", spy)
     rng = random.Random(4099)
     outcomes = Counter()
     cases = [(line(h0, mu, ell=31)[0], 31) for h0, mu in ((5, 1), (4, 2))]
@@ -750,38 +868,47 @@ def test_chain_read_out_matches_per_pair_hom_complexes(monkeypatch):
     chained = 0
     for tree, ell in cases:
         alg = ta.from_tree(tree, ell)
-        labels = sorted(alg.vertices)
-        canonical = [ho.rickard_complex(alg, tree, j) for j in labels]
+        canonical = [ho.rickard_complex(alg, tree, j) for j in sorted(alg.vertices)]
         chained += any(b.m < b.M for b in tree.series.branches)
         # None is the canonical family, read off the branch tops
         families = [None] + [_rewritten(canonical, rewrite, rng)
                              for rewrite in ("shift", "pad", "shuffle", "zero")]
         for fam in families:
-            streamed.clear()
-            try:
-                rep = ho.check_tilting(alg, tree, fam)
-            except ho.TiltingFailure as err:
-                rep = err.report
-            fam = fam or canonical
-            want = _per_pair_hom_dims(fam, labels)
-            size = len(labels)
-            readings = [streamed[k:k + size ** 2]
-                        for k in range(0, len(streamed), size ** 2)]
-            assert len(readings) == (1 if rep.ok else 2)
-            for reading in readings:
-                assert sorted((a, b) for a, b, _ in reading) == [
-                    (a, b) for a in range(size) for b in range(size)]
-                assert sorted((labels[a], labels[b], n, h) for a, b, coh in reading
-                              for n, h in coh.items()) == want
-            assert rep.hom_dims == (None if rep.ok else want)
-            grid = {(a, b): h for a, b, n, h in want if n == 0}
-            assert rep.end_grid == [[grid.get((a, b), 0) for b in labels]
-                                    for a in labels]
-            outcomes[rep.ok] += 1
+            read.clear()
+            ok = _matches_per_pair_hom_complexes(alg, tree, fam)
+            if ok:
+                # the check, then the read-out of the comparison
+                assert read["masses"] == 2 * len(ho.tilting_runs(alg, tree, fam)) ** 2
+            outcomes[ok] += 1
     # every tree has a branch of two or more edges, so chains are read out;
     # the canonical families pass and the shifted and zeroed ones fail
     assert chained == len(cases)
     assert outcomes[True] >= len(cases) and outcomes[False] >= 2 * len(cases)
+
+
+def test_certificate_agrees_with_per_pair_hom_complexes_on_sabotaged_families():
+    """A seeded differential test: the canonical families of random trees,
+    short lines and line12, over F_5, F_19 and F_31 in turn, and six
+    sabotages of each.  Swapping two complexes permutes the End grid
+    mu + delta_ab onto itself, so every swap passes: dimension counts
+    cannot see it (ROADMAP item 4)."""
+    rng = random.Random(1237)
+    trees = random_trees() + line_trees() + [line(12, 2)[0]]
+    sabotages = ("shift", "zero", "replace", "swap", "duplicate", "pad")
+    outcomes = Counter()
+    for k, tree in enumerate(trees):
+        alg = ta.from_tree(tree, (5, 19, 31)[k % 3])
+        assert _matches_per_pair_hom_complexes(alg, tree, None)
+        canonical = [ho.rickard_complex(alg, tree, j) for j in sorted(alg.vertices)]
+        for sabotage in sabotages:
+            fam = _rewritten(canonical, sabotage, rng)
+            outcomes[sabotage, _matches_per_pair_hom_complexes(alg, tree, fam)] += 1
+    # padding with contractible summands keeps the homotopy type, so a
+    # padded and mixed family tilts, on a larger Hom basis
+    for sabotage in ("swap", "pad"):
+        assert outcomes[sabotage, True] == len(trees), sabotage
+    for sabotage in ("shift", "zero", "replace", "duplicate"):
+        assert outcomes[sabotage, False] > 0, sabotage
 
 
 # ---------------------------------------------------------------------------
