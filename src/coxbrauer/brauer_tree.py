@@ -365,10 +365,6 @@ def height(tree: PlanarBrauerTree, j: int) -> int:
     return j - tree.branch_of(j).m
 
 
-def perversity(tree: PlanarBrauerTree, i: int) -> int:
-    return i - 2 * tree.r
-
-
 def check_unitriangular(d: DecompositionMatrix):
     """Test lower unitriangularity under the height order.
 

@@ -13,7 +13,7 @@ import argparse
 import functools
 import json
 import sys
-from itertools import chain, compress
+from itertools import chain
 
 from . import brauer_tree as bt
 from . import homotopy as ho
@@ -203,22 +203,13 @@ def _dumps(obj, indent: str = "\n", lead: str = ""):
         return
     # one C-level pass over the item types; a bool is not an int here
     if set(map(type, obj)) == {int}:
-        n = len(obj)
-        items = (sep.join(map(str, obj))
-                 if n < _SPARSE_MIN_LEN or 4 * obj.count(0) < 3 * n
-                 else _int_items(compress(enumerate(obj), obj), n, sep))
-        yield lead + "[" + inner + items + indent + "]"
+        yield lead + "[" + inner + sep.join(map(str, obj)) + indent + "]"
         return
     head = lead + "[" + inner
     for x in obj:
         yield from _dumps(x, inner, head)
         head = sep
     yield indent + "]"
-
-
-# an int list at least this long and at least three quarters zero is
-# written from its nonzero positions
-_SPARSE_MIN_LEN = 32
 
 
 def _matrix_rows(a: SparseMatrix, indent: str, lead: str):
@@ -464,16 +455,16 @@ def _cmd_rickard(args) -> int:
     code = EXIT_OK
     if args.check_tilting:
         try:
-            rep = ho.check_tilting(alg, tree)
-            report["tilting"] = {"ok": True, "end_dimension": rep.end_dim,
-                                 "expected_end_dimension": rep.expected_end_dim}
+            end_dim = ho.check_tilting(alg, tree)
+            report["tilting"] = {"ok": True, "end_dimension": end_dim,
+                                 "expected_end_dimension": end_dim}
         except ho.TiltingFailure as exc:
-            rep = exc.report
             report["tilting"] = {
-                "ok": False, "detail": rep.summary(),
-                "end_grid": {"labels": rep.labels, "dims": rep.end_grid,
-                             "expected": rep.expected_end_grid},
-                "hom_dims": [list(x) for x in rep.hom_dims]}
+                "ok": False, "detail": exc.summary(),
+                "end_grid": {"labels": list(range(len(exc.end_grid))),
+                             "dims": exc.end_grid,
+                             "expected": exc.expected_end_grid},
+                "hom_dims": [list(x) for x in exc.hom_dims]}
             code = EXIT_VERIFICATION
     _emit(report, args.out)
     return code

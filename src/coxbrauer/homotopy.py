@@ -33,8 +33,8 @@ from itertools import accumulate
 from operator import add, itemgetter
 
 from . import linalg
-from .brauer_tree import EXC, PlanarBrauerTree, height, perversity
-from .tree_algebra import Path, TreeAlgebra
+from .brauer_tree import EXC, PlanarBrauerTree
+from .tree_algebra import TreeAlgebra
 
 
 class CohomologyOutsideRange(ValueError):
@@ -45,14 +45,6 @@ class InvalidComplex(ValueError):
     """A complex or Hom complex breaks an invariant: ill-shaped boundary
     matrices, d^2 != 0, or an image that does not sit inside the kernel.
     Raised explicitly, so the checks also run under python -O."""
-
-
-class TiltingFailure(AssertionError):
-    """The candidate complex is not a tilting complex; carries a report."""
-
-    def __init__(self, report: "TiltingReport"):
-        self.report = report
-        super().__init__(report.summary())
 
 
 @dataclass
@@ -231,11 +223,13 @@ def euler_character(tree: PlanarBrauerTree,
 # ---------------------------------------------------------------------------
 # trimming by Gaussian elimination on invertible boundary entries
 
-def _unit_at(mat: list[list[dict]], src: list[int], ell: int) -> tuple[int, int] | None:
+def _unit_at(mat: list[list[dict]], src: list[int],
+             alg: TreeAlgebra) -> tuple[int, int] | None:
     """(row, column) of the first entry of a boundary matrix, in row-major
     order, with an invertible trivial-path coefficient; check_shapes lets
     an identity path sit only where the row and column vertices agree."""
-    ids = [Path(v, "id") for v in src]
+    ids = [alg.unit_path(v) for v in src]
+    ell = alg.ell
     for r, row in enumerate(mat):
         for c, entry in enumerate(row):
             if entry.get(ids[c], 0) % ell:
@@ -268,7 +262,7 @@ def trim(cx: ProjComplex, m: int, M: int) -> ProjComplex:
     terms = [list(t) for t in cx.terms]
     diffs = [[list(row) for row in mat] for mat in cx.diffs]
     for i, mat in enumerate(diffs):
-        while (hit := _unit_at(mat, terms[i], alg.ell)) is not None:
+        while (hit := _unit_at(mat, terms[i], alg)) is not None:
             r, c = hit
             rows = [k for k in range(len(mat)) if k != r]
             cols = [k for k in range(len(terms[i])) if k != c]
@@ -419,41 +413,6 @@ def homotopy_hom(cx1: ProjComplex, cx2: ProjComplex, i: int) -> int:
 # ---------------------------------------------------------------------------
 # tilting verification
 
-@dataclass
-class TiltingReport:
-    ok: bool
-    end_dim: int
-    expected_end_dim: int
-    generation_ok: bool
-    labels: list[int]                               # the complexes, in order
-    # built only for a failed check, which is the only report printing them:
-    # dim Hom_K(C_a, C_b) in degree 0, mu + delta_ab, the star Cartan
-    # matrix, and (j, j', n, dim) wherever Hom^n is not empty
-    end_grid: list[list[int]] | None = None
-    expected_end_grid: list[list[int]] | None = None
-    hom_dims: list[tuple[int, int, int, int]] | None = None
-
-    def summary(self) -> str:
-        """The first failure of each kind, for a failed check."""
-        parts = []
-        for j, jp, i, d in self.hom_dims:
-            if i and d:
-                parts.append(f"Hom(C_{j}, C_{jp}[{i}]) has dimension {d} != 0")
-                break
-        if not self.generation_ok:
-            parts.append("some projective is missing from the terms")
-        bad = end_grid_mismatches(self.labels, self.end_grid,
-                                  self.expected_end_grid)
-        if bad:
-            j, jp, d, want = bad[0]
-            parts.append(f"Hom(C_{j}, C_{jp}) has dimension {d} != {want} of "
-                         f"the star algebra")
-        if self.end_dim != self.expected_end_dim:
-            parts.append(f"End dimension {self.end_dim} != star dimension "
-                         f"{self.expected_end_dim}")
-        return "; ".join(parts) or "tilting verification failed"
-
-
 def star_algebra_dimension(h0: int, mu: int) -> int:
     """Dimension h0*(h0*mu + 1) of the star algebra with these parameters."""
     return h0 * (h0 * mu + 1)
@@ -465,12 +424,51 @@ def star_cartan(size: int, mu: int) -> list[list[int]]:
     return [[mu + (a == b) for b in range(size)] for a in range(size)]
 
 
-def end_grid_mismatches(labels: list[int], grid: list[list[int]],
-                        expected: list[list[int]]) -> list[tuple[int, int, int, int]]:
-    """(j, j', dim, expected) for each cell where the grids differ."""
-    return [(labels[a], labels[b], d, expected[a][b])
-            for a, row in enumerate(grid) for b, d in enumerate(row)
-            if d != expected[a][b]]
+class TiltingFailure(AssertionError):
+    """The candidate family is not a tilting complex.  Carries what the
+    check measured: whether every projective shows up among the terms,
+    the End grid dim Hom_K(C_a, C_b) over the places a, b of the family,
+    (j, j', n, dim) wherever Hom^n(C_j, C_j') is not empty, and the
+    multiplicity mu and dimension of the star algebra it was held to."""
+
+    def __init__(self, generation_ok: bool, end_grid: list[list[int]],
+                 hom_dims: list[tuple[int, int, int, int]], mu: int,
+                 expected_end_dim: int):
+        self.generation_ok = generation_ok
+        self.end_grid = end_grid
+        self.hom_dims = hom_dims
+        self.mu = mu
+        self.expected_end_dim = expected_end_dim
+        super().__init__(self.summary())
+
+    @property
+    def expected_end_grid(self) -> list[list[int]]:
+        return star_cartan(len(self.end_grid), self.mu)
+
+    @property
+    def end_dim(self) -> int:
+        return sum(map(sum, self.end_grid))
+
+    def summary(self) -> str:
+        """The first failure of each kind."""
+        parts = []
+        for j, jp, i, d in self.hom_dims:
+            if i and d:
+                parts.append(f"Hom(C_{j}, C_{jp}[{i}]) has dimension {d} != 0")
+                break
+        if not self.generation_ok:
+            parts.append("some projective is missing from the terms")
+        bad = [(a, b, d, want) for a, (row, want_row)
+               in enumerate(zip(self.end_grid, self.expected_end_grid))
+               for b, (d, want) in enumerate(zip(row, want_row)) if d != want]
+        if bad:
+            a, b, d, want = bad[0]
+            parts.append(f"Hom(C_{a}, C_{b}) has dimension {d} != {want} of "
+                         f"the star algebra")
+        if self.end_dim != self.expected_end_dim:
+            parts.append(f"End dimension {self.end_dim} != star dimension "
+                         f"{self.expected_end_dim}")
+        return "; ".join(parts) or "tilting verification failed"
 
 
 # point masses on the grid of member pairs of two tops, (A, B) -> weight,
@@ -609,7 +607,7 @@ def end_grid_read_out(runs: list[tuple[ProjComplex, list[tuple[int, int]]]]
 
 
 def check_tilting(alg: TreeAlgebra, tree: PlanarBrauerTree,
-                  complexes: list[ProjComplex] | None = None) -> TiltingReport:
+                  complexes: list[ProjComplex] | None = None) -> int:
     """Verify that the direct sum of the branch-walking complexes tilts.
 
     Checks Hom vanishing in all nonzero shifts for every pair, that every
@@ -619,14 +617,14 @@ def check_tilting(alg: TreeAlgebra, tree: PlanarBrauerTree,
     so that the endomorphism ring has the star algebra's dimension pair by
     pair.  Only the top of each branch is built, and the masses of one Hom
     complex between two tops certify every pair of their members at once,
-    resting on d^2 = 0 of the tops (`_certified`); a pass builds no grid.
+    resting on d^2 = 0 of the tops (`_certified`); a pass builds no grid
+    and returns the End dimension, the star algebra's h0(h0 mu + 1).
     Raises TiltingFailure on any failure, with the End grid and every
     Hom^n dimension; when complexes are supplied they are verified instead
     of the canonical family (the negative-control hook).
     """
     runs = tilting_runs(alg, tree, complexes)
     size = sum(len(members) for _, members in runs)
-    labels = list(range(size))
     covered = {v for top, _ in runs for term in top.terms for v in term}
     generation_ok = covered == set(alg.vertices)
     mu = tree.multiplicity
@@ -638,46 +636,8 @@ def check_tilting(alg: TreeAlgebra, tree: PlanarBrauerTree,
                                _star_masses(len(members1), mu, x == y))
                     for x, (top1, members1) in enumerate(runs)
                     for y, (top2, members2) in enumerate(runs))):
-        return TiltingReport(True, expected, expected, True, labels)
-    grid, hom_dims = end_grid_read_out(runs)
-    raise TiltingFailure(TiltingReport(
-        False, sum(map(sum, grid)), expected, generation_ok, labels, grid,
-        star_cartan(size, mu), hom_dims))
-
-
-# ---------------------------------------------------------------------------
-# perversity bookkeeping
-
-def perversity_report(tree: PlanarBrauerTree) -> dict:
-    """Heights, concentration degrees and the height filtration.
-
-    For edge S_j of height hg the branch complex has its top cohomology in
-    degree r + hg (selftest criterion 12 computes it); with i = r - hg that
-    is -p(i) for the perversity p(i) = i - 2r.  The filtration sets
-    F_i = {S : hg(S) <= r - i} for i = 0..r are nested by construction;
-    they exhaust the simples exactly when every height is at most r.
-    """
-    r = tree.r
-    rows = []
-    for j in tree.edges:
-        hg = height(tree, j)
-        i = r - hg
-        rows.append({
-            "edge": j,
-            "height": hg,
-            "degree": r + hg,
-            "filtration_index": i,
-            "perversity": perversity(tree, i),
-        })
-    filtration = []
-    for i in range(r + 1):
-        filtration.append({
-            "i": i,
-            "edges": [row["edge"] for row in rows if row["height"] <= r - i],
-        })
-    exhaustive = bool(filtration) and \
-        set(filtration[0]["edges"]) == set(tree.edges)
-    return {"rows": rows, "filtration": filtration, "exhaustive": exhaustive}
+        return expected
+    raise TiltingFailure(generation_ok, *end_grid_read_out(runs), mu, expected)
 
 
 # ---------------------------------------------------------------------------

@@ -152,8 +152,12 @@ class TreeAlgebra:
         c %= self.ell
         return {p: c} if c else {}
 
+    def unit_path(self, edge: int) -> Path:
+        """The trivial path at edge, the unit of e_edge A e_edge."""
+        return Path(edge, _ID)
+
     def unit(self, edge: int) -> dict:
-        return self.elt(Path(edge, _ID))
+        return self.elt(self.unit_path(edge))
 
     def elt_add(self, x: dict, y: dict) -> dict:
         out = dict(x)
@@ -223,11 +227,12 @@ class TreeAlgebra:
         nonzero; x = c (1 + rad) with rad in the radical, so the inverse is
         c^-1 times the unipotent inverse of 1 + rad.
         """
-        c = x.get(Path(edge, _ID), 0) % self.ell
+        one = self.unit_path(edge)
+        c = x.get(one, 0) % self.ell
         if not c:
             raise ZeroDivisionError("not a unit of the local endomorphism ring")
         cinv = pow(c, -1, self.ell)
-        rad = self.elt_scale(self.elt_add(x, self.elt(Path(edge, _ID), -c)), cinv)
+        rad = self.elt_scale(self.elt_add(x, self.elt(one, -c)), cinv)
         return self.elt_scale(self.unipotent_inverse([edge], [[rad]])[0][0], cinv)
 
 

@@ -12,6 +12,7 @@ from coxbrauer.ell_arith import validate_regime
 from coxbrauer.linalg import SparseMatrix
 from coxbrauer.root_data import coxeter_datum, parse_type
 from coxbrauer.selftest import random_trees
+from reference import dense
 
 
 def a2_ctx():
@@ -171,11 +172,6 @@ def test_ree_figure():
     assert tree.labels[:2] == ((0, "St"), (1, "1"))
 
 
-def dense(a):
-    """The rows of a SparseMatrix, every cell written out."""
-    return [[row.get(c, 0) for c in range(a.shape[1])] for row in a.rows]
-
-
 def test_decomposition_matrix_rows():
     tree = bt.ree_tree()
     d = bt.decomposition_matrix(tree)
@@ -212,11 +208,9 @@ def test_cartan_examples():
         [sum(row[a] * row[b] for row in cells) for b in cols] for a in cols]
 
 
-def test_heights_and_perversity():
+def test_heights():
     tree = bt.ree_tree()
     assert [bt.height(tree, j) for j in range(6)] == [0, 1, 0, 0, 0, 0]
-    assert bt.perversity(tree, 0) == -2
-    assert bt.perversity(tree, 2) == 0
     line = bt.assemble_tree(bt.line_series(4), 1, 1)
     assert [bt.height(line, j) for j in range(4)] == [0, 1, 2, 3]
 

@@ -13,6 +13,7 @@ from coxbrauer import homotopy as ho
 from coxbrauer import linalg
 from coxbrauer import tree_algebra as ta
 from coxbrauer.selftest import line_trees, random_trees
+from reference import dense
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -237,13 +238,32 @@ def test_end_dimension_star_total():
 
 
 def test_check_tilting_line_and_ree():
+    """A passing check returns the End dimension, the star algebra's: on
+    short lines and the Ree tree, on every golden tree, and on the line
+    and random trees of the selftest."""
     for h0, mu in [(2, 1), (3, 2)]:
         tree, alg = line(h0, mu)
-        rep = ho.check_tilting(alg, tree)
-        assert rep.end_dim == ho.star_algebra_dimension(h0, mu)
+        assert ho.check_tilting(alg, tree) == ho.star_algebra_dimension(h0, mu)
     tree, alg = ree()
-    rep = ho.check_tilting(alg, tree)
-    assert rep.end_dim == ho.star_algebra_dimension(6, 3) == 114
+    assert ho.check_tilting(alg, tree) == ho.star_algebra_dimension(6, 3) == 114
+    golden = [(line(12, 2)[0], 31), (line(40, 3)[0], 31)]
+    golden += [(bt.from_json((GOLDEN / name).read_text()), 31)
+               for name in ("two_branch20.tree.json", "wide48.tree.json")]
+    # the star reports, each over a field with the e-th roots of unity
+    golden += [(bt.star_tree(d, e, n), ell) for d, e, n, ell in (
+        (7, 3, 2, 7), (27, 2, 26, 5), (121, 5, 3, 11), (125, 4, 57, 5))]
+    for tree, ell in golden + [(tree, 31) for tree in line_trees() + random_trees()]:
+        alg = ta.from_tree(tree, ell)
+        assert ho.check_tilting(alg, tree) == ho.star_algebra_dimension(
+            tree.h0, tree.multiplicity)
+
+
+def _mismatches(fail):
+    """(a, b, dim, expected) for each cell where the End grid of a failure
+    differs from the star algebra's Cartan matrix."""
+    return [(a, b, d, want) for a, (row, want_row)
+            in enumerate(zip(fail.end_grid, fail.expected_end_grid))
+            for b, (d, want) in enumerate(zip(row, want_row)) if d != want]
 
 
 def test_a_family_longer_than_the_tree_fails_with_its_report():
@@ -253,11 +273,9 @@ def test_a_family_longer_than_the_tree_fails_with_its_report():
     fam = [ho.rickard_complex(alg, tree, j) for j in range(3)]
     with pytest.raises(ho.TiltingFailure) as err:
         ho.check_tilting(alg, tree, fam + fam[:1])
-    rep = err.value.report
-    assert rep.labels == [0, 1, 2, 3] and len(rep.end_grid) == 4
-    assert ho.end_grid_mismatches(rep.labels, rep.end_grid,
-                                  rep.expected_end_grid) == [(0, 3, 2, 1),
-                                                             (3, 0, 2, 1)]
+    rep = err.value
+    assert len(rep.end_grid) == 4
+    assert _mismatches(rep) == [(0, 3, 2, 1), (3, 0, 2, 1)]
     assert rep.summary() == ("Hom(C_0, C_3) has dimension 2 != 1 of the star "
                              "algebra; End dimension 22 != star dimension 12")
 
@@ -270,7 +288,7 @@ def test_check_tilting_negative_control():
     fam[2] = sab
     with pytest.raises(ho.TiltingFailure) as err:
         ho.check_tilting(alg, tree, fam)
-    rep = err.value.report
+    rep = err.value
     # the summary leads with the first shifted Hom that is not zero
     j, jp, n, h = next(x for x in rep.hom_dims if x[2] and x[3])
     assert rep.summary().startswith(f"Hom(C_{j}, C_{jp}[{n}]) has dimension {h} != 0")
@@ -289,27 +307,14 @@ def test_exhaustive_hom_vanishing_desk_scale():
                         assert h == 0, (j, jp, n)
 
 
-def test_perversity_report_star_and_line():
-    star = bt.star_tree(7, 3, 2)
-    rep = ho.perversity_report(star)
-    assert all(row["height"] == 0 and row["degree"] == 0 for row in rep["rows"])
-    tree = bt.assemble_tree(bt.line_series(3), 1, 1)
-    rep = ho.perversity_report(tree)
-    assert [row["degree"] for row in rep["rows"]] == [1, 2, 3]
-    # heights exceed r = 1 here, so the filtration misses the deep simples
-    assert not rep["exhaustive"]
-
-
-def test_perversity_report_ree():
-    tree, _ = ree()
-    rep = ho.perversity_report(tree)
-    assert sorted(row["degree"] for row in rep["rows"]) == [1, 1, 1, 1, 1, 2]
-    assert rep["exhaustive"]
-
-
 def test_top_cohomology_sits_in_degree_r_plus_height():
     from coxbrauer.selftest import top_cohomology_degree
-    for tree, alg in (ree(), line(4, 2, r=2, ell=31)):
+    star = bt.star_tree(7, 3, 2)
+    for tree, degrees in ((star, [0, 0, 0]), (line(3, 1)[0], [1, 2, 3]),
+                          (ree()[0], [1, 2, 1, 1, 1, 1])):
+        assert [tree.r + bt.height(tree, j) for j in tree.edges] == degrees
+    for tree, alg in ((star, ta.from_tree(star, 7)), ree(),
+                      line(3, 1), line(4, 2, r=2, ell=31)):
         for j in alg.vertices:
             cx = ho.rickard_complex(alg, tree, j)
             top = top_cohomology_degree(cx)
@@ -320,15 +325,14 @@ def test_top_cohomology_sits_in_degree_r_plus_height():
 
 
 def test_criterion_12_fails_when_the_degree_is_not_the_computed_one(monkeypatch):
+    # the top degree of the branch complex of each tree's last edge, one up
     from coxbrauer import selftest as st
-    real = ho.perversity_report
+    real = st.top_cohomology_degree
 
-    def shifted(tree):
-        rep = real(tree)
-        rep["rows"][-1]["degree"] += 1
-        return rep
+    def shifted(cx):
+        return real(cx) + (cx.terms[-1] == [max(cx.alg.vertices)])
 
-    monkeypatch.setattr(ho, "perversity_report", shifted)
+    monkeypatch.setattr(st, "top_cohomology_degree", shifted)
     ok, detail = st.check_perversity_unitriangular()
     assert not ok and "top cohomology" in detail
 
@@ -346,9 +350,6 @@ def test_hom_complex_differential_squares_to_zero():
             ho.mix_basis(ho.pad_with_contractible(cx, rng.randint(0, 3),
                                                   rng.choice([0, 1, 2])), rng)
             for cx in (c1, c2)))
-
-    def dense(a):
-        return [[row.get(c, 0) for c in range(a.shape[1])] for row in a.rows]
 
     products = 0
     for x1, x2 in pairs:
@@ -406,15 +407,11 @@ def test_end_grid_is_the_star_cartan_matrix():
     trees.append(ree()[0])
     for tree in trees:
         alg = ta.from_tree(tree, 19 if tree.h0 == 6 else 31)
-        rep = ho.check_tilting(alg, tree)
-        # a passing check builds no grid: the End grid, every Hom^n and the
-        # expected grid are built for a failure only
-        assert rep.end_grid is None
-        assert rep.expected_end_grid is None and rep.hom_dims is None
-        assert rep.labels == sorted(alg.vertices)
+        mu = tree.multiplicity
+        # a passing check builds no grid and returns the End dimension
+        assert ho.check_tilting(alg, tree) == ho.star_algebra_dimension(tree.h0, mu)
         # read as a failure reads it, the prefix sums of the masses
         grid, hom_dims = ho.end_grid_read_out(ho.tilting_runs(alg, tree))
-        mu = tree.multiplicity
         assert grid == ho.star_cartan(tree.h0, mu) == [
             [mu + (a == b) for b in range(tree.h0)] for a in range(tree.h0)]
         assert not any(n and h for _, _, n, h in hom_dims)
@@ -423,17 +420,14 @@ def test_end_grid_is_the_star_cartan_matrix():
 def test_end_grid_negative_control_keeps_the_total():
     # one unit moved from a diagonal cell to an off-diagonal one: the total
     # End dimension is still the star algebra's, one pair is not
-    labels, mu = [0, 1, 2], 1
+    mu = 1
     want = ho.star_cartan(3, mu)
     grid = [row[:] for row in want]
     grid[1][1] -= 1
     grid[1][2] += 1
     assert sum(map(sum, grid)) == ho.star_algebra_dimension(3, mu)
-    assert ho.end_grid_mismatches(labels, grid, want) == [(1, 1, 1, 2),
-                                                          (1, 2, 2, 1)]
-    rep = ho.TiltingReport(False, sum(map(sum, grid)),
-                           ho.star_algebra_dimension(3, mu), True,
-                           labels, grid, want, [])
+    rep = ho.TiltingFailure(True, grid, [], mu, ho.star_algebra_dimension(3, mu))
+    assert _mismatches(rep) == [(1, 1, 1, 2), (1, 2, 2, 1)]
     assert rep.summary() == ("Hom(C_1, C_1) has dimension 1 != 2 of the star "
                              "algebra")
 
@@ -454,11 +448,9 @@ def test_end_grid_sabotage_is_caught_by_check_tilting(monkeypatch):
     monkeypatch.setattr(ho, "hom_masses", swapped)
     with pytest.raises(ho.TiltingFailure) as err:
         ho.check_tilting(alg, tree, fam)
-    rep = err.value.report
+    rep = err.value
     assert rep.end_dim == rep.expected_end_dim
-    assert ho.end_grid_mismatches(rep.labels, rep.end_grid,
-                                  rep.expected_end_grid) == [(1, 1, 1, 2),
-                                                             (1, 2, 2, 1)]
+    assert _mismatches(rep) == [(1, 1, 1, 2), (1, 2, 2, 1)]
     assert "Hom(C_1, C_1) has dimension 1 != 2" in rep.summary()
 
 
@@ -474,7 +466,7 @@ def test_a_dropped_rank_profile_pair_is_rejected(monkeypatch):
     fam[3] = ho.pad_with_contractible(fam[3], 2, 2)
     runs = ho.tilting_runs(alg, tree, fam)
     _, true_dims = ho.end_grid_read_out(runs)
-    assert ho.check_tilting(alg, tree, fam).ok
+    assert ho.check_tilting(alg, tree, fam) == ho.star_algebra_dimension(4, 1)
     real = ho.HomComplex.profile
 
     def dropped(self, n):
@@ -484,7 +476,7 @@ def test_a_dropped_rank_profile_pair_is_rejected(monkeypatch):
     monkeypatch.setattr(ho.HomComplex, "profile", dropped)
     with pytest.raises(ho.TiltingFailure) as err:
         ho.check_tilting(alg, tree, fam)
-    rep = err.value.report
+    rep = err.value
     raised = [(x, y) for x, y in zip(true_dims, rep.hom_dims) if x != y]
     assert raised == [((3, 3, 1, 0), (3, 3, 1, 1)), ((3, 3, 2, 0), (3, 3, 2, 1))]
     assert rep.end_grid == rep.expected_end_grid
@@ -510,7 +502,7 @@ def test_a_misplaced_mass_is_rejected_by_its_weight(monkeypatch):
     monkeypatch.setattr(ho, "hom_masses", misplaced)
     with pytest.raises(ho.TiltingFailure) as err:
         ho.check_tilting(alg, tree)
-    rep = err.value.report
+    rep = err.value
     assert rep.end_grid == rep.expected_end_grid
     assert rep.summary().startswith("Hom(C_")
     assert {n for _, _, n, h in rep.hom_dims if h and n} == {1}
@@ -809,6 +801,32 @@ def _rewritten(fam, rewrite, rng):
     return fam
 
 
+def test_a_failure_derives_its_expected_grid_and_end_dimension():
+    """A raised TiltingFailure keeps what the check measured and derives
+    the rest: the expected grid is the star algebra's Cartan matrix of the
+    family's size and mu, the End dimension the sum of the End grid, and
+    the message the summary.  A family one complex longer than the tree
+    has a grid larger than h0."""
+    rng = random.Random(6007)
+    sizes = Counter()
+    for tree in line_trees() + [ree()[0]]:
+        alg = ta.from_tree(tree, 19 if tree.h0 == 6 else 5)
+        canonical = [ho.rickard_complex(alg, tree, j) for j in sorted(alg.vertices)]
+        families = [_rewritten(canonical, sabotage, rng)
+                    for sabotage in ("shift", "zero", "replace", "duplicate")]
+        for fam in families + [canonical + canonical[:1]]:
+            with pytest.raises(ho.TiltingFailure) as err:
+                ho.check_tilting(alg, tree, fam)
+            fail, mu = err.value, tree.multiplicity
+            assert fail.mu == mu
+            assert fail.expected_end_grid == ho.star_cartan(len(fail.end_grid), mu)
+            assert fail.end_dim == sum(map(sum, fail.end_grid))
+            assert fail.expected_end_dim == ho.star_algebra_dimension(tree.h0, mu)
+            assert str(fail) == fail.summary()
+            sizes[len(fail.end_grid) - tree.h0] += 1
+    assert sizes[0] and sizes[1]
+
+
 def _matches_per_pair_hom_complexes(alg, tree, fam):
     """Run check_tilting on fam (None: the canonical family) and require
     its verdict, and for a failure its End grid, hom_dims and summary, to be
@@ -817,9 +835,9 @@ def _matches_per_pair_hom_complexes(alg, tree, fam):
     Returns the verdict."""
     labels = sorted(alg.vertices)
     try:
-        rep = ho.check_tilting(alg, tree, fam)
+        end_dim, fail = ho.check_tilting(alg, tree, fam), None
     except ho.TiltingFailure as err:
-        rep = err.report
+        end_dim, fail = err.end_dim, err
     runs = ho.tilting_runs(alg, tree, fam)
     fam = fam or [ho.rickard_complex(alg, tree, j) for j in labels]
     want = _per_pair_hom_dims(fam, labels)
@@ -832,18 +850,15 @@ def _matches_per_pair_hom_complexes(alg, tree, fam):
     ok = (covered == set(labels) and not any(n and h for *_, n, h in want)
           and grid == ho.star_cartan(len(fam), mu)
           and sum(map(sum, grid)) == ho.star_algebra_dimension(tree.h0, mu))
-    assert rep.ok == ok
-    assert rep.end_dim == (ho.star_algebra_dimension(tree.h0, mu) if ok
-                           else sum(map(sum, grid)))
-    if ok:
-        assert (rep.end_grid, rep.expected_end_grid, rep.hom_dims) == (None,) * 3
-    else:
-        assert (rep.end_grid, rep.hom_dims) == (grid, want)
-        assert rep.expected_end_grid == ho.star_cartan(len(fam), mu)
-        assert rep.summary() == ho.TiltingReport(
-            False, rep.end_dim, rep.expected_end_dim, covered == set(labels),
-            labels[:len(fam)], grid, rep.expected_end_grid, want).summary()
-    return rep.ok
+    assert (fail is None) == ok
+    expected = ho.star_algebra_dimension(tree.h0, mu)
+    assert end_dim == (expected if ok else sum(map(sum, grid)))
+    if not ok:
+        assert (fail.end_grid, fail.hom_dims) == (grid, want)
+        assert fail.expected_end_grid == ho.star_cartan(len(fam), mu)
+        assert fail.summary() == ho.TiltingFailure(
+            covered == set(labels), grid, want, mu, expected).summary()
+    return ok
 
 
 def test_chain_read_out_matches_per_pair_hom_complexes(monkeypatch):

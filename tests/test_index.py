@@ -11,6 +11,7 @@ from coxbrauer import brauer_tree as bt
 from coxbrauer import linalg
 from coxbrauer import tree_algebra as ta
 from coxbrauer.brauer_tree import EXC
+from reference import dense, sparse
 
 
 @st.composite
@@ -166,18 +167,6 @@ def test_paths_out_partitions_the_path_basis(tree):
     assert set(alg.arrow_at.values()) == set(arrows)
     for (node, src), a in alg.arrow_at.items():
         assert (a.node, a.src) == (node, src)
-
-
-def dense(a):
-    """The rows of a SparseMatrix, every cell written out."""
-    return [[row.get(c, 0) for c in range(a.shape[1])] for row in a.rows]
-
-
-def sparse(rows, width):
-    """A SparseMatrix of dense rows of the given width, storing their
-    nonzero cells only."""
-    return linalg.SparseMatrix((len(rows), width),
-                               [{c: x for c, x in enumerate(r) if x} for r in rows])
 
 
 def stored(a):

@@ -12,13 +12,13 @@ from pathlib import Path
 import pytest
 
 from coxbrauer import linalg
+import reference
 
 PRIMES = (2, 3, 31, 65521, 2 ** 31 - 1)
 
 
 def sparse(rows):
-    return linalg.SparseMatrix((len(rows), len(rows[0]) if rows else 0),
-                               [{c: x for c, x in enumerate(row) if x} for row in rows])
+    return reference.sparse(rows, len(rows[0]) if rows else 0)
 
 
 def prefix_ranks(rows, p):
@@ -185,6 +185,38 @@ def test_every_definition_in_the_package_is_referenced():
     for stem, tree in modules.items():
         visit(tree, stem + ".")
     assert unreferenced == []
+
+
+def _unused_imports(source):
+    """The names an import binds in a module's source, `from __future__`
+    aside, that the module never reads and does not list in __all__."""
+    tree = ast.parse(source)
+    read = {n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "__all__" for t in node.targets)):
+            read.update(ast.literal_eval(node.value))
+    bound = [alias.asname or alias.name.split(".")[0]
+             for node in ast.walk(tree)
+             if isinstance(node, (ast.Import, ast.ImportFrom))
+             and getattr(node, "module", None) != "__future__"
+             for alias in node.names]
+    return [name for name in bound if name not in read]
+
+
+def test_every_import_in_the_package_is_used():
+    """Each name imported into a package module is read in that module,
+    or re-exported through its __all__; a stale import fails here."""
+    src = Path(linalg.__file__).parent
+    unused = [f"{f.stem}.{name}" for f in sorted(src.glob("**/*.py"))
+              for name in _unused_imports(f.read_text(encoding="utf-8"))]
+    assert unused == []
+    # negative control: an import left behind by a deleted function
+    stale = ("from .brauer_tree import EXC, height, perversity\n"
+             "import json as js\n"
+             "def ends(tree, j):\n    return EXC, height(tree, j)\n")
+    assert _unused_imports(stale) == ["perversity", "js"]
 
 
 def test_every_dataclass_field_is_read():

@@ -6,11 +6,7 @@ from coxbrauer import brauer_tree as bt
 from coxbrauer import tree_algebra as ta
 from coxbrauer.brauer_tree import EXC
 from coxbrauer.selftest import random_trees
-
-
-def dense(a):
-    """The rows of a SparseMatrix, every cell written out."""
-    return [[row.get(c, 0) for c in range(a.shape[1])] for row in a.rows]
+from reference import dense
 
 
 def dimension_formula(tree):
