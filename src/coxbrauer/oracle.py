@@ -13,11 +13,20 @@ checked literally on a square table; the column relation follows from
 it.  Each inner product, like each degree, is reduced once by
 `cyclotomic.power_basis` in the smallest ring Z[zeta_(L/g)] that holds
 it, g the gcd of L and its exponents: Z[zeta_|E|] for two linear
-characters, Z[zeta_|D|] when an induced character is involved.  The
-Brauer characters of the m simple modules are pinned by the
-Hensel lift zeta of n (eta_j sends x to zeta^j), which fixes the row and
-column numbering of the decomposition matrix so the comparison against
-the star tree is cell-exact, not up to permutation.
+characters, Z[zeta_|D|] when an induced character is involved.  Rows
+are paired by complex conjugation, which negates every exponent, a ring
+automorphism of Z[x]/(x^L - 1) that keeps (Phi_L) and fixes the expected
+integers: when conjugation permutes the rows, one inner product is
+checked per orbit {i, j} ~ {i-bar, j-bar}.  For odd |E|, |E| = 1
+included, the induced characters pair off (Theta_t with Theta_-t, real
+only when 2t = 0 in D) and the work about halves; for even |E|, -1 is a
+power of n, they are real and only eta_j pairs with eta_-j.  A table that
+conjugation does not permute has every pair checked.
+
+The Brauer characters of the m simple modules are pinned by the Hensel
+lift zeta of n (eta_j sends x to zeta^j), which fixes the row and column
+numbering of the decomposition matrix so the comparison against the star
+tree is cell-exact, not up to permutation.
 
 The group is `brauer_tree.MetacyclicGroup`, the datum a star tree
 carries: the parameter checks and the lift zeta, hence the eta numbering,
@@ -102,6 +111,14 @@ class CharacterTable:
         reduced once, in the smallest ring Z[zeta_(L/g)] that holds it,
         and compared with the coordinates (n, 0, ..., 0) of the expected
         integer n.
+
+        Rows are paired by conjugation: i-bar is the row equal, cell by
+        cell as exponent vectors, to the conjugate of row i.  When i ->
+        i-bar is a permutation, <chi_ibar, chi_jbar> is <chi_i, chi_j>
+        with every exponent negated, a ring automorphism of Z[x]/(x^L - 1)
+        that maps (Phi_L) to itself and fixes n delta_ij, so one inner
+        product is checked per orbit {i, j} ~ {i-bar, j-bar}.  Otherwise
+        every pair is checked; closure under conjugation is no condition.
         """
         L = order = self.group.order
         nrows = len(self.values)
@@ -110,6 +127,7 @@ class CharacterTable:
             return False
         conj = [[{-k % L: c for k, c in val.items()} for val in row]
                 for row in self.values]
+        bar = _conjugate_rows(self.values, conj)
 
         def inner_is(want: int, pairs) -> bool:
             acc: dict[int, int] = {}
@@ -124,10 +142,30 @@ class CharacterTable:
 
         for i in range(nrows):
             for j in range(i, nrows):
+                # the first pair of its orbit in row-major order stands for it
+                if bar is not None and sorted((bar[i], bar[j])) < [i, j]:
+                    continue
                 if not inner_is(order if i == j else 0,
                                 zip(sizes, self.values[i], conj[j])):
                     return False
         return True
+
+
+def _conjugate_rows(values: list[list[dict[int, int]]],
+                    conj: list[list[dict[int, int]]]) -> list[int] | None:
+    """The map i -> the first row equal to conj[i], or None unless it is
+    a permutation of the rows.
+
+    Each comparison of two rows stops at their first differing cell, and
+    the rows of a metacyclic table differ within a few cells, except the
+    eta_j, which differ first on the x^b classes at the end; so the scan
+    costs little next to one inner product per row pair.
+    """
+    try:
+        bar = [values.index(crow) for crow in conj]
+    except ValueError:
+        return None
+    return bar if len(set(bar)) == len(bar) else None
 
 
 def _smallest_ring_coords(L: int, terms: dict[int, int]) -> tuple[int, ...]:

@@ -85,6 +85,32 @@ def perturbed(table, row, col, k, sign):
     return orc.CharacterTable(table.group, table.classes, table.names, values)
 
 
+def conjugation_map(table):
+    """Row i -> the row whose exponent vectors equal those of the
+    conjugate of row i, or None unless that is a permutation of the rows."""
+    L = table.group.order
+    index = {tuple(tuple(sorted(val.items())) for val in row): i
+             for i, row in enumerate(table.values)}
+    bar = [index.get(tuple(tuple(sorted((-k % L, c) for k, c in val.items()))
+                           for val in row))
+           for row in table.values]
+    return bar if None not in bar and len(set(bar)) == len(bar) else None
+
+
+def orbit_count(bar):
+    """The number of orbits of {i, j} -> {bar i, bar j} on unordered pairs
+    of rows, bar an involution."""
+    k = len(bar)
+    return len({min((i, j), tuple(sorted((bar[i], bar[j]))))
+                for i in range(k) for j in range(i, k)})
+
+
+def non_real_rows(table):
+    """The pairs (i, bar i) of rows that conjugation moves."""
+    bar = conjugation_map(table)
+    return [(i, bar[i]) for i in range(len(bar)) if bar[i] != i]
+
+
 def reduction_levels(monkeypatch):
     """Record the level L of every `power_basis` call the oracle makes."""
     levels = []
@@ -213,6 +239,7 @@ def test_orthogonality_reduces_a_perturbed_pair_in_its_own_ring(monkeypatch):
 @pytest.mark.parametrize("d_order, e_order, n, levels", [
     (125, 4, 57, {125, 25, 5, 4, 2, 1}),
     (49, 6, 19, {49, 7, 6, 3, 2, 1}),
+    (49, 3, 18, {49, 7, 3, 1}),
 ])
 def test_gram_reductions_stay_below_the_group_order(monkeypatch, d_order,
                                                      e_order, n, levels):
@@ -227,10 +254,94 @@ def test_gram_reductions_stay_below_the_group_order(monkeypatch, d_order,
     seen = reduction_levels(monkeypatch)
     table = orc.character_table(orc.MetacyclicGroup(d_order, e_order, n))
     k = len(table.classes)
-    # one reduction per degree and one per Gram entry, none at |G|
+    # one reduction per degree and one per orbit of Gram entries under
+    # conjugation, none at |G|: even |E| pairs only eta_j with eta_-j, odd
+    # |E| also pairs the induced characters, about halving k(k+1)/2
+    orbits = orbit_count(conjugation_map(table))
+    assert (k * (k + 1) // 2, orbits) in {(630, 596), (105, 81), (190, 100)}
     assert len(degrees) == k
-    assert len(seen) - len(degrees) == k * (k + 1) // 2
+    assert len(seen) - len(degrees) == orbits
     assert set(seen) == levels
+
+
+def test_every_valid_table_is_checked_once_per_conjugate_pair(monkeypatch):
+    groups = valid_groups(128, 12)
+    assert len(groups) == 166
+    monkeypatch.setattr(orc.CharacterTable, "verify", lambda self: None)
+    for g in groups:
+        table = orc.character_table(g)
+        bar = conjugation_map(table)
+        assert bar is not None, g
+        levels = reduction_levels(monkeypatch)
+        assert table.check_orthogonality(), g
+        assert len(levels) == orbit_count(bar), g
+
+
+def test_a_conjugate_consistent_perturbation_fails():
+    rng = random.Random(31337)
+    for g in valid_groups(49, 6):
+        table = orc.character_table(g)
+        pairs = non_real_rows(table)
+        if not pairs:
+            continue
+        for _ in range(3):
+            i, ibar = rng.choice(pairs)
+            col = rng.randrange(len(table.classes))
+            k = rng.randrange(g.order)
+            bad = perturbed(perturbed(table, i, col, k, 1), ibar, col, -k % g.order, 1)
+            # the rows stay closed under conjugation, so the pairing is used
+            assert conjugation_map(bad) is not None, g
+            assert not bad.check_orthogonality(), g
+            assert not reference_orthogonality(bad), g
+
+
+def test_a_row_scaled_by_a_root_of_unity_passes_through_every_pair(monkeypatch):
+    for g in (orc.MetacyclicGroup(49, 3, 18), orc.MetacyclicGroup(25, 4, 7),
+              orc.MetacyclicGroup(27, 1, 1)):
+        table = orc.character_table(g)
+        i, _ = non_real_rows(table)[-1]
+        L = g.order
+        for a in (1, 2, L - 1):
+            values = list(table.values)
+            values[i] = [{(k + a) % L: c for k, c in val.items()} for val in values[i]]
+            scaled = orc.CharacterTable(g, table.classes, table.names, values)
+            assert conjugation_map(scaled) is None
+            levels = reduction_levels(monkeypatch)
+            # orthogonality holds, so the pairing adds no condition
+            assert scaled.check_orthogonality() and reference_orthogonality(scaled)
+            k = len(values)
+            assert len(levels) == k * (k + 1) // 2
+
+
+def test_partners_are_found_by_content_not_position(monkeypatch):
+    rng = random.Random(4242)
+    for g in (orc.MetacyclicGroup(49, 3, 18), orc.MetacyclicGroup(125, 4, 57),
+              orc.MetacyclicGroup(27, 2, 26)):
+        table = orc.character_table(g)
+        levels = reduction_levels(monkeypatch)
+        assert table.check_orthogonality()
+        count = len(levels)
+        order = list(range(len(table.values)))
+        rng.shuffle(order)
+        shuffled = orc.CharacterTable(g, table.classes,
+                                      [table.names[i] for i in order],
+                                      [table.values[i] for i in order])
+        del levels[:]
+        assert shuffled.check_orthogonality() and reference_orthogonality(shuffled)
+        assert len(levels) == count
+
+
+def test_a_repeated_row_fails_orthogonality():
+    # conjugation then sends two rows to one partner, which is no
+    # permutation, so every pair is checked, the repeated one included
+    for g in (orc.MetacyclicGroup(7, 3, 2), orc.MetacyclicGroup(49, 3, 18)):
+        table = orc.character_table(g)
+        for i in (0, 1, len(table.values) - 1):
+            repeated = orc.CharacterTable(g, table.classes,
+                                          table.names + [table.names[i]],
+                                          table.values + [table.values[i]])
+            assert not repeated.check_orthogonality()
+            assert not reference_orthogonality(repeated)
 
 
 def test_a_row_of_the_wrong_length_fails_orthogonality():
