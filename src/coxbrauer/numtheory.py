@@ -115,3 +115,31 @@ def has_order(x: int, order: int, mod: int) -> bool:
         return False
     return all(pow(x, order // p, mod) != 1 for p in factorize(order))
 
+
+def unit_generators(n: int) -> list[int]:
+    """A generating set of the unit group (Z/n)^x, -1 first, read off the
+    factorization of n; the group itself is never listed.
+
+    Each odd prime power q = p^e of n gives a primitive root g mod p, or
+    g + p when g^(p-1) = 1 mod p^2, which is then primitive mod every
+    power of p, lifted by the Chinese remainder theorem to 1 modulo n/q.
+    A power of two 2^e, e >= 3, gives 5 so lifted; (Z/2^e)^x is generated
+    by -1 and 5, and the lift of -1 mod 2^e is -1 times the unit that is
+    -1 on every odd prime power, a power of their generators.  A unit
+    equal to one already listed is left out, so n <= 2 gives the empty
+    set.
+    """
+    gens = [n - 1] if n > 2 else []
+    for p, e in factorize(n).items():
+        q = p ** e
+        if p == 2:
+            local = [5] if e >= 3 else []
+        else:
+            g = next(g for g in range(2, p) if has_order(g, p - 1, p))
+            local = [g + p if e > 1 and pow(g, p - 1, p * p) == 1 else g]
+        rest = n // q
+        for g in local:
+            lift = 1 + rest * ((g - 1) * pow(rest, -1, q) % q)
+            if lift not in gens:
+                gens.append(lift)
+    return gens

@@ -13,15 +13,18 @@ checked literally on a square table; the column relation follows from
 it.  Each inner product, like each degree, is reduced once by
 `cyclotomic.power_basis` in the smallest ring Z[zeta_(L/g)] that holds
 it, g the gcd of L and its exponents: Z[zeta_|E|] for two linear
-characters, Z[zeta_|D|] when an induced character is involved.  Rows
-are paired by complex conjugation, which negates every exponent, a ring
-automorphism of Z[x]/(x^L - 1) that keeps (Phi_L) and fixes the expected
-integers: when conjugation permutes the rows, one inner product is
-checked per orbit {i, j} ~ {i-bar, j-bar}.  For odd |E|, |E| = 1
-included, the induced characters pair off (Theta_t with Theta_-t, real
-only when 2t = 0 in D) and the work about halves; for even |E|, -1 is a
-power of n, they are real and only eta_j pairs with eta_-j.  A table that
-conjugation does not permute has every pair checked.
+characters, Z[zeta_|D|] when an induced character is involved.  One
+Gram row is checked per Galois orbit of rows: sigma_k, k a unit mod L,
+multiplies every exponent by k, a ring automorphism of Z[x]/(x^L - 1)
+that keeps (Phi_L), commutes with conjugation and fixes the expected
+integers, so <sigma chi_i, sigma chi_j> = sigma <chi_i, chi_j>.  The
+generators of (Z/L)^x that permute the rows, matched cell by cell as
+exponent vectors, are merged into orbits; for R orbits of k rows that is
+R k - R(R - 1)/2 inner products, where all k(k + 1)/2 pairs took one
+each.  On the table built here eta_j falls into one orbit per divisor
+gcd(j, m) of m and Theta_t into one per ell-adic valuation of t, so R is
+the number of divisors of m plus alpha.  A table that no sigma_k
+permutes has every pair checked.
 
 The Brauer characters of the m simple modules are pinned by the Hensel
 lift zeta of n (eta_j sends x to zeta^j), which fixes the row and column
@@ -45,7 +48,7 @@ from .brauer_tree import MAX_CLASSES, MetacyclicGroup, PlanarBrauerTree
 from .cyclotomic import power_basis
 from .ell_arith import TruncatedPadic
 from .linalg import SparseMatrix
-from .numtheory import has_order
+from .numtheory import has_order, unit_generators
 
 
 class SingularSystem(ArithmeticError):
@@ -112,22 +115,27 @@ class CharacterTable:
         and compared with the coordinates (n, 0, ..., 0) of the expected
         integer n.
 
-        Rows are paired by conjugation: i-bar is the row equal, cell by
-        cell as exponent vectors, to the conjugate of row i.  When i ->
-        i-bar is a permutation, <chi_ibar, chi_jbar> is <chi_i, chi_j>
-        with every exponent negated, a ring automorphism of Z[x]/(x^L - 1)
-        that maps (Phi_L) to itself and fixes n delta_ij, so one inner
-        product is checked per orbit {i, j} ~ {i-bar, j-bar}.  Otherwise
-        every pair is checked; closure under conjugation is no condition.
+        One Gram row is checked per Galois orbit of rows
+        (`_galois_orbit_reps`): <chi_r, chi_j> for each representative r
+        and every row j, except a representative j after r, whose entry
+        is the conjugate of one checked; for R orbits of k rows that is
+        R k - R(R - 1)/2 inner products.  Column j = 0 comes first, so a
+        row that fails against the first row fails before most work.
+
+        This is exact: sigma_k, which multiplies every exponent by a unit
+        k, is a ring automorphism of Z[x]/(x^L - 1) that keeps (Phi_L),
+        commutes with conjugation and fixes the class sizes and n
+        delta_ij, so when it permutes the rows, <sigma chi_r, sigma chi_j>
+        = sigma <chi_r, chi_j> is right exactly when <chi_r, chi_j> is.  A
+        table that no sigma_k permutes has every pair checked; closure
+        under Galois is no condition.
         """
         L = order = self.group.order
-        nrows = len(self.values)
         sizes = [c.size for c in self.classes]
         if any(len(row) != len(sizes) for row in self.values):
             return False
-        conj = [[{-k % L: c for k, c in val.items()} for val in row]
-                for row in self.values]
-        bar = _conjugate_rows(self.values, conj)
+        reps = _galois_orbit_reps(self.values, L)
+        position = {r: p for p, r in enumerate(reps)}
 
         def inner_is(want: int, pairs) -> bool:
             acc: dict[int, int] = {}
@@ -140,32 +148,57 @@ class CharacterTable:
             coords = _smallest_ring_coords(L, acc)
             return coords[0] == want and not any(coords[1:])
 
-        for i in range(nrows):
-            for j in range(i, nrows):
-                # the first pair of its orbit in row-major order stands for it
-                if bar is not None and sorted((bar[i], bar[j])) < [i, j]:
-                    continue
-                if not inner_is(order if i == j else 0,
-                                zip(sizes, self.values[i], conj[j])):
+        # one conjugated row is held at a time
+        for j, row in enumerate(self.values):
+            conj = [{-k % L: c for k, c in val.items()} for val in row]
+            for r in reps[position.get(j, 0):]:
+                if not inner_is(order if r == j else 0,
+                                zip(sizes, self.values[r], conj)):
                     return False
         return True
 
 
-def _conjugate_rows(values: list[list[dict[int, int]]],
-                    conj: list[list[dict[int, int]]]) -> list[int] | None:
-    """The map i -> the first row equal to conj[i], or None unless it is
-    a permutation of the rows.
+def _galois_orbit_reps(values: list[list[dict[int, int]]], L: int) -> list[int]:
+    """The smallest row of each orbit of the rows under the sigma_k, k in
+    `unit_generators(L)`, that permute them.
+
+    sigma_k multiplies every exponent by k mod L and maps row i to the
+    first row equal to it, cell by cell as exponent vectors.  The rows
+    are mapped one at a time, and a sigma_k is dropped at the first row
+    that has no partner or takes one already taken; the orbits of the
+    kept maps are merged.  Any set of kept maps makes the check exact, so
+    a dropped one costs speed only.
 
     Each comparison of two rows stops at their first differing cell, and
     the rows of a metacyclic table differ within a few cells, except the
     eta_j, which differ first on the x^b classes at the end; so the scan
-    costs little next to one inner product per row pair.
+    costs less than hashing every row would.
     """
-    try:
-        bar = [values.index(crow) for crow in conj]
-    except ValueError:
-        return None
-    return bar if len(set(bar)) == len(bar) else None
+    root = list(range(len(values)))
+
+    def find(i: int) -> int:
+        while root[i] != i:
+            root[i] = i = root[root[i]]
+        return i
+
+    for k in unit_generators(L):
+        image: list[int] = []
+        taken = bytearray(len(values))
+        for row in values:
+            try:
+                t = values.index([{k * e % L: c for e, c in val.items()}
+                                  for val in row])
+            except ValueError:
+                break
+            if taken[t]:
+                break
+            taken[t] = 1
+            image.append(t)
+        else:
+            for i, t in enumerate(image):
+                a, b = find(i), find(t)
+                root[max(a, b)] = min(a, b)
+    return [i for i, r in enumerate(root) if r == i]
 
 
 def _smallest_ring_coords(L: int, terms: dict[int, int]) -> tuple[int, ...]:

@@ -1,7 +1,11 @@
 """Reference helpers shared by the tests: literal constructions that the
 fast paths of the package are compared against."""
 
+from math import gcd
+
 from coxbrauer import linalg
+from coxbrauer.cyclotomic import power_basis
+from coxbrauer.numtheory import euler_phi
 
 
 def dense(a):
@@ -14,3 +18,111 @@ def sparse(rows, width):
     nonzero cells only."""
     return linalg.SparseMatrix((len(rows), width),
                                [{c: x for c, x in enumerate(r) if x} for r in rows])
+
+
+def reference_rref(rows, p, modulus):
+    """Schoolbook unit-pivot Gauss-Jordan over Z/modulus, modulus = p^N,
+    on lists of ints: the pivot of a column is its first entry at or below
+    the current row that is not divisible by p."""
+    m = [[x % modulus for x in row] for row in rows]
+    n_rows = len(m)
+    n_cols = len(m[0]) if m else 0
+    pivots, r = [], 0
+    for c in range(n_cols):
+        if r == n_rows:
+            break
+        pivot = next((i for i in range(r, n_rows) if m[i][c] % p), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = pow(m[r][c], -1, modulus)
+        m[r] = [x * inv % modulus for x in m[r]]
+        for i in range(n_rows):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [(x - f * y) % modulus for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+def reference_orthogonality(table):
+    """The row orthogonality relation with every inner product reduced
+    modulo the full Phi_L, L = |G|, and compared with (n, 0, ..., 0)."""
+    L = table.group.order
+    zeros = (0,) * (euler_phi(L) - 1)
+    sizes = [c.size for c in table.classes]
+    conj = [[{-k % L: c for k, c in val.items()} for val in row]
+            for row in table.values]
+    for i, row in enumerate(table.values):
+        for j in range(i, len(table.values)):
+            acc = {}
+            for weight, x, y in zip(sizes, row, conj[j]):
+                for kx, cx in x.items():
+                    for ky, cy in y.items():
+                        k = (kx + ky) % L
+                        acc[k] = acc.get(k, 0) + weight * cx * cy
+            if power_basis(L, acc) != (L if i == j else 0,) + zeros:
+                return False
+    return True
+
+
+def _galois_key(row, u, L):
+    """Row sigma_u(row), every exponent of every cell multiplied by u mod
+    L, as a hashable key that ignores the order of the terms in a cell."""
+    return tuple(frozenset((u * k % L, c) for k, c in val.items()) for val in row)
+
+
+def _first_row_index(table):
+    L = table.group.order
+    index = {}
+    for i, row in enumerate(table.values):
+        index.setdefault(_galois_key(row, 1, L), i)
+    return index
+
+
+def reference_galois_units(table):
+    """Every unit u of Z/L, L = |G|, whose sigma_u sends each row to a row,
+    cell by cell as exponent vectors, and no two rows to the same first
+    equal row: the units that permute the rows."""
+    L = table.group.order
+    index = _first_row_index(table)
+    units = []
+    for u in range(L):
+        if gcd(u, L) == 1:
+            image = [index.get(_galois_key(row, u, L)) for row in table.values]
+            if None not in image and len(set(image)) == len(image):
+                units.append(u)
+    return units
+
+
+def reference_galois_orbit_reps(table):
+    """The smallest row of each class of i ~ j, row j = sigma_u(row i) for
+    some unit u of Z/L, L = |G|, found by applying every unit to the
+    smallest row of each class; for a table of distinct rows.  sigma_u of
+    a row depends on u mod L/g only, g the gcd of L and the row's
+    exponents, so each residue is applied once."""
+    L = table.group.order
+    index = _first_row_index(table)
+    units = [u for u in range(L) if gcd(u, L) == 1]
+    seen, reps = set(), []
+    for i, row in enumerate(table.values):
+        if i not in seen:
+            reps.append(i)
+            level = L // gcd(L, *(k for val in row for k in val))
+            seen.update(index.get(_galois_key(row, u, L))
+                        for u in {u % level for u in units})
+    return reps
+
+
+def unit_closure(L, gens):
+    """The subgroup of (Z/L)^x generated by gens, element by element."""
+    seen, todo = {1 % L}, [1 % L]
+    while todo:
+        x = todo.pop()
+        for g in gens:
+            y = x * g % L
+            if y not in seen:
+                seen.add(y)
+                todo.append(y)
+    return seen

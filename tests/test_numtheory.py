@@ -1,8 +1,12 @@
+import time
+from math import gcd
+
 import pytest
 
 from coxbrauer.numtheory import (MILLER_RABIN_BOUND, euler_phi, factorize,
                                  has_order, integer_root, is_prime,
-                                 prime_power_split, valuation)
+                                 prime_power_split, unit_generators, valuation)
+from reference import unit_closure
 
 
 def test_is_prime_small():
@@ -85,3 +89,22 @@ def test_orders():
     assert not has_order(2, 6, 7)
     assert has_order(8, 6, 19)
 
+
+
+def test_unit_generators_generate_the_unit_group():
+    for n in range(1, 500):
+        gens = unit_generators(n)
+        assert gens[:1] == ([n - 1] if n > 2 else []), n
+        assert len(unit_closure(n, gens)) == euler_phi(n), n
+
+
+def test_unit_generators_never_list_the_group():
+    # (Z/L)^x for the (12289, 512) group has 3,145,728 elements
+    start = time.perf_counter()
+    gens = unit_generators(12289 * 512)
+    assert time.perf_counter() - start < 1.0
+    assert all(gcd(g, 12289 * 512) == 1 for g in gens)
+    # -1 first; a primitive root mod 12289 and -1 and 5 mod 512 among them
+    assert gens[0] == 12289 * 512 - 1
+    assert any(has_order(g, 12288, 12289) and g % 512 == 1 for g in gens)
+    assert any(g % 512 == 5 and g % 12289 == 1 for g in gens)

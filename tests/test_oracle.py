@@ -1,5 +1,6 @@
 import random
 import time
+from math import gcd
 
 import pytest
 
@@ -9,54 +10,9 @@ from coxbrauer import oracle as orc
 from coxbrauer import tree_algebra as ta
 from coxbrauer.cyclotomic import power_basis
 from coxbrauer.ell_arith import TruncatedPadic
-from coxbrauer.numtheory import euler_phi, has_order, prime_power_split
-
-
-def reference_rref(rows, p, modulus):
-    """Schoolbook unit-pivot Gauss-Jordan over Z/modulus, modulus = p^N,
-    on lists of ints: the pivot of a column is its first entry at or below
-    the current row that is not divisible by p."""
-    m = [[x % modulus for x in row] for row in rows]
-    n_rows = len(m)
-    n_cols = len(m[0]) if m else 0
-    pivots, r = [], 0
-    for c in range(n_cols):
-        if r == n_rows:
-            break
-        pivot = next((i for i in range(r, n_rows) if m[i][c] % p), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = pow(m[r][c], -1, modulus)
-        m[r] = [x * inv % modulus for x in m[r]]
-        for i in range(n_rows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [(x - f * y) % modulus for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    return m, pivots
-
-
-def reference_orthogonality(table):
-    """The row orthogonality relation with every inner product reduced
-    modulo the full Phi_L, L = |G|, and compared with (n, 0, ..., 0)."""
-    L = table.group.order
-    zeros = (0,) * (euler_phi(L) - 1)
-    sizes = [c.size for c in table.classes]
-    conj = [[{-k % L: c for k, c in val.items()} for val in row]
-            for row in table.values]
-    for i, row in enumerate(table.values):
-        for j in range(i, len(table.values)):
-            acc = {}
-            for weight, x, y in zip(sizes, row, conj[j]):
-                for kx, cx in x.items():
-                    for ky, cy in y.items():
-                        k = (kx + ky) % L
-                        acc[k] = acc.get(k, 0) + weight * cx * cy
-            if power_basis(L, acc) != (L if i == j else 0,) + zeros:
-                return False
-    return True
+from coxbrauer.numtheory import has_order, prime_power_split, unit_generators
+from reference import (reference_galois_orbit_reps, reference_galois_units,
+                       reference_orthogonality, reference_rref, unit_closure)
 
 
 def valid_groups(max_d, max_e):
@@ -236,6 +192,13 @@ def test_orthogonality_reduces_a_perturbed_pair_in_its_own_ring(monkeypatch):
     assert levels[-1] == L
 
 
+def galois_checked(table):
+    """R k - R(R - 1)/2: the Gram entries one row per Galois orbit of rows
+    takes, R the number of orbits of the k rows under every unit of Z/L."""
+    k, R = len(table.values), len(reference_galois_orbit_reps(table))
+    return R * k - R * (R - 1) // 2
+
+
 @pytest.mark.parametrize("d_order, e_order, n, levels", [
     (125, 4, 57, {125, 25, 5, 4, 2, 1}),
     (49, 6, 19, {49, 7, 6, 3, 2, 1}),
@@ -254,27 +217,142 @@ def test_gram_reductions_stay_below_the_group_order(monkeypatch, d_order,
     seen = reduction_levels(monkeypatch)
     table = orc.character_table(orc.MetacyclicGroup(d_order, e_order, n))
     k = len(table.classes)
-    # one reduction per degree and one per orbit of Gram entries under
-    # conjugation, none at |G|: even |E| pairs only eta_j with eta_-j, odd
-    # |E| also pairs the induced characters, about halving k(k+1)/2
-    orbits = orbit_count(conjugation_map(table))
-    assert (k * (k + 1) // 2, orbits) in {(630, 596), (105, 81), (190, 100)}
+    # one reduction per degree and one per Gram entry of a row per Galois
+    # orbit of rows, none at |G|; the pairing by conjugation alone checked
+    # one entry per orbit of pairs {i, j} ~ {i-bar, j-bar}
+    checked = galois_checked(table)
+    assert (orbit_count(conjugation_map(table)), checked) == {
+        (125, 4): (596, 195), (49, 6): (81, 69), (49, 3): (100, 70)}[d_order, e_order]
     assert len(degrees) == k
-    assert len(seen) - len(degrees) == orbits
+    assert len(seen) - len(degrees) == checked
     assert set(seen) == levels
 
 
-def test_every_valid_table_is_checked_once_per_conjugate_pair(monkeypatch):
+def test_every_valid_table_is_checked_once_per_galois_orbit_of_rows(monkeypatch):
     groups = valid_groups(128, 12)
     assert len(groups) == 166
     monkeypatch.setattr(orc.CharacterTable, "verify", lambda self: None)
+    total = total_by_conjugation = 0
+    rises = {}
     for g in groups:
         table = orc.character_table(g)
-        bar = conjugation_map(table)
-        assert bar is not None, g
+        reps = reference_galois_orbit_reps(table)
+        assert orc._galois_orbit_reps(table.values, g.order) == reps, g
         levels = reduction_levels(monkeypatch)
         assert table.check_orthogonality(), g
-        assert len(levels) == orbit_count(bar), g
+        assert len(levels) == galois_checked(table), g
+        total += len(levels)
+        by_conjugation = orbit_count(conjugation_map(table))
+        total_by_conjugation += by_conjugation
+        if len(levels) > by_conjugation:
+            rises[g.d_order, g.e_order] = (len(table.values), by_conjugation,
+                                           len(levels))
+    # 16,238 entries against 88,140 for the pairing by conjugation alone;
+    # on 16 small tables, k <= 17, R k - R(R - 1)/2 exceeds the number of
+    # conjugate pairs, the most at (13, 12): R = 7 orbits of 13 rows take
+    # 70 entries, where conjugation paired them into 51
+    assert (total, total_by_conjugation) == (16238, 88140)
+    assert len(rises) == 16 and max(k for k, _, _ in rises.values()) <= 17
+    most = max(rises, key=lambda dk: rises[dk][2] - rises[dk][1])
+    assert (most, rises[most]) == ((13, 12), (13, 51, 70))
+
+
+LADDER = [(125, 1, 1), (343, 3, 18), (343, 1, 1), (1021, 1, 1), (2401, 3, 1047)]
+
+
+def test_unit_generators_generate_every_oracle_unit_group():
+    orders = {g.order for g in valid_groups(128, 12)}
+    orders |= {d * e for d, e, _ in LADDER}
+    for L in sorted(orders):
+        gens = unit_generators(L)
+        assert gens[:1] == ([L - 1] if L > 2 else []), L
+        assert unit_closure(L, gens) == {u for u in range(L) if gcd(u, L) == 1}, L
+
+
+@pytest.mark.parametrize("d_order, e_order, n, checked", [
+    (125, 1, 1, 494),
+    (343, 3, 18, 575),
+])
+def test_ladder_tables_check_one_gram_row_per_galois_orbit(monkeypatch, d_order,
+                                                           e_order, n, checked):
+    # the pairing by conjugation alone checked 3,969 and 3,481 entries
+    monkeypatch.setattr(orc.CharacterTable, "verify", lambda self: None)
+    table = orc.character_table(orc.MetacyclicGroup(d_order, e_order, n))
+    levels = reduction_levels(monkeypatch)
+    assert table.check_orthogonality()
+    assert len(levels) == checked
+
+
+def galois_orbit_perturbed(table, row, col, e, sign):
+    """A copy of the table with sign*sigma_u(zeta_L^e) added to cell col of
+    row sigma_u(row), for every unit u: the Galois conjugates of one
+    perturbation, so every sigma that permuted the rows still does.  e
+    must be fixed by each u that fixes the row."""
+    L = table.group.order
+    values = [list(r) for r in table.values]
+    hit = {}
+    for u in reference_galois_units(table):
+        image = [{u * k % L: c for k, c in val.items()} for val in table.values[row]]
+        j = table.values.index(image)
+        assert hit.setdefault(j, u * e % L) == u * e % L
+    for j, k in hit.items():
+        values[j][col] = {**values[j][col], k: values[j][col].get(k, 0) + sign}
+    return orc.CharacterTable(table.group, table.classes, table.names, values)
+
+
+def test_a_galois_orbit_perturbation_fails():
+    rng = random.Random(33)
+    cases = 0
+    for g in valid_groups(31, 6):
+        table = orc.character_table(g)
+        L = g.order
+        units = reference_galois_units(table)
+        reps = orc._galois_orbit_reps(table.values, L)
+        moved = [i for i in range(len(table.values)) if i not in reps]
+        if not moved:
+            continue
+        for _ in range(2):
+            row = rng.choice(moved)
+            fixing = [u for u in units
+                      if [{u * k % L: c for k, c in val.items()}
+                          for val in table.values[row]] == table.values[row]]
+            e = rng.choice([e for e in range(L)
+                            if all(u * e % L == e for u in fixing)])
+            bad = galois_orbit_perturbed(table, row, rng.randrange(len(table.classes)),
+                                         e, rng.choice((1, -1)))
+            # every unit still permutes the rows, and the orbits are kept
+            assert reference_galois_units(bad) == units, g
+            assert orc._galois_orbit_reps(bad.values, L) == reps, g
+            assert not bad.check_orthogonality(), g
+            assert not reference_orthogonality(bad), g
+            cases += 1
+    assert cases >= 20
+
+
+def test_a_table_that_only_conjugation_permutes_keeps_its_verdict(monkeypatch):
+    for g in (orc.MetacyclicGroup(49, 3, 18), orc.MetacyclicGroup(25, 4, 7),
+              orc.MetacyclicGroup(27, 1, 1)):
+        table = orc.character_table(g)
+        L = g.order
+        i, ibar = non_real_rows(table)[-1]
+        # chi_i times zeta_L and its conjugate times zeta_L^-1 stay an
+        # orthonormal pair of conjugate rows, moved off the other orbits
+        values = list(table.values)
+        for r, a in ((i, 1), (ibar, -1)):
+            values[r] = [{(k + a) % L: c for k, c in val.items()} for val in values[r]]
+        scaled = orc.CharacterTable(g, table.classes, table.names, values)
+        assert reference_galois_units(scaled) == [1, L - 1]
+        levels = reduction_levels(monkeypatch)
+        assert scaled.check_orthogonality() and reference_orthogonality(scaled)
+        bar = conjugation_map(scaled)
+        k, R = len(values), len({min(r, bar[r]) for r in range(len(bar))})
+        assert len(levels) == R * k - R * (R - 1) // 2
+        # 1 added to the degree of both rows keeps conjugation the only
+        # permutation, and fails
+        bad = perturbed(scaled, i, 0, 0, 1)
+        bad = perturbed(bad, ibar, 0, 0, 1)
+        assert reference_galois_units(bad) == [1, L - 1]
+        assert not bad.check_orthogonality() and not reference_orthogonality(bad)
 
 
 def test_a_conjugate_consistent_perturbation_fails():
