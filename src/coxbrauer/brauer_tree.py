@@ -484,7 +484,7 @@ def obj_to_tree(obj: dict, loc: str = "$") -> PlanarBrauerTree:
     try:
         series = SeriesDatum(h0=h0, branches=tuple(branches))
     except InvalidSeries as exc:
-        where = "h0" if h0 > MAX_EDGES else "branches"
+        where = "branches" if 1 <= h0 <= MAX_EDGES else "h0"
         raise ParseError(f"{loc}.{where}", str(exc)) from exc
     labels = {}
     for k, v in _vertex_items(obj, "labels", h0, loc):

@@ -437,8 +437,6 @@ def _cmd_rickard(args) -> int:
     if args.vertex not in tree.edges:
         raise _UsageError(f"vertex {args.vertex} out of range "
                           f"0..{tree.h0 - 1}")
-    if args.check_tilting:
-        bt.check_report_cells("End grid of the tilting check", tree.h0 ** 2)
     alg = ta.from_tree(tree, _field_for(tree, args))
     cx = ho.rickard_complex(alg, tree, args.vertex)
     coh = ho.cohomology(cx)

@@ -20,37 +20,32 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .numtheory import euler_phi
+from .numtheory import euler_phi, factorize
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    """Coefficients of the n-th cyclotomic polynomial, ascending, monic."""
-    if n == 1:
-        return (-1, 1)
-    # (x^n - 1) / prod_{d | n, d < n} Phi_d(x), exact division by monic factors
-    num = [0] * (n + 1)
-    num[0], num[n] = -1, 1
-    for d in range(1, n):
-        if n % d == 0:
-            num = _poly_divexact(num, list(cyclotomic_polynomial(d)))
-    return tuple(num)
-
-
-def _poly_divexact(num: list[int], den: list[int]) -> list[int]:
-    """Exact division of integer polynomials, den monic."""
-    num = list(num)
-    dn, dd = len(num) - 1, len(den) - 1
-    out = [0] * (dn - dd + 1)
-    for k in range(dn - dd, -1, -1):
-        c = num[k + dd]
-        out[k] = c
-        if c:
-            for i, b in enumerate(den):
-                num[k + i] -= c * b
-    if any(num[: dd]):
-        raise ArithmeticError("inexact polynomial division")
-    return out
+    """Coefficients of the n-th cyclotomic polynomial, ascending, monic: the
+    Moebius product prod_(d | n) (x^(n/d) - 1)^mu(d) over the squarefree d,
+    the binomials with mu(d) = 1 multiplied first and those with mu(d) = -1
+    then divided out exactly, O(n) each."""
+    mobius = [(1, 1)]
+    for p in factorize(n):
+        mobius += [(d * p, -mu) for d, mu in mobius]
+    poly = [1]
+    for d, mu in sorted(mobius, key=lambda dm: -dm[1]):
+        k = n // d
+        if mu > 0:
+            poly = [b - a for a, b in zip(poly + [0] * k, [0] * k + poly)]
+            continue
+        # poly = q (x^k - 1) coefficientwise is q_i = q_(i-k) - p_i
+        q: list[int] = []
+        for i, c in enumerate(poly):
+            q.append((q[i - k] if i >= k else 0) - c)
+        if any(q[-k:]):
+            raise ArithmeticError("inexact polynomial division")
+        poly = q[:-k]
+    return tuple(poly)
 
 
 @lru_cache(maxsize=None)

@@ -33,7 +33,7 @@ from itertools import accumulate
 from operator import add, itemgetter
 
 from . import linalg
-from .brauer_tree import EXC, PlanarBrauerTree
+from .brauer_tree import EXC, PlanarBrauerTree, check_report_cells
 from .tree_algebra import TreeAlgebra
 
 
@@ -132,28 +132,24 @@ class ProjComplex:
 
 
 def direct_sum(complexes: list[ProjComplex]) -> ProjComplex:
+    """The direct sum, each summand's boundary rows padded with one shared
+    empty entry on the left and on the right; a summand with no boundary
+    at degree d, below its lo, gives len(term(d + 1)) empty rows."""
     if not complexes:
         raise ValueError("direct sum of no complexes")
-    alg = complexes[0].alg
     lo = min(c.lo for c in complexes)
-    hi = max(c.hi for c in complexes)
-    terms = [sum((c.term(d) for c in complexes), []) for d in range(lo, hi + 1)]
-    diffs = []
-    for d in range(lo, hi + 1):
-        src_sizes = [len(c.term(d)) for c in complexes]
-        tgt_sizes = [len(c.term(d + 1)) for c in complexes]
-        mat = [[{} for _ in range(sum(src_sizes))] for _ in range(sum(tgt_sizes))]
-        r_off = 0
-        c_off = 0
-        for idx, c in enumerate(complexes):
-            block = c.diff(d)
-            for r in range(tgt_sizes[idx]):
-                for cc in range(src_sizes[idx]):
-                    mat[r_off + r][c_off + cc] = block[r][cc]
-            r_off += tgt_sizes[idx]
-            c_off += src_sizes[idx]
+    terms, diffs, empty = [], [], {}
+    for d in range(lo, max(c.hi for c in complexes) + 1):
+        terms.append(sum((c.term(d) for c in complexes), []))
+        mat, left = [], 0
+        for c in complexes:
+            width = len(c.term(d))
+            right = len(terms[-1]) - left - width
+            mat += [[empty] * left + row + [empty] * right
+                    for row in c.diff(d) or [[]] * len(c.term(d + 1))]
+            left += width
         diffs.append(mat)
-    return ProjComplex(alg, lo, terms, diffs)
+    return ProjComplex(complexes[0].alg, lo, terms, diffs)
 
 
 def rickard_complex(alg: TreeAlgebra, tree: PlanarBrauerTree, j: int) -> ProjComplex:
@@ -583,8 +579,10 @@ def end_grid_read_out(runs: list[tuple[ProjComplex, list[tuple[int, int]]]]
     """The End grid dim Hom_K(C_a, C_b) and the sorted (j, j', n, dim H^n)
     wherever Hom^n(C_j, C_j') is not empty, as 2-D prefix sums of the
     masses; InvalidComplex for a negative dimension.  Only a failed check
-    builds these."""
+    builds these, and refuses a family of size s when the s x s grid would
+    have more than MAX_REPORT_CELLS cells."""
     size = sum(len(members) for _, members in runs)
+    check_report_cells("End grid of the tilting check", size ** 2)
     grid = [[0] * size for _ in range(size)]
     hom_dims = []
     for top1, members1 in runs:

@@ -211,77 +211,51 @@ def _smallest_ring_coords(L: int, terms: dict[int, int]) -> tuple[int, ...]:
     exponents instead of L - phi(L).
     """
     g = gcd(L, *terms)
-    if g == 1:
-        return power_basis(L, terms)
     return power_basis(L // g, {k // g: c for k, c in terms.items()})
 
 
 def _orbit_reps(g: MetacyclicGroup) -> list[int]:
-    """Representatives (smallest exponent) of the E-orbits on D - {1}."""
-    seen = set()
-    reps = []
-    for a in range(1, g.d_order):
-        if a in seen:
-            continue
-        orbit = set()
-        cur = a
-        while cur not in orbit:
-            orbit.add(cur)
-            cur = cur * g.n % g.d_order
-        reps.append(min(orbit))
-        seen |= orbit
-    return reps
+    """Representatives of the E-orbits on D - {1}: the exponents a with
+    a <= a*n^i mod |D| for i = 1 .. m - 1, the smallest of their orbits."""
+    powers = [pow(g.n, i, g.d_order) for i in range(1, g.e_order)]
+    return [a for a in range(1, g.d_order)
+            if all(a <= a * k % g.d_order for k in powers)]
 
 
 def character_table(g: MetacyclicGroup) -> CharacterTable:
     """All irreducible ordinary characters with exact cyclotomic values.
 
-    The m linear characters are inflated from E; the (ell^alpha - 1)/m
-    induced characters come from the E-orbits of nontrivial characters of
-    D and vanish off D.  A group with more than MAX_CLASSES classes is
-    refused with a ValueError before any of the table is built.
+    The m linear characters eta_j are inflated from E: one shared {0: 1}
+    on the identity and the D-classes, then zeta^(jb) on x^b.  The
+    (ell^alpha - 1)/m induced characters Theta_t come from the E-orbits of
+    nontrivial characters of D: {0: m}, the orbit sums on the D-classes,
+    then one shared {} on the m - 1 classes off D.  No cell is changed once
+    built.  A group with more than MAX_CLASSES classes is refused with a
+    ValueError before any of the table is built.
     """
     n_classes = (g.d_order - 1) // g.e_order + g.e_order
     if n_classes > MAX_CLASSES:
         raise ValueError(f"the character table would have {n_classes} classes, "
                          f"more than the {MAX_CLASSES} supported")
-    L = g.e_order * g.d_order
-    zeta_e = L // g.e_order      # zeta_m = zeta_L^(d_order)
-    zeta_d = L // g.d_order      # zeta_(ell^alpha) = zeta_L^(e_order)
+    m, d = g.e_order, g.d_order
+    L = m * d                # zeta_m = zeta_L^d, zeta_d = zeta_L^m
     reps = _orbit_reps(g)
-    classes = [ConjClass("one", 0, 1)]
-    for a in reps:
-        classes.append(ConjClass("d", a, g.e_order))
-    for b in range(1, g.e_order):
-        classes.append(ConjClass("e", b, g.d_order))
-
-    names, values = [], []
-    for j in range(g.e_order):
-        row = []
-        for cls in classes:
-            if cls.kind == "e":
-                row.append({zeta_e * j * cls.rep % L: 1})
-            else:
-                row.append({0: 1})
-        names.append(f"eta{j}")
-        values.append(row)
+    classes = ([ConjClass("one", 0, 1)] + [ConjClass("d", a, m) for a in reps]
+               + [ConjClass("e", b, d) for b in range(1, m)])
+    names = [f"eta{j}" for j in range(m)] + [f"ind{t}" for t in reps]
+    one, degree, off_d = {0: 1}, {0: m}, [{}] * (m - 1)
+    values = [[one] * (1 + len(reps)) + [{d * j * b % L: 1} for b in range(1, m)]
+              for j in range(m)]
+    powers = [pow(g.n, i, d) for i in range(m)]
     for t in reps:
-        row = []
-        for cls in classes:
-            if cls.kind == "one":
-                row.append({0: g.e_order})
-            elif cls.kind == "d":
-                acc: dict[int, int] = {}
-                cur = cls.rep
-                for _ in range(g.e_order):
-                    k = zeta_d * (t * cur % g.d_order)
-                    acc[k] = acc.get(k, 0) + 1
-                    cur = cur * g.n % g.d_order
-                row.append(acc)
-            else:
-                row.append({})
-        names.append(f"ind{t}")
-        values.append(row)
+        row = [degree]
+        for a in reps:
+            acc: dict[int, int] = {}
+            for x in powers:
+                k = m * (t * a * x % d)
+                acc[k] = acc.get(k, 0) + 1
+            row.append(acc)
+        values.append(row + off_d)
     table = CharacterTable(g, classes, names, values)
     table.verify()
     return table

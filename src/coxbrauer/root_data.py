@@ -237,29 +237,21 @@ class CycloPoly:
             raise AssertionError("sqrt part in a rational polynomial")
 
     def evaluate(self, q_or_qsq: int) -> int:
-        """Evaluate at q.
+        """Evaluate at q by Horner's rule in Z[sqrt(p)], q = u + v*sqrt(p).
 
-        For ordinary types the argument is q itself.  For Suzuki/Ree types
-        it is q^2 = p^(2m+1); the value is then computed in Z[sqrt(p)] and
-        must come out rational, which is asserted.
+        For ordinary types the argument is q itself, (u, v) = (q, 0).  For
+        Suzuki/Ree types it is q^2 = p^(2m+1), so (u, v) = (0, p^m); the
+        value must come out rational, which is asserted.
         """
-        if self.p is None:
-            q = q_or_qsq
-            return sum(a * q ** k for k, (a, _) in enumerate(self.coeffs))
-        qsq = q_or_qsq
-        v = valuation(qsq, self.p)
-        if qsq != self.p ** v or v % 2 == 0:
-            raise ValueError(f"q^2 must be an odd power of {self.p}")
-        s = self.p ** ((v - 1) // 2)      # q = s * sqrt(p)
-        rat, irr = 0, 0                   # value = rat + irr*sqrt(p)
-        for k, (a, b) in enumerate(self.coeffs):
-            c = s ** k * self.p ** (k // 2)
-            if k % 2 == 0:
-                rat += a * c
-                irr += b * c
-            else:
-                rat += b * c * self.p
-                irr += a * c
+        p, u, v = self.p or 0, q_or_qsq, 0
+        if p:
+            m2 = valuation(u, p)
+            if u != p ** m2 or m2 % 2 == 0:
+                raise ValueError(f"q^2 must be an odd power of {p}")
+            u, v = 0, p ** (m2 // 2)
+        rat = irr = 0                     # the value so far, rat + irr*sqrt(p)
+        for a, b in reversed(self.coeffs):
+            rat, irr = rat * u + irr * v * p + a, rat * v + irr * u + b
         if irr:
             raise AssertionError("order evaluation left a sqrt residue")
         return rat

@@ -24,6 +24,11 @@ from . import linalg
 from .brauer_tree import EXC, PlanarBrauerTree
 from .numtheory import is_prime
 
+# The most basis paths an algebra may have, counted from the tree's shape
+# before any is built: the largest power of two at which `algebra` on the
+# tree of single-edge branches answers within 1 GiB.
+MAX_PATHS = 2 ** 21
+
 # path kinds
 _ID = "id"
 _CYC = "cyc"
@@ -77,6 +82,13 @@ class TreeAlgebra:
         self.degenerate = (len(self.vertices) == 1
                            and all(c == 1 for c in self.cycle_length.values()))
         self._check_star_label_field()
+        # an edge's basis paths (`_enumerate_paths`) number the cycle
+        # lengths of its two ends added up
+        size = sum(self.cycle_length[a] + self.cycle_length[b]
+                   for a, b in map(tree.ends, self.vertices))
+        if size > MAX_PATHS:
+            raise ValueError(f"the algebra would have {size} basis paths, more "
+                             f"than the {MAX_PATHS} supported")
         self.paths = self._enumerate_paths()
         self.dim = len(self.paths)
         # lookup tables: the target of every basis path (a cyclic path ends
@@ -106,6 +118,8 @@ class TreeAlgebra:
                 f"unity for the eigencharacter labels")
 
     def _enumerate_paths(self) -> list[Path]:
+        """Per edge: its trivial path, the proper partial cycles around
+        both of its ends, and its socle element."""
         paths: list[Path] = []
         for e in self.vertices:
             paths.append(Path(e, _ID))
@@ -114,9 +128,7 @@ class TreeAlgebra:
                     paths.append(Path(e, _CYC, node, t))
             # one socle element per edge; in the doubly degenerate
             # single-edge multiplicity-one case it plays the loop arrow
-            if self.degenerate or any(self.cycle_length[n] > 1
-                                      for n in self.tree.ends(e)):
-                paths.append(Path(e, _SOC))
+            paths.append(Path(e, _SOC))
         return paths
 
     # -- path structure ----------------------------------------------------

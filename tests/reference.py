@@ -1,11 +1,12 @@
 """Reference helpers shared by the tests: literal constructions that the
 fast paths of the package are compared against."""
 
+from functools import lru_cache
 from math import gcd
 
 from coxbrauer import linalg
 from coxbrauer.cyclotomic import power_basis
-from coxbrauer.numtheory import euler_phi
+from coxbrauer.numtheory import euler_phi, valuation
 
 
 def dense(a):
@@ -126,3 +127,81 @@ def unit_closure(L, gens):
                 seen.add(y)
                 todo.append(y)
     return seen
+
+
+@lru_cache(maxsize=None)
+def reference_cyclotomic_polynomial(n: int) -> tuple[int, ...]:
+    """Coefficients of the n-th cyclotomic polynomial, ascending, monic."""
+    if n == 1:
+        return (-1, 1)
+    # (x^n - 1) / prod_{d | n, d < n} Phi_d(x), exact division by monic factors
+    num = [0] * (n + 1)
+    num[0], num[n] = -1, 1
+    for d in range(1, n):
+        if n % d == 0:
+            num = _poly_divexact(num, list(reference_cyclotomic_polynomial(d)))
+    return tuple(num)
+
+
+def _poly_divexact(num: list[int], den: list[int]) -> list[int]:
+    """Exact division of integer polynomials, den monic."""
+    num = list(num)
+    dn, dd = len(num) - 1, len(den) - 1
+    out = [0] * (dn - dd + 1)
+    for k in range(dn - dd, -1, -1):
+        c = num[k + dd]
+        out[k] = c
+        if c:
+            for i, b in enumerate(den):
+                num[k + i] -= c * b
+    if any(num[: dd]):
+        raise ArithmeticError("inexact polynomial division")
+    return out
+
+
+def reference_evaluate(poly, q_or_qsq: int) -> int:
+    """CycloPoly `poly` at q, summed term by term with the parity of each
+    power of q = s*sqrt(p) kept apart.
+
+    For ordinary types the argument is q itself.  For Suzuki/Ree types
+    it is q^2 = p^(2m+1); the value is then computed in Z[sqrt(p)] and
+    must come out rational, which is asserted.
+    """
+    if poly.p is None:
+        q = q_or_qsq
+        return sum(a * q ** k for k, (a, _) in enumerate(poly.coeffs))
+    qsq = q_or_qsq
+    v = valuation(qsq, poly.p)
+    if qsq != poly.p ** v or v % 2 == 0:
+        raise ValueError(f"q^2 must be an odd power of {poly.p}")
+    s = poly.p ** ((v - 1) // 2)      # q = s * sqrt(p)
+    rat, irr = 0, 0                   # value = rat + irr*sqrt(p)
+    for k, (a, b) in enumerate(poly.coeffs):
+        c = s ** k * poly.p ** (k // 2)
+        if k % 2 == 0:
+            rat += a * c
+            irr += b * c
+        else:
+            rat += b * c * poly.p
+            irr += a * c
+    if irr:
+        raise AssertionError("order evaluation left a sqrt residue")
+    return rat
+
+
+def reference_orbit_reps(g):
+    """Representatives (smallest exponent) of the E-orbits on D - {1} of
+    the MetacyclicGroup g, each orbit walked as a set."""
+    seen = set()
+    reps = []
+    for a in range(1, g.d_order):
+        if a in seen:
+            continue
+        orbit = set()
+        cur = a
+        while cur not in orbit:
+            orbit.add(cur)
+            cur = cur * g.n % g.d_order
+        reps.append(min(orbit))
+        seen |= orbit
+    return reps

@@ -270,6 +270,14 @@ def test_json_parse_errors():
                                  "branches": [{"zeta": 0, "m": 0, "M": 0}]}))
 
 
+@pytest.mark.parametrize("h0", [0, -3])
+def test_a_nonpositive_h0_is_located_at_h0(h0):
+    with pytest.raises(ParseError, match=r"^\$\.h0: h0 must be positive$") as err:
+        bt.obj_to_tree({"h0": h0, "r": 0, "multiplicity": 1,
+                        "branches": [{"zeta": 0, "m": 0, "M": 0}]})
+    assert err.value.location == "$.h0"
+
+
 def test_dot_output():
     dot = bt.to_dot(bt.ree_tree())
     assert dot.count("--") == 6

@@ -553,9 +553,7 @@ _TIMED_MAIN_SMALL_FILES = _TIMED_MAIN.replace(
     (["star", "--d", "65537", "--e", "65536", "--n", "3"], 65537 * 65536),
     (["decmatrix", "--fixture", "line4096", "--mu", "65536"],
      (2 * 4096 + 65536) * 4096),
-    (["rickard", "--fixture", "line65536", "--vertex", "3", "--check-tilting"],
-     65536 ** 2),
-], ids=["decmatrix", "algebra", "star", "decmatrix-mu", "tilting"])
+], ids=["decmatrix", "algebra", "star", "decmatrix-mu"])
 def test_dense_reports_are_refused_before_they_are_built(argv, cells, tmp_path):
     """Each report would hold more than MAX_REPORT_CELLS = 2^26 cells; the
     refusal comes from (h0, mu) or (|E|, mu), before the matrix or grid.
@@ -564,8 +562,7 @@ def test_dense_reports_are_refused_before_they_are_built(argv, cells, tmp_path):
     proc = _child(_TIMED_MAIN_SMALL_FILES, *argv, "--out", str(out))
     err, seconds = proc.stderr.rsplit("seconds ", 1)
     report = {"decmatrix": "decmatrix report", "algebra": "algebra report",
-              "star": "star decomposition matrix",
-              "rickard": "End grid of the tilting check"}[argv[0]]
+              "star": "star decomposition matrix"}[argv[0]]
     assert proc.returncode == 1 and proc.stdout == "" and not out.exists()
     assert err == (f"error: the {report} would have {cells} cells, more than "
                    f"the 67108864 supported\n")
@@ -576,8 +573,7 @@ def test_dense_reports_are_refused_before_they_are_built(argv, cells, tmp_path):
     (["decmatrix", "--fixture", "line3", "--mu", "2"], (2 * 3 + 2) * 3),
     (["algebra", "--fixture", "line3"], 2 * 3 ** 2),
     (["star", "--d", "7", "--e", "3", "--n", "2"], (3 + 2) * 3),
-    (["rickard", "--fixture", "line3", "--vertex", "1", "--check-tilting"], 3 ** 2),
-], ids=["decmatrix", "algebra", "star", "tilting"])
+], ids=["decmatrix", "algebra", "star"])
 def test_the_report_cell_bound_is_inclusive(argv, cells, capsys, monkeypatch):
     from coxbrauer import brauer_tree as bt
     assert bt.MAX_REPORT_CELLS == 2 ** 26
@@ -592,6 +588,49 @@ def test_the_report_cell_bound_is_inclusive(argv, cells, capsys, monkeypatch):
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert f"would have {cells} cells, more than the {cells - 1} supported" in err
+
+
+@pytest.mark.parametrize("argv", [["algebra"], ["rickard", "--vertex", "0"]],
+                         ids=["algebra", "rickard"])
+def test_algebras_with_too_many_paths_are_refused_before_they_are_built(argv,
+                                                                        tmp_path):
+    """single3000, the tree of 3000 single-edge branches, passes the edge
+    bound, but its algebra would have 3000 * 3001 basis paths: counted
+    from the tree's shape, it is refused before any path is built, where
+    it used to end in a MemoryError traceback at 1 GiB."""
+    b = 3000
+    path = tmp_path / "single3000.json"
+    path.write_text(json.dumps({
+        "h0": b, "r": 1, "multiplicity": 1, "cyclic_order": list(range(b)),
+        "branches": [{"zeta": 0, "m": i, "M": i} for i in range(b)]}))
+    proc = _child(_TIMED_MAIN, *argv, "--tree", str(path), "--field", "31")
+    err, seconds = proc.stderr.rsplit("seconds ", 1)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert err == ("error: the algebra would have 9003000 basis paths, more "
+                   "than the 2097152 supported\n")
+    assert float(seconds) < 1.0
+
+
+def test_the_end_grid_bound_is_inclusive(monkeypatch):
+    """Only a failing family builds the End grid, so the bound is met
+    where it is built: a sabotaged family of size s fails with its grid at
+    a bound of s^2 cells and is refused at s^2 - 1."""
+    from coxbrauer import brauer_tree as bt
+    from coxbrauer import homotopy as ho
+    from coxbrauer import tree_algebra as ta
+    tree = bt.assemble_tree(bt.line_series(3), 2, 1)
+    alg = ta.from_tree(tree, 5)
+    fam = [ho.rickard_complex(alg, tree, j) for j in range(3)]
+    fam[1] = ho.ProjComplex(alg, fam[1].lo, [list(t) for t in fam[1].terms],
+                            [[[{}]], []])
+    monkeypatch.setattr(bt, "MAX_REPORT_CELLS", 3 ** 2)
+    with pytest.raises(ho.TiltingFailure) as failure:
+        ho.check_tilting(alg, tree, fam)
+    assert len(failure.value.end_grid) == 3
+    monkeypatch.setattr(bt, "MAX_REPORT_CELLS", 3 ** 2 - 1)
+    with pytest.raises(ValueError, match="^the End grid of the tilting check "
+                       "would have 9 cells, more than the 8 supported$"):
+        ho.check_tilting(alg, tree, fam)
 
 
 @pytest.mark.parametrize("argv", [
@@ -641,17 +680,20 @@ print(proc.returncode, seconds, resource.getrusage(resource.RUSAGE_CHILDREN).ru_
 
 
 def test_tilting_check_at_the_end_grid_bound_answers_in_bounded_time():
-    """line8192 has 2^26 member pairs, the most the End-grid bound accepts.
-    Read pair by pair they took 117.6 s and 567 MB; certified from the
-    degree counts and rank profiles of one Hom complex, the check answers
-    within seconds, in a child capped at 1 GiB of address space."""
-    proc = _child(_TIMED_CHILD_MAX_RSS, _TIMED_MAIN, "rickard", "--fixture",
-                  "line8192", "--mu", "1", "--field", "31", "--vertex", "3",
-                  "--check-tilting")
-    code, seconds, max_rss_kb = proc.stdout.split()
-    assert int(code) == 0
-    assert float(seconds) < 5.0
-    assert int(max_rss_kb) < 100 * 1024
+    """line8192 has 2^26 member pairs, as many as the End-grid bound
+    accepts, and line8193 more: a passing check builds no grid, so the
+    bound does not refuse it.  Read pair by pair line8192 took 117.6 s and
+    567 MB; certified from the degree counts and rank profiles of one Hom
+    complex, the check answers within seconds, in a child capped at 1 GiB
+    of address space."""
+    for fixture in ("line8192", "line8193"):
+        proc = _child(_TIMED_CHILD_MAX_RSS, _TIMED_MAIN, "rickard", "--fixture",
+                      fixture, "--mu", "1", "--field", "31", "--vertex", "3",
+                      "--check-tilting")
+        code, seconds, max_rss_kb = proc.stdout.split()
+        assert int(code) == 0
+        assert float(seconds) < 5.0
+        assert int(max_rss_kb) < 100 * 1024
 
 
 @pytest.mark.parametrize("command", ["decmatrix", "algebra"])

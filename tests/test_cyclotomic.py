@@ -1,11 +1,15 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coxbrauer.cyclotomic import (CycloInt, _poly_divexact, as_quadratic_pair,
+from coxbrauer import cyclotomic
+from coxbrauer.cyclotomic import (CycloInt, as_quadratic_pair,
                                   cyclotomic_polynomial, expand_product,
                                   power_basis, sqrt_element)
 from coxbrauer.numtheory import euler_phi
+from reference import _poly_divexact, reference_cyclotomic_polynomial
 
 
 def test_cyclotomic_polynomials():
@@ -27,6 +31,29 @@ def test_cyclotomic_polynomials():
                 prod = new
         want = [-1] + [0] * (n - 1) + [1]
         assert prod == want
+
+
+def test_phi_is_the_moebius_product():
+    """The Moebius product equals the quotient of x^n - 1 by every Phi_d,
+    d a proper divisor of n, that it replaces."""
+    for n in range(1, 401):
+        assert cyclotomic_polynomial(n) == reference_cyclotomic_polynomial(n), n
+
+
+def test_phi_at_a_large_level_takes_linear_time():
+    """Phi_73734, 73734 = 6 * 12289, took 81 s as the quotient by every
+    Phi_d; as the Moebius product it takes O(n) per squarefree divisor."""
+    start = time.perf_counter()
+    phi = cyclotomic_polynomial.__wrapped__(73734)
+    assert time.perf_counter() - start < 1.0
+    assert len(phi) == euler_phi(73734) + 1 and phi[-1] == 1
+
+
+def test_an_inexact_division_is_refused(monkeypatch):
+    # with 9 read as 2, x^9 - 1 is divided by x^4 - 1, which leaves x - 1
+    monkeypatch.setattr(cyclotomic, "factorize", lambda n: {2: 1})
+    with pytest.raises(ArithmeticError, match="inexact polynomial division"):
+        cyclotomic_polynomial.__wrapped__(9)
 
 
 def test_zeta_arithmetic():

@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import io
 import json
 import random
@@ -419,6 +420,27 @@ def test_direct_sum_shapes():
     assert total.term(2) == [1, 1]
     assert total.term(3) == [2]
     assert ho.cohomology(total)[1] == Counter({0: 2})
+
+
+def test_trim_mix_and_hom_leave_a_padded_complex_unchanged():
+    """direct_sum pads every boundary row with one shared empty entry, so
+    an operation that changed an entry in place would change many: trim,
+    mix_basis and HomComplex leave each entry of a padded complex as it
+    was built."""
+    rng = random.Random(34)
+    tree, alg = line(4, 2)
+    cx = ho.rickard_complex(alg, tree, 3)
+    for degree, vertex in ((cx.lo - 1, 0), (cx.lo + 1, 2), (cx.hi, 3)):
+        cx = ho.pad_with_contractible(cx, degree, vertex)
+    empties = [e for mat in cx.diffs for row in mat for e in row if not e]
+    assert len({id(e) for e in empties}) < len(empties)
+    before = copy.deepcopy(cx.diffs)
+    ho.trim(cx, cx.lo, cx.hi)
+    mixed = ho.mix_basis(cx, rng)
+    ho.HomComplex(cx, cx).all_cohomology()
+    ho.HomComplex(mixed, cx).all_cohomology()
+    ho.HomComplex(cx, mixed).all_cohomology()
+    assert cx.diffs == before
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import copy
 import random
 import time
 from math import gcd
@@ -12,7 +13,8 @@ from coxbrauer.cyclotomic import power_basis
 from coxbrauer.ell_arith import TruncatedPadic
 from coxbrauer.numtheory import has_order, prime_power_split, unit_generators
 from reference import (reference_galois_orbit_reps, reference_galois_units,
-                       reference_orthogonality, reference_rref, unit_closure)
+                       reference_orbit_reps, reference_orthogonality,
+                       reference_rref, unit_closure)
 
 
 def valid_groups(max_d, max_e):
@@ -132,6 +134,40 @@ def test_the_class_bound_is_inclusive_and_checked_before_d_is_walked(monkeypatch
     monkeypatch.setattr(orc, "MAX_CLASSES", bt.MAX_CLASSES)
     with pytest.raises(LookupError):
         orc.character_table(orc.MetacyclicGroup(2401, 3, 1047))
+
+def test_orbit_reps_are_the_minimal_exponents():
+    """a <= a*n^i for every i picks the same representatives as walking
+    each E-orbit as a set."""
+    groups = valid_groups(128, 12) + [orc.MetacyclicGroup(343, 3, 18),
+                                      orc.MetacyclicGroup(1021, 1, 1),
+                                      orc.MetacyclicGroup(2401, 3, 1047)]
+    for g in groups:
+        assert orc._orbit_reps(g) == reference_orbit_reps(g), g
+
+
+def test_the_checks_leave_every_shared_cell_as_built(monkeypatch):
+    """The rows of a table share their constant cells, so a check that
+    changed a cell in place would change many: `verify`,
+    `check_orthogonality` and `brute_decomposition_matrix` leave every cell
+    equal to a deep copy taken when the table was built."""
+    real_verify = orc.CharacterTable.verify
+    built = []
+
+    def verify(table):
+        before = copy.deepcopy(table.values)
+        real_verify(table)
+        assert table.values == before
+        built.append((table, before))
+
+    monkeypatch.setattr(orc.CharacterTable, "verify", verify)
+    for g in valid_groups(27, 12):
+        orc.brute_decomposition_matrix(g)
+        table, before = built[-1]
+        assert table.check_orthogonality() and table.values == before, g
+        if g.e_order > 2:
+            assert table.values[0][0] is table.values[1][0]
+            assert table.values[-1][-1] is table.values[-1][-2]
+
 
 def test_character_table_cyclic_group():
     g = orc.MetacyclicGroup(5, 1, 1)

@@ -6,6 +6,7 @@ import pytest
 from coxbrauer import root_data
 from coxbrauer.cyclotomic import power_basis
 from coxbrauer.numtheory import euler_phi
+from reference import reference_evaluate
 from coxbrauer.root_data import (FAMILIES, CycloPoly, IntegralityFailure,
                                  TwistedType, UnsupportedType, coxeter_datum,
                                  cyclotomic_multiplicity, group_order_poly,
@@ -284,6 +285,27 @@ def test_order_polys_match_products_reduced_after_each_step():
             assert poly.p == p and poly.coeffs[:shift] == ((0, 0),) * shift, t
             got = [_pair_coords(L, c, p) for c in poly.coeffs[shift:]]
             assert got == [tuple(sign * x for x in c) for c in want], t
+
+
+def test_horner_evaluation_matches_the_term_by_term_sum():
+    types = supported_types()
+    assert len(types) == 91
+    ladder = [-3, 0, 1, 2, 3, 4, 5, 7, 8, 9, 16, 27]
+    for t in types:
+        datum, p = coxeter_datum(t), t.sqrt_prime
+        args = [p ** (2 * m + 1) for m in range(6)] if p else ladder
+        for poly in (group_order_poly(datum), torus_order_poly(datum)):
+            for q in args:
+                assert poly.evaluate(q) == reference_evaluate(poly, q), (t, q)
+    # a sqrt(p) residue and a q^2 that is not an odd power of p are refused
+    # as they were
+    for poly, qsq, exc in ((CycloPoly(((0, 0), (1, 0)), 2), 8, AssertionError),
+                           (CycloPoly(((0, 1),), 3), 27, AssertionError),
+                           (CycloPoly(((1, 0),), 2), 16, ValueError),
+                           (CycloPoly(((1, 0),), 3), 6, ValueError)):
+        for evaluate in (poly.evaluate, lambda q: reference_evaluate(poly, q)):
+            with pytest.raises(exc):
+                evaluate(qsq)
 
 
 def test_coefficient_outside_the_quadratic_ring_is_refused():

@@ -295,3 +295,39 @@ def test_field_below_the_kernel_limit():
     with pytest.raises(ValueError, match="2\\^31"):
         ta.from_tree(tree, 2147483659)           # prime, but too large
     assert ta.from_tree(tree, 2 ** 31 - 1).dim == 6
+
+
+def single_branches(b):
+    """The star-shaped tree of b single-edge branches, mu = 1."""
+    series = bt.SeriesDatum(b, tuple(bt.Branch(0, i, i) for i in range(b)))
+    return bt.assemble_tree(series, 1, 1)
+
+
+def test_the_path_bound_is_inclusive_and_counts_the_basis(monkeypatch):
+    """The basis is counted from the tree's shape before it is built: an
+    algebra is accepted at a bound of its dimension and refused one below."""
+    from coxbrauer.selftest import line_trees
+    assert ta.MAX_PATHS == 2 ** 21
+    trees = [*random_trees(), *line_trees(), bt.ree_tree(), bt.star_tree(7, 3, 2),
+             *(bt.assemble_tree(bt.line_series(1), mu, 1) for mu in (1, 3))]
+    for tree, dim in [(tree, ta.from_tree(tree, 7).dim) for tree in trees]:
+        monkeypatch.setattr(ta, "MAX_PATHS", dim)
+        assert ta.from_tree(tree, 7).dim == dim
+        monkeypatch.setattr(ta, "MAX_PATHS", dim - 1)
+        with pytest.raises(ValueError, match=f"^the algebra would have {dim} "
+                           f"basis paths, more than the {dim - 1} supported$"):
+            ta.from_tree(tree, 7)
+
+
+def test_the_path_bound_accepts_the_long_line_and_single800(monkeypatch):
+    """line65536 has 4 * 65536 - 2 paths and single800 800 * 801; the
+    bound lets both through to the path walk, here stubbed out."""
+    def walk(alg):
+        raise LookupError("walked the paths")
+
+    monkeypatch.setattr(ta.TreeAlgebra, "_enumerate_paths", walk)
+    for tree in (bt.assemble_tree(bt.line_series(65536), 1, 1), single_branches(800)):
+        with pytest.raises(LookupError):
+            ta.from_tree(tree, 31)
+    with pytest.raises(ValueError, match="would have 2098152 basis paths"):
+        ta.from_tree(single_branches(1448), 31)
