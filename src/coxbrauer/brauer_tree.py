@@ -153,7 +153,7 @@ class MetacyclicGroup:
         if (d - 1) // e > MAX_MULTIPLICITY:
             raise BadAction(f"multiplicity (|D| - 1)/|E| = {(d - 1) // e} is more "
                             f"than the {MAX_MULTIPLICITY} supported")
-        if e > 1 and not has_order(n % ell, e, ell):
+        if not has_order(n % ell, e, ell):
             raise BadAction(f"n={n} does not have order {e} mod {ell}")
         object.__setattr__(self, "n", n % d)
         object.__setattr__(self, "ell", ell)
@@ -165,10 +165,8 @@ class MetacyclicGroup:
 
     def zeta_lift(self) -> TruncatedPadic:
         """The root of unity of order |E| congruent to n, mod ell^(alpha+1)."""
-        one = TruncatedPadic(1, self.ell, self.alpha + 1)
-        if self.e_order == 1:
-            return one
-        return hensel_root(one, self.e_order, self.n % self.ell)
+        return hensel_root(TruncatedPadic(1, self.ell, self.alpha + 1),
+                           self.e_order, self.n % self.ell)
 
 
 @dataclass(frozen=True)

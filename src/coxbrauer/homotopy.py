@@ -335,11 +335,9 @@ class HomComplex:
         self.basis: dict[int, list] = {n: [] for n in range(self.lo, self.hi + 1)}
         for j, term in enumerate(cx2.terms, cx2.lo):
             for t, tv in enumerate(term):
-                for v, paths in alg.paths_out[tv]:
+                for v, p in alg.paths_out[tv]:
                     for i, s in at.get(v, ()):
-                        items = self.basis[j - i]
-                        for p in paths:
-                            items.append((i, t, s, p))
+                        self.basis[j - i].append((i, t, s, p))
         self._profiles: dict[int, list[tuple[int, int]]] = {}
 
     def dim(self, n: int) -> int:
@@ -664,10 +662,9 @@ def mix_basis(cx: ProjComplex, rng) -> ProjComplex:
         n = len(vs)
         low = [[{} for _ in range(n)] for _ in range(n)]
         for i in range(n):
-            paths_to = dict(alg.paths_out[vs[i]])
             for j in range(i):
                 # a random Hom(P_{vs[j]}, P_{vs[i]}) element: paths vs[i]->vs[j]
-                opts = paths_to.get(vs[j], [])
+                opts = [p for v, p in alg.paths_out[vs[i]] if v == vs[j]]
                 if opts and rng.random() < 0.7:
                     p = opts[rng.randrange(len(opts))]
                     low[i][j] = alg.elt(p, rng.randrange(1, alg.ell))

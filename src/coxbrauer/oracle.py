@@ -82,7 +82,9 @@ class CharacterTable:
     values: list[list[dict[int, int]]]    # {k: c} is sum c*zeta_|G|^k
 
     def degree(self, row: int) -> int:
-        one = next(i for i, c in enumerate(self.classes) if c.kind == "one")
+        one = next((i for i, c in enumerate(self.classes) if c.kind == "one"), None)
+        if one is None:
+            raise Mismatch("table has no identity class (kind 'one')")
         coords = _smallest_ring_coords(self.group.order, self.values[row][one])
         if any(coords[1:]):
             raise Mismatch(f"degree of {self.names[row]} is not an integer")

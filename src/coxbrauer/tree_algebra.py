@@ -17,7 +17,7 @@ and their Hom complexes) is written on this basis.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections.abc import Iterator
 from typing import NamedTuple
 
 from . import linalg
@@ -89,58 +89,51 @@ class TreeAlgebra:
         if size > MAX_PATHS:
             raise ValueError(f"the algebra would have {size} basis paths, more "
                              f"than the {MAX_PATHS} supported")
-        self.paths = self._enumerate_paths()
-        self.dim = len(self.paths)
-        # lookup tables: the target of every basis path (a cyclic path ends
-        # `steps` clockwise steps around its node); per source, the basis
-        # paths to each target as (tgt, paths) pairs in the order of
-        # self.paths; and the arrows, the basis paths of length one, as the
-        # one arrow out of src around node: a step around the node, or the
+        # the one basis table: every basis path and its target, in basis
+        # order (a cyclic path ends `steps` clockwise steps around its node)
+        self.targets: dict[Path, int] = dict(self._enumerate_paths())
+        self.dim = len(self.targets)
+        # per source, its basis paths as (target, path) pairs in basis
+        # order; and the arrows, the basis paths of length one, as the one
+        # arrow out of src around node: a step around the node, or the
         # socle loop of a lone edge of multiplicity one (its node is None)
-        self._targets = {p: (tree.predecessor_at(p.node, p.src, p.steps)
-                             if p.kind == _CYC else p.src)
-                         for p in self.paths}
-        by_target: dict[int, dict[int, list[Path]]] = {v: {} for v in self.vertices}
-        for p in self.paths:
-            by_target[p.src].setdefault(self._targets[p], []).append(p)
-        self.paths_out: dict[int, list[tuple[int, list[Path]]]] = {
-            v: list(ps.items()) for v, ps in by_target.items()}
-        self.arrow_at = {(p.node, p.src): p for p in self.paths if p.steps == 1
+        self.paths_out: dict[int, list[tuple[int, Path]]] = {v: [] for v in self.vertices}
+        for p, tgt in self.targets.items():
+            self.paths_out[p.src].append((tgt, p))
+        self.arrow_at = {(p.node, p.src): p for p in self.targets if p.steps == 1
                          or (self.degenerate and p.kind == _SOC)}
 
     # -- construction -----------------------------------------------------
 
     def _check_star_label_field(self):
         star = self.tree.star
-        if star is not None and star.e_order > 1 and (self.ell - 1) % star.e_order:
+        if star is not None and (self.ell - 1) % star.e_order:
             raise FieldTooSmall(
                 f"F_{self.ell} has no primitive {star.e_order}-th roots of "
                 f"unity for the eigencharacter labels")
 
-    def _enumerate_paths(self) -> list[Path]:
-        """Per edge: its trivial path, the proper partial cycles around
-        both of its ends, and its socle element."""
-        paths: list[Path] = []
+    def _enumerate_paths(self) -> Iterator[tuple[Path, int]]:
+        """Per edge, with their targets: its trivial path, the proper
+        partial cycles around both of its ends, and its socle element."""
         for e in self.vertices:
-            paths.append(Path(e, _ID))
+            yield Path(e, _ID), e
             for node in self.tree.ends(e):
                 for t in range(1, self.cycle_length[node]):
-                    paths.append(Path(e, _CYC, node, t))
+                    yield Path(e, _CYC, node, t), self.tree.predecessor_at(node, e, t)
             # one socle element per edge; in the doubly degenerate
             # single-edge multiplicity-one case it plays the loop arrow
-            paths.append(Path(e, _SOC))
-        return paths
+            yield Path(e, _SOC), e
 
     # -- path structure ----------------------------------------------------
 
     def target(self, p: Path) -> int:
-        return self._targets[p]
+        return self.targets[p]
 
     def compose(self, p: Path, q: Path) -> Path | None:
         """Concatenation p then q (target of p must be the source of q);
         None encodes the zero product."""
-        if self._targets[p] != q.src:
-            raise NotComposable(f"{p} ends at {self._targets[p]}, {q} starts "
+        if self.targets[p] != q.src:
+            raise NotComposable(f"{p} ends at {self.targets[p]}, {q} starts "
                                 f"at {q.src}")
         if p.kind == _ID:
             return q
@@ -256,22 +249,20 @@ def hom_grid(alg: TreeAlgebra) -> linalg.SparseMatrix:
     """[dim Hom(P_i, P_j)] over the vertices 0..h0-1, from one pass over the
     path table: Hom(P_i, P_j) has a basis of the paths from j to i, each
     acting by left multiplication."""
-    return _vertex_grid(alg, (((i, j), len(ps)) for j, out in alg.paths_out.items()
-                              for i, ps in out))
+    return _vertex_grid(alg, ((i, j) for j, out in alg.paths_out.items() for i, _ in out))
 
 
 def ext1_grid(alg: TreeAlgebra) -> linalg.SparseMatrix:
     """[dim Ext^1(S_i, S_j)] over the vertices 0..h0-1: the number of quiver
     arrows from i to j."""
-    return _vertex_grid(alg, Counter((a.src, alg._targets[a])
-                                     for a in alg.arrow_at.values()).items())
+    return _vertex_grid(alg, ((a.src, alg.targets[a]) for a in alg.arrow_at.values()))
 
 
-def _vertex_grid(alg: TreeAlgebra, counts) -> linalg.SparseMatrix:
-    """The vertices-by-vertices grid holding n at each ((i, j), n) of
-    `counts`, each n nonzero, and zero elsewhere: O(h0 + len(counts))."""
+def _vertex_grid(alg: TreeAlgebra, cells) -> linalg.SparseMatrix:
+    """The vertices-by-vertices grid counting how often each (i, j) occurs
+    in `cells`: O(h0 + len(cells))."""
     size = len(alg.vertices)
     rows: list[dict[int, int]] = [{} for _ in range(size)]
-    for (i, j), n in counts:
-        rows[i][j] = n
+    for i, j in cells:
+        rows[i][j] = rows[i].get(j, 0) + 1
     return linalg.SparseMatrix((size, size), rows)

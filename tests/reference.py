@@ -205,3 +205,55 @@ def reference_orbit_reps(g):
         reps.append(min(orbit))
         seen |= orbit
     return reps
+
+
+def reference_target(alg, p):
+    """Walk `steps` predecessors around the node of a cyclic path."""
+    e = p.src
+    if p.kind == "cyc":
+        for _ in range(p.steps):
+            e = alg.tree.predecessor_at(p.node, e)
+    return e
+
+
+def reference_arrows(alg):
+    """The basis paths of length one: a step around a node, or the socle
+    loop of a lone edge of multiplicity one."""
+    return [p for p in alg.targets
+            if p.steps == 1 or (alg.degenerate and p.kind == "soc")]
+
+
+def reference_grid(alg, paths):
+    """Count the paths from i to j, each ending where `reference_target` says."""
+    grid = [[0] * len(alg.vertices) for _ in alg.vertices]
+    for p in paths:
+        grid[p.src][reference_target(alg, p)] += 1
+    return grid
+
+
+def reference_hom_basis(cx1, cx2):
+    """HomComplex.basis by the grouped walk: per summand tv of C2, the
+    basis paths out of tv grouped by target v, the groups in the order
+    their first path comes, each group placed whole at every (degree,
+    summand) of v in C1."""
+    alg = cx1.alg
+    at = {}
+    for i, term in enumerate(cx1.terms, cx1.lo):
+        for s, v in enumerate(term):
+            at.setdefault(v, []).append((i, s))
+    basis = {n: [] for n in range(cx2.lo - cx1.hi, cx2.hi - cx1.lo + 1)}
+    for j, term in enumerate(cx2.terms, cx2.lo):
+        for t, tv in enumerate(term):
+            for v, paths in _paths_by_target(alg, tv).items():
+                for i, s in at.get(v, ()):
+                    basis[j - i].extend((i, t, s, p) for p in paths)
+    return basis
+
+
+@lru_cache(maxsize=256)
+def _paths_by_target(alg, src):
+    groups = {}
+    for p in alg.targets:
+        if p.src == src:
+            groups.setdefault(reference_target(alg, p), []).append(p)
+    return groups

@@ -8,7 +8,7 @@ from coxbrauer import brauer_tree as bt
 from coxbrauer import cli
 from coxbrauer.brauer_tree import (EXC, BadAction, Branch, InvalidSeries,
                                    NonIntegral, ParseError, SeriesDatum)
-from coxbrauer.ell_arith import validate_regime
+from coxbrauer.ell_arith import TruncatedPadic, validate_regime
 from coxbrauer.linalg import SparseMatrix
 from coxbrauer.root_data import coxeter_datum, parse_type
 from coxbrauer.selftest import random_trees
@@ -80,6 +80,13 @@ def test_star_variants():
     # n is kept mod |D|, so n = 9 and n = 2 give one tree and one group
     assert bt.star_tree(7, 3, 9) == bt.star_tree(7, 3, 2)
     assert bt.star_tree(7, 3, 9).star.n == 2
+
+
+def test_trivial_e_lifts_to_one_on_the_general_path():
+    # |E| = 1 forces n = 1 mod |D|: the Hensel lift of the seed 1 is 1
+    for d in (7, 25, 27, 125):
+        g = bt.MetacyclicGroup(d, 1, 1)
+        assert g.zeta_lift() == TruncatedPadic(1, g.ell, g.alpha + 1)
 
 
 STAR_REFUSALS = [

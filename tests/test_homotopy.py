@@ -14,7 +14,7 @@ from coxbrauer import homotopy as ho
 from coxbrauer import linalg
 from coxbrauer import tree_algebra as ta
 from coxbrauer.selftest import line_trees, random_trees
-from reference import dense
+from reference import dense, reference_hom_basis
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -90,7 +90,7 @@ def test_cohomology_single_term():
     cx = ho.rickard_complex(alg, star, 0)
     coh = ho.cohomology(cx)
     # H^0 = P_0, whose composition factors are the targets of the paths out of 0
-    assert coh == {0: Counter(alg.target(p) for p in alg.paths if p.src == 0)}
+    assert coh == {0: Counter(alg.target(p) for p in alg.targets if p.src == 0)}
 
 
 def _per_vertex_cohomology(cx):
@@ -577,6 +577,32 @@ def test_failed_tilting_json_carries_both_grids(monkeypatch, capsys):
 # ---------------------------------------------------------------------------
 # reference construction of the Hom complex
 
+def _single_branches(b):
+    series = bt.SeriesDatum(b, tuple(bt.Branch(0, i, i) for i in range(b)))
+    return bt.assemble_tree(series, 1, 1)
+
+
+def test_hom_basis_is_the_grouped_walk_as_a_multiset():
+    """Each basis[n] holds the maps of the walk grouped by target, as a
+    multiset, and ascends in C1-degree, which `hom_masses` rests on."""
+    trees = [*random_trees(), *line_trees(), bt.ree_tree(), bt.star_tree(7, 3, 2),
+             _single_branches(3), _single_branches(40)]
+    for tree in trees:
+        alg = ta.from_tree(tree, 31)
+        tops = [top for top, _ in ho.tilting_runs(alg, tree)]
+        stalk = ho.ProjComplex(alg, 0, [list(alg.vertices)])
+        padded = ho.pad_with_contractible(tops[-1], tops[-1].lo, tops[-1].terms[0][0])
+        sample = [*tops[:2], tops[-1], stalk, padded]
+        for cx1 in sample:
+            for cx2 in sample:
+                basis = ho.HomComplex(cx1, cx2).basis
+                want = reference_hom_basis(cx1, cx2)
+                assert basis.keys() == want.keys()
+                for n, b in basis.items():
+                    assert Counter(b) == Counter(want[n])
+                    assert [f[0] for f in b] == sorted(f[0] for f in b)
+
+
 def _reference_hom(cx1, cx2):
     """Hom^n and D built the way HomComplex once did: every pair of
     degrees, and every basis map pushed through elt_mul against every
@@ -589,8 +615,9 @@ def _reference_hom(cx1, cx2):
         for j in cx2.degrees():
             for t, tv in enumerate(cx2.term(j)):
                 for s, sv in enumerate(cx1.term(i)):
-                    for p in dict(alg.paths_out[tv]).get(sv, ()):
-                        basis[j - i].append((i, t, s, p))
+                    for v, p in alg.paths_out[tv]:
+                        if v == sv:
+                            basis[j - i].append((i, t, s, p))
 
     def rank(n):
         src, tgt = basis[n], basis.get(n + 1, [])
@@ -1076,7 +1103,7 @@ def test_arrow_table_holds_each_arrow_once():
     algebras += [ta.from_tree(bt.star_tree(7, 3, 2), 7), lone]
     for alg in algebras:
         # the basis paths of length one, each under its own (node, src)
-        arrows = [p for p in alg.paths
+        arrows = [p for p in alg.targets
                   if p.steps == 1 or (alg.degenerate and p.kind == "soc")]
         assert list(alg.arrow_at.values()) == arrows
         assert all(alg.arrow_at[a.node, a.src] is a for a in arrows)

@@ -11,7 +11,8 @@ from coxbrauer import brauer_tree as bt
 from coxbrauer import linalg
 from coxbrauer import tree_algebra as ta
 from coxbrauer.brauer_tree import EXC
-from reference import dense, sparse
+from reference import (dense, reference_arrows, reference_grid, reference_target,
+                       sparse)
 
 
 @st.composite
@@ -68,30 +69,6 @@ def reference_height(tree, j):
                         nxt.add(n)
         frontier, dist = nxt, dist + 1
     raise KeyError(j)
-
-
-def reference_target(alg, p):
-    """Walk `steps` predecessors around the node of a cyclic path."""
-    e = p.src
-    if p.kind == "cyc":
-        for _ in range(p.steps):
-            e = alg.tree.predecessor_at(p.node, e)
-    return e
-
-
-def reference_arrows(alg):
-    """The basis paths of length one: a step around a node, or the socle
-    loop of a lone edge of multiplicity one."""
-    return [p for p in alg.paths
-            if p.steps == 1 or (alg.degenerate and p.kind == "soc")]
-
-
-def reference_grid(alg, paths):
-    """Count the paths from i to j, each ending where `reference_target` says."""
-    grid = [[0] * len(alg.vertices) for _ in alg.vertices]
-    for p in paths:
-        grid[p.src][reference_target(alg, p)] += 1
-    return grid
 
 
 def nodes(tree):
@@ -151,16 +128,12 @@ def test_lookups_match_linear_scans(tree):
 @given(trees())
 def test_paths_out_partitions_the_path_basis(tree):
     alg = ta.from_tree(tree, 7)
-    flat = [p for out in alg.paths_out.values() for _, group in out for p in group]
-    assert sorted(map(alg.paths.index, flat)) == list(range(alg.dim))
+    basis = list(alg.targets)
+    assert sum(map(len, alg.paths_out.values())) == alg.dim == len(basis)
     for src, out in alg.paths_out.items():
-        # one group per target, in the order the targets first occur
-        from_src = [p for p in alg.paths if p.src == src]
-        assert [tgt for tgt, _ in out] == list(dict.fromkeys(
-            reference_target(alg, p) for p in from_src))
-        for tgt, group in out:
-            assert group == [p for p in from_src if reference_target(alg, p) == tgt]
-    for p in alg.paths:
+        # the paths out of src with their targets, in basis order
+        assert out == [(reference_target(alg, p), p) for p in basis if p.src == src]
+    for p in basis:
         assert alg.target(p) == reference_target(alg, p)
     arrows = reference_arrows(alg)
     assert len(alg.arrow_at) == len(arrows)
@@ -225,7 +198,7 @@ def test_report_grids_match_the_per_pair_counts(tree):
     d = bt.decomposition_matrix(tree)
     assert d.col_edges == alg.vertices == tuple(range(tree.h0))
     # Hom(P_i, P_j) has a basis of the paths from j to i
-    per_pair = reference_grid(alg, alg.paths)
+    per_pair = reference_grid(alg, alg.targets)
     assert dense(ta.hom_grid(alg)) == [list(col) for col in zip(*per_pair)]
     assert ta.hom_grid(alg) == bt.cartan_matrix(d)
     assert dense(ta.ext1_grid(alg)) == reference_grid(alg, reference_arrows(alg))
@@ -272,7 +245,7 @@ def test_report_grids_store_their_nonzeros_only():
     assert dense(cartan) == want_cartan and stored(cartan) == nonzero(want_cartan)
     assert bt.check_unitriangular(d) == dense_unitriangular(d)
     hom = ta.hom_grid(alg)
-    want_hom = [list(col) for col in zip(*reference_grid(alg, alg.paths))]
+    want_hom = [list(col) for col in zip(*reference_grid(alg, alg.targets))]
     assert want_hom == want_cartan
     assert dense(hom) == want_hom and stored(hom) == nonzero(want_hom)
     ext1 = ta.ext1_grid(alg)

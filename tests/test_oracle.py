@@ -484,6 +484,15 @@ def test_verify_refuses_a_table_that_is_not_square():
         table.verify()
 
 
+def test_verify_refuses_a_table_without_an_identity_class():
+    g = orc.MetacyclicGroup(7, 3, 2)
+    table = orc.character_table(g)
+    one = next(i for i, c in enumerate(table.classes) if c.kind == "one")
+    table.classes[one] = orc.ConjClass("d", 0, 1)
+    with pytest.raises(orc.Mismatch, match="^table has no identity class"):
+        table.verify()
+
+
 def test_regular_class_values_reduce_by_the_ring_map():
     g = orc.MetacyclicGroup(7, 3, 2)
     lift = g.zeta_lift()

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -27,12 +28,12 @@ def star732():
 def check_associativity(alg):
     """(p q) s == p (q s) for every composable triple of basis paths, so
     every product of basis paths is the product of its arrows."""
-    for p in alg.paths:
-        for q in alg.paths:
+    for p in alg.targets:
+        for q in alg.targets:
             if alg.target(p) != q.src:
                 continue
             pq = alg.compose(p, q)
-            for s in alg.paths:
+            for s in alg.targets:
                 if alg.target(q) != s.src:
                     continue
                 qs = alg.compose(q, s)
@@ -153,7 +154,7 @@ def test_hom_dimensions_match_cartan():
 
 def test_hom_identity_present():
     alg = star732()
-    assert ta.Path(1, "id") in dict(alg.paths_out[1])[1]
+    assert (1, ta.Path(1, "id")) in alg.paths_out[1]
     assert dense(ta.hom_grid(alg))[0][0] == 3
     _, alg2 = line(2, 1)
     assert dense(ta.hom_grid(alg2))[0][1] == 1
@@ -174,7 +175,7 @@ def test_field_must_be_prime():
 
 def test_local_inverse():
     alg = star732()
-    soc = next(p for p in alg.paths if p.src == 0 and p.kind == "soc")
+    soc = next(p for p in alg.targets if p.src == 0 and p.kind == "soc")
     x = alg.elt_add(alg.elt(ta.Path(0, "id"), 2), alg.elt(soc, 5))
     inv = alg.local_inverse(x, 0)
     assert alg.elt_mul(x, inv) == alg.unit(0)
@@ -198,8 +199,8 @@ def matrix_algebras():
 def random_elt(alg, rng, src, tgt):
     """A random combination of the basis paths from src to tgt."""
     out = {}
-    for p in dict(alg.paths_out[src]).get(tgt, ()):
-        if rng.random() < 0.6:
+    for v, p in alg.paths_out[src]:
+        if v == tgt and rng.random() < 0.6:
             out = alg.elt_add(out, alg.elt(p, rng.randrange(1, alg.ell)))
     return out
 
@@ -301,6 +302,21 @@ def single_branches(b):
     """The star-shaped tree of b single-edge branches, mu = 1."""
     series = bt.SeriesDatum(b, tuple(bt.Branch(0, i, i) for i in range(b)))
     return bt.assemble_tree(series, 1, 1)
+
+
+def test_the_algebra_holds_its_basis_once():
+    """On single200 the algebra holds at most 220 bytes per basis path,
+    also at its peak while building: one record per path, one target
+    table and one (target, path) pair per path."""
+    tree = single_branches(200)
+    tracemalloc.start()
+    try:
+        alg = ta.from_tree(tree, 31)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert alg.dim == 200 * 201
+    assert held <= 220 * alg.dim and peak <= 220 * alg.dim, (held, peak)
 
 
 def test_the_path_bound_is_inclusive_and_counts_the_basis(monkeypatch):
