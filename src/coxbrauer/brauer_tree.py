@@ -227,15 +227,6 @@ class PlanarBrauerTree:
     def node_multiplicity(self, node) -> int:
         return self.multiplicity if node == EXC else 1
 
-    def predecessor_at(self, node, j: int, steps: int = 1) -> int:
-        """The edge `steps` places clockwise of edge j at node; KeyError for
-        an unknown node, ValueError for an edge not at the node."""
-        order = self.cyclic_order_at(node)
-        i = self._place.get(j, -1) if node == EXC else j - node
-        if not (0 <= i < len(order) and order[i] == j):
-            raise ValueError(f"edge {j} is not in the cyclic order at {node}")
-        return order[(i - steps) % len(order)]
-
 
 def exceptional_multiplicity(ctx: EllContext) -> int:
     """(ell-part of |T_c| minus 1) / h0; raises NonIntegral when it is not

@@ -185,8 +185,10 @@ def cohomology(cx: ProjComplex) -> dict[int, Counter]:
     exactly when it is so within its block, and the rank of the block of
     P_v is the number of profile pairs whose row maps out of P_v.
     """
-    alg = cx.alg
-    stalk = sorted({v for term in cx.terms for w in term for v, _ in alg.paths_out[w]})
+    alg, tree = cx.alg, cx.alg.tree
+    # the paths out of w end at the edges around its two ends
+    stalk = sorted({v for term in cx.terms for w in term
+                    for node in tree.ends(w) for v in tree.cyclic_order_at(node)})
     hc = HomComplex(ProjComplex(alg, 0, [stalk]), cx)
     summand = itemgetter(2)
     out: dict[int, Counter] = {}

@@ -17,7 +17,6 @@ and their Hom complexes) is written on this basis.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from typing import NamedTuple
 
 from . import linalg
@@ -25,14 +24,13 @@ from .brauer_tree import EXC, PlanarBrauerTree
 from .numtheory import is_prime
 
 # The most basis paths an algebra may have, counted from the tree's shape
-# before any is built: the largest power of two at which `algebra` on the
-# tree of single-edge branches answers within 1 GiB.
+# before any is built.  Under 1 GiB, `algebra` on single1447, the largest
+# tree of single-edge branches below it, peaks at 479 MB.
 MAX_PATHS = 2 ** 21
 
-# path kinds
-_ID = "id"
-_CYC = "cyc"
-_SOC = "soc"
+# builds a Path without the named tuple's Python-level __new__
+_new = tuple.__new__
+_ID, _CYC, _SOC = "id", "cyc", "soc"     # path kinds
 
 
 class FieldTooSmall(ValueError):
@@ -63,6 +61,10 @@ class TreeAlgebra:
     diagrammatic concatenation.  Projectives are the right ideals e_j A
     (paths out of j), so Hom(P_i, P_j) acts by left multiplication by
     paths from j to i.
+
+    A basis path's target is read off the cyclic orders held once per node
+    in `_around`; the one per-path table is `paths_out`, each vertex's
+    basis paths with their targets.
     """
 
     def __init__(self, tree: PlanarBrauerTree, ell: int):
@@ -71,84 +73,90 @@ class TreeAlgebra:
                              f"supported limit of the elimination kernel")
         if not is_prime(ell):
             raise ValueError(f"field order {ell} is not prime")
-        self.tree = tree
-        self.ell = ell
+        star = tree.star
+        if star is not None and (ell - 1) % star.e_order:
+            raise FieldTooSmall(f"F_{ell} has no primitive {star.e_order}-th roots "
+                                f"of unity for the eigencharacter labels")
+        self.tree, self.ell = tree, ell
         self.vertices = tuple(tree.edges)
-        # node -> length of its cycle of arrows (degree times multiplicity);
-        # every vertex is a node, as the end of the edge of its index
-        self.cycle_length: dict[object, int] = {
-            node: len(tree.cyclic_order_at(node)) * tree.node_multiplicity(node)
-            for node in (EXC, *self.vertices)}
-        self.degenerate = (len(self.vertices) == 1
-                           and all(c == 1 for c in self.cycle_length.values()))
-        self._check_star_label_field()
-        # an edge's basis paths (`_enumerate_paths`) number the cycle
-        # lengths of its two ends added up
-        size = sum(self.cycle_length[a] + self.cycle_length[b]
-                   for a, b in map(tree.ends, self.vertices))
-        if size > MAX_PATHS:
-            raise ValueError(f"the algebra would have {size} basis paths, more "
-                             f"than the {MAX_PATHS} supported")
-        # the one basis table: every basis path and its target, in basis
-        # order (a cyclic path ends `steps` clockwise steps around its node)
-        self.targets: dict[Path, int] = dict(self._enumerate_paths())
-        self.dim = len(self.targets)
-        # per source, its basis paths as (target, path) pairs in basis
-        # order; and the arrows, the basis paths of length one, as the one
-        # arrow out of src around node: a step around the node, or the
-        # socle loop of a lone edge of multiplicity one (its node is None)
-        self.paths_out: dict[int, list[tuple[int, Path]]] = {v: [] for v in self.vertices}
-        for p, tgt in self.targets.items():
-            self.paths_out[p.src].append((tgt, p))
-        self.arrow_at = {(p.node, p.src): p for p in self.targets if p.steps == 1
-                         or (self.degenerate and p.kind == _SOC)}
+        # kind -> node -> (places, ring, first, stop): a path from e with
+        # steps in [first, stop) ends at ring[places[e] - steps].  Around a
+        # node (each vertex is one) ring is its cyclic order repeated mu
+        # times and stop its cycle length; under None, trivial paths, socles.
+        at_source = {None: ({e: e for e in self.vertices}, self.vertices, 0, 1)}
+        self._around: dict[str, dict[object, tuple]] = {_ID: at_source, _SOC: at_source, _CYC: {}}
+        for node in (EXC, *self.vertices):
+            order = tree.cyclic_order_at(node)
+            ring = order * tree.node_multiplicity(node)
+            self._around[_CYC][node] = (dict(zip(order, range(len(order)))), ring, 1, len(ring))
+        # an edge has as many basis paths as its ends' cycle lengths add to
+        self.dim = sum(len(places) * stop for places, _, _, stop in self._around[_CYC].values())
+        if self.dim > MAX_PATHS:
+            raise ValueError(f"the algebra would have {self.dim} basis paths, "
+                             f"more than the {MAX_PATHS} supported")
+        self.degenerate = self.dim == 2     # one edge of cycle lengths one
+        # per source, its basis paths as (target, path) pairs in basis order;
+        # the arrows, the paths of length one, keyed by (node, source)
+        self.paths_out: dict[int, list[tuple[int, Path]]] = {}
+        self.arrow_at: dict[tuple[object, int], Path] = {}
+        self._enumerate_paths()
 
     # -- construction -----------------------------------------------------
 
-    def _check_star_label_field(self):
-        star = self.tree.star
-        if star is not None and (self.ell - 1) % star.e_order:
-            raise FieldTooSmall(
-                f"F_{self.ell} has no primitive {star.e_order}-th roots of "
-                f"unity for the eigencharacter labels")
-
-    def _enumerate_paths(self) -> Iterator[tuple[Path, int]]:
+    def _enumerate_paths(self):
         """Per edge, with their targets: its trivial path, the proper
-        partial cycles around both of its ends, and its socle element."""
+        partial cycles around both of its ends (the first step of each an
+        arrow) and its socle element (the arrow of the dual numbers)."""
         for e in self.vertices:
-            yield Path(e, _ID), e
+            out = self.paths_out[e] = [(e, _new(Path, (e, _ID, None, 0)))]
             for node in self.tree.ends(e):
-                for t in range(1, self.cycle_length[node]):
-                    yield Path(e, _CYC, node, t), self.tree.predecessor_at(node, e, t)
-            # one socle element per edge; in the doubly degenerate
-            # single-edge multiplicity-one case it plays the loop arrow
-            yield Path(e, _SOC), e
+                places, ring, _, cyclen = self._around[_CYC][node]
+                out += [(ring[places[e] - t], _new(Path, (e, _CYC, node, t)))
+                        for t in range(1, cyclen)]
+                if cyclen > 1:
+                    self.arrow_at[node, e] = out[1 - cyclen][1]
+            out.append((e, _new(Path, (e, _SOC, None, 0))))
+        if self.degenerate:
+            self.arrow_at[None, 0] = self.paths_out[0][-1][1]
 
     # -- path structure ----------------------------------------------------
 
     def target(self, p: Path) -> int:
-        return self.targets[p]
+        """Where a basis path ends; KeyError for any other path."""
+        src, kind, node, steps = p
+        try:
+            places, ring, first, stop = self._around[kind][node]
+            if first <= steps < stop:
+                return ring[places[src] - steps]
+        except KeyError:
+            pass
+        raise KeyError(f"{p} is not a basis path")
 
     def compose(self, p: Path, q: Path) -> Path | None:
         """Concatenation p then q (target of p must be the source of q);
         None encodes the zero product."""
-        if self.targets[p] != q.src:
-            raise NotComposable(f"{p} ends at {self.targets[p]}, {q} starts "
-                                f"at {q.src}")
-        if p.kind == _ID:
+        # `target`, inlined on the innermost loop of every Hom-complex matrix
+        src, kind, node, steps = p
+        try:
+            places, ring, first, cyclen = self._around[kind][node]
+            tgt = ring[places[src] - steps] if first <= steps < cyclen else None
+        except KeyError:
+            tgt = None
+        if tgt != q.src:
+            raise (KeyError(f"{p} is not a basis path") if tgt is None else
+                   NotComposable(f"{p} ends at {tgt}, {q} starts at {q.src}"))
+        if kind == _ID:
             return q
-        if q.kind == _ID:
+        q_kind = q.kind
+        if q_kind == _ID:
             return p
-        if p.kind == _SOC or q.kind == _SOC:
+        if kind == _SOC or q_kind == _SOC or node != q.node:
             return None
-        if p.node != q.node:
-            return None
-        cyclen = self.cycle_length[p.node]
-        total = p.steps + q.steps
+        total = steps + q.steps
         if total < cyclen:
-            return Path(p.src, _CYC, p.node, total)
+            return _new(Path, (src, _CYC, node, total))
         if total == cyclen:
-            return Path(p.src, _SOC)
+            return _new(Path, (src, _SOC, None, 0))
         return None
 
     # -- element arithmetic (elements are {Path: coeff} dicts) -------------
@@ -181,12 +189,11 @@ class TreeAlgebra:
     def elt_mul(self, x: dict, y: dict) -> dict:
         out: dict = {}
         for p, a in x.items():
-            tp = self.target(p)
             for q, b in y.items():
-                if tp != q.src:
-                    continue
-                r = self.compose(p, q)
-                if r is None:
+                try:
+                    if (r := self.compose(p, q)) is None:
+                        continue
+                except NotComposable:       # paths that do not meet multiply to 0
                     continue
                 v = (out.get(r, 0) + a * b) % self.ell
                 if v:
@@ -255,7 +262,7 @@ def hom_grid(alg: TreeAlgebra) -> linalg.SparseMatrix:
 def ext1_grid(alg: TreeAlgebra) -> linalg.SparseMatrix:
     """[dim Ext^1(S_i, S_j)] over the vertices 0..h0-1: the number of quiver
     arrows from i to j."""
-    return _vertex_grid(alg, ((a.src, alg.targets[a]) for a in alg.arrow_at.values()))
+    return _vertex_grid(alg, ((a.src, alg.target(a)) for a in alg.arrow_at.values()))
 
 
 def _vertex_grid(alg: TreeAlgebra, cells) -> linalg.SparseMatrix:

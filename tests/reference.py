@@ -5,8 +5,10 @@ from functools import lru_cache
 from math import gcd
 
 from coxbrauer import linalg
+from coxbrauer.brauer_tree import EXC
 from coxbrauer.cyclotomic import power_basis
 from coxbrauer.numtheory import euler_phi, valuation
+from coxbrauer.tree_algebra import Path
 
 
 def dense(a):
@@ -207,19 +209,68 @@ def reference_orbit_reps(g):
     return reps
 
 
+@lru_cache(maxsize=64)
+def reference_basis(alg):
+    """The basis paths in basis order, from the tree's cyclic orders and
+    node multiplicities only: per edge its trivial path, the proper partial
+    cycles around each node whose cyclic order holds it (the exceptional
+    node first, then the vertices by index), and its socle."""
+    tree = alg.tree
+    ends = {e: [] for e in tree.edges}
+    for node in (EXC, *tree.edges):
+        order = tree.cyclic_order_at(node)
+        for e in order:
+            ends[e].append((node, len(order) * tree.node_multiplicity(node)))
+    basis = []
+    for e in tree.edges:
+        basis.append(Path(e, "id"))
+        for node, cyclen in ends[e]:
+            basis += [Path(e, "cyc", node, t) for t in range(1, cyclen)]
+        basis.append(Path(e, "soc"))
+    return tuple(basis)
+
+
+def off_basis_paths(alg):
+    """Paths outside the basis, each one change away from a basis path: a
+    cyclic path of no steps or of a full cycle, or around a node its
+    source does not meet (a node of the tree, an unknown one, or None); a
+    source out of range; a trivial path or socle carrying a node or steps;
+    an unknown kind."""
+    tree = alg.tree
+    for e in tree.edges:
+        for node in (EXC, *tree.edges):
+            order = tree.cyclic_order_at(node)
+            if e in order:
+                yield from (Path(e, "cyc", node, 0),
+                            Path(e, "cyc", node, len(order) * tree.node_multiplicity(node)),
+                            Path(e, "id", node), Path(e, "soc", node))
+            else:
+                yield Path(e, "cyc", node, 1)
+        yield from (Path(e, "cyc", "nowhere", 1), Path(e, "cyc", None, 1),
+                    Path(e, "id", None, 1), Path(e, "soc", None, 1), Path(e, "loop"))
+    for src in (-1, tree.h0):
+        yield from (Path(src, "id"), Path(src, "soc"), Path(src, "cyc", EXC, 1))
+
+
+def reference_predecessor(tree, node, e):
+    """The edge one place clockwise of e in the cyclic order at node."""
+    order = tree.cyclic_order_at(node)
+    return order[order.index(e) - 1]
+
+
 def reference_target(alg, p):
     """Walk `steps` predecessors around the node of a cyclic path."""
     e = p.src
     if p.kind == "cyc":
         for _ in range(p.steps):
-            e = alg.tree.predecessor_at(p.node, e)
+            e = reference_predecessor(alg.tree, p.node, e)
     return e
 
 
 def reference_arrows(alg):
     """The basis paths of length one: a step around a node, or the socle
     loop of a lone edge of multiplicity one."""
-    return [p for p in alg.targets
+    return [p for p in reference_basis(alg)
             if p.steps == 1 or (alg.degenerate and p.kind == "soc")]
 
 
@@ -253,7 +304,7 @@ def reference_hom_basis(cx1, cx2):
 @lru_cache(maxsize=256)
 def _paths_by_target(alg, src):
     groups = {}
-    for p in alg.targets:
+    for p in reference_basis(alg):
         if p.src == src:
             groups.setdefault(reference_target(alg, p), []).append(p)
     return groups

@@ -611,6 +611,24 @@ def test_algebras_with_too_many_paths_are_refused_before_they_are_built(argv,
     assert float(seconds) < 1.0
 
 
+@pytest.mark.parametrize("argv, terms", [
+    (["star", "--d", "65537", "--e", "128", "--n", "13987", "--verify"], 33636864),
+    (["star", "--d", "65537", "--e", "256", "--n", "141", "--verify"], 16908544),
+], ids=["e128", "e256"])
+def test_oracle_tables_with_too_many_terms_are_refused_before_they_are_built(argv, terms):
+    """Both groups pass the class bound, with 640 and 512 classes, but
+    their character tables would hold more exponent terms than the 2^23
+    supported: counted from (|D|, |E|), they are refused before any cell is
+    built, where they used to end in a MemoryError traceback at 1 GiB."""
+    proc = _child(_TIMED_MAIN, *argv)
+    err, seconds = proc.stderr.rsplit("seconds ", 1)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert err == (f"error: the character table of |D| = 65537, |E| = {argv[4]} "
+                   f"would hold {terms} exponent terms, more than the 8388608 "
+                   f"supported\n")
+    assert float(seconds) < 1.0
+
+
 def test_the_end_grid_bound_is_inclusive(monkeypatch):
     """Only a failing family builds the End grid, so the bound is met
     where it is built: a sabotaged family of size s fails with its grid at

@@ -11,8 +11,8 @@ from coxbrauer import brauer_tree as bt
 from coxbrauer import linalg
 from coxbrauer import tree_algebra as ta
 from coxbrauer.brauer_tree import EXC
-from reference import (dense, reference_arrows, reference_grid, reference_target,
-                       sparse)
+from reference import (dense, reference_arrows, reference_basis, reference_grid,
+                       reference_target, sparse)
 
 
 @st.composite
@@ -117,18 +117,13 @@ def test_lookups_match_linear_scans(tree):
     for node in nodes(tree):
         order = tree.cyclic_order_at(node)
         assert sorted(order) == [j for j, e in sorted(ends.items()) if node in e]
-        for j in order:
-            i = order.index(j)
-            assert tree.predecessor_at(node, j) == order[(i - 1) % len(order)]
-            assert tree.predecessor_at(node, j, 3) == order[(i - 3) % len(order)]
-            assert tree.predecessor_at(node, j, len(order)) == j
 
 
 @settings(max_examples=40, deadline=None)
 @given(trees())
 def test_paths_out_partitions_the_path_basis(tree):
     alg = ta.from_tree(tree, 7)
-    basis = list(alg.targets)
+    basis = reference_basis(alg)
     assert sum(map(len, alg.paths_out.values())) == alg.dim == len(basis)
     for src, out in alg.paths_out.items():
         # the paths out of src with their targets, in basis order
@@ -198,7 +193,7 @@ def test_report_grids_match_the_per_pair_counts(tree):
     d = bt.decomposition_matrix(tree)
     assert d.col_edges == alg.vertices == tuple(range(tree.h0))
     # Hom(P_i, P_j) has a basis of the paths from j to i
-    per_pair = reference_grid(alg, alg.targets)
+    per_pair = reference_grid(alg, reference_basis(alg))
     assert dense(ta.hom_grid(alg)) == [list(col) for col in zip(*per_pair)]
     assert ta.hom_grid(alg) == bt.cartan_matrix(d)
     assert dense(ta.ext1_grid(alg)) == reference_grid(alg, reference_arrows(alg))
@@ -245,7 +240,7 @@ def test_report_grids_store_their_nonzeros_only():
     assert dense(cartan) == want_cartan and stored(cartan) == nonzero(want_cartan)
     assert bt.check_unitriangular(d) == dense_unitriangular(d)
     hom = ta.hom_grid(alg)
-    want_hom = [list(col) for col in zip(*reference_grid(alg, alg.targets))]
+    want_hom = [list(col) for col in zip(*reference_grid(alg, reference_basis(alg)))]
     assert want_hom == want_cartan
     assert dense(hom) == want_hom and stored(hom) == nonzero(want_hom)
     ext1 = ta.ext1_grid(alg)
@@ -275,10 +270,9 @@ def test_unknown_keys():
                         (tree.cyclic_order_at, 99), (tree.cyclic_order_at, "x")):
         with pytest.raises(KeyError):
             lookup(key)
-    with pytest.raises(KeyError):
-        tree.predecessor_at(99, 0)
-    for node in (EXC, 0):
-        with pytest.raises(ValueError):
-            tree.predecessor_at(node, 2)    # S_2 meets neither node
+    alg = ta.from_tree(tree, 7)
+    for node in (99, EXC, 0):
+        with pytest.raises(KeyError):
+            alg.target(ta.Path(2, "cyc", node, 1))    # S_2 meets neither node
     with pytest.raises(KeyError):
         bt.height(tree, 3)

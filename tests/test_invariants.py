@@ -2,6 +2,7 @@
 regime, datum and complex-construction guards are explicit checks, so they
 hold under python -O."""
 
+import json
 import os
 import subprocess
 import sys
@@ -163,6 +164,43 @@ def test_algebra_and_tree_checks_hold_under_optimize():
         ["compose", "rejected:", "NotComposable"],
         ["decomposition", "rejected:", "InvalidDecomposition"]]
     assert "1 ordinary constituents" in lines[1]
+
+
+# Every path one change away from the basis (`reference.off_basis_paths`)
+# is refused by `target`, `compose` and a complex holding it.
+PATH_SCRIPT = """
+import json
+import sys
+sys.path.insert(0, %r)
+from coxbrauer import brauer_tree as bt, homotopy as ho, tree_algebra as ta
+from coxbrauer.selftest import random_trees
+from reference import off_basis_paths
+assert False, "asserts must be stripped under -O"
+refused, accepted = {"target": 0, "compose": 0, "complex": 0}, []
+for tree in [*random_trees(10, seed=36), bt.star_tree(7, 3, 2)]:
+    alg = ta.from_tree(tree, 7)
+    for p in off_basis_paths(alg):
+        for name, run in (
+                ("target", lambda: alg.target(p)),
+                ("compose", lambda: alg.compose(p, ta.Path(0, "id"))),
+                ("complex", lambda: ho.ProjComplex(alg, 0, [[0], [p.src]],
+                                                   [[[alg.elt(p)]], []]))):
+            try:
+                run()
+            except KeyError:
+                refused[name] += 1
+            else:
+                accepted.append(f"{name} {p}")
+print(json.dumps({"refused": refused, "accepted": accepted}))
+""" % str(Path(__file__).resolve().parent)
+
+
+def test_off_basis_paths_refused_under_optimize():
+    [line] = _run_optimized(PATH_SCRIPT)
+    out = json.loads(line)
+    assert out["accepted"] == []
+    counts = out["refused"]
+    assert counts["target"] == counts["compose"] == counts["complex"] > 300
 
 
 # q^delta = 1 (every eigenvalue collides), q^delta = 3 mod 7 (distinct

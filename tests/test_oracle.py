@@ -135,6 +135,39 @@ def test_the_class_bound_is_inclusive_and_checked_before_d_is_walked(monkeypatch
     with pytest.raises(LookupError):
         orc.character_table(orc.MetacyclicGroup(2401, 3, 1047))
 
+
+def test_the_term_bound_is_inclusive_and_checked_before_d_is_walked(monkeypatch):
+    """`table_terms` bounds the exponent terms a table holds, exactly when
+    |D| is prime; a table is built at a bound of its count and refused one
+    below, before D is walked, and so are the rungs on either side of
+    MAX_TABLE_TERMS."""
+    assert orc.MAX_TABLE_TERMS == 2 ** 23
+    for g in valid_groups(60, 6):
+        held = sum(len(cell) for row in orc.character_table(g).values for cell in row)
+        assert held <= orc.table_terms(g), g
+        assert (held == orc.table_terms(g)) >= (prime_power_split(g.d_order)[1] == 1), g
+    g = orc.MetacyclicGroup(7, 3, 2)
+    monkeypatch.setattr(orc, "MAX_TABLE_TERMS", 29)
+    assert orc.table_terms(g) == 29 and len(orc.character_table(g).values) == 5
+
+    def walk(group):
+        raise LookupError("walked D")
+
+    monkeypatch.setattr(orc, "_orbit_reps", walk)
+    monkeypatch.setattr(orc, "MAX_TABLE_TERMS", 28)
+    with pytest.raises(ValueError, match="^the character table of \\|D\\| = 7, "
+                       "\\|E\\| = 3 would hold 29 exponent terms, more than the 28 "
+                       "supported$"):
+        orc.character_table(g)
+    monkeypatch.setattr(orc, "MAX_TABLE_TERMS", 2 ** 23)
+    # (7681, 10) answers within 1 GiB at 5,906,788 terms; (12289, 16), at
+    # 9,450,496, ran past 60 s
+    with pytest.raises(LookupError):
+        orc.character_table(orc.MetacyclicGroup(7681, 10, 2586))
+    with pytest.raises(ValueError, match="would hold 9450496 exponent terms"):
+        orc.character_table(orc.MetacyclicGroup(12289, 16, 722))
+
+
 def test_orbit_reps_are_the_minimal_exponents():
     """a <= a*n^i for every i picks the same representatives as walking
     each E-orbit as a set."""

@@ -4,10 +4,12 @@ import tracemalloc
 import pytest
 
 from coxbrauer import brauer_tree as bt
+from coxbrauer import homotopy as ho
 from coxbrauer import tree_algebra as ta
 from coxbrauer.brauer_tree import EXC
 from coxbrauer.selftest import random_trees
-from reference import dense
+from reference import (dense, off_basis_paths, reference_basis, reference_predecessor,
+                       reference_target)
 
 
 def dimension_formula(tree):
@@ -28,12 +30,13 @@ def star732():
 def check_associativity(alg):
     """(p q) s == p (q s) for every composable triple of basis paths, so
     every product of basis paths is the product of its arrows."""
-    for p in alg.targets:
-        for q in alg.targets:
+    basis = reference_basis(alg)
+    for p in basis:
+        for q in basis:
             if alg.target(p) != q.src:
                 continue
             pq = alg.compose(p, q)
-            for s in alg.targets:
+            for s in basis:
                 if alg.target(q) != s.src:
                     continue
                 qs = alg.compose(q, s)
@@ -105,13 +108,13 @@ def test_relations_hold_on_projectives():
         for e in alg.vertices:
             cycles = []
             for node in tree.ends(e):
-                cyclen = alg.cycle_length[node]
+                cyclen = len(tree.cyclic_order_at(node)) * tree.node_multiplicity(node)
                 if cyclen <= 1:
                     continue
                 x, cur = alg.unit(e), e
                 for _ in range(cyclen):
                     x = alg.elt_mul(x, arrow[node, cur])
-                    cur = tree.predecessor_at(node, cur)
+                    cur = reference_predecessor(tree, node, cur)
                 cycles.append(x)
                 # a full cycle is the socle, and one more step kills it
                 assert x == {ta.Path(e, "soc"): 1}
@@ -160,6 +163,31 @@ def test_hom_identity_present():
     assert dense(ta.hom_grid(alg2))[0][1] == 1
 
 
+def test_target_is_the_walk_and_refuses_every_path_off_the_basis():
+    """`target` ends every basis path where the step-by-step walk does, and
+    refuses each path one change away from the basis with a KeyError, as
+    do `compose` and a complex holding it (also under python -O, see
+    tests/test_invariants.py)."""
+    refused = 0
+    for tree in [*random_trees(30, seed=36), bt.star_tree(7, 3, 2),
+                 bt.assemble_tree(bt.line_series(1), 1, 1)]:
+        alg = ta.from_tree(tree, 7)
+        basis = reference_basis(alg)
+        for p in basis:
+            assert alg.target(p) == reference_target(alg, p)
+        off = list(off_basis_paths(alg))
+        assert not set(off) & set(basis)
+        for p in off:
+            with pytest.raises(KeyError, match="is not a basis path"):
+                alg.target(p)
+            with pytest.raises(KeyError, match="is not a basis path"):
+                alg.compose(p, ta.Path(0, "id"))
+            with pytest.raises(KeyError, match="is not a basis path"):
+                ho.ProjComplex(alg, 0, [[0], [p.src]], [[[alg.elt(p)]], []])
+            refused += 1
+    assert refused > 1000
+
+
 def test_field_too_small():
     tree = bt.star_tree(7, 3, 2)
     with pytest.raises(ta.FieldTooSmall):
@@ -175,7 +203,7 @@ def test_field_must_be_prime():
 
 def test_local_inverse():
     alg = star732()
-    soc = next(p for p in alg.targets if p.src == 0 and p.kind == "soc")
+    soc = next(p for p in reference_basis(alg) if p.src == 0 and p.kind == "soc")
     x = alg.elt_add(alg.elt(ta.Path(0, "id"), 2), alg.elt(soc, 5))
     inv = alg.local_inverse(x, 0)
     assert alg.elt_mul(x, inv) == alg.unit(0)
@@ -305,9 +333,9 @@ def single_branches(b):
 
 
 def test_the_algebra_holds_its_basis_once():
-    """On single200 the algebra holds at most 220 bytes per basis path,
-    also at its peak while building: one record per path, one target
-    table and one (target, path) pair per path."""
+    """On single200 the algebra holds at most 160 bytes per basis path,
+    also at its peak while building: one record and one (target, path)
+    pair per path, the targets read off an O(h0) table of the tree."""
     tree = single_branches(200)
     tracemalloc.start()
     try:
@@ -316,7 +344,7 @@ def test_the_algebra_holds_its_basis_once():
     finally:
         tracemalloc.stop()
     assert alg.dim == 200 * 201
-    assert held <= 220 * alg.dim and peak <= 220 * alg.dim, (held, peak)
+    assert held <= 160 * alg.dim and peak <= 160 * alg.dim, (held, peak)
 
 
 def test_the_path_bound_is_inclusive_and_counts_the_basis(monkeypatch):
