@@ -1106,4 +1106,6 @@ def test_arrow_table_holds_each_arrow_once():
         arrows = [p for p in reference_basis(alg)
                   if p.steps == 1 or (alg.degenerate and p.kind == "soc")]
         assert list(alg.arrow_at.values()) == arrows
-        assert all(alg.arrow_at[a.node, a.src] == a for a in arrows)
+        # held once: the arrow table shares the out-lists' path objects
+        assert all(alg.arrow_at[a.node, a.src]
+                   is next(p for _, p in alg.paths_out[a.src] if p == a) for a in arrows)

@@ -167,7 +167,8 @@ def test_algebra_and_tree_checks_hold_under_optimize():
 
 
 # Every path one change away from the basis (`reference.off_basis_paths`)
-# is refused by `target`, `compose` and a complex holding it.
+# is refused by `target`, `compose` (also onto a path starting nowhere, so
+# that no missing target can match its source) and a complex holding it.
 PATH_SCRIPT = """
 import json
 import sys
@@ -176,13 +177,14 @@ from coxbrauer import brauer_tree as bt, homotopy as ho, tree_algebra as ta
 from coxbrauer.selftest import random_trees
 from reference import off_basis_paths
 assert False, "asserts must be stripped under -O"
-refused, accepted = {"target": 0, "compose": 0, "complex": 0}, []
+refused, accepted = {"target": 0, "compose": 0, "compose_nowhere": 0, "complex": 0}, []
 for tree in [*random_trees(10, seed=36), bt.star_tree(7, 3, 2)]:
     alg = ta.from_tree(tree, 7)
     for p in off_basis_paths(alg):
         for name, run in (
                 ("target", lambda: alg.target(p)),
                 ("compose", lambda: alg.compose(p, ta.Path(0, "id"))),
+                ("compose_nowhere", lambda: alg.compose(p, ta.Path(None, "id"))),
                 ("complex", lambda: ho.ProjComplex(alg, 0, [[0], [p.src]],
                                                    [[[alg.elt(p)]], []]))):
             try:
@@ -200,7 +202,7 @@ def test_off_basis_paths_refused_under_optimize():
     out = json.loads(line)
     assert out["accepted"] == []
     counts = out["refused"]
-    assert counts["target"] == counts["compose"] == counts["complex"] > 300
+    assert len(set(counts.values())) == 1 and counts["target"] > 300
 
 
 # q^delta = 1 (every eigenvalue collides), q^delta = 3 mod 7 (distinct

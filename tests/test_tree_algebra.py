@@ -182,6 +182,9 @@ def test_target_is_the_walk_and_refuses_every_path_off_the_basis():
                 alg.target(p)
             with pytest.raises(KeyError, match="is not a basis path"):
                 alg.compose(p, ta.Path(0, "id"))
+            # a path starting nowhere: no missing target may match it
+            with pytest.raises(KeyError, match="is not a basis path"):
+                alg.compose(p, ta.Path(None, "id"))
             with pytest.raises(KeyError, match="is not a basis path"):
                 ho.ProjComplex(alg, 0, [[0], [p.src]], [[[alg.elt(p)]], []])
             refused += 1
