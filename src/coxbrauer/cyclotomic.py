@@ -6,9 +6,11 @@ character tables carry their values that way, and `expand_product`, the
 one multiplication here, expands the order polynomials in it.
 `power_basis` reduces such a vector once, to its coordinates on the power
 basis 1, zeta, ..., zeta^(phi(L)-1): the remainder modulo the L-th
-cyclotomic polynomial.  `CycloInt` is the record of a reduced element.
-No floating point is used anywhere; equality of elements is literal
-equality of coordinates.
+cyclotomic polynomial.  It scatters the terms into a dense list of L
+slots and hands that to `fold`, the one reduction of a dense list, which
+the oracle also calls on the lists it sums into directly.  `CycloInt` is
+the record of a reduced element.  No floating point is used anywhere;
+equality of elements is literal equality of coordinates.
 
 The module also knows how to express sqrt(2) and sqrt(3) inside a large
 enough cyclotomic ring (8 | L, resp. 12 | L), which is what the twisted
@@ -56,16 +58,24 @@ def _phi_tail(L: int) -> tuple[tuple[int, int], ...]:
 
 
 def power_basis(L: int, terms: dict[int, int]) -> tuple[int, ...]:
-    """Power-basis coordinates of the sum of c*zeta_L^k over terms {k: c}.
-
-    The exponents are read mod L; the polynomial is then reduced modulo
-    Phi_L in one pass over the exponents L-1 down to phi(L), each folded
-    with zeta^d = -(Phi_L - x^d)(zeta) through the nonzero terms of Phi_L.
-    """
-    d = euler_phi(L)
+    """Power-basis coordinates of the sum of c*zeta_L^k over terms {k: c}:
+    the terms are scattered into a dense list, the exponents read mod L,
+    and `fold` reduces it."""
     acc = [0] * L
     for k, c in terms.items():
         acc[k % L] += c
+    return fold(L, acc)
+
+
+def fold(L: int, acc: list[int]) -> tuple[int, ...]:
+    """Power-basis coordinates of the sum of acc[k]*zeta_L^k, k < L: the
+    one reduction modulo Phi_L.
+
+    One pass over the exponents L-1 down to phi(L) folds each, in place in
+    acc, with zeta^d = -(Phi_L - x^d)(zeta) through the nonzero terms of
+    Phi_L.
+    """
+    d = euler_phi(L)
     tail = _phi_tail(L)
     for k in range(L - 1, d - 1, -1):
         c = acc[k]

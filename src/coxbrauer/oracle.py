@@ -10,21 +10,22 @@ Ordinary character values are exact cyclotomic integers in Z[zeta_L] with
 L = |G|, kept as the sparse exponent vectors {k: c} (the sum of c*zeta_L^k)
 that the construction produces.  The row orthogonality relation is
 checked literally on a square table; the column relation follows from
-it.  Each inner product, like each degree, is reduced once by
-`cyclotomic.power_basis` in the smallest ring Z[zeta_(L/g)] that holds
-it, g the gcd of L and its exponents: Z[zeta_|E|] for two linear
-characters, Z[zeta_|D|] when an induced character is involved.  One
-Gram row is checked per Galois orbit of rows: sigma_k, k a unit mod L,
-multiplies every exponent by k, a ring automorphism of Z[x]/(x^L - 1)
-that keeps (Phi_L), commutes with conjugation and fixes the expected
-integers, so <sigma chi_i, sigma chi_j> = sigma <chi_i, chi_j>.  The
-generators of (Z/L)^x that permute the rows, matched cell by cell as
-exponent vectors, are merged into orbits; for R orbits of k rows that is
-R k - R(R - 1)/2 inner products, where all k(k + 1)/2 pairs took one
-each.  On the table built here eta_j falls into one orbit per divisor
-gcd(j, m) of m and Theta_t into one per ell-adic valuation of t, so R is
-the number of divisors of m plus alpha.  A table that no sigma_k
-permutes has every pair checked.
+it.  Each inner product is summed over flat (exponent, coefficient)
+lists into L/g dense slots, g the gcd of L and the exponents of its two
+rows, and, like each degree, reduced once by `cyclotomic.fold` in the
+smallest ring Z[zeta_(L/gh)] that holds it, h the gcd of L/g and the
+nonzero slots: Z[zeta_|E|] for two linear characters, Z[zeta_|D|] when
+an induced character is involved.  One Gram row is checked per Galois
+orbit of rows: sigma_k, k a unit mod L, multiplies every exponent by k,
+a ring automorphism of Z[x]/(x^L - 1) that keeps (Phi_L), commutes with
+conjugation and fixes the expected integers, so <sigma chi_i, sigma
+chi_j> = sigma <chi_i, chi_j>.  The generators of (Z/L)^x that permute
+the rows, matched cell by cell as exponent vectors, are merged into
+orbits; for R orbits of k rows that is R k - R(R - 1)/2 inner products,
+where all k(k + 1)/2 pairs took one each.  On the table built here eta_j
+falls into one orbit per divisor gcd(j, m) of m and Theta_t into one per
+ell-adic valuation of t, so R is the number of divisors of m plus alpha.
+A table that no sigma_k permutes has every pair checked.
 
 The Brauer characters of the m simple modules are pinned by the Hensel
 lift zeta of n (eta_j sends x to zeta^j), which fixes the row and column
@@ -45,15 +46,16 @@ from itertools import compress
 from math import gcd
 
 from .brauer_tree import MAX_CLASSES, MetacyclicGroup, PlanarBrauerTree
-from .cyclotomic import power_basis
+from .cyclotomic import fold
 from .ell_arith import TruncatedPadic
 from .linalg import SparseMatrix
 from .numtheory import has_order, unit_generators
 
 # The most exponent terms a character table may hold, counted from
 # (|D|, |E|) before it is built (`table_terms`): (7681, 10), 5.9M terms,
-# answers `star --verify` in 29 s and 405 MB under 1 GiB, and (12289, 16),
-# 9.5M terms, ran past 60 s.
+# answers `star --verify` in 30 s and 407 MB under 1 GiB on a shared
+# 2-core machine, where summing the Gram entries into dicts took 45 s, and
+# (12289, 16), 9.5M terms, ran past 60 s.
 MAX_TABLE_TERMS = 2 ** 23
 
 
@@ -98,7 +100,9 @@ class CharacterTable:
 
     def verify(self):
         """Raise Mismatch unless the table is square, the squared degrees
-        sum to the group order and the row orthogonality relation holds.
+        sum to the group order and the row orthogonality relation holds;
+        an orthogonality failure names the first failing Gram entry (r, j)
+        as its cell, found by checking the table once more.
 
         On a square table the column relation follows: X diag(|C|) X*^T =
         |G| I makes X invertible, so X*^T X = |G| diag(|C|)^-1."""
@@ -110,7 +114,8 @@ class CharacterTable:
         if sum(self.degree(i) ** 2 for i in range(len(self.values))) != self.group.order:
             raise Mismatch("squared degrees do not sum to the group order")
         if not self.check_orthogonality():
-            raise Mismatch("orthogonality failed (table bug)")
+            raise Mismatch("orthogonality failed (table bug)",
+                           cell=self._first_failing_entry())
 
     def check_orthogonality(self) -> bool:
         """Exact row orthogonality relation: sum over classes of
@@ -118,17 +123,27 @@ class CharacterTable:
         A row with a value missing or to spare fails it.
 
         Worked in Z[x]/(x^L - 1), where conjugation is the exponent flip
-        and products are sparse convolutions; each inner product is
-        reduced once, in the smallest ring Z[zeta_(L/g)] that holds it,
-        and compared with the coordinates (n, 0, ..., 0) of the expected
-        integer n.
+        and products are convolutions of flat (exponent, coefficient)
+        lists; an exponent is read mod L, and two exponents of a cell
+        that agree mod L keep both their terms.  Each row's g_r, the gcd
+        of L and all its exponents, is taken once; <chi_r, chi_j> is
+        summed into L/g slots, g = gcd(g_r, g_j), slot i holding the
+        coefficient of zeta_L^(g i): g divides L and every exponent of
+        both rows, so every product exponent mod L is a multiple of it.
+        The sum is then reduced once, by `cyclotomic.fold`, in the
+        smallest ring Z[zeta_(L/gh)] that holds it, h the gcd of L/g and
+        its nonzero slots, and compared with the coordinates (n, 0, ...,
+        0) of the expected integer n.
 
         One Gram row is checked per Galois orbit of rows
         (`_galois_orbit_reps`): <chi_r, chi_j> for each representative r
         and every row j, except a representative j after r, whose entry
         is the conjugate of one checked; for R orbits of k rows that is
-        R k - R(R - 1)/2 inner products.  Column j = 0 comes first, so a
-        row that fails against the first row fails before most work.
+        R k - R(R - 1)/2 inner products.  Each representative row is held
+        once more with its values weighted by the class sizes (the whole
+        table, when no sigma_k permutes it), and one conjugated row at a
+        time.  Column j = 0 comes first, so a row that fails against the
+        first row fails before most work.
 
         This is exact: sigma_k, which multiplies every exponent by a unit
         k, is a ring automorphism of Z[x]/(x^L - 1) that keeps (Phi_L),
@@ -138,32 +153,45 @@ class CharacterTable:
         table that no sigma_k permutes has every pair checked; closure
         under Galois is no condition.
         """
-        L = order = self.group.order
-        sizes = [c.size for c in self.classes]
-        if any(len(row) != len(sizes) for row in self.values):
+        if any(len(row) != len(self.classes) for row in self.values):
             return False
+        return self._first_failing_entry() is None
+
+    def _first_failing_entry(self) -> tuple[int, int] | None:
+        """The first Gram entry (r, j), in the order `check_orthogonality`
+        checks them, that is not |G| delta_rj, or None if there is none."""
+        L = self.group.order
+        sizes = [c.size for c in self.classes]
         reps = _galois_orbit_reps(self.values, L)
         position = {r: p for p, r in enumerate(reps)}
-
-        def inner_is(want: int, pairs) -> bool:
-            acc: dict[int, int] = {}
-            for weight, x, y in pairs:
-                for kx, cx in x.items():
-                    wcx = weight * cx
-                    for ky, cy in y.items():
-                        k = (kx + ky) % L
-                        acc[k] = acc.get(k, 0) + wcx * cy
-            coords = _smallest_ring_coords(L, acc)
-            return coords[0] == want and not any(coords[1:])
-
-        # one conjugated row is held at a time
+        row_gcd = [gcd(L, *(k for val in row for k in val)) for row in self.values]
+        weighted = {r: [[(k, size * c) for k, c in val.items()]
+                        for size, val in zip(sizes, self.values[r])]
+                    for r in reps}
         for j, row in enumerate(self.values):
-            conj = [{-k % L: c for k, c in val.items()} for val in row]
+            conj = [[(-k % L, c) for k, c in val.items()] for val in row]
             for r in reps[position.get(j, 0):]:
-                if not inner_is(order if r == j else 0,
-                                zip(sizes, self.values[r], conj)):
-                    return False
-        return True
+                acc = _gram_sum(L, gcd(row_gcd[r], row_gcd[j]), weighted[r], conj)
+                n = len(acc)
+                h = gcd(n, *compress(range(n), acc))
+                coords = fold(n // h, acc[::h])
+                if coords[0] != (L if r == j else 0) or any(coords[1:]):
+                    return r, j
+        return None
+
+
+def _gram_sum(L: int, g: int, xs: list[list[tuple[int, int]]],
+              ys: list[list[tuple[int, int]]]) -> list[int]:
+    """The sum over the cells x of xs and y of ys of the products x*y in
+    Z[Z/L], each cell a flat (exponent, coefficient) list, as L/g dense
+    slots, slot i holding the coefficient of zeta_L^(g i).  g must divide L
+    and every exponent, so that it divides every product exponent mod L."""
+    acc = [0] * (L // g)
+    for x, y in zip(xs, ys):
+        for kx, cx in x:
+            for ky, cy in y:
+                acc[(kx + ky) % L // g] += cx * cy
+    return acc
 
 
 def _galois_orbit_reps(values: list[list[dict[int, int]]], L: int) -> list[int]:
@@ -211,7 +239,8 @@ def _galois_orbit_reps(values: list[list[dict[int, int]]], L: int) -> list[int]:
 
 def _smallest_ring_coords(L: int, terms: dict[int, int]) -> tuple[int, ...]:
     """Power-basis coordinates of the sum of c*zeta_L^k over terms {k: c}
-    in Z[zeta_(L/g)], g = gcd(L, every k).
+    in Z[zeta_(L/g)], g = gcd(L, every k): the terms are scattered into
+    L/g slots, slot i holding the coefficient of zeta_L^(g i), and folded.
 
     Sending zeta_(L/g) to zeta_L^g is an injective ring map into Z[zeta_L]
     that fixes the integers, so the element is the integer n in one ring
@@ -219,7 +248,10 @@ def _smallest_ring_coords(L: int, terms: dict[int, int]) -> tuple[int, ...]:
     exponents instead of L - phi(L).
     """
     g = gcd(L, *terms)
-    return power_basis(L // g, {k // g: c for k, c in terms.items()})
+    acc = [0] * (L // g)
+    for k, c in terms.items():
+        acc[k % L // g] += c
+    return fold(L // g, acc)
 
 
 def _orbit_reps(g: MetacyclicGroup) -> list[int]:

@@ -55,14 +55,16 @@ def reference_orthogonality(table):
     L = table.group.order
     zeros = (0,) * (euler_phi(L) - 1)
     sizes = [c.size for c in table.classes]
-    conj = [[{-k % L: c for k, c in val.items()} for val in row]
+    # (exponent, coefficient) lists, not dicts: two exponents of a cell
+    # that agree mod L flip to one, and neither term may be lost
+    conj = [[[(-k % L, c) for k, c in val.items()] for val in row]
             for row in table.values]
     for i, row in enumerate(table.values):
         for j in range(i, len(table.values)):
             acc = {}
             for weight, x, y in zip(sizes, row, conj[j]):
                 for kx, cx in x.items():
-                    for ky, cy in y.items():
+                    for ky, cy in y:
                         k = (kx + ky) % L
                         acc[k] = acc.get(k, 0) + weight * cx * cy
             if power_basis(L, acc) != (L if i == j else 0,) + zeros:

@@ -58,9 +58,9 @@ def test_invalid_complexes_rejected_under_optimize():
 
 
 # The oracle's own table checks: one changed value off the identity class
-# must fail orthogonality, one on it the degree sum, and a table with one
-# character removed (its rows stay orthonormal) the squareness check.  The
-# solve refuses the trivial lift of n (V is all ones) and a doubled
+# must fail orthogonality, first at the Gram entry (3, 0) of its row with
+# eta_0, one on it the degree sum, and a table with one character removed
+# (its rows stay orthonormal) the squareness check.  The solve refuses the trivial lift of n (V is all ones) and a doubled
 # ordinary row (decomposition numbers 2 from cell (3, 0) on).
 ORACLE_SCRIPT = """
 from coxbrauer import oracle as orc
@@ -116,7 +116,7 @@ def test_oracle_table_checks_hold_under_optimize():
     assert [line.split()[:2] for line in lines] == [
         [name, "rejected:"] for name in
         ("orthogonality", "degrees", "shape", "lift", "doubled")]
-    assert "orthogonality failed" in lines[0]
+    assert "orthogonality failed (table bug) at cell (3, 0)" in lines[0]
     assert "squared degrees" in lines[1]
     assert "not square: 4 characters on 5 classes" in lines[2]
     assert "SingularSystem" in lines[3] and "not invertible" in lines[3]

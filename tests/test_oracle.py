@@ -9,7 +9,7 @@ from coxbrauer import brauer_tree as bt
 from coxbrauer import linalg
 from coxbrauer import oracle as orc
 from coxbrauer import tree_algebra as ta
-from coxbrauer.cyclotomic import power_basis
+from coxbrauer.cyclotomic import fold
 from coxbrauer.ell_arith import TruncatedPadic
 from coxbrauer.numtheory import has_order, prime_power_split, unit_generators
 from reference import (reference_galois_orbit_reps, reference_galois_units,
@@ -70,14 +70,14 @@ def non_real_rows(table):
 
 
 def reduction_levels(monkeypatch):
-    """Record the level L of every `power_basis` call the oracle makes."""
+    """Record the level L of every `fold` call the oracle makes."""
     levels = []
 
-    def spy(L, terms):
+    def spy(L, acc):
         levels.append(L)
-        return power_basis(L, terms)
+        return fold(L, acc)
 
-    monkeypatch.setattr(orc, "power_basis", spy)
+    monkeypatch.setattr(orc, "fold", spy)
     return levels
 
 
@@ -227,13 +227,29 @@ def test_orthogonality_agrees_with_the_full_reduction_on_perturbations(monkeypat
     assert len(groups) == 166
     monkeypatch.setattr(orc.CharacterTable, "verify", lambda self: None)
     rng = random.Random(20101)
-    for g in groups:
+    # then one exponent below 0 or at or above L per table, in turn, drawn
+    # from a second generator so that the draws above stay as they were;
+    # each exponent must be read mod L
+    wide = random.Random(7307)
+    for i, g in enumerate(groups):
         table = orc.character_table(g)
+        L = g.order
         for _ in range(4):
             bad = perturbed(table, rng.randrange(len(table.values)),
                             rng.randrange(len(table.classes)),
-                            rng.randrange(g.order), rng.choice((1, -1)))
+                            rng.randrange(L), rng.choice((1, -1)))
             assert bad.check_orthogonality() == reference_orthogonality(bad), g
+        row, col = wide.randrange(len(table.values)), wide.randrange(len(table.classes))
+        k = wide.randrange(-3 * L, 0) if i % 2 else wide.randrange(L, 3 * L)
+        sign = wide.choice((1, -1))
+        bad = perturbed(table, row, col, k, sign)
+        assert bad.check_orthogonality() == reference_orthogonality(bad), g
+        if len(table.values) <= 16:
+            # zeta_L^k - zeta_L^(k mod L) is 0, so the table stays
+            # orthonormal; no sigma_k permutes its rows, so every pair is
+            # checked, which bounds the size
+            same = perturbed(bad, row, col, k % L, -sign)
+            assert same.check_orthogonality(), g
 
 
 def test_orthogonality_reduces_a_perturbed_pair_in_its_own_ring(monkeypatch):

@@ -1,4 +1,5 @@
-"""Work counts of the tilting check, pinned exactly.
+"""Work counts of the tilting check and the oracle's orthogonality check,
+pinned exactly.
 
 Each count is taken by a monkeypatch wrapper on fixed inputs, so it does
 not move with the machine's speed the way a timing does.  A change that
@@ -6,6 +7,7 @@ lowers a count updates its pin and logs the old and new values; one that
 raises a count needs a logged reason.
 """
 
+from collections import Counter
 from math import log2
 
 import pytest
@@ -13,6 +15,7 @@ import pytest
 from coxbrauer import brauer_tree as bt
 from coxbrauer import homotopy as ho
 from coxbrauer import linalg
+from coxbrauer import oracle as orc
 from coxbrauer import tree_algebra as ta
 
 
@@ -95,3 +98,42 @@ def test_the_single_branch_walk_grows_as_b_cubed(monkeypatch):
     small = tilting_work(monkeypatch, single_branches(8))["walked"]
     large = tilting_work(monkeypatch, single_branches(16))["walked"]
     assert round(log2(large / small), 2) == 2.92
+
+
+def orthogonality_work(monkeypatch, group):
+    """The work of `check_orthogonality` on the character table of group:
+    the Gram reductions per ring level L/gh and the accumulator slots
+    summed over every Gram entry, L/g each."""
+    levels, slots = Counter(), 0
+    fold, gram_sum = orc.fold, orc._gram_sum
+
+    def counted_fold(n, acc):
+        levels[n] += 1
+        return fold(n, acc)
+
+    def counted_gram_sum(*args):
+        nonlocal slots
+        acc = gram_sum(*args)
+        slots += len(acc)
+        return acc
+
+    with monkeypatch.context() as patch:
+        patch.setattr(orc.CharacterTable, "verify", lambda self: None)
+        table = orc.character_table(group)
+        patch.setattr(orc, "fold", counted_fold)
+        patch.setattr(orc, "_gram_sum", counted_gram_sum)
+        assert table.check_orthogonality()
+    return dict(levels), slots
+
+
+# 494 and 575 Gram entries, one Gram row per Galois orbit of rows; an
+# accumulator of L slots for every entry would be 494 * 125 = 61,750 and
+# 575 * 1029 = 591,675 slots
+@pytest.mark.parametrize("group, want", [
+    (orc.MetacyclicGroup(125, 1, 1),
+     ({125: 397, 25: 78, 5: 15, 1: 4}, 54366)),
+    (orc.MetacyclicGroup(343, 3, 18),
+     ({343: 505, 49: 58, 7: 7, 3: 3, 1: 2}, 245545)),
+], ids=["125-1-1", "343-3-18"])
+def test_orthogonality_work_is_pinned(monkeypatch, group, want):
+    assert orthogonality_work(monkeypatch, group) == want
