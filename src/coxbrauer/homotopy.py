@@ -29,6 +29,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import accumulate
 from operator import add, itemgetter
 
@@ -47,13 +48,17 @@ class InvalidComplex(ValueError):
     Raised explicitly, so the checks also run under python -O."""
 
 
-@dataclass
+@dataclass(eq=False)
 class ProjComplex:
     """Bounded complex of projectives; diffs[d] maps terms[d] -> terms[d+1].
 
     diffs[d][row][col] is an algebra element (a {Path: coeff} dict) giving
     the map from summand col of terms[d] to summand row of terms[d+1] by
-    left multiplication.
+    left multiplication.  A complex is checked once, when it is built, and
+    never changed afterwards: every operation builds a new one.  So it
+    compares and hashes by identity, and what is derived from it (the
+    certificate's d^2 = 0, `homotopy_hom`'s shared Hom complex) holds for
+    as long as the object lives.
     """
 
     alg: TreeAlgebra
@@ -317,6 +322,13 @@ class HomComplex:
     some degree, the lower boundaries unchanged) is a prefix of every
     basis[n], its D the projection of this D, and one row rank profile
     of each D answers every pair of truncations (`hom_masses`).
+
+    The basis is built from the smaller side of each summand tv of C2:
+    the vertices of C1, each with the paths from tv to it
+    (`TreeAlgebra.paths_between`), when C1 has fewer distinct vertices
+    than tv has basis paths, and otherwise the paths out of tv, each
+    matched to the places of its target in C1.  Only the order of the
+    maps inside one summand (j, t) depends on the side walked.
     """
 
     def __init__(self, cx1: ProjComplex, cx2: ProjComplex):
@@ -335,11 +347,18 @@ class HomComplex:
         # paths from tv to v and lands in degree j - i; j ascends, so each
         # basis[n] ascends in i = j - n
         self.basis: dict[int, list] = {n: [] for n in range(self.lo, self.hi + 1)}
+        basis, paths_out, between = self.basis, alg.paths_out, alg.paths_between
         for j, term in enumerate(cx2.terms, cx2.lo):
             for t, tv in enumerate(term):
-                for v, p in alg.paths_out[tv]:
-                    for i, s in at.get(v, ()):
-                        self.basis[j - i].append((i, t, s, p))
+                if len(at) < len(out := paths_out[tv]):
+                    for v, places in at.items():
+                        if paths := between(tv, v):
+                            for i, s in places:
+                                basis[j - i] += [(i, t, s, p) for p in paths]
+                else:
+                    for v, p in out:
+                        for i, s in at.get(v, ()):
+                            basis[j - i].append((i, t, s, p))
         self._profiles: dict[int, list[tuple[int, int]]] = {}
 
     def dim(self, n: int) -> int:
@@ -402,8 +421,19 @@ class HomComplex:
 
 
 def homotopy_hom(cx1: ProjComplex, cx2: ProjComplex, i: int) -> int:
-    """dim Hom_K(cx1, cx2[i]) = dim H^i of the Hom complex."""
-    return HomComplex(cx1, cx2).cohomology_dim(i)
+    """dim Hom_K(cx1, cx2[i]) = dim H^i of the Hom complex.
+
+    Calls in a row on the same two complex objects share one Hom complex,
+    its basis and each degree's rank profile, so asking every shift costs
+    one Hom complex.  The share is keyed by identity and holds the pair,
+    so an id is never reused while it stands; it is sound because a
+    complex is never changed after it is built (`ProjComplex`)."""
+    return _shared_hom_complex(cx1, cx2).cohomology_dim(i)
+
+
+@lru_cache(maxsize=1)
+def _shared_hom_complex(cx1: ProjComplex, cx2: ProjComplex) -> HomComplex:
+    return HomComplex(cx1, cx2)
 
 
 # ---------------------------------------------------------------------------

@@ -106,7 +106,7 @@ class TreeAlgebra:
             out = self.paths_out[e] = [(e, _new(Path, (e, _ID, None, 0)))]
             for node in self.tree.ends(e):
                 ring = self._ring[node]
-                i = self._exc_place[e] if node == EXC else e - node
+                i = self._place(e, node)
                 out += [(ring[i - t], _new(Path, (e, _CYC, node, t))) for t in range(1, len(ring))]
                 if len(ring) > 1:
                     self.arrow_at[node, e] = out[1 - len(ring)][1]
@@ -115,6 +115,10 @@ class TreeAlgebra:
             self.arrow_at[None, 0] = self.paths_out[0][-1][1]
 
     # -- path structure ----------------------------------------------------
+
+    def _place(self, e: int, node) -> int:
+        """Where edge e sits in the cyclic order at node, one of its ends."""
+        return self._exc_place[e] if node == EXC else e - node
 
     def target(self, p: Path) -> int:
         """Where a basis path ends, for a cyclic one `steps` places clockwise
@@ -158,6 +162,26 @@ class TreeAlgebra:
             return _new(Path, (src, _SOC, None, 0))
         return None
 
+    def paths_between(self, src: int, tgt: int) -> list[Path]:
+        """The basis paths from src to tgt, in basis order, read off the
+        node the two edges share (a tree has at most one): around it, the
+        cyclic paths whose step count is the clockwise distance from src
+        to tgt plus a multiple of the node's cyclic order, below its cycle
+        length.  For tgt = src that distance is the order's length, at
+        either end, between the trivial path and the socle.  Costs the
+        number of paths, with no per-target table."""
+        ends = self.tree.ends(src)
+        shared = ends if tgt == src else [n for n in self.tree.ends(tgt) if n in ends]
+        out = [self.unit_path(src)] if tgt == src else []
+        for node in shared:
+            ring = self._ring[node]
+            order = len(ring) // self.tree.node_multiplicity(node)
+            first = (self._place(src, node) - self._place(tgt, node)) % order or order
+            out += [_new(Path, (src, _CYC, node, t)) for t in range(first, len(ring), order)]
+        if tgt == src:
+            out.append(_new(Path, (src, _SOC, None, 0)))
+        return out
+
     # -- element arithmetic (elements are {Path: coeff} dicts) -------------
 
     def elt(self, p: Path, c: int = 1) -> dict:
@@ -173,26 +197,33 @@ class TreeAlgebra:
 
     def elt_add(self, x: dict, y: dict) -> dict:
         out = dict(x)
+        self._add_into(out, y)
+        return out
+
+    def _add_into(self, out: dict, y: dict):
+        """out += y in place."""
         for p, c in y.items():
             v = (out.get(p, 0) + c) % self.ell
             if v:
                 out[p] = v
             else:
                 out.pop(p, None)
-        return out
 
     def elt_scale(self, x: dict, c: int) -> dict:
         c %= self.ell
         return {p: v * c % self.ell for p, v in x.items()} if c else {}
 
     def elt_mul(self, x: dict, y: dict) -> dict:
+        """The product x y, one `compose` per pair of paths, which reads
+        the target of the first once; paths that do not meet multiply to
+        zero (no product of the maps between projectives has such a pair)."""
         out: dict = {}
         for p, a in x.items():
-            tp = self.target(p)
             for q, b in y.items():
-                if tp != q.src:
+                try:
+                    r = self.compose(p, q)
+                except NotComposable:
                     continue
-                r = self.compose(p, q)
                 if r is None:
                     continue
                 v = (out.get(r, 0) + a * b) % self.ell
@@ -215,7 +246,7 @@ class TreeAlgebra:
                 if x:
                     for c, y in enumerate(b_row):
                         if y:
-                            row[c] = self.elt_add(row[c], self.elt_mul(x, y))
+                            self._add_into(row[c], self.elt_mul(x, y))
             out.append(row)
         return out
 

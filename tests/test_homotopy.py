@@ -444,6 +444,72 @@ def test_trim_mix_and_hom_leave_a_padded_complex_unchanged():
 
 
 # ---------------------------------------------------------------------------
+# homotopy_hom: one Hom complex per pair of complexes across all shifts
+
+def _shift_pairs():
+    """A branch complex, its padded-and-mixed copy, that copy trimmed and
+    another branch complex, paired every way."""
+    rng = random.Random(7883)
+    tree, alg = line(5, 2, ell=31)
+    base = ho.rickard_complex(alg, tree, 3)
+    mixed = _padded_mixed(base, rng, 3)
+    cxs = [base, mixed, ho.trim(mixed, base.lo, base.hi),
+           ho.rickard_complex(alg, tree, 1)]
+    return [(a, b) for a in cxs for b in cxs]
+
+
+def _every_shift(cx1, cx2):
+    """Each degree of their Hom complex, and one beyond either end."""
+    return range(cx2.lo - cx1.hi - 1, cx2.hi - cx1.lo + 2)
+
+
+def test_homotopy_hom_reads_every_shift_off_one_hom_complex(monkeypatch):
+    """homotopy_hom at every shift equals a fresh Hom complex's cohomology,
+    and builds one Hom complex per pair over all of them."""
+    pairs = _shift_pairs()
+    want = [[ho.HomComplex(a, b).cohomology_dim(i) for i in _every_shift(a, b)]
+            for a, b in pairs]
+    built = Counter()
+    real = ho.HomComplex.__init__
+
+    def counted(self, cx1, cx2):
+        built[id(cx1), id(cx2)] += 1
+        real(self, cx1, cx2)
+
+    monkeypatch.setattr(ho.HomComplex, "__init__", counted)
+    got = [[ho.homotopy_hom(a, b, i) for i in _every_shift(a, b)] for a, b in pairs]
+    assert got == want
+    assert built == Counter({(id(a), id(b)): 1 for a, b in pairs})
+    # the pairs do have cohomology off degree zero and differ from each other
+    assert any(h for row in want for h in row[:len(row) // 2])
+    assert len({tuple(row) for row in want}) > 1
+
+
+def test_homotopy_hom_answers_each_pair_from_its_own_hom_complex(monkeypatch):
+    """Negative controls for the share: a pair asked after another gets its
+    own answers, and a rank profile sabotaged between two pairs reaches
+    the second, whose Hom complex is not the first one's."""
+    tree, alg = line(4, 1, ell=31)
+    cx, other = ho.rickard_complex(alg, tree, 3), ho.rickard_complex(alg, tree, 1)
+    first, second = (cx, cx), (other, cx)
+    shifts = range(-4, 5)
+
+    def answers(pair):
+        return [ho.homotopy_hom(*pair, i) for i in shifts]
+
+    def fresh(pair):
+        return [ho.HomComplex(*pair).cohomology_dim(i) for i in shifts]
+
+    truth = fresh(second)
+    assert answers(first) == fresh(first) != truth
+    assert answers(second) == truth
+    answers(first)          # the share holds the first pair again
+    real = linalg.rref_mod_prime
+    monkeypatch.setattr(linalg, "rref_mod_prime", lambda a, p: real(a, p)[1:])
+    assert answers(second) == fresh(second) != truth
+
+
+# ---------------------------------------------------------------------------
 # the per-pair End grid
 
 def test_end_grid_is_the_star_cartan_matrix():

@@ -191,6 +191,25 @@ def test_target_is_the_walk_and_refuses_every_path_off_the_basis():
     assert refused > 1000
 
 
+def test_paths_between_are_the_basis_paths_from_one_edge_to_another():
+    """`paths_between` gives the reference basis paths from src to tgt in
+    basis order, for every pair of edges (most of them share no node),
+    read off the shared node without a per-target table."""
+    seen = 0
+    for tree in [*random_trees(20, seed=38), bt.star_tree(7, 3, 2), bt.ree_tree(),
+                 bt.assemble_tree(bt.line_series(1), 1, 1),
+                 bt.assemble_tree(bt.line_series(1), 3, 1)]:
+        alg = ta.from_tree(tree, 7)
+        basis = reference_basis(alg)
+        for src in alg.vertices:
+            for tgt in alg.vertices:
+                want = [p for p in basis if p.src == src
+                        and reference_target(alg, p) == tgt]
+                assert alg.paths_between(src, tgt) == want
+                seen += len(want) > 1 and src != tgt
+    assert seen        # some pairs are joined by several paths
+
+
 def test_field_too_small():
     tree = bt.star_tree(7, 3, 2)
     with pytest.raises(ta.FieldTooSmall):
