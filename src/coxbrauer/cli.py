@@ -14,6 +14,7 @@ import functools
 import json
 import sys
 from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 from . import brauer_tree as bt
 from . import homotopy as ho
@@ -177,13 +178,14 @@ def _dumps(obj, indent: str = "\n", lead: str = ""):
     """The chunks of what json.dumps gives with sorted keys and a two-space
     indent, byte for byte, with `lead` (the text before the value) put in
     front of the first chunk.  A SparseMatrix is written as the list of its
-    rows, each row from its stored entries (see _int_items).
+    rows, each row spliced from its stored entries (see _matrix_rows).
 
     json uses its C encoder only for compact output, so the containers are
     laid out here and every key and leaf goes through the C encoder.  The
     chunks are yielded as they are laid out, so that no report is held as
-    one string: a leaf, a whole list of plain ints or a matrix row with
-    what leads up to it, or a closing bracket.  Keys must be str."""
+    one string: a leaf, a whole list of plain ints or of plain strs (each
+    str through json's own ASCII escaper) or a matrix row with what leads
+    up to it, or a closing bracket.  Keys must be str."""
     if isinstance(obj, SparseMatrix):
         yield from _matrix_rows(obj, indent, lead)
         return
@@ -201,9 +203,12 @@ def _dumps(obj, indent: str = "\n", lead: str = ""):
             head = sep
         yield indent + "}"
         return
-    # one C-level pass over the item types; a bool is not an int here
-    if set(map(type, obj)) == {int}:
-        yield lead + "[" + inner + sep.join(map(str, obj)) + indent + "]"
+    # one C-level pass over the item types; a bool is not an int here, and
+    # a str subclass takes the generic path
+    types = set(map(type, obj))
+    if types == {int} or types == {str}:
+        leaf = str if types == {int} else encode_basestring_ascii
+        yield lead + "[" + inner + sep.join(map(leaf, obj)) + indent + "]"
         return
     head = lead + "[" + inner
     for x in obj:
@@ -214,41 +219,34 @@ def _dumps(obj, indent: str = "\n", lead: str = ""):
 
 def _matrix_rows(a: SparseMatrix, indent: str, lead: str):
     """The chunks of a SparseMatrix laid out as _dumps lays out the list of
-    its dense rows: one chunk per row, written from the row's stored
-    entries.  A row object repeated, as the exceptional rows of a
-    decomposition matrix are, is written once."""
+    its dense rows: one chunk per row.  The text of an all-zero row is
+    built once per matrix, and each row is that text with str(x) of each
+    stored entry spliced in at its column's offset, so a row costs its
+    entries plus the bytes written.  A row object repeated, as the
+    exceptional rows of a decomposition matrix are, is written once."""
     n_rows, n = a.shape
     if not n_rows:
         yield lead + "[]"
         return
     inner = indent + "  "
     cell = inner + "  "
+    # column c's "0" sits at offset start + c * step of the zero row
+    zero_row = "[" + cell + ("," + cell).join(["0"] * n) + inner + "]" if n else "[]"
+    start, step = 1 + len(cell), 2 + len(cell)
     head, last, text = lead + "[" + inner, None, ""
     for row in a.rows:
         if row is not last:
             last = row
-            text = ("[" + cell + _int_items(sorted(row.items()), n, "," + cell)
-                    + inner + "]") if n else "[]"
+            parts, done = [], 0
+            for c, x in sorted(row.items()):
+                at = start + c * step
+                parts += (zero_row[done:at], str(x))
+                done = at + 1
+            parts.append(zero_row[done:])
+            text = "".join(parts)
         yield head + text
         head = "," + inner
     yield indent + "]"
-
-
-def _int_items(items, n: int, sep: str) -> str:
-    """The n > 0 ints of a row joined by `sep`, from its (column, int)
-    items in increasing column order; a column not among them holds 0.
-    Only the items are converted, and each zero run is one repeated
-    "0" + sep string, so a row costs its items plus the bytes written."""
-    zeros, last, done, parts, end = "0" + sep, n - 1, 0, [], "0"
-    # every entry but the last is followed by sep
-    for i, x in items:
-        if i == last:
-            end = str(x)
-            break
-        parts += (zeros * (i - done), str(x) + sep)
-        done = i + 1
-    parts += (zeros * (last - done), end)
-    return "".join(parts)
 
 
 def _write(chunks, out_path: str | None):

@@ -3,10 +3,13 @@
 A complex stores, per degree, a formal direct sum of indecomposable
 projectives (a list of quiver vertices) and one boundary matrix whose
 entries are algebra elements acting by left multiplication.  Every
-operation on complexes is arithmetic with such matrices, done by the tree
-algebra's one product and one unipotent inverse: the d^2 = 0 check, the
-Schur complements of trimming, one forward sweep of Gaussian elimination
-of contractible summands, and the change of basis that hides padded ones.
+operation on complexes is arithmetic with such matrices and their
+entries, done by the tree algebra's one product and its two inverses, of
+a local unit by its series and of a unitriangular matrix by forward
+substitution: the d^2 = 0 check, one forward sweep of Gaussian
+elimination of contractible summands, whose Schur complements multiply
+the pivot column and pivot row entries directly, and the change of basis
+that hides padded ones.
 Built on this: total Hom complexes, the only place where complexes become
 sparse scalar matrices over F_ell, and their cohomology, read off the row
 rank profile of each boundary; the cohomology of a complex, read off one
@@ -269,12 +272,18 @@ def trim(cx: ProjComplex, m: int, M: int) -> ProjComplex:
             r, c = hit
             rows = [k for k in range(len(mat)) if k != r]
             cols = [k for k in range(len(terms[i])) if k != c]
-            # Schur complement d - d[:, c] u^-1 d[r, :] on the remaining block
+            # Schur complement d - d[:, c] u^-1 d[r, :] on the remaining
+            # block, one product per pair of nonzero pivot column and row
+            # entries
             neg_uinv = alg.elt_scale(alg.local_inverse(mat[r][c], terms[i][c]), -1)
-            corr = alg.mat_mul([[mat[rr][c]] for rr in rows],
-                               alg.mat_mul([[neg_uinv]], [[mat[r][cc] for cc in cols]]))
-            mat[:] = [[alg.elt_add(mat[rr][cc], x) for cc, x in zip(cols, corr_row)]
-                      for rr, corr_row in zip(rows, corr)]
+            pivot_row = [alg.elt_mul(neg_uinv, mat[r][cc]) if mat[r][cc] else {}
+                         for cc in cols]
+            block = []
+            for rr in rows:
+                x = mat[rr][c]
+                block.append([alg.elt_add(mat[rr][cc], alg.elt_mul(x, y)) if x and y
+                              else mat[rr][cc] for cc, y in zip(cols, pivot_row)])
+            mat[:] = block
             # incoming boundary: drop the row of the removed source summand;
             # outgoing boundary: drop the column of the removed target summand
             if i:
@@ -347,10 +356,10 @@ class HomComplex:
         # paths from tv to v and lands in degree j - i; j ascends, so each
         # basis[n] ascends in i = j - n
         self.basis: dict[int, list] = {n: [] for n in range(self.lo, self.hi + 1)}
-        basis, paths_out, between = self.basis, alg.paths_out, alg.paths_between
+        basis, out_lists, between = self.basis, alg.out_lists(), alg.paths_between
         for j, term in enumerate(cx2.terms, cx2.lo):
             for t, tv in enumerate(term):
-                if len(at) < len(out := paths_out[tv]):
+                if len(at) < len(out := out_lists[tv]):
                     for v, places in at.items():
                         if paths := between(tv, v):
                             for i, s in places:
@@ -689,22 +698,26 @@ def mix_basis(cx: ProjComplex, rng) -> ProjComplex:
     identity blocks while the homotopy type is unchanged.
     """
     alg = cx.alg
-    phis, invs = [], []
+    out_lists = alg.out_lists()
+    lows, invs = [], []
     for vs in cx.terms:
         n = len(vs)
         low = [[{} for _ in range(n)] for _ in range(n)]
         for i in range(n):
             for j in range(i):
                 # a random Hom(P_{vs[j]}, P_{vs[i]}) element: paths vs[i]->vs[j]
-                opts = [p for v, p in alg.paths_out[vs[i]] if v == vs[j]]
+                opts = [p for v, p in out_lists[vs[i]] if v == vs[j]]
                 if opts and rng.random() < 0.7:
                     p = opts[rng.randrange(len(opts))]
                     low[i][j] = alg.elt(p, rng.randrange(1, alg.ell))
         # phi = 1 + low with low strictly block-triangular
-        phis.append([[alg.unit(v) if i == j else e for j, e in enumerate(row)]
-                     for i, (v, row) in enumerate(zip(vs, low))])
+        lows.append(low)
         invs.append(alg.unipotent_inverse(vs, low))
-    # the boundary out of the top term is the empty matrix
-    diffs = [alg.mat_mul(phis[i + 1], alg.mat_mul(mat, invs[i]))
-             for i, mat in enumerate(cx.diffs[:-1])] + cx.diffs[-1:]
-    return ProjComplex(alg, cx.lo, cx.terms, diffs)
+    # phi d phi^-1 = m + low m with m = d phi^-1; the boundary out of the
+    # top term is the empty matrix
+    diffs = []
+    for i, mat in enumerate(cx.diffs[:-1]):
+        m = alg.mat_mul(mat, invs[i])
+        diffs.append([[alg.elt_add(x, y) if y else x for x, y in zip(m_row, lm_row)]
+                      for m_row, lm_row in zip(m, alg.mat_mul(lows[i + 1], m))])
+    return ProjComplex(alg, cx.lo, cx.terms, diffs + cx.diffs[-1:])

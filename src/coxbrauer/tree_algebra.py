@@ -24,8 +24,10 @@ from .brauer_tree import EXC, PlanarBrauerTree
 from .numtheory import is_prime
 
 # The most basis paths an algebra may have, counted from the tree's shape
-# before any is built.  Under 1 GiB, `algebra` on single1447, the largest
-# tree of single-edge branches below it, peaks at 478 MB.
+# before any is built.  On single1447, the largest tree of single-edge
+# branches below it, `rickard --vertex 0`, whose Hom complexes build the
+# out-lists, peaks at 376 MB; `algebra`, which builds no per-path record,
+# at 121 MB.
 MAX_PATHS = 2 ** 21
 
 # Path(...) without the named tuple's Python-level __new__: the 129 algebras
@@ -62,7 +64,10 @@ class TreeAlgebra:
     diagrammatic concatenation.  Projectives are the right ideals e_j A
     (paths out of j), so Hom(P_i, P_j) acts by left multiplication by
     paths from j to i.  A basis path's target is read off the cyclic orders
-    in `_ring`; `paths_out` is the one per-path table.
+    in `_ring`.  Building the algebra costs O(h0): it counts the basis from
+    the tree's shape and holds the arrows, and no per-path record.  The one
+    per-path table, the out-lists, is built the first time `out_lists` is
+    asked for it.
     """
 
     def __init__(self, tree: PlanarBrauerTree, ell: int):
@@ -77,6 +82,7 @@ class TreeAlgebra:
                                 f"of unity for the eigencharacter labels")
         self.tree, self.ell = tree, ell
         self.vertices = tuple(tree.edges)
+        self._edges = frozenset(self.vertices)      # the sources, for validation
         # node -> its cyclic order repeated mu times, as long as its cycle of
         # arrows (each vertex is a node); an edge's place in it is j - node
         # at a vertex and its branch's place, `_exc_place`, at EXC
@@ -91,28 +97,46 @@ class TreeAlgebra:
             raise ValueError(f"the algebra would have {self.dim} basis paths, "
                              f"more than the {MAX_PATHS} supported")
         self.degenerate = self.dim == 2     # one edge of cycle lengths one
-        # per source, its basis paths as (target, path) pairs in basis order;
-        # the arrows, the paths of length one, keyed by (node, source)
-        self.paths_out: dict[int, list[tuple[int, Path]]] = {}
-        self.arrow_at: dict[tuple[object, int], Path] = {}
-        self._enumerate_paths()
+        # the arrows, the paths of length one, keyed by (node, source) in
+        # basis order: a step around each end of cycle length above one, or
+        # the socle loop of a lone edge
+        self.arrow_at: dict[tuple[object, int], Path] = {
+            (node, e): _new(Path, (e, _CYC, node, 1))
+            for e in self.vertices for node in tree.ends(e)
+            if len(self._ring[node]) > 1}
+        if self.degenerate:
+            self.arrow_at[None, 0] = _new(Path, (0, _SOC, None, 0))
+        self._out_lists: dict[int, list[tuple[int, Path]]] | None = None
 
     # -- construction -----------------------------------------------------
 
-    def _enumerate_paths(self):
+    def out_lists(self) -> dict[int, list[tuple[int, Path]]]:
+        """Per source, its basis paths as (target, path) pairs in basis
+        order, built on the first call and held from then on.  A plain
+        method filling a plain attribute, which callers hoist out of their
+        loops: a lazy attribute (`cached_property`, `__getattr__`) slowed
+        the trim jobs by 3-9 % on CPython 3.11."""
+        if self._out_lists is None:
+            self._out_lists = self._enumerate_paths()
+        return self._out_lists
+
+    def _enumerate_paths(self) -> dict[int, list[tuple[int, Path]]]:
         """Per edge, with their targets: its trivial path, the proper partial
-        cycles around both of its ends (each first step an arrow), its socle."""
-        for e in self.vertices:
-            out = self.paths_out[e] = [(e, _new(Path, (e, _ID, None, 0)))]
-            for node in self.tree.ends(e):
+        cycles around each end of cycle length above one, in the order of
+        `arrow_at` (basis order), each first step the arrow object, and
+        its socle."""
+        table = {e: [(e, _new(Path, (e, _ID, None, 0)))] for e in self.vertices}
+        for (node, e), arrow in self.arrow_at.items():
+            if node is not None:        # not the socle loop of a lone edge
                 ring = self._ring[node]
                 i = self._place(e, node)
-                out += [(ring[i - t], _new(Path, (e, _CYC, node, t))) for t in range(1, len(ring))]
-                if len(ring) > 1:
-                    self.arrow_at[node, e] = out[1 - len(ring)][1]
-            out.append((e, _new(Path, (e, _SOC, None, 0))))
-        if self.degenerate:
-            self.arrow_at[None, 0] = self.paths_out[0][-1][1]
+                out = table[e]
+                out.append((ring[i - 1], arrow))
+                out += [(ring[i - t], _new(Path, (e, _CYC, node, t))) for t in range(2, len(ring))]
+        soc = self.arrow_at.get((None, 0))      # a lone edge's socle is its arrow
+        for e, out in table.items():
+            out.append((e, soc or _new(Path, (e, _SOC, None, 0))))
+        return table
 
     # -- path structure ----------------------------------------------------
 
@@ -128,7 +152,7 @@ class TreeAlgebra:
             i = self._exc_place.get(src, -1) if node == EXC else src - node
             if 0 <= i < len(ring) and 0 < steps < len(ring):
                 return ring[i - steps]
-        elif kind in (_ID, _SOC) and node is None and steps == 0 and src in self.paths_out:
+        elif kind in (_ID, _SOC) and node is None and steps == 0 and src in self._edges:
             return src
         raise KeyError(f"{p} is not a basis path")
 
@@ -143,7 +167,7 @@ class TreeAlgebra:
             i = self._exc_place.get(src, -1) if node == EXC else src - node
             if 0 <= i < cyclen and 0 < steps < cyclen:
                 tgt = ring[i - steps]
-        elif kind in (_ID, _SOC) and node is None and steps == 0 and src in self.paths_out:
+        elif kind in (_ID, _SOC) and node is None and steps == 0 and src in self._edges:
             tgt = src
         if tgt is None:
             raise KeyError(f"{p} is not a basis path")
@@ -251,16 +275,26 @@ class TreeAlgebra:
         return out
 
     def unipotent_inverse(self, units: list[int], nil: list[list[dict]]) -> list[list[dict]]:
-        """Inverse of 1 + nil, for a nilpotent matrix nil of maps between
-        the P_units[i]: the series 1 - nil + nil^2 - ..., which ends at the
-        first vanishing power."""
-        out = [[self.unit(v) if i == j else {} for j in range(len(units))]
-               for i, v in enumerate(units)]
-        power = neg = [[self.elt_scale(e, -1) for e in row] for row in nil]
-        while any(e for row in power for e in row):
-            out = [[self.elt_add(x, y) for x, y in zip(o_row, p_row)]
-                   for o_row, p_row in zip(out, power)]
-            power = self.mat_mul(power, neg)
+        """Inverse of 1 + nil, for a strictly lower triangular matrix nil of
+        maps between the P_units[i], by forward substitution: row i of the
+        inverse is e_i minus the sum over k < i of nil[i][k] times row k.
+        ValueError when nil has an entry on or above the diagonal."""
+        if any(e for i, row in enumerate(nil) for e in row[i:]):
+            raise ValueError("unipotent_inverse needs a strictly lower "
+                             "triangular matrix")
+        out: list[list[dict]] = []
+        for i, (v, row) in enumerate(zip(units, nil)):
+            acc = [{} for _ in range(i)]    # sum of nil[i][k] times row k
+            for k, x in enumerate(row[:i]):
+                if x:
+                    # row k is e_k plus its entries left of k, and
+                    # nil[i][k] e_k is nil[i][k] itself
+                    self._add_into(acc[k], x)
+                    for j, y in enumerate(out[k][:k]):
+                        if y:
+                            self._add_into(acc[j], self.elt_mul(x, y))
+            out.append([self.elt_scale(a, -1) for a in acc] + [self.unit(v)]
+                       + [{} for _ in units[i + 1:]])
         return out
 
     def local_inverse(self, x: dict, edge: int) -> dict:
@@ -268,15 +302,21 @@ class TreeAlgebra:
 
         Units are exactly the elements whose trivial-path coefficient c is
         nonzero; x = c (1 + rad) with rad in the radical, so the inverse is
-        c^-1 times the unipotent inverse of 1 + rad.
+        c^-1 (1 - rad + rad^2 - ...), which ends at the first vanishing
+        power.
         """
         one = self.unit_path(edge)
-        c = x.get(one, 0) % self.ell
+        ell = self.ell
+        c = x.get(one, 0) % ell
         if not c:
             raise ZeroDivisionError("not a unit of the local endomorphism ring")
-        cinv = pow(c, -1, self.ell)
-        rad = self.elt_scale(self.elt_add(x, self.elt(one, -c)), cinv)
-        return self.elt_scale(self.unipotent_inverse([edge], [[rad]])[0][0], cinv)
+        cinv = pow(c, -1, ell)
+        neg_rad = {p: v for p, a in x.items() if p != one and (v := -a * cinv % ell)}
+        out, power = {one: 1}, neg_rad
+        while power:
+            self._add_into(out, power)
+            power = self.elt_mul(power, neg_rad)
+        return self.elt_scale(out, cinv)
 
 
 def from_tree(tree: PlanarBrauerTree, ell: int) -> TreeAlgebra:
@@ -284,23 +324,28 @@ def from_tree(tree: PlanarBrauerTree, ell: int) -> TreeAlgebra:
 
 
 def hom_grid(alg: TreeAlgebra) -> linalg.SparseMatrix:
-    """[dim Hom(P_i, P_j)] over the vertices 0..h0-1, from one pass over the
-    path table: Hom(P_i, P_j) has a basis of the paths from j to i, each
-    acting by left multiplication."""
-    return _vertex_grid(alg, ((i, j) for j, out in alg.paths_out.items() for i, _ in out))
+    """[dim Hom(P_i, P_j)] over the vertices 0..h0-1, counted per node in
+    O(nonzeros): Hom(P_i, P_j) has a basis of the paths from j to i, each
+    acting by left multiplication.  Around a node of multiplicity m the
+    cyclic paths out of j reach every other edge there m times and j
+    itself m - 1 times; the trivial path and the socle add 2 at j."""
+    tree = alg.tree
+    rows: list[dict[int, int]] = [{j: 2} for j in alg.vertices]
+    for node in (EXC, *alg.vertices):
+        order = tree.cyclic_order_at(node)
+        m = tree.node_multiplicity(node)
+        for j in order:
+            for i in order:
+                rows[i][j] = rows[i].get(j, 0) + m - (i == j)
+    return linalg.SparseMatrix((len(rows), len(rows)), rows)
 
 
 def ext1_grid(alg: TreeAlgebra) -> linalg.SparseMatrix:
     """[dim Ext^1(S_i, S_j)] over the vertices 0..h0-1: the number of quiver
-    arrows from i to j."""
-    return _vertex_grid(alg, ((a.src, alg.target(a)) for a in alg.arrow_at.values()))
-
-
-def _vertex_grid(alg: TreeAlgebra, cells) -> linalg.SparseMatrix:
-    """The vertices-by-vertices grid counting how often each (i, j) occurs
-    in `cells`: O(h0 + len(cells))."""
+    arrows from i to j, O(h0)."""
     size = len(alg.vertices)
     rows: list[dict[int, int]] = [{} for _ in range(size)]
-    for i, j in cells:
-        rows[i][j] = rows[i].get(j, 0) + 1
+    for a in alg.arrow_at.values():
+        j = alg.target(a)
+        rows[a.src][j] = rows[a.src].get(j, 0) + 1
     return linalg.SparseMatrix((size, size), rows)

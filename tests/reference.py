@@ -310,3 +310,9 @@ def _paths_by_target(alg, src):
         if p.src == src:
             groups.setdefault(reference_target(alg, p), []).append(p)
     return groups
+
+
+def reference_hom_grid(alg):
+    """[dim Hom(P_i, P_j)]: the basis paths from j to i, counted one by one
+    off `reference_basis`, each ending where `reference_target` says."""
+    return [list(col) for col in zip(*reference_grid(alg, reference_basis(alg)))]

@@ -5,8 +5,9 @@ indent=2)` gives; joined, they must equal it byte for byte.  Three property
 tests hold it to json: one on generated values of every kind, one on long
 int rows that are mostly zero (the plain-int join, and the values it must
 refuse: a False, None or 0.0 among the zeros), and one on SparseMatrix
-values, which are written as the list of their dense rows, each zero run
-whole.  Every report captured under tests/golden/ must re-emit unchanged.
+values, which are written as the list of their dense rows, each spliced
+into one all-zero row text.  Every report captured under tests/golden/
+must re-emit unchanged.
 `cli.build_parser` is built once per process, so a sequence of `cli.main`
 calls in one process must print what fresh processes print.
 """
@@ -89,6 +90,9 @@ SPARSE = st.one_of(
 @example([[7, True], [False]])
 @example([-(2 ** 64) - 1, 2 ** 100, 0])
 @example([-0.0, 1e16, 0.1, 1e-7, -2.5e300])
+@example(["chi0", "exc1"])
+@example(["é\x00😀", ""])
+@example(["a", 1])
 @example({'q"uo\\te': 'a"b\\c\n\x01\x7fé€😀', "": [0.5, {"x": []}]})
 @example({"ok": True, "results": [{"detail": "dim 21", "name": "7-algebra",
                                    "ok": True, "seconds": 0.012}]})
@@ -110,20 +114,16 @@ def test_sparse_int_rows_are_json(obj):
 
 
 def test_zero_runs_are_written_whole(monkeypatch):
-    sep = ",\n  "
-    row = [0] * 40 + [-2] + [0] * 19 + [2 ** 70] + [0] * 39
-    text = sep.join(map(str, row))
-    items = [(40, -2), (60, 2 ** 70)]
-    # the row writer converts only the entries it is given, and writes
-    # each zero run, the last entry's too, as one repeated string
+    """Each row is one all-zero row text with its stored entries spliced
+    in: str is called on those entries only, a repeated row object's once,
+    and never on a zero run, a column index or an all-zero row."""
+    row = {40: -2, 60: 2 ** 70}
+    a = SparseMatrix((4, 100), [row, row, {99: 5}, {}])
+    cells = dense(a)
     converted = []
     monkeypatch.setattr(cli, "str", lambda x: converted.append(x) or repr(x),
                         raising=False)
-    assert cli._int_items(items, len(row), sep) == text
-    assert converted == [-2, 2 ** 70]
-    converted.clear()
-    # a nonzero last entry is written without a separator after it
-    assert cli._int_items([*items, (99, 5)], len(row), sep) == text[:-1] + "5"
+    assert dumps(a) == json.dumps(cells, indent=2)
     assert converted == [-2, 2 ** 70, 5]
 
 

@@ -681,7 +681,7 @@ def _reference_hom(cx1, cx2):
         for j in cx2.degrees():
             for t, tv in enumerate(cx2.term(j)):
                 for s, sv in enumerate(cx1.term(i)):
-                    for v, p in alg.paths_out[tv]:
+                    for v, p in alg.out_lists()[tv]:
                         if v == sv:
                             basis[j - i].append((i, t, s, p))
 
@@ -1174,4 +1174,4 @@ def test_arrow_table_holds_each_arrow_once():
         assert list(alg.arrow_at.values()) == arrows
         # held once: the arrow table shares the out-lists' path objects
         assert all(alg.arrow_at[a.node, a.src]
-                   is next(p for _, p in alg.paths_out[a.src] if p == a) for a in arrows)
+                   is next(p for _, p in alg.out_lists()[a.src] if p == a) for a in arrows)

@@ -124,8 +124,9 @@ def test_lookups_match_linear_scans(tree):
 def test_paths_out_partitions_the_path_basis(tree):
     alg = ta.from_tree(tree, 7)
     basis = reference_basis(alg)
-    assert sum(map(len, alg.paths_out.values())) == alg.dim == len(basis)
-    for src, out in alg.paths_out.items():
+    out_lists = alg.out_lists()
+    assert sum(map(len, out_lists.values())) == alg.dim == len(basis)
+    for src, out in out_lists.items():
         # the paths out of src with their targets, in basis order
         assert out == [(reference_target(alg, p), p) for p in basis if p.src == src]
     for p in basis:

@@ -8,8 +8,8 @@ from coxbrauer import homotopy as ho
 from coxbrauer import tree_algebra as ta
 from coxbrauer.brauer_tree import EXC
 from coxbrauer.selftest import random_trees
-from reference import (dense, off_basis_paths, reference_basis, reference_predecessor,
-                       reference_target)
+from reference import (dense, off_basis_paths, reference_basis, reference_hom_grid,
+                       reference_predecessor, reference_target)
 
 
 def dimension_formula(tree):
@@ -155,9 +155,24 @@ def test_hom_dimensions_match_cartan():
         assert ta.hom_grid(alg) == cartan
 
 
+def test_hom_grid_counts_the_basis_paths_between_each_pair():
+    """The per-node count of `hom_grid` is the count of the reference basis
+    paths from j to i, stored entries nonzero: on random trees, on star
+    trees with mu > 1 and on the lone edge of multiplicity one and three."""
+    trees = [*random_trees(40, seed=39),
+             *(bt.star_tree(d, e, n) for d, e, n in ((7, 3, 2), (13, 4, 5), (25, 4, 7))),
+             *(bt.assemble_tree(bt.line_series(1), mu, 1) for mu in (1, 3))]
+    assert {tree.multiplicity for tree in trees[40:45]} == {1, 2, 3, 6}
+    for tree in trees:
+        alg = ta.from_tree(tree, 13)
+        grid = ta.hom_grid(alg)
+        assert dense(grid) == reference_hom_grid(alg)
+        assert all(map(all, (row.values() for row in grid.rows)))
+
+
 def test_hom_identity_present():
     alg = star732()
-    assert (1, ta.Path(1, "id")) in alg.paths_out[1]
+    assert (1, ta.Path(1, "id")) in alg.out_lists()[1]
     assert dense(ta.hom_grid(alg))[0][0] == 3
     _, alg2 = line(2, 1)
     assert dense(ta.hom_grid(alg2))[0][1] == 1
@@ -249,7 +264,7 @@ def matrix_algebras():
 def random_elt(alg, rng, src, tgt):
     """A random combination of the basis paths from src to tgt."""
     out = {}
-    for v, p in alg.paths_out[src]:
+    for v, p in alg.out_lists()[src]:
         if v == tgt and rng.random() < 0.6:
             out = alg.elt_add(out, alg.elt(p, rng.randrange(1, alg.ell)))
     return out
@@ -315,6 +330,22 @@ def test_unipotent_inverse_cut_short_fails():
         assert alg.mat_mul(mat_add(alg, one, nil), short) != one
 
 
+def test_unipotent_inverse_refuses_entries_on_or_above_the_diagonal():
+    """Forward substitution holds only for a strictly lower triangular
+    nil: a nonzero entry on the diagonal (the socle, nilpotent itself) or
+    above it is refused, and an empty one there is not."""
+    for alg in matrix_algebras():
+        v = alg.vertices[0]
+        soc = alg.elt(ta.Path(v, "soc"))
+        nil = [[{}, {}, {}], [soc, {}, {}], [{}, soc, {}]]
+        assert alg.unipotent_inverse([v] * 3, nil)[2][0] == {}    # soc^2 = 0
+        for r, c in ((1, 1), (0, 2)):
+            bad = [list(row) for row in nil]
+            bad[r][c] = soc
+            with pytest.raises(ValueError, match="strictly lower triangular"):
+                alg.unipotent_inverse([v] * 3, bad)
+
+
 def test_mat_mul_of_one_by_one_is_elt_mul():
     rng = random.Random(31)
     for alg in matrix_algebras():
@@ -355,17 +386,22 @@ def single_branches(b):
 
 
 def test_the_algebra_holds_its_basis_once():
-    """On single200 the algebra holds at most 160 bytes per basis path,
-    also at its peak while building: one record and one (target, path)
-    pair per path, the targets read off an O(h0) table of the tree."""
+    """On single200 the algebra holds at most 1 KB per edge, also at its
+    peak while building: the basis is counted from the tree's shape and
+    only the arrows are held.  Its out-lists, once asked for, hold at most
+    160 bytes per basis path: one record and one (target, path) pair per
+    path, the targets read off an O(h0) table of the tree."""
     tree = single_branches(200)
     tracemalloc.start()
     try:
         alg = ta.from_tree(tree, 31)
+        built = tracemalloc.get_traced_memory()
+        alg.out_lists()
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert alg.dim == 200 * 201
+    assert max(built) <= 1024 * tree.h0, built
     assert held <= 160 * alg.dim and peak <= 160 * alg.dim, (held, peak)
 
 
@@ -387,13 +423,17 @@ def test_the_path_bound_is_inclusive_and_counts_the_basis(monkeypatch):
 
 def test_the_path_bound_accepts_the_long_line_and_single800(monkeypatch):
     """line65536 has 4 * 65536 - 2 paths and single800 800 * 801; the
-    bound lets both through to the path walk, here stubbed out."""
+    bound lets both through, and the path walk, here stubbed out, waits
+    for the first call of `out_lists`."""
     def walk(alg):
         raise LookupError("walked the paths")
 
     monkeypatch.setattr(ta.TreeAlgebra, "_enumerate_paths", walk)
-    for tree in (bt.assemble_tree(bt.line_series(65536), 1, 1), single_branches(800)):
+    for tree, dim in ((bt.assemble_tree(bt.line_series(65536), 1, 1), 4 * 65536 - 2),
+                      (single_branches(800), 800 * 801)):
+        alg = ta.from_tree(tree, 31)
+        assert alg.dim == dim
         with pytest.raises(LookupError):
-            ta.from_tree(tree, 31)
+            alg.out_lists()
     with pytest.raises(ValueError, match="would have 2098152 basis paths"):
         ta.from_tree(single_branches(1448), 31)

@@ -1,5 +1,5 @@
-"""Work counts of the tilting check and the oracle's orthogonality check,
-pinned exactly.
+"""Work counts of the tilting check, a trim round trip, the `algebra`
+report and the oracle's orthogonality check, pinned exactly.
 
 Each count is taken by a monkeypatch wrapper on fixed inputs, so it does
 not move with the machine's speed the way a timing does.  A change that
@@ -7,6 +7,7 @@ lowers a count updates its pin and logs the old and new values; one that
 raises a count needs a logged reason.
 """
 
+import json
 import random
 from collections import Counter
 from math import log2
@@ -14,6 +15,7 @@ from math import log2
 import pytest
 
 from coxbrauer import brauer_tree as bt
+from coxbrauer import cli
 from coxbrauer import homotopy as ho
 from coxbrauer import linalg
 from coxbrauer import oracle as orc
@@ -27,7 +29,7 @@ def single_branches(b):
 
 
 class _WalkedOutLists(dict):
-    """An algebra's `paths_out` whose lists count the entries iterated."""
+    """An algebra's out-lists whose lists count the entries iterated."""
 
     def __init__(self, table, counts):
         super().__init__(table)
@@ -48,23 +50,30 @@ class _WalkedList(list):
 
 
 def hom_work(monkeypatch, run):
-    """The work of run(): Hom complexes built, their basis maps, entries
-    walked while building them (out-list entries iterated, plus vertices
-    of C1 whose paths from a summand of C2 are looked up), elimination
-    kernel calls and path compositions."""
-    counts = dict.fromkeys(("hom_complexes", "basis_maps", "walked",
+    """The work of run(): out-list tables built, Hom complexes built, their
+    basis maps, entries walked while building them (out-list entries
+    iterated, plus vertices of C1 whose paths from a summand of C2 are
+    looked up), elimination kernel calls and path compositions."""
+    counts = dict.fromkeys(("out_tables", "hom_complexes", "basis_maps", "walked",
                             "rank_calls", "compose_calls"), 0)
-    init, rref, compose, between = (ho.HomComplex.__init__, linalg.rref_mod_prime,
-                                    ta.TreeAlgebra.compose, ta.TreeAlgebra.paths_between)
+    build, init, rref, compose, between = (
+        ta.TreeAlgebra._enumerate_paths, ho.HomComplex.__init__, linalg.rref_mod_prime,
+        ta.TreeAlgebra.compose, ta.TreeAlgebra.paths_between)
+
+    def counted_build(self):
+        counts["out_tables"] += 1
+        return build(self)
 
     def counted_init(self, cx1, cx2):
+        # the table is built as it would be by the Hom complex itself, and
+        # counts its walks while this Hom complex is built
         alg = cx1.alg
-        out = alg.paths_out
-        alg.paths_out = _WalkedOutLists(out, counts)
+        out = alg.out_lists()
+        alg._out_lists = _WalkedOutLists(out, counts)
         try:
             init(self, cx1, cx2)
         finally:
-            alg.paths_out = out
+            alg._out_lists = out
         counts["hom_complexes"] += 1
         counts["basis_maps"] += sum(map(len, self.basis.values()))
 
@@ -81,6 +90,7 @@ def hom_work(monkeypatch, run):
         return compose(self, p, q)
 
     with monkeypatch.context() as patch:
+        patch.setattr(ta.TreeAlgebra, "_enumerate_paths", counted_build)
         patch.setattr(ho.HomComplex, "__init__", counted_init)
         patch.setattr(ta.TreeAlgebra, "paths_between", counted_between)
         patch.setattr(linalg, "rref_mod_prime", counted_rref)
@@ -104,12 +114,12 @@ def tilting_work(monkeypatch, tree):
 # branch, so one Hom complex of its top with itself, walked from C2's
 # out-lists, as its top has more vertices than any edge has paths
 @pytest.mark.parametrize("tree, want", [
-    (single_branches(8), dict(hom_complexes=64, basis_maps=72, walked=64,
-                              rank_calls=0, compose_calls=0)),
-    (single_branches(16), dict(hom_complexes=256, basis_maps=272, walked=256,
-                               rank_calls=0, compose_calls=0)),
+    (single_branches(8), dict(out_tables=1, hom_complexes=64, basis_maps=72,
+                              walked=64, rank_calls=0, compose_calls=0)),
+    (single_branches(16), dict(out_tables=1, hom_complexes=256, basis_maps=272,
+                               walked=256, rank_calls=0, compose_calls=0)),
     (bt.assemble_tree(bt.line_series(40), 1, 1),
-     dict(hom_complexes=1, basis_maps=158, walked=158, rank_calls=2,
+     dict(out_tables=1, hom_complexes=1, basis_maps=158, walked=158, rank_calls=2,
           compose_calls=272)),
 ], ids=["single8", "single16", "line40"])
 def test_tilting_work_is_pinned(monkeypatch, tree, want):
@@ -131,7 +141,10 @@ def test_the_single_branch_walk_grows_as_b_squared(monkeypatch):
 # complexes, (trimmed, cx) and (cx, cx), serve the 2 x 9 shifts, each
 # degree's rank profile once; one Hom complex per call took 18 Hom
 # complexes, 342 basis maps, 8 rank calls and 146 compositions (46 of them
-# in padding, mixing and trimming)
+# in padding, mixing and trimming).  Of the 37 compositions outside the
+# Hom complexes, 20 are mixing's: it conjugates as m + L m, m = d phi^-1,
+# and inverts phi = 1 + L by forward substitution, where multiplying by
+# phi and summing the series of -L took 29
 def test_trim_round_trip_work_is_pinned(monkeypatch):
     def run():
         rng = random.Random(7919)
@@ -148,7 +161,32 @@ def test_trim_round_trip_work_is_pinned(monkeypatch):
                 == [ho.homotopy_hom(cx, cx, i) for i in shifts])
 
     assert hom_work(monkeypatch, run) == dict(
-        hom_complexes=2, basis_maps=38, walked=40, rank_calls=4, compose_calls=96)
+        out_tables=1, hom_complexes=2, basis_maps=38, walked=40, rank_calls=4,
+        compose_calls=87)
+
+
+# `algebra` reads its Cartan matrix off the nodes and its Ext^1 quiver off
+# the arrows, so its report builds no out-list table: on single200 (40,200
+# basis paths) and on a tree-scale shape, h0 100 in four branches, mu 3
+@pytest.mark.parametrize("tree", [
+    single_branches(200),
+    bt.assemble_tree(bt.SeriesDatum(100, (bt.Branch(3, 0, 39), bt.Branch(0, 40, 69),
+                                          bt.Branch(7, 70, 89), bt.Branch(5, 90, 99))),
+                     3, 1),
+], ids=["single200", "four-branch100"])
+def test_the_algebra_report_builds_no_out_lists(monkeypatch, tmp_path, tree):
+    src, out = tmp_path / "tree.json", tmp_path / "algebra.json"
+    src.write_text(json.dumps(bt.tree_to_obj(tree)), encoding="utf-8")
+
+    def run():
+        assert cli.main(["algebra", "--tree", str(src), "--field", "31",
+                         "--out", str(out)]) == 0
+
+    assert hom_work(monkeypatch, run) == dict.fromkeys(
+        ("out_tables", "hom_complexes", "basis_maps", "walked", "rank_calls",
+         "compose_calls"), 0)
+    assert json.loads(out.read_text(encoding="utf-8"))["dimension"] == (
+        ta.from_tree(tree, 31).dim)
 
 
 def orthogonality_work(monkeypatch, group):
